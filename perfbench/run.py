@@ -6,6 +6,8 @@ set-up and memory, plus a traced per-layer breakdown.
 Every measurement happens in a fresh child interpreter (child.py), one
 child at a time.  The program is driven only through its public entry
 points: `report_cli.Config`, `run_suite`, `emit` and `report_cli.main`.
+End-to-end times are scaled to a reference core speed by the SpeedProbe
+each of those children runs; standard error also shows unscaled medians.
 
 --trace 0 prints the end-to-end metrics, --trace 1 the per-layer metrics
 of traced runs.  The last line of standard output is one JSON object with
@@ -84,7 +86,7 @@ CHECK_NAMES = (
 #: caller's environment says, so setup_s means the same everywhere.
 CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
 
-SETUP_CHILDREN = 5  # import-only children per invocation, for setup_s
+SETUP_CHILDREN = 15  # import-only children per invocation, for setup_s
 HARD_LIMIT_S = 165  # no child may still run after this much of an invocation
 
 
@@ -146,7 +148,9 @@ class Runner:
             print(f"child failed ({proc.returncode}): {err.strip()}", file=sys.stderr)
             return None, wall
         result = json.loads(lines[-1])
-        result["setup_s"] = result["imported"] - start
+        result["setup_raw_s"] = result["setup_s"] = result["imported"] - start
+        if "setup_speed" in result:  # the child ran a SpeedProbe
+            result["setup_s"] = (result["setup_raw_s"] - result["setup_probe_s"]) * result["setup_speed"]
         return result, wall
 
     def measured(self, job: dict) -> tuple[dict | None, float]:
@@ -184,13 +188,14 @@ class Runner:
 def end_to_end(runner: Runner, seconds: int) -> dict[str, float]:
     setups = []
     for _ in range(SETUP_CHILDREN):
-        result, _ = runner.spawn({"mode": "setup"})
+        result, _ = runner.spawn({"mode": "setup", "probe": True})
         if result is None:
             raise SystemExit("cannot import g2verify from src/")
         setups.append(result["setup_s"])
     results, measured = [], 0.0
     while measured < seconds and runner.time_left() > 0:
-        result, wall = runner.measured({"mode": "run", "warm": True, "cli": not runner.attempted})
+        job = {"mode": "run", "warm": True, "probe": True, "cli": not runner.attempted}
+        result, wall = runner.measured(job)
         measured += wall - (result or {}).get("cli_s", 0.0)
         if result is not None:
             results.append(result)
@@ -200,6 +205,9 @@ def end_to_end(runner: Runner, seconds: int) -> dict[str, float]:
     metrics = {"setup_s": statistics.median(setups)}
     for name in ("cold_s", "cpu_s", "warm_s", "peak_rss_mb"):
         metrics[name] = statistics.median(r[name] for r in results)
+    print(f"{runner.workload} {len(results)} measuring children; unscaled medians: "
+          f"cold {statistics.median(r['cold_raw_s'] for r in results):.6g} s, "
+          f"setup {statistics.median(r['setup_raw_s'] for r in results):.6g} s", file=sys.stderr)
     return metrics
 
 
