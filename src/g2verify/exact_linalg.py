@@ -1,118 +1,19 @@
 """Exact scalar arithmetic and small dense linear algebra.
 
-Two scalar fields are supported: arbitrary-precision rationals
-(``fractions.Fraction``) and prime fields F_p (``FpScalar``).  One generic
-Gaussian-elimination kernel, parameterized by the field, provides rank,
-null-space bases, and linear solving for both.  Floating point is never
-used anywhere in this package.
+Scalars are arbitrary-precision rationals (``fractions.Fraction``).  One
+Gaussian-elimination kernel provides rank, null-space bases, and linear
+solving.  Floating point is never used anywhere in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 
 class DimensionMismatch(ValueError):
     """A vector or matrix operand has incompatible dimensions."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-@dataclass(frozen=True)
-class FpScalar:
-    """An element of the prime field F_p, stored as an integer in [0, p)."""
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.p < 3:
-            raise ValueError(f"prime-field modulus must be >= 3, got {self.p}")
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other: FpScalar | int) -> FpScalar:
-        if isinstance(other, FpScalar):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return FpScalar(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other: FpScalar | int) -> FpScalar:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: FpScalar | int) -> FpScalar:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value - other.value, self.p)
-
-    def __rsub__(self, other: FpScalar | int) -> FpScalar:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(other.value - self.value, self.p)
-
-    def __mul__(self, other: FpScalar | int) -> FpScalar:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: FpScalar | int) -> FpScalar:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other: FpScalar | int) -> FpScalar:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __neg__(self) -> FpScalar:
-        return FpScalar(-self.value, self.p)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FpScalar):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.p))
-
-    def inverse(self) -> FpScalar:
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
-        return FpScalar(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.p})"
 
 
 @dataclass(frozen=True)
@@ -136,61 +37,19 @@ class RationalField:
         return "QQ"
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """The prime field F_p, as a scalar-field descriptor (p prime, >= 3)."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.p < 3 or not _is_prime(self.p):
-            raise ValueError(f"modulus must be a prime >= 3, got {self.p}")
-
-    @property
-    def zero(self) -> FpScalar:
-        return FpScalar(0, self.p)
-
-    @property
-    def one(self) -> FpScalar:
-        return FpScalar(1, self.p)
-
-    def of(self, x: int | Fraction | FpScalar) -> FpScalar:
-        if isinstance(x, FpScalar):
-            if x.p != self.p:
-                raise ValueError(f"mixed moduli {self.p} and {x.p}")
-            return x
-        if isinstance(x, bool):
-            raise TypeError(f"not an exact scalar: {x!r}")
-        if isinstance(x, int):
-            return FpScalar(x, self.p)
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroDivisionError(
-                    f"denominator {x.denominator} not invertible mod {self.p}"
-                )
-            inv_den = pow(x.denominator, -1, self.p)
-            return FpScalar(x.numerator * inv_den, self.p)
-        raise TypeError(f"not an exact scalar: {x!r}")
-
-    def __repr__(self) -> str:
-        return f"F_{self.p}"
-
-
 QQ = RationalField()
 
-Scalar = Union[Fraction, FpScalar]
-Field = Union[RationalField, PrimeField]
-Vector = tuple  # tuple[Scalar, ...]
+Vector = tuple  # tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
 class DenseMatrix:
-    """An immutable dense matrix with exact entries over a fixed field."""
+    """An immutable dense matrix with exact rational entries."""
 
     rows: int
     cols: int
     entries: tuple  # tuple of row tuples
-    field: Field
+    field: RationalField
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
@@ -201,21 +60,19 @@ class DenseMatrix:
             raise DimensionMismatch("entry grid does not match declared shape")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], field: Field = QQ) -> DenseMatrix:
+    def from_rows(
+        cls, rows: Sequence[Sequence], field: RationalField = QQ
+    ) -> DenseMatrix:
         coerced = tuple(tuple(field.of(x) for x in row) for row in rows)
         return cls(len(coerced), len(coerced[0]), coerced, field)
 
     @classmethod
-    def identity(cls, n: int, field: Field = QQ) -> DenseMatrix:
+    def identity(cls, n: int, field: RationalField = QQ) -> DenseMatrix:
         return cls.from_rows(
             [[1 if i == j else 0 for j in range(n)] for i in range(n)], field
         )
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, field: Field = QQ) -> DenseMatrix:
-        return cls.from_rows([[0] * cols for _ in range(rows)], field)
-
-    def entry(self, i: int, j: int) -> Scalar:
+    def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
     def row(self, i: int) -> Vector:
@@ -293,16 +150,6 @@ class DenseMatrix:
             out.append(acc)
         return tuple(out)
 
-    def power(self, k: int) -> DenseMatrix:
-        if self.rows != self.cols:
-            raise DimensionMismatch("matrix power requires a square matrix")
-        if k < 0:
-            raise ValueError("negative matrix powers are not supported")
-        result = DenseMatrix.identity(self.rows, self.field)
-        for _ in range(k):
-            result = result @ self
-        return result
-
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.entries)
 
@@ -338,7 +185,7 @@ def _echelon(rows: list, ncols: int) -> tuple[list, list[int]]:
 
 
 def rank(m: DenseMatrix) -> int:
-    """Rank of `m` over its scalar field, by exact Gaussian elimination."""
+    """Rank of `m`, by exact Gaussian elimination."""
     work = [list(row) for row in m.entries]
     _, pivots = _echelon(work, m.cols)
     return len(pivots)
@@ -381,7 +228,9 @@ def solve_linear(m: DenseMatrix, b: Sequence) -> Vector | None:
     return tuple(x)
 
 
-def _rank_of_vectors(vectors: Sequence[Sequence], ambient_dim: int, field: Field) -> int:
+def _rank_of_vectors(
+    vectors: Sequence[Sequence], ambient_dim: int, field: RationalField
+) -> int:
     if not vectors:
         return 0
     for v in vectors:
@@ -396,7 +245,7 @@ def direct_sum_check(
     a: Sequence[Sequence],
     b: Sequence[Sequence],
     ambient_dim: int,
-    field: Field = QQ,
+    field: RationalField = QQ,
 ) -> bool:
     """True iff span(a) and span(b) intersect trivially.
 
@@ -409,7 +258,7 @@ def direct_sum_check(
 
 
 def span_contains(
-    basis: Sequence[Sequence], v: Sequence, field: Field = QQ
+    basis: Sequence[Sequence], v: Sequence, field: RationalField = QQ
 ) -> bool:
     """True iff `v` lies in the span of `basis` (exact membership test)."""
     if not basis:

@@ -320,15 +320,6 @@ def weight_component(x: G2Element, w: Sequence[int]) -> G2Element:
     )
 
 
-def all_weights() -> tuple[tuple[int, int], ...]:
-    """The distinct weights occurring in the basis (12 roots and zero)."""
-    seen: list[tuple[int, int]] = []
-    for w in BASIS_WEIGHTS:
-        if w not in seen:
-            seen.append(w)
-    return tuple(seen)
-
-
 def root_vector_index(w: Sequence[int]) -> int:
     """Index of the unique basis element of nonzero weight `w`."""
     target = (w[0], w[1])

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -94,11 +95,12 @@ class Rep7:
 
     def act(self, x: G2Element) -> DenseMatrix:
         """The matrix of x = sum c_i b_i acting on the representation."""
-        out = DenseMatrix.zeros(REP_DIM, REP_DIM, QQ)
-        for c, m in zip(x.coords, self.matrices):
-            if c:
-                out = out + m.scale(c)
-        return out
+        terms = [(c, m.entries) for c, m in zip(x.coords, self.matrices) if c]
+        rows = [
+            [sum(c * e[i][j] for c, e in terms) for j in range(REP_DIM)]
+            for i in range(REP_DIM)
+        ]
+        return DenseMatrix.from_rows(rows, QQ)
 
 
 @dataclass(frozen=True)
@@ -121,10 +123,7 @@ class Symplectic14:
     """
 
     omega: DenseMatrix
-    borel_g2_names: tuple[str, ...]
-    borel_g2: tuple  # 7x7 DenseMatrix per name
-    borel_sl2_names: tuple[str, ...]
-    borel_sl2: tuple  # 2x2 DenseMatrix per name
+    borel_g2: tuple  # 7x7 DenseMatrix per BOREL_G2_NAMES entry
     actions14: tuple  # the ten 14x14 matrices, g2 part first
 
 
@@ -383,42 +382,27 @@ def zero_weight_space(rep: Rep7 | None = None) -> tuple:
     return kernel_basis(DenseMatrix.from_rows(stacked, QQ))
 
 
-def verify_invariant_form(rep: Rep7 | None = None) -> bool:
-    """Infinitesimal invariance of the bilinear form:
-    rho(x)^T B + B rho(x) = 0 for all 14 basis x."""
+def verify_invariant_form(rep: Rep7 | None = None) -> int:
+    """Number of basis x whose action leaves the bilinear form invariant,
+    rho(x)^T B + B rho(x) = 0; 14 means all pass."""
     rep = rep or build_rep7()
     b = invariant_form().matrix
-    for m in rep.matrices:
-        if not (m.transpose() @ b + b @ m).is_zero():
-            return False
-    return True
+    return sum(1 for m in rep.matrices if (m.transpose() @ b + b @ m).is_zero())
 
 
-def verify_quadric_element(rep: Rep7 | None = None) -> bool:
-    """Infinitesimal invariance of the symmetric-square element q:
-    rho(x) C + C rho(x)^T = 0 for all 14 basis x, where C is the
-    polarized coefficient matrix of q = u^2 - 4vv~ - 4ww~ - 4tt~."""
+def verify_quadric_element(rep: Rep7 | None = None) -> int:
+    """Number of basis x whose action leaves the symmetric-square element q
+    invariant, rho(x) C + C rho(x)^T = 0, where C is the polarized
+    coefficient matrix of q = u^2 - 4vv~ - 4ww~ - 4tt~; 14 means all pass."""
     rep = rep or build_rep7()
     c = quadric_element()
-    for m in rep.matrices:
-        if not (m @ c + c @ m.transpose()).is_zero():
-            return False
-    return True
+    return sum(1 for m in rep.matrices if (m @ c + c @ m.transpose()).is_zero())
 
 
 #: The linear-side Borel: Cartan pair plus the six positive-root vectors of
 #: the polarization {a1, a2, -a3, a1-a2, a1-a3, a2-a3}, which makes v (of
 #: weight -a3) the highest-weight line.
 BOREL_G2_NAMES: tuple[str, ...] = ("h_a", "h_b", "e1", "e2", "f3", "E12", "E13", "E23")
-
-BOREL_POSITIVE_ROOTS: tuple[tuple[int, int], ...] = (
-    (1, 0),   # a1        (e1)
-    (1, 1),   # a2        (e2)
-    (2, 1),   # -a3       (f3)
-    (0, -1),  # a1 - a2   (E12)
-    (3, 1),   # a1 - a3   (E13)
-    (3, 2),   # a2 - a3   (E23)
-)
 
 
 def _block_diag_action(m: DenseMatrix) -> DenseMatrix:
@@ -463,14 +447,7 @@ def build_symplectic14() -> Symplectic14:
         _sl2_tensor_action(sl2_h),
         _sl2_tensor_action(sl2_e),
     )
-    return Symplectic14(
-        omega=omega,
-        borel_g2_names=BOREL_G2_NAMES,
-        borel_g2=borel_g2,
-        borel_sl2_names=("H2", "E12_2"),
-        borel_sl2=(sl2_h, sl2_e),
-        actions14=actions,
-    )
+    return Symplectic14(omega=omega, borel_g2=borel_g2, actions14=actions)
 
 
 def omega_pair(x: Sequence, y: Sequence) -> Fraction:
@@ -611,15 +588,22 @@ class UnionFind:
         return [self.size[i] for i in range(len(self.parent)) if self.find(i) == i]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+#: Upper bound on p**REP_DIM, the number of vectors the oracle enumerates
+#: as a (p**7, 7) int64 array: it admits p = 3, 5, 7 (823,543 points) and
+#: refuses p = 11, whose digit array alone would take about 1.1 GB.
+MAX_ORACLE_POINTS = 2_000_000
+
+
+def check_oracle_prime(p: int) -> None:
+    """Raise BadPrimeError unless p is a prime >= 3 with p**7 at most
+    MAX_ORACLE_POINTS, i.e. a modulus the oracle can enumerate."""
+    if p**REP_DIM > MAX_ORACLE_POINTS:
+        raise BadPrimeError(
+            f"oracle would enumerate {p}^{REP_DIM} points, more than "
+            f"{MAX_ORACLE_POINTS}; got {p}"
+        )
+    if p < 3 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise BadPrimeError(f"oracle requires a prime >= 3, got {p}")
 
 
 def _matrix_mod_p(m: DenseMatrix, p: int) -> np.ndarray:
@@ -690,9 +674,7 @@ def count_orbits_mod_p(p: int) -> OrbitCountResult:
     and the two coroot scalings by a primitive root.  All arithmetic is
     exact integer arithmetic mod p.
     """
-    if p < 3 or not _is_prime(p):
-        raise BadPrimeError(f"oracle requires a prime >= 3, got {p}")
-
+    check_oracle_prime(p)
     powers = np.array([p**i for i in range(REP_DIM)], dtype=np.int64)
     total = p**REP_DIM
     idx = np.arange(total, dtype=np.int64)
@@ -750,7 +732,8 @@ def sample_isotropic_vector(sampler: SmallRationalSampler, chart: int) -> tuple:
     x[solve_for] = Fraction(0)
     residual = quadric_value(x)
     x[solve_for] = -residual / (2 * b.entry(pivot, solve_for) * x[pivot])
-    assert quadric_value(x) == 0
+    if quadric_value(x) != 0:
+        raise AssertionError("sampled vector is not on the quadric cone")
     return tuple(x)
 
 

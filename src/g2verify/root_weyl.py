@@ -98,9 +98,6 @@ class WeylElement:
             self.a21 * other.a12 + self.a22 * other.a22,
         )
 
-    def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a11, self.a12), (self.a21, self.a22))
-
     def __repr__(self) -> str:
         return f"[[{self.a11},{self.a12}],[{self.a21},{self.a22}]]"
 

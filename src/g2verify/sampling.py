@@ -25,9 +25,3 @@ class SmallRationalSampler:
             x = self.fraction()
             if x:
                 return x
-
-    def vector(self, n: int) -> tuple[Fraction, ...]:
-        return tuple(self.fraction() for _ in range(n))
-
-    def integer(self, low: int, high: int) -> int:
-        return self._rng.randint(low, high)

@@ -113,8 +113,7 @@ class SliceSubalgebras:
     """Basis-index descriptions of the slice-side subspaces."""
 
     l: tuple[int, ...]
-    n_l: tuple[int, ...]
-    m_l: tuple[int, ...]
+    n_l: tuple[int, ...]  # m_l = n_l on this slice
     u5: tuple[int, ...]
     u6: tuple[int, ...]
     s: tuple[int, ...]
@@ -241,7 +240,7 @@ def build_slice_data() -> SliceData:
     if len(ker) != 6:
         raise StructureMismatchError(f"dim ker ad_f = {len(ker)} != 6")
     subs = SliceSubalgebras(
-        l=l, n_l=n_l, m_l=n_l, u5=u5, u6=u6, s=s, t_prime=t_prime, ker_ad_f=ker
+        l=l, n_l=n_l, u5=u5, u6=u6, s=s, t_prime=t_prime, ker_ad_f=ker
     )
 
     # Subalgebra closure and nilpotency.
@@ -295,31 +294,31 @@ def verify_lemma_incl(data: SliceData | None = None) -> bool:
     """Bracket-level inclusion of the slice action into e + m_l-perp.
 
     Checks killing(z, y) = 0 and killing([x, y + e], z) = 0 for all basis
-    x in n_l, y in ker ad_f together with y = 0, and z in m_l.
+    x in n_l, y in ker ad_f together with y = 0, and z in m_l = n_l.
     """
     data = data or build_slice_data()
     subs = data.subalgebras
     e = data.triple.e
-    m_l = [BASIS[i] for i in subs.m_l]
+    n_l = [BASIS[i] for i in subs.n_l]
     kernel_elems = [G2Element(v) for v in subs.ker_ad_f]
-    for z in m_l:
+    for z in n_l:
         for y in kernel_elems:
             if killing(z, y) != 0:
                 return False
-    for x in [BASIS[i] for i in subs.n_l]:
+    for x in n_l:
         for y in kernel_elems + [G2Element.zero()]:
             img = bracket(x, y + e)
-            for z in m_l:
+            for z in n_l:
                 if killing(img, z) != 0:
                     return False
     return True
 
 
 def _m_l_perp_basis(data: SliceData) -> tuple:
-    """Basis of the Killing-orthogonal complement of m_l."""
+    """Basis of the Killing-orthogonal complement of m_l = n_l."""
     subs = data.subalgebras
     pairing_rows = [
-        tuple(killing(BASIS[i], BASIS[j]) for j in range(DIM)) for i in subs.m_l
+        tuple(killing(BASIS[i], BASIS[j]) for j in range(DIM)) for i in subs.n_l
     ]
     return kernel_basis(DenseMatrix.from_rows(pairing_rows, QQ))
 

@@ -7,6 +7,7 @@ measured from a cold start of the relevant computation.
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from g2verify import g2_algebra as g2
 from g2verify import rep7_verifier as rep7
@@ -15,6 +16,9 @@ from g2verify import slice_verifier as sv
 from g2verify.exact_linalg import rank
 from g2verify.report_cli import Config, emit, run_suite
 from g2verify.sampling import SmallRationalSampler
+
+#: `verify --format json` with every option at its default.
+GOLDEN_DEFAULT_REPORT = Path(__file__).parent / "data" / "default_report.json"
 
 
 class Stopwatch:
@@ -156,3 +160,5 @@ def test_9_deterministic_json_reports() -> None:
     first = emit(run_suite(cfg), cfg)
     second = emit(run_suite(cfg), cfg)
     assert first.encode("utf-8") == second.encode("utf-8")
+    # Behaviour lock: the default report, byte for byte.
+    assert first.encode("utf-8") == GOLDEN_DEFAULT_REPORT.read_bytes()

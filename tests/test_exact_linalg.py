@@ -1,4 +1,4 @@
-"""Exact linear-algebra kernel: ranks, kernels, solving, prime fields.
+"""Exact linear-algebra kernel: ranks, kernels, solving.
 
 Property-based checks pin down the algebraic laws (rank--nullity, kernel
 membership, solve correctness) that every later verification step leans
@@ -14,8 +14,6 @@ from g2verify.exact_linalg import (
     QQ,
     DenseMatrix,
     DimensionMismatch,
-    FpScalar,
-    PrimeField,
     direct_sum_check,
     kernel_basis,
     rank,
@@ -104,40 +102,11 @@ def test_singular_rational_matrix_has_kernel() -> None:
     assert v[0] + 2 * v[1] == 0
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11])
-def test_prime_field_inverses_exhaustive(p: int) -> None:
-    field = PrimeField(p)
-    for a in range(1, p):
-        inv = field.one / field.of(a)
-        assert field.of(a) * inv == field.one
-
-
-@pytest.mark.parametrize("bad", [1, 2, 4, 9, 15])
-def test_prime_field_rejects_bad_modulus(bad: int) -> None:
-    with pytest.raises(ValueError):
-        PrimeField(bad)
-
-
-def test_fraction_coercion_mod_p() -> None:
-    field = PrimeField(5)
-    third = field.of(Fraction(1, 3))
-    assert third * field.of(3) == field.one
-    with pytest.raises(ZeroDivisionError):
-        field.of(Fraction(1, 5))
-
-
 def test_fields_reject_inexact_scalars() -> None:
     with pytest.raises(TypeError):
         QQ.of(0.5)
     with pytest.raises(TypeError):
         QQ.of(True)
-    with pytest.raises(TypeError):
-        PrimeField(3).of(0.5)
-
-
-def test_mixed_moduli_rejected() -> None:
-    with pytest.raises(ValueError):
-        PrimeField(5).of(FpScalar(1, 3))
 
 
 def test_dimension_mismatches_raise() -> None:
@@ -165,14 +134,3 @@ def test_span_contains_membership() -> None:
     assert not span_contains(basis, (0, 0, 1))
     assert span_contains([], (0, 0, 0))
     assert not span_contains([], (1, 0, 0))
-
-
-@pytest.mark.parametrize("p", [3, 7])
-def test_rank_over_prime_fields(p: int) -> None:
-    field = PrimeField(p)
-    # Determinant -1: full rank over every prime field.
-    m = DenseMatrix.from_rows([[2, 1, 1], [1, 3, 2], [1, 0, 0]], field)
-    assert rank(m) == 3
-    # Determinant -3: drops rank exactly over F_3.
-    n = DenseMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]], field)
-    assert rank(n) == (2 if p == 3 else 3)

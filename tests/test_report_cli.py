@@ -7,7 +7,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from g2verify import rep7_verifier as rep7
 from g2verify import report_cli
+from g2verify.exact_linalg import QQ, DenseMatrix
 from g2verify.report_cli import (
     Config,
     ConfigError,
@@ -62,6 +64,8 @@ def test_samples_override_both_defaults() -> None:
         {"seed": -1},
         {"seed": 2**64},
         {"format": "xml"},
+        {"primes": (11,)},
+        {"samples": 10001},
     ],
 )
 def test_invalid_configs_rejected(kwargs) -> None:
@@ -126,6 +130,47 @@ def test_failure_skips_dependents(monkeypatch) -> None:
     )
     assert report.summary["failed"] == 1
     assert report.summary["skipped"] >= 1
+
+
+def _with_entry(m: DenseMatrix, i: int, j: int, value) -> DenseMatrix:
+    rows = [list(row) for row in m.entries]
+    rows[i][j] = value
+    return DenseMatrix.from_rows(rows, QQ)
+
+
+LINEAR_FAST = Config(suites=("linear",), primes=(3,), samples=1)
+
+
+def test_perturbed_quadric_element_fails_its_check(monkeypatch) -> None:
+    c = rep7.quadric_element()
+    bad = _with_entry(c, 6, 6, c.entry(6, 6) + 1)
+    monkeypatch.setattr(rep7, "quadric_element", lambda: bad)
+    by_name = {c.name: c for c in run_suite(LINEAR_FAST).checks}
+    check = by_name["linear.quadric_element.invariance"]
+    assert check.status == "fail"
+    assert check.actual != "14/14"
+    assert by_name["linear.invariant_form.invariance"].status == "pass"
+
+
+def test_perturbed_invariant_form_fails_and_skips_dependents(monkeypatch) -> None:
+    # Cache the true symplectic doubling first, so that no check run with
+    # the perturbed form can leave a perturbed omega behind in the cache.
+    rep7.build_symplectic14()
+    b = rep7.invariant_form().matrix
+    bad = rep7.InvariantForm(_with_entry(b, 6, 6, b.entry(6, 6) + 1))
+    monkeypatch.setattr(rep7, "invariant_form", lambda: bad)
+    assert rep7.verify_invariant_form() < 14
+    report = run_suite(LINEAR_FAST)
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["linear.invariant_form.values"].status == "fail"
+    for name in (
+        "linear.invariant_form.invariance",
+        "linear.symplectic.invariance",
+        "linear.tfixed_lines.count",
+        "linear.count_orbits_mod_p.p3",
+    ):
+        assert by_name[name].status == "skipped"
+    assert report.summary["failed"] == 1
 
 
 def test_check_exceptions_recorded_not_raised(monkeypatch) -> None:
@@ -231,6 +276,8 @@ def test_cli_out_files_are_identical_across_runs(tmp_path) -> None:
         ["--suite", "bogus"],
         ["--seed", "-1"],
         ["--samples", "0"],
+        ["--primes", "11"],
+        ["--samples", "10001"],
     ],
 )
 def test_cli_config_errors_exit_two(args) -> None:

@@ -76,7 +76,6 @@ def test_subspace_dimensions(data) -> None:
     sub = data.subalgebras
     assert len(sub.u5) == 5
     assert len(sub.u6) == 6
-    assert len(sub.m_l) == len(sub.n_l)
 
 
 def test_relevant_orbit_count(data) -> None:
