@@ -1,6 +1,7 @@
 """Exact scalar arithmetic and small dense linear algebra.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``).  One
+Scalars are arbitrary-precision rationals (``fractions.Fraction``), the
+package's one scalar type: ints are coerced and inexact values refused.  One
 Gaussian-elimination kernel provides rank, null-space bases, and linear
 solving.  Floating point is never used anywhere in this package.
 """
@@ -16,28 +17,15 @@ class DimensionMismatch(ValueError):
     """A vector or matrix operand has incompatible dimensions."""
 
 
-@dataclass(frozen=True)
-class RationalField:
-    """The field of rationals, as a scalar-field descriptor."""
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def of(self, x: int | Fraction) -> Fraction:
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-            raise TypeError(f"not an exact rational: {x!r}")
-        return Fraction(x)
-
-    def __repr__(self) -> str:
-        return "QQ"
+_ZERO = Fraction(0)
 
 
-QQ = RationalField()
+def _exact(x: int | Fraction) -> Fraction:
+    """`x` as a Fraction; TypeError for an inexact scalar (float, bool, ...)."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"not an exact rational: {x!r}")
+    return Fraction(x)
+
 
 Vector = tuple  # tuple[Fraction, ...]
 
@@ -49,7 +37,6 @@ class DenseMatrix:
     rows: int
     cols: int
     entries: tuple  # tuple of row tuples
-    field: RationalField
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
@@ -60,17 +47,13 @@ class DenseMatrix:
             raise DimensionMismatch("entry grid does not match declared shape")
 
     @classmethod
-    def from_rows(
-        cls, rows: Sequence[Sequence], field: RationalField = QQ
-    ) -> DenseMatrix:
-        coerced = tuple(tuple(field.of(x) for x in row) for row in rows)
-        return cls(len(coerced), len(coerced[0]), coerced, field)
+    def from_rows(cls, rows: Sequence[Sequence]) -> DenseMatrix:
+        coerced = tuple(tuple(_exact(x) for x in row) for row in rows)
+        return cls(len(coerced), len(coerced[0]), coerced)
 
     @classmethod
-    def identity(cls, n: int, field: RationalField = QQ) -> DenseMatrix:
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], field
-        )
+    def identity(cls, n: int) -> DenseMatrix:
+        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
@@ -86,7 +69,6 @@ class DenseMatrix:
             self.cols,
             self.rows,
             tuple(self.column(j) for j in range(self.cols)),
-            self.field,
         )
 
     def __add__(self, other: DenseMatrix) -> DenseMatrix:
@@ -99,50 +81,46 @@ class DenseMatrix:
                 tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
             ),
-            self.field,
         )
 
     def __sub__(self, other: DenseMatrix) -> DenseMatrix:
         return self + (-other)
 
     def __neg__(self) -> DenseMatrix:
-        return self.scale(-self.field.one)
+        return self.scale(-1)
 
     def scale(self, s) -> DenseMatrix:
-        s = self.field.of(s)
+        s = _exact(s)
         return DenseMatrix(
             self.rows,
             self.cols,
             tuple(tuple(s * x for x in row) for row in self.entries),
-            self.field,
         )
 
     def __matmul__(self, other: DenseMatrix) -> DenseMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
-        zero = self.field.zero
         out = []
         for i in range(self.rows):
             row_i = self.entries[i]
             out_row = []
             for j in range(other.cols):
-                acc = zero
+                acc = _ZERO
                 for k in range(self.cols):
                     a = row_i[k]
                     if a:
                         acc = acc + a * other.entries[k][j]
                 out_row.append(acc)
             out.append(tuple(out_row))
-        return DenseMatrix(self.rows, other.cols, tuple(out), self.field)
+        return DenseMatrix(self.rows, other.cols, tuple(out))
 
     def mul_vec(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch("matrix-vector shape mismatch")
-        vv = [self.field.of(x) for x in v]
-        zero = self.field.zero
+        vv = [_exact(x) for x in v]
         out = []
         for i in range(self.rows):
-            acc = zero
+            acc = _ZERO
             row_i = self.entries[i]
             for k, x in enumerate(vv):
                 if x:
@@ -199,11 +177,10 @@ def kernel_basis(m: DenseMatrix) -> tuple[Vector, ...]:
     work = [list(row) for row in m.entries]
     reduced, pivots = _echelon(work, m.cols)
     free_cols = [c for c in range(m.cols) if c not in pivots]
-    zero, one = m.field.zero, m.field.one
     basis = []
     for fc in free_cols:
-        v = [zero] * m.cols
-        v[fc] = one
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
         for r_i, pc in enumerate(pivots):
             v[pc] = -reduced[r_i][fc]
         basis.append(tuple(v))
@@ -216,21 +193,18 @@ def solve_linear(m: DenseMatrix, b: Sequence) -> Vector | None:
         raise DimensionMismatch(
             f"right-hand side has length {len(b)}, expected {m.rows}"
         )
-    bb = [m.field.of(x) for x in b]
+    bb = [_exact(x) for x in b]
     work = [list(row) + [bb[i]] for i, row in enumerate(m.entries)]
     reduced, pivots = _echelon(work, m.cols + 1)
     if m.cols in pivots:
         return None
-    zero = m.field.zero
-    x = [zero] * m.cols
+    x = [Fraction(0)] * m.cols
     for r_i, pc in enumerate(pivots):
         x[pc] = reduced[r_i][m.cols]
     return tuple(x)
 
 
-def _rank_of_vectors(
-    vectors: Sequence[Sequence], ambient_dim: int, field: RationalField
-) -> int:
+def _rank_of_vectors(vectors: Sequence[Sequence], ambient_dim: int) -> int:
     if not vectors:
         return 0
     for v in vectors:
@@ -238,30 +212,31 @@ def _rank_of_vectors(
             raise DimensionMismatch(
                 f"vector of length {len(v)} in ambient dimension {ambient_dim}"
             )
-    return rank(DenseMatrix.from_rows(vectors, field))
+    return rank(DenseMatrix.from_rows(vectors))
 
 
 def direct_sum_check(
-    a: Sequence[Sequence],
-    b: Sequence[Sequence],
-    ambient_dim: int,
-    field: RationalField = QQ,
+    a: Sequence[Sequence], b: Sequence[Sequence], ambient_dim: int
 ) -> bool:
     """True iff span(a) and span(b) intersect trivially.
 
     Decided exactly: rank(a + b) must equal rank(a) + rank(b).
     """
-    rank_a = _rank_of_vectors(a, ambient_dim, field)
-    rank_b = _rank_of_vectors(b, ambient_dim, field)
-    rank_ab = _rank_of_vectors(list(a) + list(b), ambient_dim, field)
+    rank_a = _rank_of_vectors(a, ambient_dim)
+    rank_b = _rank_of_vectors(b, ambient_dim)
+    rank_ab = _rank_of_vectors(list(a) + list(b), ambient_dim)
     return rank_ab == rank_a + rank_b
 
 
-def span_contains(
-    basis: Sequence[Sequence], v: Sequence, field: RationalField = QQ
-) -> bool:
+def span_contains(basis: Sequence[Sequence], v: Sequence) -> bool:
     """True iff `v` lies in the span of `basis` (exact membership test)."""
     if not basis:
-        return not any(field.of(x) for x in v)
-    matrix = DenseMatrix.from_rows(basis, field).transpose()
+        return not any(_exact(x) for x in v)
+    matrix = DenseMatrix.from_rows(basis).transpose()
     return solve_linear(matrix, v) is not None
+
+
+def bilinear(m: DenseMatrix, x: Sequence, y: Sequence) -> Fraction:
+    """The bilinear form x^T m y, evaluated exactly."""
+    img = m.mul_vec(y)
+    return sum((Fraction(a) * v for a, v in zip(x, img) if a), Fraction(0))

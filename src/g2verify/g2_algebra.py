@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-from .exact_linalg import QQ, DenseMatrix, solve_linear
+from .exact_linalg import DenseMatrix, solve_linear
 
 #: Names of the 14 basis elements, in the fixed order used everywhere.
 BASIS_NAMES: tuple[str, ...] = (
@@ -244,7 +244,7 @@ def ad_matrix(x: G2Element) -> DenseMatrix:
     rows = tuple(
         tuple(Fraction(columns[j][k]) for j in range(DIM)) for k in range(DIM)
     )
-    return DenseMatrix(DIM, DIM, rows, QQ)
+    return DenseMatrix(DIM, DIM, rows)
 
 
 @cache
@@ -292,8 +292,8 @@ def exp_ad_nilpotent(x: G2Element, t) -> DenseMatrix:
     """
     t = Fraction(t)
     a = ad_matrix(x)
-    result = DenseMatrix.identity(DIM, QQ)
-    term = DenseMatrix.identity(DIM, QQ)
+    result = DenseMatrix.identity(DIM)
+    term = DenseMatrix.identity(DIM)
     factorial = 1
     for k in range(1, DIM + 1):
         term = term @ a
@@ -396,7 +396,7 @@ def killing_dual_norm(value_on_h_a, value_on_h_b) -> Fraction:
     """
     gram = killing_gram()
     g = DenseMatrix.from_rows(
-        [[gram[12][12], gram[12][13]], [gram[13][12], gram[13][13]]], QQ
+        [[gram[12][12], gram[12][13]], [gram[13][12], gram[13][13]]]
     )
     sol = solve_linear(g, [value_on_h_a, value_on_h_b])
     if sol is None:

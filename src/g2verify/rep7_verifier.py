@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import g2_algebra as g2
-from .exact_linalg import QQ, DenseMatrix, kernel_basis, rank, solve_linear
+from .exact_linalg import DenseMatrix, bilinear, kernel_basis, rank, solve_linear
 from .g2_algebra import BASIS, BASIS_NAMES, BASIS_WEIGHTS, DIM, G2Element, bracket
 from .sampling import SmallRationalSampler
 
@@ -100,7 +100,7 @@ class Rep7:
             [sum(c * e[i][j] for c, e in terms) for j in range(REP_DIM)]
             for i in range(REP_DIM)
         ]
-        return DenseMatrix.from_rows(rows, QQ)
+        return DenseMatrix.from_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,7 @@ class InvariantForm:
     matrix: DenseMatrix
 
     def pair(self, x: Sequence, y: Sequence) -> Fraction:
-        img = self.matrix.mul_vec(y)
-        return sum((Fraction(a) * v for a, v in zip(x, img) if a), Fraction(0))
+        return bilinear(self.matrix, x, y)
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def quadric_element() -> DenseMatrix:
             s = tuple(x + y for x, y in zip(a, b))
             row.append((q_element_value(s) - q_element_value(a) - q_element_value(b)) / 2)
         rows.append(row)
-    return DenseMatrix.from_rows(rows, QQ)
+    return DenseMatrix.from_rows(rows)
 
 
 def _sym_index(i: int, j: int) -> int:
@@ -200,7 +199,7 @@ def invariant_form() -> InvariantForm:
                         coeffs[_sym_index(r, k)] += Fraction(m.entry(k, c))
                 if any(coeffs):
                     rows.append(coeffs)
-    kern = kernel_basis(DenseMatrix.from_rows(rows, QQ))
+    kern = kernel_basis(DenseMatrix.from_rows(rows))
     if len(kern) != 1:
         raise AmbiguousSolutionError(
             f"invariant-form solution space has dimension {len(kern)}"
@@ -214,7 +213,7 @@ def invariant_form() -> InvariantForm:
         [packed[_sym_index(i, j)] * scale for j in range(REP_DIM)]
         for i in range(REP_DIM)
     ]
-    return InvariantForm(DenseMatrix.from_rows(entries, QQ))
+    return InvariantForm(DenseMatrix.from_rows(entries))
 
 
 def quadric_value(x: Sequence) -> Fraction:
@@ -226,7 +225,7 @@ def _sparse_matrix(entries: dict, scale=1) -> DenseMatrix:
     rows = [[0] * REP_DIM for _ in range(REP_DIM)]
     for (i, j), val in entries.items():
         rows[i][j] = val * scale
-    return DenseMatrix.from_rows(rows, QQ)
+    return DenseMatrix.from_rows(rows)
 
 
 def _f1_matrix() -> DenseMatrix:
@@ -295,7 +294,7 @@ def _solve_f2_coefficients() -> tuple:
         unit = tuple(1 if i == k else 0 for i in range(4))
         shifted = _constraint_stack(unit)
         columns.append([s - b for s, b in zip(shifted, base)])
-    m = DenseMatrix.from_rows(list(zip(*columns)), QQ)
+    m = DenseMatrix.from_rows(list(zip(*columns)))
     rhs = [-b for b in base]
     solution = solve_linear(m, rhs)
     if solution is None:
@@ -379,7 +378,7 @@ def zero_weight_space(rep: Rep7 | None = None) -> tuple:
     stacked = [
         list(rep.matrix("h_a").row(i)) for i in range(REP_DIM)
     ] + [list(rep.matrix("h_b").row(i)) for i in range(REP_DIM)]
-    return kernel_basis(DenseMatrix.from_rows(stacked, QQ))
+    return kernel_basis(DenseMatrix.from_rows(stacked))
 
 
 def verify_invariant_form(rep: Rep7 | None = None) -> int:
@@ -405,24 +404,15 @@ def verify_quadric_element(rep: Rep7 | None = None) -> int:
 BOREL_G2_NAMES: tuple[str, ...] = ("h_a", "h_b", "e1", "e2", "f3", "E12", "E13", "E23")
 
 
-def _block_diag_action(m: DenseMatrix) -> DenseMatrix:
-    rows = []
-    zero = [0] * REP_DIM
-    for i in range(REP_DIM):
-        rows.append(list(m.row(i)) + zero)
-    for i in range(REP_DIM):
-        rows.append(zero + list(m.row(i)))
-    return DenseMatrix.from_rows(rows, QQ)
-
-
-def _sl2_tensor_action(s: DenseMatrix) -> DenseMatrix:
-    rows = [[0] * (2 * REP_DIM) for _ in range(2 * REP_DIM)]
-    for a in range(2):
-        for b in range(2):
-            if s.entry(a, b):
-                for i in range(REP_DIM):
-                    rows[a * REP_DIM + i][b * REP_DIM + i] = s.entry(a, b)
-    return DenseMatrix.from_rows(rows, QQ)
+def _kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    """The Kronecker product a tensor b: block (i, j) is a[i][j] * b."""
+    return DenseMatrix.from_rows(
+        [
+            [x * y for x in a.row(i) for y in b.row(k)]
+            for i in range(a.rows)
+            for k in range(b.rows)
+        ]
+    )
 
 
 @cache
@@ -430,31 +420,24 @@ def build_symplectic14() -> Symplectic14:
     """omega = B tensor omega2 with omega2(e1, e2) = 1, plus the ten Borel
     generators (eight from g2, two upper-triangular from sl2) acting on it."""
     rep = build_rep7()
-    b = invariant_form().matrix
-    n = 2 * REP_DIM
-    rows = [[0] * n for _ in range(n)]
-    for i in range(REP_DIM):
-        for j in range(REP_DIM):
-            val = b.entry(i, j)
-            if val:
-                rows[i][REP_DIM + j] = val
-                rows[REP_DIM + i][j] = -val
-    omega = DenseMatrix.from_rows(rows, QQ)
+    # The basis runs over the C^2 index first, so each tensor product
+    # below is a Kronecker product with the 2x2 factor on the left.
+    omega2 = DenseMatrix.from_rows([[0, 1], [-1, 0]])
+    omega = _kron(omega2, invariant_form().matrix)
     borel_g2 = tuple(rep.matrix(name) for name in BOREL_G2_NAMES)
-    sl2_h = DenseMatrix.from_rows([[1, 0], [0, -1]], QQ)
-    sl2_e = DenseMatrix.from_rows([[0, 1], [0, 0]], QQ)
-    actions = tuple(_block_diag_action(m) for m in borel_g2) + (
-        _sl2_tensor_action(sl2_h),
-        _sl2_tensor_action(sl2_e),
+    sl2_h = DenseMatrix.from_rows([[1, 0], [0, -1]])
+    sl2_e = DenseMatrix.from_rows([[0, 1], [0, 0]])
+    eye2, eye7 = DenseMatrix.identity(2), DenseMatrix.identity(REP_DIM)
+    actions = tuple(_kron(eye2, m) for m in borel_g2) + (
+        _kron(sl2_h, eye7),
+        _kron(sl2_e, eye7),
     )
     return Symplectic14(omega=omega, borel_g2=borel_g2, actions14=actions)
 
 
 def omega_pair(x: Sequence, y: Sequence) -> Fraction:
     """Evaluate omega = B tensor omega2 on two 14-vectors."""
-    omega = build_symplectic14().omega
-    img = omega.mul_vec(y)
-    return sum((Fraction(a) * v for a, v in zip(x, img) if a), Fraction(0))
+    return bilinear(build_symplectic14().omega, x, y)
 
 
 def verify_symplectic_invariance() -> bool:
@@ -543,7 +526,7 @@ def orbit_dimension(x: Sequence) -> int:
     rows = [list(m.mul_vec(x)) for m in symp.borel_g2]
     if not any(any(r) for r in rows):
         return 0
-    return rank(DenseMatrix.from_rows(rows, QQ))
+    return rank(DenseMatrix.from_rows(rows))
 
 
 def tfixed_isotropic_lines() -> tuple[int, ...]:
@@ -746,7 +729,7 @@ def conormal_fiber_basis(zprime: Sequence) -> tuple:
         lhs = (m.transpose() @ form).mul_vec(zprime)
         rhs = form.mul_vec(m.mul_vec(zprime))
         rows.append([a - b for a, b in zip(lhs, rhs)])
-    return kernel_basis(DenseMatrix.from_rows(rows, QQ))
+    return kernel_basis(DenseMatrix.from_rows(rows))
 
 
 def sample_conormal_pair(

@@ -20,7 +20,7 @@ from . import g2_algebra as g2
 from . import rep7_verifier as rep7
 from . import root_weyl as rw
 from . import slice_verifier as sv
-from .exact_linalg import QQ, DenseMatrix, kernel_basis, rank, solve_linear
+from .exact_linalg import DenseMatrix, kernel_basis, rank, solve_linear
 from .sampling import SmallRationalSampler
 
 SUITE_ORDER: tuple[str, ...] = ("algebra", "combinatorics", "slice", "linear")
@@ -39,6 +39,12 @@ _SEED_STRIDE = 1000003
 
 class ConfigError(ValueError):
     """Invalid runner configuration."""
+
+
+def _require_int(what: str, value) -> None:
+    # bool is an int subclass, but True is no count, seed or prime.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what}: expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,8 @@ class Config:
             raise ConfigError("at least one suite is required")
         ordered = tuple(s for s in SUITE_ORDER if s in seen)
         object.__setattr__(self, "suites", ordered)
+        for p in self.primes:
+            _require_int("primes", p)
         primes = tuple(dict.fromkeys(self.primes))
         if not primes:
             raise ConfigError("at least one prime is required")
@@ -72,10 +80,13 @@ class Config:
             except rep7.BadPrimeError as exc:
                 raise ConfigError(f"primes: {exc}") from exc
         object.__setattr__(self, "primes", primes)
-        if self.samples is not None and not 1 <= self.samples <= MAX_SAMPLES:
-            raise ConfigError(
-                f"samples must be between 1 and {MAX_SAMPLES}, got {self.samples}"
-            )
+        if self.samples is not None:
+            _require_int("samples", self.samples)
+            if not 1 <= self.samples <= MAX_SAMPLES:
+                raise ConfigError(
+                    f"samples must be between 1 and {MAX_SAMPLES}, got {self.samples}"
+                )
+        _require_int("seed", self.seed)
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.format not in ("text", "json"):
@@ -110,11 +121,28 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class _CheckSpec:
-    name: str
-    suite: str
+    name: str  # "<suite>.<check>"
     needs: tuple[str, ...]
     expected: str
     run: Callable[[Config], tuple[str, dict | None]]
+
+
+def _tally(
+    name: str, needs: tuple[str, ...], total: int, count: Callable[[], int]
+) -> _CheckSpec:
+    """A check whose `count()` says how many of `total` cases hold; all must."""
+    return _CheckSpec(
+        name, needs, f"{total}/{total}", lambda config: (f"{count()}/{total}", None)
+    )
+
+
+def _holds(
+    name: str, needs: tuple[str, ...], verifier: Callable[[], bool]
+) -> _CheckSpec:
+    """A check that passes when `verifier()` returns True."""
+    return _CheckSpec(
+        name, needs, "true", lambda config: (str(verifier()).lower(), None)
+    )
 
 
 def _check_seed(config: Config, offset: int) -> int:
@@ -127,32 +155,15 @@ def _check_seed(config: Config, offset: int) -> int:
 
 
 def _run_linalg_selftest(config: Config) -> tuple[str, dict | None]:
-    if rank(DenseMatrix.from_rows([[1, 2], [2, 4]], QQ)) != 1:
+    if rank(DenseMatrix.from_rows([[1, 2], [2, 4]])) != 1:
         return "rank failure", None
-    kern = kernel_basis(DenseMatrix.from_rows([[1, 2], [2, 4]], QQ))
+    kern = kernel_basis(DenseMatrix.from_rows([[1, 2], [2, 4]]))
     if len(kern) != 1 or kern[0][0] + 2 * kern[0][1] != 0:
         return "kernel failure", None
-    sol = solve_linear(DenseMatrix.from_rows([[1, 1], [0, 1]], QQ), [3, 2])
+    sol = solve_linear(DenseMatrix.from_rows([[1, 1], [0, 1]]), [3, 2])
     if sol != (Fraction(1), Fraction(2)):
         return "solve failure", None
     return "ok", None
-
-
-def _run_antisymmetry(config: Config) -> tuple[str, dict | None]:
-    return f"{g2.verify_antisymmetry()}/196", None
-
-
-def _run_jacobi(config: Config) -> tuple[str, dict | None]:
-    return f"{g2.verify_jacobi()}/2744", None
-
-
-def _run_killing_invariance(config: Config) -> tuple[str, dict | None]:
-    return f"{g2.verify_killing_invariance()}/2744", None
-
-
-def _run_killing_gram_rank(config: Config) -> tuple[str, dict | None]:
-    gram = DenseMatrix.from_rows([list(row) for row in g2.killing_gram()], QQ)
-    return str(rank(gram)), None
 
 
 _A_VALUES = ((1, 0), (-1, 1), (0, -1))  # a1, a2, a3 on (h_a, h_b)
@@ -189,20 +200,10 @@ def _run_root_count(config: Config) -> tuple[str, dict | None]:
     return str(len(roots)), {"roots": [repr(r) for r in roots]}
 
 
-def _run_weyl_order(config: Config) -> tuple[str, dict | None]:
-    return str(len(rw.generate_weyl())), None
-
-
 def _run_polarization_count(config: Config) -> tuple[str, dict | None]:
     pols = rw.all_polarizations()
     distinct = {p.roots for p in pols}
     return str(len(distinct)), None
-
-
-def _run_polarization_validity(config: Config) -> tuple[str, dict | None]:
-    pols = rw.all_polarizations()
-    good = sum(1 for p in pols if p.is_valid())
-    return f"{good}/12", None
 
 
 def _run_alpha_partition(config: Config) -> tuple[str, dict | None]:
@@ -214,10 +215,6 @@ def _run_alpha_partition(config: Config) -> tuple[str, dict | None]:
         "omit_minus_alpha": omit,
         "contain_minus_alpha": contain,
     }
-
-
-def _run_root_addition(config: Config) -> tuple[str, dict | None]:
-    return str(rw.verify_root_addition_lemma()).lower(), None
 
 
 # ---------------------------------------------------------------------------
@@ -233,29 +230,6 @@ def _run_slice_build(config: Config) -> tuple[str, dict | None]:
         "psi_f1": str(data.psi(g2.f1)),
     }
     return "ok", details
-
-
-def _bool_check(fn: Callable[[], bool]) -> Callable[[Config], tuple[str, dict | None]]:
-    def run(config: Config) -> tuple[str, dict | None]:
-        return str(fn()).lower(), None
-
-    return run
-
-
-def _run_relevancy_agreement(config: Config) -> tuple[str, dict | None]:
-    # count_relevant_orbits raises InconsistentCriteriaError if the two
-    # base-relevancy criteria (psi restricted to ubar_w vanishes; -alpha
-    # not in S_w) ever disagree, so completing all 12 records is the check.
-    count = sv.count_relevant_orbits()
-    return f"{len(count.records)}/12", None
-
-
-def _run_relevant_base(config: Config) -> tuple[str, dict | None]:
-    return str(sv.count_relevant_orbits().base), None
-
-
-def _run_relevant_complementary(config: Config) -> tuple[str, dict | None]:
-    return str(sv.count_relevant_orbits().complementary), None
 
 
 _COUNT_SCOPE_NOTE = (
@@ -293,16 +267,17 @@ def _run_omega_prime_at_e(config: Config) -> tuple[str, dict | None]:
     return str(rank(gram)), None
 
 
-def _run_omega_prime_samples(config: Config) -> tuple[str, dict | None]:
-    n = config.rank_samples
+def _omega_prime_full_rank_samples(config: Config) -> int:
     data = sv.build_slice_data()
-    points = sv.omega_prime_sample_points(_check_seed(config, 5), n, data)
+    points = sv.omega_prime_sample_points(
+        _check_seed(config, 5), config.rank_samples, data
+    )
     good = 0
     for x, _coeffs in points:
         gram = sv.omega_prime_gram(x, data)
         if (gram + gram.transpose()).is_zero() and rank(gram) == 20:
             good += 1
-    return f"{good}/{n}", None
+    return good
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +304,13 @@ _SEED_ENTRIES = (
 )
 
 
-def _run_seed_entries(config: Config) -> tuple[str, dict | None]:
+def _seed_entries_held() -> int:
     rep = rep7.build_rep7()
-    good = sum(
+    return sum(
         1
         for name, i, j, val in _SEED_ENTRIES
         if rep.matrix(name).entry(i, j) == val
     )
-    return f"{good}/8", None
-
-
-def _run_homomorphism(config: Config) -> tuple[str, dict | None]:
-    return f"{rep7.verify_homomorphism()}/91", None
 
 
 def _run_zero_weight(config: Config) -> tuple[str, dict | None]:
@@ -365,22 +335,6 @@ def _run_form_values(config: Config) -> tuple[str, dict | None]:
     return "ok", None
 
 
-def _run_quadric_element(config: Config) -> tuple[str, dict | None]:
-    return f"{rep7.verify_quadric_element()}/14", None
-
-
-def _run_form_invariance(config: Config) -> tuple[str, dict | None]:
-    return f"{rep7.verify_invariant_form()}/14", None
-
-
-def _run_symplectic_invariance(config: Config) -> tuple[str, dict | None]:
-    return str(rep7.verify_symplectic_invariance()).lower(), None
-
-
-def _run_phi_check(config: Config) -> tuple[str, dict | None]:
-    return str(rep7.phi_symplectomorphism_check()).lower(), None
-
-
 def _run_conormal_equivalence(config: Config) -> tuple[str, dict | None]:
     n = config.conormal_samples
     sampler = SmallRationalSampler(_check_seed(config, 11))
@@ -400,17 +354,16 @@ def _run_conormal_equivalence(config: Config) -> tuple[str, dict | None]:
     return f"{agree}/{2 * n} agree", details
 
 
-def _run_orbit_scaling(config: Config) -> tuple[str, dict | None]:
-    n = config.rank_samples
+def _scaling_invariant_samples(config: Config) -> int:
     sampler = SmallRationalSampler(_check_seed(config, 13))
     good = 0
-    for _ in range(n):
+    for _ in range(config.rank_samples):
         x = [sampler.fraction() for _ in range(7)]
         lam = sampler.nonzero_fraction()
         scaled = [lam * c for c in x]
         if rep7.orbit_dimension(scaled) == rep7.orbit_dimension(x):
             good += 1
-    return f"{good}/{n}", None
+    return good
 
 
 def _run_tfixed_count(config: Config) -> tuple[str, dict | None]:
@@ -485,102 +438,82 @@ def _run_mod_p_consistency(config: Config) -> tuple[str, dict | None]:
 
 
 def _registry(config: Config) -> tuple[_CheckSpec, ...]:
+    """Every check in run order; each name starts with its suite."""
+    rank_n = config.rank_samples
+    conormal_n = 2 * config.conormal_samples
     specs = [
-        _CheckSpec(
-            "algebra.exact_linalg.selftest", "algebra", (), "ok",
-            _run_linalg_selftest,
+        _CheckSpec("algebra.exact_linalg.selftest", (), "ok", _run_linalg_selftest),
+        _tally(
+            "algebra.bracket.antisymmetry", ("algebra.exact_linalg.selftest",),
+            196, g2.verify_antisymmetry,
+        ),
+        _tally(
+            "algebra.bracket.jacobi", ("algebra.bracket.antisymmetry",),
+            2744, g2.verify_jacobi,
+        ),
+        _tally(
+            "algebra.killing.invariance", ("algebra.bracket.jacobi",),
+            2744, g2.verify_killing_invariance,
         ),
         _CheckSpec(
-            "algebra.bracket.antisymmetry", "algebra",
-            ("algebra.exact_linalg.selftest",), "196/196",
-            _run_antisymmetry,
+            "algebra.killing.gram_rank", ("algebra.exact_linalg.selftest",), "14",
+            lambda config: (str(rank(DenseMatrix.from_rows(g2.killing_gram()))), None),
         ),
         _CheckSpec(
-            "algebra.bracket.jacobi", "algebra",
-            ("algebra.bracket.antisymmetry",), "2744/2744", _run_jacobi,
+            "algebra.killing.cartan_norms", ("algebra.killing.gram_rank",),
+            "1/12 and 1/4", _run_cartan_norms,
+        ),
+        _CheckSpec("combinatorics.roots.count", (), "12", _run_root_count),
+        _CheckSpec(
+            "combinatorics.weyl.order", ("combinatorics.roots.count",), "12",
+            lambda config: (str(len(rw.generate_weyl())), None),
         ),
         _CheckSpec(
-            "algebra.killing.invariance", "algebra",
-            ("algebra.bracket.jacobi",), "2744/2744",
-            _run_killing_invariance,
+            "combinatorics.polarizations.count", ("combinatorics.weyl.order",),
+            "12", _run_polarization_count,
+        ),
+        _tally(
+            "combinatorics.polarizations.valid",
+            ("combinatorics.polarizations.count",), 12,
+            lambda: sum(p.is_valid() for p in rw.all_polarizations()),
         ),
         _CheckSpec(
-            "algebra.killing.gram_rank", "algebra",
-            ("algebra.exact_linalg.selftest",), "14",
-            _run_killing_gram_rank,
+            "combinatorics.polarizations.alpha_partition",
+            ("combinatorics.polarizations.count",), "6/6", _run_alpha_partition,
+        ),
+        _holds(
+            "combinatorics.root_addition_lemma", ("combinatorics.roots.count",),
+            rw.verify_root_addition_lemma,
+        ),
+        _CheckSpec("slice.build", ("algebra.bracket.jacobi",), "ok", _run_slice_build),
+        _holds("slice.psi_conditions", ("slice.build",), sv.verify_psi_conditions),
+        _holds("slice.lemma_incl", ("slice.build",), sv.verify_lemma_incl),
+        _holds("slice.ml_formula", ("slice.build",), sv.verify_ml_formula),
+        _holds(
+            "slice.contracting_weights", ("slice.build",),
+            sv.verify_contracting_weights,
+        ),
+        _holds("slice.omega_minus1", ("slice.build",), sv.omega_minus1_check),
+        # count_relevant_orbits raises InconsistentCriteriaError if the two
+        # base-relevancy criteria (psi restricted to ubar_w vanishes; -alpha
+        # not in S_w) ever disagree, so completing all 12 records is the check.
+        _tally(
+            "slice.relevancy_criteria_agreement",
+            ("slice.build", "combinatorics.polarizations.count"), 12,
+            lambda: len(sv.count_relevant_orbits().records),
         ),
         _CheckSpec(
-            "algebra.killing.cartan_norms", "algebra",
-            ("algebra.killing.gram_rank",), "1/12 and 1/4",
-            _run_cartan_norms,
-        ),
-        _CheckSpec(
-            "combinatorics.roots.count", "combinatorics", (), "12",
-            _run_root_count,
-        ),
-        _CheckSpec(
-            "combinatorics.weyl.order", "combinatorics",
-            ("combinatorics.roots.count",), "12", _run_weyl_order,
-        ),
-        _CheckSpec(
-            "combinatorics.polarizations.count", "combinatorics",
-            ("combinatorics.weyl.order",), "12", _run_polarization_count,
-        ),
-        _CheckSpec(
-            "combinatorics.polarizations.valid", "combinatorics",
-            ("combinatorics.polarizations.count",), "12/12",
-            _run_polarization_validity,
-        ),
-        _CheckSpec(
-            "combinatorics.polarizations.alpha_partition", "combinatorics",
-            ("combinatorics.polarizations.count",), "6/6",
-            _run_alpha_partition,
-        ),
-        _CheckSpec(
-            "combinatorics.root_addition_lemma", "combinatorics",
-            ("combinatorics.roots.count",), "true", _run_root_addition,
-        ),
-        _CheckSpec(
-            "slice.build", "slice", ("algebra.bracket.jacobi",), "ok",
-            _run_slice_build,
-        ),
-        _CheckSpec(
-            "slice.psi_conditions", "slice", ("slice.build",), "true",
-            _bool_check(sv.verify_psi_conditions),
-        ),
-        _CheckSpec(
-            "slice.lemma_incl", "slice", ("slice.build",), "true",
-            _bool_check(sv.verify_lemma_incl),
-        ),
-        _CheckSpec(
-            "slice.ml_formula", "slice", ("slice.build",), "true",
-            _bool_check(sv.verify_ml_formula),
-        ),
-        _CheckSpec(
-            "slice.contracting_weights", "slice", ("slice.build",),
-            "true", _bool_check(sv.verify_contracting_weights),
-        ),
-        _CheckSpec(
-            "slice.omega_minus1", "slice", ("slice.build",), "true",
-            _bool_check(sv.omega_minus1_check),
-        ),
-        _CheckSpec(
-            "slice.relevancy_criteria_agreement", "slice",
-            ("slice.build", "combinatorics.polarizations.count"),
-            "12/12", _run_relevancy_agreement,
-        ),
-        _CheckSpec(
-            "slice.count_relevant_orbits.base", "slice",
+            "slice.count_relevant_orbits.base",
             ("slice.relevancy_criteria_agreement",), "6",
-            _run_relevant_base,
+            lambda config: (str(sv.count_relevant_orbits().base), None),
         ),
         _CheckSpec(
-            "slice.count_relevant_orbits.complementary", "slice",
+            "slice.count_relevant_orbits.complementary",
             ("slice.relevancy_criteria_agreement",), "1",
-            _run_relevant_complementary,
+            lambda config: (str(sv.count_relevant_orbits().complementary), None),
         ),
         _CheckSpec(
-            "slice.count_relevant_orbits.total", "slice",
+            "slice.count_relevant_orbits.total",
             (
                 "slice.count_relevant_orbits.base",
                 "slice.count_relevant_orbits.complementary",
@@ -588,97 +521,86 @@ def _registry(config: Config) -> tuple[_CheckSpec, ...]:
             "7", _run_relevant_total,
         ),
         _CheckSpec(
-            "slice.omega_prime.rank_at_e", "slice", ("slice.build",),
-            "20", _run_omega_prime_at_e,
+            "slice.omega_prime.rank_at_e", ("slice.build",), "20",
+            _run_omega_prime_at_e,
+        ),
+        _tally(
+            "slice.omega_prime.rank_at_samples", ("slice.omega_prime.rank_at_e",),
+            rank_n, lambda: _omega_prime_full_rank_samples(config),
         ),
         _CheckSpec(
-            "slice.omega_prime.rank_at_samples", "slice",
-            ("slice.omega_prime.rank_at_e",),
-            f"{config.rank_samples}/{config.rank_samples}",
-            _run_omega_prime_samples,
+            "linear.rep7.build", ("algebra.bracket.jacobi",), "unique solution",
+            _run_rep_build,
+        ),
+        _tally(
+            "linear.rep7.seed_entries", ("linear.rep7.build",), len(_SEED_ENTRIES),
+            _seed_entries_held,
+        ),
+        _tally(
+            "linear.rep7.homomorphism", ("linear.rep7.build",), 91,
+            rep7.verify_homomorphism,
+        ),
+        _holds(
+            "linear.rep7.weight_compatibility", ("linear.rep7.build",),
+            rep7.verify_weight_compatibility,
         ),
         _CheckSpec(
-            "linear.rep7.build", "linear", ("algebra.bracket.jacobi",),
-            "unique solution", _run_rep_build,
+            "linear.rep7.zero_weight_space", ("linear.rep7.build",), "dim 1 (u)",
+            _run_zero_weight,
+        ),
+        _tally(
+            "linear.quadric_element.invariance", ("linear.rep7.build",), 14,
+            rep7.verify_quadric_element,
         ),
         _CheckSpec(
-            "linear.rep7.seed_entries", "linear", ("linear.rep7.build",),
-            "8/8", _run_seed_entries,
+            "linear.invariant_form.values", ("linear.rep7.build",), "ok",
+            _run_form_values,
+        ),
+        _tally(
+            "linear.invariant_form.invariance", ("linear.invariant_form.values",),
+            14, rep7.verify_invariant_form,
+        ),
+        _holds(
+            "linear.symplectic.invariance", ("linear.invariant_form.values",),
+            rep7.verify_symplectic_invariance,
+        ),
+        _holds(
+            "linear.phi_symplectomorphism", ("linear.symplectic.invariance",),
+            rep7.phi_symplectomorphism_check,
         ),
         _CheckSpec(
-            "linear.rep7.homomorphism", "linear", ("linear.rep7.build",),
-            "91/91", _run_homomorphism,
+            "linear.conormal_moment_equivalence", ("linear.symplectic.invariance",),
+            f"{conormal_n}/{conormal_n} agree", _run_conormal_equivalence,
+        ),
+        _tally(
+            "linear.orbit_scaling_invariance", ("linear.rep7.build",), rank_n,
+            lambda: _scaling_invariant_samples(config),
         ),
         _CheckSpec(
-            "linear.rep7.weight_compatibility", "linear",
-            ("linear.rep7.build",), "true",
-            _bool_check(rep7.verify_weight_compatibility),
+            "linear.tfixed_lines.count", ("linear.invariant_form.values",), "6",
+            _run_tfixed_count,
         ),
         _CheckSpec(
-            "linear.rep7.zero_weight_space", "linear", ("linear.rep7.build",),
-            "dim 1 (u)", _run_zero_weight,
+            "linear.tfixed_lines.orbit_dims", ("linear.tfixed_lines.count",),
+            "distinct", _run_tfixed_dims,
         ),
         _CheckSpec(
-            "linear.quadric_element.invariance", "linear",
-            ("linear.rep7.build",), "14/14", _run_quadric_element,
-        ),
-        _CheckSpec(
-            "linear.invariant_form.values", "linear", ("linear.rep7.build",),
-            "ok", _run_form_values,
-        ),
-        _CheckSpec(
-            "linear.invariant_form.invariance", "linear",
-            ("linear.invariant_form.values",), "14/14",
-            _run_form_invariance,
-        ),
-        _CheckSpec(
-            "linear.symplectic.invariance", "linear",
-            ("linear.invariant_form.values",), "true",
-            _run_symplectic_invariance,
-        ),
-        _CheckSpec(
-            "linear.phi_symplectomorphism", "linear",
-            ("linear.symplectic.invariance",), "true", _run_phi_check,
-        ),
-        _CheckSpec(
-            "linear.conormal_moment_equivalence", "linear",
-            ("linear.symplectic.invariance",),
-            f"{2 * config.conormal_samples}/{2 * config.conormal_samples} agree",
-            _run_conormal_equivalence,
-        ),
-        _CheckSpec(
-            "linear.orbit_scaling_invariance", "linear", ("linear.rep7.build",),
-            f"{config.rank_samples}/{config.rank_samples}", _run_orbit_scaling,
-        ),
-        _CheckSpec(
-            "linear.tfixed_lines.count", "linear",
-            ("linear.invariant_form.values",), "6", _run_tfixed_count,
-        ),
-        _CheckSpec(
-            "linear.tfixed_lines.orbit_dims", "linear",
-            ("linear.tfixed_lines.count",), "distinct",
-            _run_tfixed_dims,
-        ),
-        _CheckSpec(
-            "linear.orbit_dimension.examples", "linear", ("linear.rep7.build",),
-            "0,1,6", _run_orbit_examples,
+            "linear.orbit_dimension.examples", ("linear.rep7.build",), "0,1,6",
+            _run_orbit_examples,
         ),
     ]
-    prime_names = []
-    for p in config.primes:
-        name = f"linear.count_orbits_mod_p.p{p}"
-        prime_names.append(name)
+    prime_names = [f"linear.count_orbits_mod_p.p{p}" for p in config.primes]
+    for p, name in zip(config.primes, prime_names):
         specs.append(
             _CheckSpec(
-                name, "linear",
-                ("linear.rep7.build", "linear.invariant_form.values"),
-                "7", _run_mod_p(p),
+                name, ("linear.rep7.build", "linear.invariant_form.values"), "7",
+                _run_mod_p(p),
             )
         )
     specs.append(
         _CheckSpec(
-            "linear.count_orbits_mod_p.consistency", "linear",
-            tuple(prime_names), "equal", _run_mod_p_consistency,
+            "linear.count_orbits_mod_p.consistency", tuple(prime_names), "equal",
+            _run_mod_p_consistency,
         )
     )
     return tuple(specs)
@@ -694,7 +616,7 @@ def run_suite(config: Config) -> VerificationReport:
     results: list[CheckResult] = []
     statuses: dict[str, str] = {}
     for spec in _registry(config):
-        if spec.suite not in config.suites:
+        if spec.name.split(".", 1)[0] not in config.suites:
             continue
         unmet = [n for n in spec.needs if statuses.get(n, "pass") != "pass"]
         expected = spec.expected

@@ -22,7 +22,6 @@ from typing import Sequence
 
 from . import g2_algebra as g2
 from .exact_linalg import (
-    QQ,
     DenseMatrix,
     direct_sum_check,
     kernel_basis,
@@ -320,7 +319,7 @@ def _m_l_perp_basis(data: SliceData) -> tuple:
     pairing_rows = [
         tuple(killing(BASIS[i], BASIS[j]) for j in range(DIM)) for i in subs.n_l
     ]
-    return kernel_basis(DenseMatrix.from_rows(pairing_rows, QQ))
+    return kernel_basis(DenseMatrix.from_rows(pairing_rows))
 
 
 def verify_ml_formula(data: SliceData | None = None) -> bool:
@@ -333,7 +332,7 @@ def verify_ml_formula(data: SliceData | None = None) -> bool:
     kernel_span = list(subs.ker_ad_f)
     if len(perp) != 10:
         return False
-    if rank(DenseMatrix.from_rows(bracket_span, QQ)) != 4:
+    if rank(DenseMatrix.from_rows(bracket_span)) != 4:
         return False
     if len(kernel_span) != 6:
         return False
@@ -493,7 +492,7 @@ def omega_prime_gram(x: G2Element, data: SliceData | None = None) -> DenseMatrix
             val = killing(BASIS[i], kv)
             rows[i][DIM + j] = -val
             rows[DIM + j][i] = val
-    return DenseMatrix.from_rows(rows, QQ)
+    return DenseMatrix.from_rows(rows)
 
 
 def omega_prime_sample_points(

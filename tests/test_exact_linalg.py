@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2verify.exact_linalg import (
-    QQ,
     DenseMatrix,
     DimensionMismatch,
     direct_sum_check,
@@ -35,7 +34,7 @@ def qq_matrices(draw, max_dim: int = 5) -> DenseMatrix:
             max_size=nrows,
         )
     )
-    return DenseMatrix.from_rows(entries, QQ)
+    return DenseMatrix.from_rows(entries)
 
 
 @given(qq_matrices())
@@ -51,7 +50,7 @@ def test_kernel_vectors_annihilate_and_are_independent(m: DenseMatrix) -> None:
     for v in kern:
         assert not any(m.mul_vec(v))
     if kern:
-        assert rank(DenseMatrix.from_rows(kern, QQ)) == len(kern)
+        assert rank(DenseMatrix.from_rows(kern)) == len(kern)
 
 
 @given(qq_matrices(), st.data())
@@ -85,38 +84,42 @@ def test_product_transpose_law(a: DenseMatrix, b: DenseMatrix) -> None:
 
 
 def test_solve_inconsistent_returns_none() -> None:
-    m = DenseMatrix.from_rows([[1], [1]], QQ)
+    m = DenseMatrix.from_rows([[1], [1]])
     assert solve_linear(m, [0, 1]) is None
 
 
 def test_identity_is_neutral() -> None:
-    m = DenseMatrix.from_rows([[1, 2], [3, 4], [5, 6]], QQ)
-    assert (DenseMatrix.identity(3, QQ) @ m).entries == m.entries
-    assert (m @ DenseMatrix.identity(2, QQ)).entries == m.entries
+    m = DenseMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
+    assert (DenseMatrix.identity(3) @ m).entries == m.entries
+    assert (m @ DenseMatrix.identity(2)).entries == m.entries
 
 
 def test_singular_rational_matrix_has_kernel() -> None:
-    m = DenseMatrix.from_rows([[1, 2], [2, 4]], QQ)
+    m = DenseMatrix.from_rows([[1, 2], [2, 4]])
     assert rank(m) == 1
     (v,) = kernel_basis(m)
     assert v[0] + 2 * v[1] == 0
 
 
 def test_fields_reject_inexact_scalars() -> None:
-    with pytest.raises(TypeError):
-        QQ.of(0.5)
-    with pytest.raises(TypeError):
-        QQ.of(True)
+    m = DenseMatrix.from_rows([[1, 2], [3, 4]])
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            DenseMatrix.from_rows([[bad]])
+        with pytest.raises(TypeError):
+            m.mul_vec([1, bad])
+        with pytest.raises(TypeError):
+            m.scale(bad)
 
 
 def test_dimension_mismatches_raise() -> None:
-    m = DenseMatrix.from_rows([[1, 2], [3, 4]], QQ)
+    m = DenseMatrix.from_rows([[1, 2], [3, 4]])
     with pytest.raises(DimensionMismatch):
         m.mul_vec([1, 2, 3])
     with pytest.raises(DimensionMismatch):
-        m @ DenseMatrix.from_rows([[1, 2, 3]], QQ)
+        m @ DenseMatrix.from_rows([[1, 2, 3]])
     with pytest.raises(DimensionMismatch):
-        DenseMatrix(2, 2, ((Fraction(1),),), QQ)
+        DenseMatrix(2, 2, ((Fraction(1),),))
     with pytest.raises(DimensionMismatch):
         solve_linear(m, [1, 2, 3])
 

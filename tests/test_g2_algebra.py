@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2verify.exact_linalg import QQ, DenseMatrix, rank
+from g2verify.exact_linalg import DenseMatrix, rank
 from g2verify.g2_algebra import (
     BASIS,
     BASIS_NAMES,
@@ -72,7 +72,7 @@ def test_killing_frozen_values() -> None:
 
 
 def test_killing_gram_nondegenerate() -> None:
-    gram = DenseMatrix.from_rows([list(r) for r in killing_gram()], QQ)
+    gram = DenseMatrix.from_rows([list(r) for r in killing_gram()])
     assert rank(gram) == DIM
     assert (gram - gram.transpose()).is_zero()
 
@@ -168,7 +168,7 @@ def test_exp_ad_is_a_bracket_automorphism() -> None:
 def test_exp_ad_inverts_at_opposite_parameter() -> None:
     g = exp_ad_nilpotent(f1, Fraction(1, 2))
     ginv = exp_ad_nilpotent(f1, Fraction(-1, 2))
-    assert (g @ ginv - DenseMatrix.identity(DIM, QQ)).is_zero()
+    assert (g @ ginv - DenseMatrix.identity(DIM)).is_zero()
 
 
 def test_exp_ad_rejects_non_nilpotent() -> None:

@@ -7,9 +7,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from g2verify import g2_algebra as g2
 from g2verify import rep7_verifier as rep7
 from g2verify import report_cli
-from g2verify.exact_linalg import QQ, DenseMatrix
+from g2verify.exact_linalg import DenseMatrix
 from g2verify.report_cli import (
     Config,
     ConfigError,
@@ -66,6 +67,11 @@ def test_samples_override_both_defaults() -> None:
         {"format": "xml"},
         {"primes": (11,)},
         {"samples": 10001},
+        {"samples": 2.5},
+        {"seed": 1.5},
+        {"samples": True},
+        {"seed": True},
+        {"primes": (3.0,)},
     ],
 )
 def test_invalid_configs_rejected(kwargs) -> None:
@@ -99,12 +105,12 @@ def test_combinatorics_suite_passes() -> None:
 
 
 def test_check_names_unique_and_namespaced() -> None:
-    report = run_suite(Config())
-    names = [c.name for c in report.checks]
+    # A check runs only when its name's prefix is a selected suite, so a
+    # mistyped prefix would drop it from every run without an error.
+    names = [spec.name for spec in report_cli._registry(Config())]
     assert len(names) == len(set(names))
-    for check in report.checks:
-        suite = check.name.split(".", 1)[0]
-        assert suite in Config().suites
+    for name in names:
+        assert name.split(".", 1)[0] in report_cli.SUITE_ORDER
 
 
 def test_summary_counts_match_statuses() -> None:
@@ -135,7 +141,7 @@ def test_failure_skips_dependents(monkeypatch) -> None:
 def _with_entry(m: DenseMatrix, i: int, j: int, value) -> DenseMatrix:
     rows = [list(row) for row in m.entries]
     rows[i][j] = value
-    return DenseMatrix.from_rows(rows, QQ)
+    return DenseMatrix.from_rows(rows)
 
 
 LINEAR_FAST = Config(suites=("linear",), primes=(3,), samples=1)
@@ -170,6 +176,54 @@ def test_perturbed_invariant_form_fails_and_skips_dependents(monkeypatch) -> Non
         "linear.count_orbits_mod_p.p3",
     ):
         assert by_name[name].status == "skipped"
+    assert report.summary["failed"] == 1
+
+
+def test_perturbed_structure_constant_fails_and_skips_dependents(
+    monkeypatch,
+) -> None:
+    # Cache the true bracket table and Killing Gram first, so that no
+    # check run with the perturbed bracket can leave either behind.
+    g2.killing_gram()
+    true_bracket = g2.bracket
+
+    def bad_bracket(x, y):
+        z = true_bracket(x, y)
+        if (x, y) == (g2.e1, g2.f1):
+            coords = list(z.coords)
+            coords[12] += 1
+            return g2.G2Element(tuple(coords))
+        return z
+
+    monkeypatch.setattr(g2, "bracket", bad_bracket)
+    report = run_suite(Config(suites=("algebra",)))
+    by_name = {c.name: c for c in report.checks}
+    antisymmetry = by_name["algebra.bracket.antisymmetry"]
+    assert antisymmetry.status == "fail"
+    assert antisymmetry.actual == "194/196"
+    assert by_name["algebra.bracket.jacobi"].status == "skipped"
+    assert by_name["algebra.killing.invariance"].status == "skipped"
+    assert report.summary["failed"] == 1
+
+
+def test_perturbed_rho_seed_entry_fails_and_skips_dependents(monkeypatch) -> None:
+    true_f1 = rep7._f1_matrix
+    bad_f1 = _with_entry(true_f1(), 1, 0, 2)  # f1 . v = 2w instead of w
+    monkeypatch.setattr(rep7, "_f1_matrix", lambda: bad_f1)
+    rep7.build_rep7.cache_clear()
+    try:
+        report = run_suite(LINEAR_FAST)
+    finally:
+        # Drop anything built from the perturbed seed before the true
+        # _f1_matrix is restored.
+        rep7.build_rep7.cache_clear()
+    by_name = {c.name: c for c in report.checks}
+    build = by_name["linear.rep7.build"]
+    assert build.status == "fail"
+    assert build.actual.startswith("error: NoSolutionError")
+    for check in report.checks:
+        if check.name != "linear.rep7.build":
+            assert check.status == "skipped", check.name
     assert report.summary["failed"] == 1
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2verify.exact_linalg import QQ, DenseMatrix, rank, span_contains
+from g2verify.exact_linalg import DenseMatrix, rank, span_contains
 from g2verify.g2_algebra import G2Element, bracket
 from g2verify.root_weyl import ALPHA, GAMMA
 from g2verify.slice_verifier import (
@@ -51,7 +51,7 @@ def test_grading_levels_and_dimensions(data) -> None:
 def test_kernel_of_ad_f(data) -> None:
     kernel = data.subalgebras.ker_ad_f
     assert len(kernel) == 6
-    assert rank(DenseMatrix.from_rows(list(kernel), QQ)) == 6
+    assert rank(DenseMatrix.from_rows(list(kernel))) == 6
     # ad f annihilates every kernel vector, including f itself.
     f = data.triple.f
     for v in kernel:
