@@ -239,4 +239,4 @@ def span_contains(basis: Sequence[Sequence], v: Sequence) -> bool:
 def bilinear(m: DenseMatrix, x: Sequence, y: Sequence) -> Fraction:
     """The bilinear form x^T m y, evaluated exactly."""
     img = m.mul_vec(y)
-    return sum((Fraction(a) * v for a, v in zip(x, img) if a), Fraction(0))
+    return sum((_exact(a) * v for a, v in zip(x, img) if a), Fraction(0))

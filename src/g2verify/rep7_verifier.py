@@ -21,7 +21,8 @@ isotropic locus of the form, which is what the Borel action preserves.
 The linear side counts Borel orbits on the quadric cone two ways: over
 characteristic zero via T-fixed isotropic lines with pairwise-distinct
 orbit dimensions (6 lines + the origin = 7), and over F_p by brute-force
-point enumeration plus union-find under Borel generators (expected 7 for
+point enumeration plus numpy orbit labelling under one unipotent
+generator per positive root and two torus generators (expected 7 for
 each configured prime).
 """
 
@@ -36,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import g2_algebra as g2
-from .exact_linalg import DenseMatrix, bilinear, kernel_basis, rank, solve_linear
+from .exact_linalg import DenseMatrix, _exact, bilinear, kernel_basis, rank, solve_linear
 from .g2_algebra import BASIS, BASIS_NAMES, BASIS_WEIGHTS, DIM, G2Element, bracket
 from .sampling import SmallRationalSampler
 
@@ -140,7 +141,7 @@ class OrbitCountResult:
 def q_element_value(x: Sequence) -> Fraction:
     """The invariant symmetric-square element q = u^2 - 4vv~ - 4ww~ - 4tt~,
     evaluated as a polynomial in the seven formal coordinates."""
-    x = [Fraction(c) for c in x]
+    x = [_exact(c) for c in x]
     return (
         x[_U] * x[_U]
         - 4 * x[_V] * x[_VT]
@@ -544,36 +545,10 @@ def tfixed_isotropic_lines() -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class UnionFind:
-    """Array-based union-find with path halving and union by size."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-
-    def component_sizes(self) -> list[int]:
-        return [self.size[i] for i in range(len(self.parent)) if self.find(i) == i]
-
-
-#: Upper bound on p**REP_DIM, the number of vectors the oracle enumerates
-#: as a (p**7, 7) int64 array: it admits p = 3, 5, 7 (823,543 points) and
-#: refuses p = 11, whose digit array alone would take about 1.1 GB.
+#: Upper bound on p**REP_DIM, the number of vectors the oracle walks: it
+#: admits p = 3, 5, 7 (823,543 vectors) and refuses p = 11.  The oracle
+#: allocates a p**7-entry int64 lookup (6.6 MB at p = 7) plus p**6-row
+#: arrays: the chunk being walked, the cone and one image per generator.
 MAX_ORACLE_POINTS = 2_000_000
 
 
@@ -591,102 +566,117 @@ def check_oracle_prime(p: int) -> None:
 
 def _matrix_mod_p(m: DenseMatrix, p: int) -> np.ndarray:
     """Reduce an exact rational matrix mod p; BadPrimeError on collision."""
-    out = np.zeros((m.rows, m.cols), dtype=np.int64)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            x = Fraction(m.entry(i, j))
-            if x.denominator % p == 0:
-                raise BadPrimeError(f"denominator {x.denominator} collides with {p}")
-            out[i, j] = x.numerator * pow(x.denominator, -1, p) % p
-    return out
+    bad = [x.denominator for row in m.entries for x in row if x.denominator % p == 0]
+    if bad:
+        raise BadPrimeError(f"denominator {bad[0]} collides with {p}")
+    return np.array(
+        [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in m.entries],
+        dtype=np.int64,
+    )
 
 
 def _primitive_root(p: int) -> int:
-    order = p - 1
-    factors = set()
-    n, d = order, 2
-    while d * d <= n:
-        while n % d == 0:
-            factors.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        factors.add(n)
-    for g in range(2, p):
-        if all(pow(g, order // f, p) != 1 for f in factors):
-            return g
-    raise BadPrimeError(f"no primitive root found mod {p}")
+    """The least generator of the multiplicative group of F_p."""
+    return next(g for g in range(2, p) if len({pow(g, k, p) for k in range(p)}) == p - 1)
 
 
 def _unipotent_generators(p: int) -> list[np.ndarray]:
-    """exp(c rho(x_delta)) mod p for the six positive roots and c != 0."""
+    """exp(N) = I + N + N^2/2 mod p with N = rho(x_delta), one per positive
+    root.  N^3 = 0 and p is odd, so exp(aN) exp(bN) = exp((a+b)N): the
+    powers of exp(N) are the exp(cN), c in F_p, which all p - 1 multiples give."""
     rep = build_rep7()
+    inv2 = pow(2, -1, p)
+    eye = np.eye(REP_DIM, dtype=np.int64)
     gens = []
     for name in BOREL_G2_NAMES[2:]:
         n_mat = _matrix_mod_p(rep.matrix(name), p)
         n2 = n_mat @ n_mat % p
         if np.any(n2 @ n_mat % p):
             raise BadPrimeError("root-vector action is not nilpotent of order <= 3")
-        inv2 = pow(2, -1, p)
-        eye = np.eye(REP_DIM, dtype=np.int64)
-        for c in range(1, p):
-            gens.append((eye + c * n_mat + c * c * inv2 * n2) % p)
+        gens.append((eye + n_mat + inv2 * n2) % p)
     return gens
 
 
 def _torus_generators(p: int) -> list[np.ndarray]:
     """Diagonal scalings s^<mu, coroot> mod p for the two simple coroots."""
     s = _primitive_root(p)
-    gens = []
-    for pairing in (
-        lambda m1, m2: 2 * m1 - 3 * m2,  # <mu, alpha-coroot>
-        lambda m1, m2: -m1 + 2 * m2,     # <mu, beta-coroot>
-    ):
-        diag = [pow(s, pairing(m1, m2) % (p - 1), p) for (m1, m2) in REP_WEIGHTS]
-        gens.append(np.diag(np.array(diag, dtype=np.int64)))
-    return gens
+    coroots = ((2, -3), (-1, 2))  # <mu, alpha-coroot>, <mu, beta-coroot>
+    return [
+        np.diag([pow(s, (a * m1 + b * m2) % (p - 1), p) for m1, m2 in REP_WEIGHTS])
+        for a, b in coroots
+    ]
+
+
+def _sparse_product(m: np.ndarray, coords: np.ndarray) -> list:
+    """The rows of m @ coords, summed over the nonzero entries of m only."""
+    return [sum(c * coords[j] for j, c in enumerate(row) if c) for row in m]
+
+
+def _cone_points(p: int, powers: np.ndarray) -> np.ndarray:
+    """The points x of F_p^7 with <x, x> = 0, one column each, found by
+    walking the p^7 vectors in p chunks of p^6, one chunk per value of the
+    last coordinate, so that only the cone (p^6 points) is ever kept."""
+    b_mod = _matrix_mod_p(invariant_form().matrix, p)
+    low = np.arange(p ** (REP_DIM - 1), dtype=np.int64)
+    chunk = np.empty((REP_DIM, len(low)), dtype=np.int64)
+    chunk[:-1] = low // powers[:-1, None] % p
+    columns = []
+    for last in range(p):
+        chunk[-1] = last
+        quadric = sum(x * bx for x, bx in zip(chunk, _sparse_product(b_mod, chunk)))
+        columns.append(chunk[:, quadric % p == 0])
+    return np.concatenate(columns, axis=1)
+
+
+def _orbit_labels(perms: list[np.ndarray]) -> np.ndarray:
+    """The least point of each point's orbit, by label propagation: each
+    round takes the minimum label across every edge i -> perm[i], both
+    ways, then pointer-jumps label = label[label] to a fixed point
+    (Shiloach-Vishkin).  After a round that changes no label, every edge
+    joins equal labels, so the labels are exactly the orbits."""
+    label = np.arange(len(perms[0]), dtype=np.int64)
+    while True:
+        before = label
+        for perm in perms:
+            label = np.minimum(label, label[perm])
+            np.minimum.at(label, perm, label)
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+        if np.array_equal(label, before):
+            return label
 
 
 @cache
 def count_orbits_mod_p(p: int) -> OrbitCountResult:
     """Count Borel orbits on the quadric cone Q(F_p) by brute force.
 
-    Enumerates all p^7 vectors, keeps those with <x, x> = 0, and unions every
-    point with its image under each generator: the unipotent maps
-    exp(c rho(x_delta)) for the six positive roots and all c in F_p - {0},
-    and the two coroot scalings by a primitive root.  All arithmetic is
-    exact integer arithmetic mod p.
+    Enumerates the p^7 vectors chunk by chunk, keeps those with
+    <x, x> = 0, and labels the orbits of the group generated by the
+    unipotent maps exp(rho(x_delta)) for the six positive roots and the
+    two coroot scalings by a primitive root.  All arithmetic is exact
+    integer arithmetic mod p.
     """
     check_oracle_prime(p)
     powers = np.array([p**i for i in range(REP_DIM)], dtype=np.int64)
-    total = p**REP_DIM
-    idx = np.arange(total, dtype=np.int64)
-    digits = (idx[:, None] // powers[None, :]) % p  # row i = coordinates of i
+    points = _cone_points(p, powers)
+    npoints = points.shape[1]
 
-    b_mod = _matrix_mod_p(invariant_form().matrix, p)
-    qv = ((digits @ b_mod) * digits).sum(axis=1) % p
-    on_quadric = qv == 0
-    keys = idx[on_quadric]
-    points = digits[on_quadric]
-    npoints = len(keys)
+    lookup = np.full(p**REP_DIM, -1, dtype=np.int64)
+    lookup[powers @ points] = np.arange(npoints, dtype=np.int64)
 
-    lookup = np.full(total, -1, dtype=np.int64)
-    lookup[keys] = np.arange(npoints, dtype=np.int64)
-
-    uf = UnionFind(npoints)
-    generators = _unipotent_generators(p) + _torus_generators(p)
-    for gen in generators:
-        images = (points @ gen.T) % p
-        image_keys = images @ powers
-        image_idx = lookup[image_keys]
+    perms = []
+    for gen in _unipotent_generators(p) + _torus_generators(p):
+        images = _sparse_product(gen, points)
+        image_idx = lookup[sum(w * (y % p) for w, y in zip(powers, images))]
         if np.any(image_idx < 0):
             raise AssertionError("generator does not preserve the quadric")
-        union = uf.union
-        for i, j in enumerate(image_idx.tolist()):
-            union(i, j)
+        perms.append(image_idx)
 
-    sizes = tuple(sorted(uf.component_sizes()))
-    origin_size = uf.size[uf.find(int(lookup[0]))]
+    label = _orbit_labels(perms)
+    counts = np.bincount(label)
+    sizes = tuple(int(c) for c in np.sort(counts[counts > 0]))
+    origin_size = int(counts[label[lookup[0]]])
     return OrbitCountResult(
         p=p,
         point_count=npoints,

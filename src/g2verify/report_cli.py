@@ -372,15 +372,18 @@ def _run_tfixed_count(config: Config) -> tuple[str, dict | None]:
     return str(len(lines)), details
 
 
+def _tfixed_line_dims() -> dict[str, int]:
+    """The orbit dimension of each T-fixed isotropic line, by its label."""
+    return {
+        rep7.REP_LABELS[k]: rep7.orbit_dimension(tuple(int(i == k) for i in range(7)))
+        for k in rep7.tfixed_isotropic_lines()
+    }
+
+
 def _run_tfixed_dims(config: Config) -> tuple[str, dict | None]:
-    lines = rep7.tfixed_isotropic_lines()
-    dims = {}
-    for k in lines:
-        x = tuple(1 if i == k else 0 for i in range(7))
-        dims[rep7.REP_LABELS[k]] = rep7.orbit_dimension(x)
-    details = {"orbit_dims": dims}
+    dims = _tfixed_line_dims()
     distinct = len(set(dims.values())) == len(dims)
-    return ("distinct" if distinct else "collision"), details
+    return ("distinct" if distinct else "collision"), {"orbit_dims": dims}
 
 
 def _run_orbit_examples(config: Config) -> tuple[str, dict | None]:
@@ -409,6 +412,12 @@ def _run_mod_p(p: int) -> Callable[[Config], tuple[str, dict | None]]:
         nonzero.remove(result.origin_orbit_size)
         if any(s % (p - 1) != 0 for s in nonzero):
             problems.append("a nonzero orbit size is not divisible by p-1")
+        if result.point_count != p**6:
+            problems.append("the cone does not have p^6 points")
+        # The orbit of a line of orbit dimension d has (p-1) p^(d-1) points.
+        expected = [1] + [(p - 1) * p ** (d - 1) for d in _tfixed_line_dims().values()]
+        if list(result.orbit_sizes) != sorted(expected):
+            problems.append("orbit sizes do not match the T-fixed line dimensions")
         details = {
             "p": p,
             "point_count": result.point_count,

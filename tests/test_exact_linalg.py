@@ -13,12 +13,14 @@ from hypothesis import given, settings, strategies as st
 from g2verify.exact_linalg import (
     DenseMatrix,
     DimensionMismatch,
+    bilinear,
     direct_sum_check,
     kernel_basis,
     rank,
     solve_linear,
     span_contains,
 )
+from g2verify.rep7_verifier import q_element_value
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -110,6 +112,10 @@ def test_fields_reject_inexact_scalars() -> None:
             m.mul_vec([1, bad])
         with pytest.raises(TypeError):
             m.scale(bad)
+        with pytest.raises(TypeError):
+            bilinear(m, [bad, 1], [1, 1])
+        with pytest.raises(TypeError):
+            q_element_value([bad, 0, 0, 1, 0, 0, 0])
 
 
 def test_dimension_mismatches_raise() -> None:

@@ -2,14 +2,24 @@
 
 `python -O` strips every `assert` statement, so no invariant of the
 package may rest on one: library code raises explicitly instead.
+
+The package may import only itself, the standard library and the
+dependencies declared in pyproject.toml: a module that is merely
+installed here (scipy, sympy) would pass every test and break a clean
+install.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import g2verify
 
 PACKAGE_DIR = Path(g2verify.__file__).parent
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def test_package_has_no_assert_statements() -> None:
@@ -22,3 +32,21 @@ def test_package_has_no_assert_statements() -> None:
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_imports_only_declared_dependencies() -> None:
+    tomllib = pytest.importorskip("tomllib")
+    with PYPROJECT.open("rb") as f:
+        requirements = tomllib.load(f)["project"]["dependencies"]
+    allowed = {re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in requirements}
+    allowed |= set(sys.stdlib_module_names) | {g2verify.__name__}
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    imported = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported, sources
+    assert sorted(imported - allowed) == []

@@ -6,15 +6,22 @@ to (1, -1, -1, -2); all 91 bracket pairs are matched; the invariant
 bilinear form pairs dual weight lines at -2 with B(u, u) = 4; the
 quadratic invariant as a polynomial has unit u^2 coefficient; there are
 6 isotropic T-fixed lines with pairwise distinct orbit dimensions; and
-the Borel-orbit count over F_p is 7 for p in {3, 5}.
+the Borel-orbit count over F_p is 7 for p in {3, 5, 7}, with the same
+orbits as the earlier union-find oracle over all p - 1 multiples of each
+root vector.
 """
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from g2verify import rep7_verifier as rep7
 from g2verify.exact_linalg import rank
 from g2verify.rep7_verifier import (
+    BOREL_G2_NAMES,
     REP_DIM,
     REP_LABELS,
     REP_WEIGHTS,
@@ -237,7 +244,7 @@ def test_orbit_dimension_scale_invariant() -> None:
         assert orbit_dimension([lam * c for c in x]) == orbit_dimension(x)
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_orbit_count_mod_p(p: int) -> None:
     result = count_orbits_mod_p(p)
     assert result.orbit_count == 7
@@ -245,6 +252,73 @@ def test_orbit_count_mod_p(p: int) -> None:
     assert result.origin_orbit_size == 1
     assert sum(result.orbit_sizes) == result.point_count
     assert all(s % (p - 1) == 0 for s in result.orbit_sizes if s > 1)
+
+
+def _mod_p(m, p: int) -> np.ndarray:
+    return np.array(
+        [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in m.entries],
+        dtype=np.int64,
+    )
+
+
+def _exp_mod_p(n: np.ndarray, c: int, p: int) -> np.ndarray:
+    """exp(cN) = I + cN + c^2 N^2 / 2 mod p for a nilpotent N with N^3 = 0."""
+    return (np.eye(REP_DIM, dtype=np.int64) + c * n + c * c * pow(2, -1, p) * (n @ n)) % p
+
+
+def _reference_orbit_count(p: int) -> tuple[int, tuple[int, ...], int]:
+    """The earlier oracle, kept as the reference: the cone cut out of all
+    p^7 vectors, the images under exp(cN) for every positive root and
+    every c in F_p - {0} plus the two torus generators, and a pure-Python
+    union-find.  Returns the point count, sorted orbit sizes and the size
+    of the origin's orbit."""
+    vectors = np.array(list(itertools.product(range(p), repeat=REP_DIM)), dtype=np.int64)
+    b = _mod_p(invariant_form().matrix, p)
+    cone = vectors[((vectors @ b) * vectors).sum(axis=1) % p == 0]
+    powers = p ** np.arange(REP_DIM, dtype=np.int64)
+    index = {k: i for i, k in enumerate((cone @ powers).tolist())}
+    generators = list(rep7._torus_generators(p))
+    for name in BOREL_G2_NAMES[2:]:
+        n = _mod_p(build_rep7().matrix(name), p)
+        generators += [_exp_mod_p(n, c, p) for c in range(1, p)]
+    parent = list(range(len(cone)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for gen in generators:
+        for i, key in enumerate(((cone @ gen.T % p) @ powers).tolist()):
+            parent[find(i)] = find(index[key])
+    sizes = Counter(find(i) for i in range(len(cone)))
+    return len(cone), tuple(sorted(sizes.values())), sizes[find(index[0])]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_orbit_count_matches_union_find_reference(p: int) -> None:
+    result = count_orbits_mod_p(p)
+    points, sizes, origin = _reference_orbit_count(p)
+    assert (result.point_count, result.orbit_sizes, result.origin_orbit_size) == (
+        points,
+        sizes,
+        origin,
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_unipotent_generator_powers_are_all_multiples(p: int) -> None:
+    # exp(N)^c = exp(cN) for c = 1 .. p-1: one generator per root makes the
+    # same group as the p - 1 multiples the earlier oracle used.
+    generators = rep7._unipotent_generators(p)
+    assert len(generators) == len(BOREL_G2_NAMES[2:]) == 6
+    for name, gen in zip(BOREL_G2_NAMES[2:], generators):
+        n = _mod_p(build_rep7().matrix(name), p)
+        power = np.eye(REP_DIM, dtype=np.int64)
+        for c in range(1, p):
+            power = power @ gen % p
+            assert np.array_equal(power, _exp_mod_p(n, c, p)), (name, c)
 
 
 @pytest.mark.parametrize("bad", [2, 4, 9, 11])

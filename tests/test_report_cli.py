@@ -4,6 +4,7 @@ skipping, JSON schema and byte stability, and CLI exit codes.
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -224,6 +225,42 @@ def test_perturbed_rho_seed_entry_fails_and_skips_dependents(monkeypatch) -> Non
     for check in report.checks:
         if check.name != "linear.rep7.build":
             assert check.status == "skipped", check.name
+    assert report.summary["failed"] == 1
+
+
+def test_mod_p_orbit_sizes_must_match_tfixed_line_dimensions(monkeypatch) -> None:
+    # Seven orbits summing to 3^6, the origin a singleton and every other
+    # size even: only the link to the orbit dimensions 1..6 of the T-fixed
+    # lines, which ask for sizes 2 * 3^(d-1), can reject it.
+    fake = rep7.OrbitCountResult(
+        p=3,
+        point_count=729,
+        orbit_count=7,
+        orbit_sizes=(1, 2, 6, 18, 54, 216, 432),
+        origin_orbit_size=1,
+    )
+    monkeypatch.setattr(rep7, "count_orbits_mod_p", lambda p: fake)
+    by_name = {c.name: c for c in run_suite(LINEAR_FAST).checks}
+    check = by_name["linear.count_orbits_mod_p.p3"]
+    assert check.status == "fail"
+    assert "orbit sizes do not match" in check.actual
+
+
+def test_oracle_rejects_a_generator_off_the_quadric(monkeypatch) -> None:
+    bad_torus = np.diag([2, 1, 1, 1, 1, 1, 1]).astype(np.int64)  # not an isometry
+    monkeypatch.setattr(rep7, "_torus_generators", lambda p: [bad_torus])
+    rep7.count_orbits_mod_p.cache_clear()
+    try:
+        report = run_suite(LINEAR_FAST)
+    finally:
+        # Drop anything counted with the perturbed generator before the
+        # true _torus_generators is restored.
+        rep7.count_orbits_mod_p.cache_clear()
+    by_name = {c.name: c for c in report.checks}
+    check = by_name["linear.count_orbits_mod_p.p3"]
+    assert check.status == "fail"
+    assert check.actual == "error: AssertionError: generator does not preserve the quadric"
+    assert by_name["linear.count_orbits_mod_p.consistency"].status == "skipped"
     assert report.summary["failed"] == 1
 
 
