@@ -1,15 +1,17 @@
 """Exact scalar arithmetic and small dense linear algebra.
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``), the
-package's one scalar type: ints are coerced and inexact values refused.  One
-Gaussian-elimination kernel provides rank, null-space bases, and linear
-solving.  Floating point is never used anywhere in this package.
+package's one scalar type: ints are coerced and inexact values refused.  Rank
+is fraction-free Bareiss elimination on integers; one rational Gaussian-
+elimination kernel provides the canonical null-space bases and linear solving.
+Floating point is never used anywhere in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 
@@ -22,12 +24,22 @@ _ZERO = Fraction(0)
 
 def _exact(x: int | Fraction) -> Fraction:
     """`x` as a Fraction; TypeError for an inexact scalar (float, bool, ...)."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"not an exact rational: {x!r}")
     return Fraction(x)
 
 
 Vector = tuple  # tuple[Fraction, ...]
+
+
+def clear_denominators(values: Sequence) -> list[int]:
+    """`values` times the lcm of their denominators, as ints: a nonzero
+    factor that changes no rank and no zero of a homogeneous form."""
+    exact = [_exact(x) for x in values]
+    d = lcm(*(x.denominator for x in exact if x))
+    return [x.numerator * (d // x.denominator) for x in exact]
 
 
 @dataclass(frozen=True)
@@ -163,10 +175,22 @@ def _echelon(rows: list, ncols: int) -> tuple[list, list[int]]:
 
 
 def rank(m: DenseMatrix) -> int:
-    """Rank of `m`, by exact Gaussian elimination."""
-    work = [list(row) for row in m.entries]
-    _, pivots = _echelon(work, m.cols)
-    return len(pivots)
+    """Rank of `m`, by fraction-free Bareiss elimination on its rows
+    scaled to integers; every division by the previous pivot is exact."""
+    rows = [r for r in map(clear_denominators, m.entries) if any(r)]
+    r, prev = 0, 1
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], rows[r])]
+        prev = piv
+        r += 1
+    return r
 
 
 def kernel_basis(m: DenseMatrix) -> tuple[Vector, ...]:
@@ -239,4 +263,4 @@ def span_contains(basis: Sequence[Sequence], v: Sequence) -> bool:
 def bilinear(m: DenseMatrix, x: Sequence, y: Sequence) -> Fraction:
     """The bilinear form x^T m y, evaluated exactly."""
     img = m.mul_vec(y)
-    return sum((_exact(a) * v for a, v in zip(x, img) if a), Fraction(0))
+    return sum((a * v for a, v in zip(map(_exact, x), img) if a), Fraction(0))

@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Sequence
 
-from .exact_linalg import DenseMatrix, solve_linear
+from .exact_linalg import DenseMatrix, clear_denominators, solve_linear
 
 #: Names of the 14 basis elements, in the fixed order used everywhere.
 BASIS_NAMES: tuple[str, ...] = (
@@ -249,16 +250,11 @@ def ad_matrix(x: G2Element) -> DenseMatrix:
 
 @cache
 def killing_gram() -> tuple:
-    """Gram matrix K[i][j] = trace(ad b_i . ad b_j) over the fixed basis."""
-    ads = [ad_matrix(b) for b in BASIS]
-    gram = []
-    for i in range(DIM):
-        row = []
-        for j in range(DIM):
-            prod = ads[i] @ ads[j]
-            row.append(sum(prod.entry(k, k) for k in range(DIM)))
-        gram.append(tuple(row))
-    return tuple(gram)
+    """Gram matrix K[i][j] = trace(ad b_i . ad b_j) = sum c_il^k c_jk^l over
+    the fixed basis, where c_ij^k is the b_k coefficient of [b_i, b_j]."""
+    c = _bracket_table()
+    trace = lambda i, j: sum(c[i][l][k] * c[j][k][l] for k in range(DIM) for l in range(DIM))
+    return tuple(tuple(trace(i, j) for j in range(DIM)) for i in range(DIM))
 
 
 def killing(x: G2Element, y: G2Element) -> Fraction:
@@ -359,33 +355,40 @@ def verify_antisymmetry() -> int:
     return good
 
 
+def _structure_constants() -> list:
+    """c[i][j] lists the nonzero (k, c_ij^k) of [b_i, b_j], read from
+    `bracket` on every call and cleared of denominators; the Jacobi and
+    invariance identities are homogeneous in them."""
+    flat = clear_denominators([c for x in BASIS for y in BASIS for c in bracket(x, y).coords])
+    pairs = [[(k, c) for k, c in enumerate(flat[n : n + DIM]) if c] for n in range(0, DIM**3, DIM)]
+    return [pairs[n : n + DIM] for n in range(0, DIM**2, DIM)]
+
+
 def verify_jacobi() -> int:
     """Number of ordered basis triples satisfying the Jacobi identity
     [x, [y, z]] + [y, [z, x]] + [z, [x, y]] = 0 (2744 = all)."""
+    c = _structure_constants()
     good = 0
-    for x in BASIS:
-        for y in BASIS:
-            for z in BASIS:
-                total = (
-                    bracket(x, bracket(y, z))
-                    + bracket(y, bracket(z, x))
-                    + bracket(z, bracket(x, y))
-                )
-                if total.is_zero():
-                    good += 1
+    for i, j, k in product(range(DIM), repeat=3):
+        total = [0] * DIM
+        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, s in c[b][d]:
+                for l, t in c[a][m]:
+                    total[l] += s * t
+        if not any(total):
+            good += 1
     return good
 
 
 def verify_killing_invariance() -> int:
     """Number of ordered basis triples satisfying the invariance identity
     kappa([x, y], z) + kappa(y, [x, z]) = 0 (2744 = all)."""
-    good = 0
-    for x in BASIS:
-        for y in BASIS:
-            for z in BASIS:
-                if killing(bracket(x, y), z) + killing(y, bracket(x, z)) == 0:
-                    good += 1
-    return good
+    c = _structure_constants()
+    gram = killing_gram()
+    return sum(
+        sum(s * gram[m][k] for m, s in c[i][j]) + sum(s * gram[j][m] for m, s in c[i][k]) == 0
+        for i, j, k in product(range(DIM), repeat=3)
+    )
 
 
 def killing_dual_norm(value_on_h_a, value_on_h_b) -> Fraction:

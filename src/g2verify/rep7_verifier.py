@@ -37,7 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from . import g2_algebra as g2
-from .exact_linalg import DenseMatrix, _exact, bilinear, kernel_basis, rank, solve_linear
+from .exact_linalg import DenseMatrix, DimensionMismatch, _exact, bilinear, kernel_basis
+from .exact_linalg import clear_denominators, rank, solve_linear
 from .g2_algebra import BASIS, BASIS_NAMES, BASIS_WEIGHTS, DIM, G2Element, bracket
 from .sampling import SmallRationalSampler
 
@@ -497,28 +498,60 @@ def phi_symplectomorphism_check() -> bool:
     return True
 
 
+def _integer_entries(m: DenseMatrix) -> tuple:
+    """The nonzero entries (i, j, value) of `m` cleared of denominators."""
+    flat = clear_denominators([x for row in m.entries for x in row])
+    return tuple((k // m.cols, k % m.cols, v) for k, v in enumerate(flat) if v)
+
+
+@cache
+def _integer_tables() -> tuple[tuple, tuple]:
+    """`_integer_entries` of B and of K_m = m^T B - B m for the g2-Borel
+    generators m (conormal), and of omega A for all ten Borel A (moment)."""
+    symp = build_symplectic14()
+    b = invariant_form().matrix
+    conormal = [b] + [m.transpose() @ b - b @ m for m in symp.borel_g2]
+    moment = [symp.omega @ a for a in symp.actions14]
+    return tuple(map(_integer_entries, conormal)), tuple(map(_integer_entries, moment))
+
+
+def _integer_vector(v: Sequence, n: int) -> list:
+    """`v` cleared of denominators; DimensionMismatch unless it has n entries."""
+    if len(v) != n:
+        raise DimensionMismatch(f"vector of length {len(v)}, expected {n}")
+    return clear_denominators(v)
+
+
+def _image(entries: tuple, y: Sequence) -> list:
+    out = [0] * len(y)
+    for i, j, v in entries:
+        out[i] += v * y[j]
+    return out
+
+
+def _dot(x: Sequence, y: Sequence) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _conormal_rows(zprime: list) -> list:
+    """B z' and K_m z', to which conditions (ii) and (iii) make z orthogonal."""
+    return [_image(entries, zprime) for entries in _integer_tables()[0]]
+
+
 def conormal_conditions(zprime: Sequence, z: Sequence) -> bool:
-    """The three exact conormal conditions:
-    (i) <z', z'> = 0, (ii) <z, z'> = 0,
-    (iii) <A z, z'> = <z, A z'> for every g2-Borel generator A."""
-    form = invariant_form()
-    if form.pair(zprime, zprime) != 0:
-        return False
-    if form.pair(z, zprime) != 0:
-        return False
-    for m in build_symplectic14().borel_g2:
-        if form.pair(m.mul_vec(z), zprime) != form.pair(z, m.mul_vec(zprime)):
-            return False
-    return True
+    """The three exact conormal conditions: (i) <z', z'> = 0, (ii) <z, z'> = 0,
+    (iii) <A z, z'> = <z, A z'>, i.e. z^T K_A z' = 0, for every g2-Borel
+    generator A; forms of degree 2, so tested on z, z' cleared of denominators."""
+    zprime, z = _integer_vector(zprime, REP_DIM), _integer_vector(z, REP_DIM)
+    rows = _conormal_rows(zprime)
+    return _dot(zprime, rows[0]) == 0 and not any(_dot(z, row) for row in rows)
 
 
 def moment_zero_check(point: Sequence) -> bool:
-    """H_A(point) = omega(point, A point)/2 = 0 for all ten Borel generators."""
-    symp = build_symplectic14()
-    for a in symp.actions14:
-        if omega_pair(point, a.mul_vec(point)) != 0:
-            return False
-    return True
+    """H_A(point) = omega(point, A point)/2 = 0 for all ten Borel generators,
+    tested on the point cleared of denominators (H_A is quadratic)."""
+    x = _integer_vector(point, 2 * REP_DIM)
+    return not any(_dot(x, _image(h, x)) for h in _integer_tables()[1])
 
 
 def orbit_dimension(x: Sequence) -> int:
@@ -711,14 +744,9 @@ def sample_isotropic_vector(sampler: SmallRationalSampler, chart: int) -> tuple:
 
 
 def conormal_fiber_basis(zprime: Sequence) -> tuple:
-    """Basis of the space of z satisfying conditions (ii) and (iii) at z'."""
-    form = invariant_form().matrix
-    rows = [list(form.mul_vec(zprime))]  # condition (ii): B(z, z') = 0
-    for m in build_symplectic14().borel_g2:
-        # condition (iii): B(rho(A) z, z') - B(z, rho(A) z') = 0.
-        lhs = (m.transpose() @ form).mul_vec(zprime)
-        rhs = form.mul_vec(m.mul_vec(zprime))
-        rows.append([a - b for a, b in zip(lhs, rhs)])
+    """Basis of the space of z satisfying conditions (ii) and (iii) at z';
+    scaling z' scales every row alike and leaves the reduced kernel as it is."""
+    rows = _conormal_rows(_integer_vector(zprime, REP_DIM))
     return kernel_basis(DenseMatrix.from_rows(rows))
 
 

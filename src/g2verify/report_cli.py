@@ -12,6 +12,7 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 import click
@@ -380,8 +381,7 @@ def _tfixed_line_dims() -> dict[str, int]:
     }
 
 
-def _run_tfixed_dims(config: Config) -> tuple[str, dict | None]:
-    dims = _tfixed_line_dims()
+def _run_tfixed_dims(dims: dict[str, int]) -> tuple[str, dict | None]:
     distinct = len(set(dims.values())) == len(dims)
     return ("distinct" if distinct else "collision"), {"orbit_dims": dims}
 
@@ -400,7 +400,7 @@ _ORACLE_NOTE = (
 )
 
 
-def _run_mod_p(p: int) -> Callable[[Config], tuple[str, dict | None]]:
+def _run_mod_p(p: int, line_dims: Callable) -> Callable[[Config], tuple[str, dict | None]]:
     def run(config: Config) -> tuple[str, dict | None]:
         result = rep7.count_orbits_mod_p(p)
         problems = []
@@ -415,7 +415,7 @@ def _run_mod_p(p: int) -> Callable[[Config], tuple[str, dict | None]]:
         if result.point_count != p**6:
             problems.append("the cone does not have p^6 points")
         # The orbit of a line of orbit dimension d has (p-1) p^(d-1) points.
-        expected = [1] + [(p - 1) * p ** (d - 1) for d in _tfixed_line_dims().values()]
+        expected = [1] + [(p - 1) * p ** (d - 1) for d in line_dims().values()]
         if list(result.orbit_sizes) != sorted(expected):
             problems.append("orbit sizes do not match the T-fixed line dimensions")
         details = {
@@ -450,6 +450,8 @@ def _registry(config: Config) -> tuple[_CheckSpec, ...]:
     """Every check in run order; each name starts with its suite."""
     rank_n = config.rank_samples
     conormal_n = 2 * config.conormal_samples
+    # Shared by the checks of one run only, so the next run sees a patched form.
+    line_dims = cache(_tfixed_line_dims)
     specs = [
         _CheckSpec("algebra.exact_linalg.selftest", (), "ok", _run_linalg_selftest),
         _tally(
@@ -591,7 +593,7 @@ def _registry(config: Config) -> tuple[_CheckSpec, ...]:
         ),
         _CheckSpec(
             "linear.tfixed_lines.orbit_dims", ("linear.tfixed_lines.count",),
-            "distinct", _run_tfixed_dims,
+            "distinct", lambda config: _run_tfixed_dims(line_dims()),
         ),
         _CheckSpec(
             "linear.orbit_dimension.examples", ("linear.rep7.build",), "0,1,6",
@@ -603,7 +605,7 @@ def _registry(config: Config) -> tuple[_CheckSpec, ...]:
         specs.append(
             _CheckSpec(
                 name, ("linear.rep7.build", "linear.invariant_form.values"), "7",
-                _run_mod_p(p),
+                _run_mod_p(p, line_dims),
             )
         )
     specs.append(

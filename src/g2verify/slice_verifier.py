@@ -484,9 +484,11 @@ def omega_prime_gram(x: G2Element, data: SliceData | None = None) -> DenseMatrix
     n = DIM + len(kernel)
     rows = [[Fraction(0)] * n for _ in range(n)]
     kernel_elems = [G2Element(v) for v in kernel]
+    kappa_x = [killing(x, b) for b in BASIS]
+    table = g2._bracket_table()
     for i in range(DIM):
         for j in range(DIM):
-            rows[i][j] = -killing(x, bracket(BASIS[i], BASIS[j]))
+            rows[i][j] = -sum(c * kappa_x[k] for k, c in enumerate(table[i][j]) if c)
     for i in range(DIM):
         for j, kv in enumerate(kernel_elems):
             val = killing(BASIS[i], kv)

@@ -1,0 +1,21 @@
+"""Shared fault injections."""
+
+import pytest
+
+from g2verify import g2_algebra as g2
+
+
+@pytest.fixture
+def bracket_with_extra_h_a(monkeypatch) -> None:
+    """Patch g2.bracket by the antisymmetric bilinear term
+    (x_e1 y_f1 - x_f1 y_e1) h_a: +1 on the h_a coefficient of [e1, f1] and
+    -1 on that of [f1, e1].  Antisymmetry still holds; Jacobi does not."""
+    g2.killing_gram()  # cache the true Gram before the bracket changes
+    true_bracket = g2.bracket
+
+    def bad_bracket(x, y):
+        coords = list(true_bracket(x, y).coords)
+        coords[12] += x.coords[0] * y.coords[3] - x.coords[3] * y.coords[0]
+        return g2.G2Element(tuple(coords))
+
+    monkeypatch.setattr(g2, "bracket", bad_bracket)

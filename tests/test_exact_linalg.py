@@ -2,7 +2,10 @@
 
 Property-based checks pin down the algebraic laws (rank--nullity, kernel
 membership, solve correctness) that every later verification step leans
-on; small frozen cases guard the edge behavior and the error paths.
+on; small frozen cases guard the edge behavior and the error paths.  The
+fraction-free Bareiss `rank` is checked against the earlier rank, the
+pivot count of the rational row-echelon kernel, kept here as the
+reference.
 """
 
 from fractions import Fraction
@@ -13,14 +16,16 @@ from hypothesis import given, settings, strategies as st
 from g2verify.exact_linalg import (
     DenseMatrix,
     DimensionMismatch,
+    _echelon,
     bilinear,
+    clear_denominators,
     direct_sum_check,
     kernel_basis,
     rank,
     solve_linear,
     span_contains,
 )
-from g2verify.rep7_verifier import q_element_value
+from g2verify.rep7_verifier import invariant_form, q_element_value
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -37,6 +42,85 @@ def qq_matrices(draw, max_dim: int = 5) -> DenseMatrix:
         )
     )
     return DenseMatrix.from_rows(entries)
+
+
+def _reference_rank(m: DenseMatrix) -> int:
+    """The earlier rank: pivots of the rational reduced row-echelon form."""
+    _, pivots = _echelon([list(row) for row in m.entries], m.cols)
+    return len(pivots)
+
+
+tall_fractions = st.builds(
+    Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)
+)
+
+
+@st.composite
+def rank_test_matrices(draw) -> DenseMatrix:
+    """Up to 8x8: dense, rank-deficient products, or zero; small or tall entries."""
+    nrows = draw(st.integers(min_value=1, max_value=8))
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    entries = draw(st.sampled_from([small_fractions, tall_fractions]))
+
+    def grid(r: int, c: int) -> DenseMatrix:
+        return DenseMatrix.from_rows(
+            draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+        )
+
+    kind = draw(st.sampled_from(["dense", "product", "zero"]))
+    if kind == "zero":
+        return DenseMatrix.from_rows([[0] * ncols for _ in range(nrows)])
+    if kind == "dense":
+        return grid(nrows, ncols)
+    inner = draw(st.integers(min_value=1, max_value=min(nrows, ncols)))
+    return grid(nrows, inner) @ grid(inner, ncols)
+
+
+@given(rank_test_matrices())
+@settings(max_examples=200, deadline=None)
+def test_bareiss_rank_matches_reference_rank(m: DenseMatrix) -> None:
+    r = rank(m)
+    assert type(r) is int
+    assert r == _reference_rank(m)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([[0, 0, 0]], 0),
+        ([[0], [0]], 0),
+        ([[Fraction(3, 7), 0, -5]], 1),
+        ([[2], [Fraction(-1, 3)], [0]], 1),
+        ([[1, 2], [2, 4]], 1),
+        ([[0, 1], [1, 0]], 2),
+        # The first column is zero and the second pivot row is found by a swap.
+        ([[0, 1, 2], [0, 2, 4], [0, 0, 1]], 2),
+        # Determinant -1/7^100: nonzero, though floats would round it away.
+        (
+            [
+                [Fraction(10**30 + 1, 7**50), Fraction(10**30, 7**50)],
+                [Fraction(10**30, 7**50), Fraction(10**30 - 1, 7**50)],
+            ],
+            2,
+        ),
+        ([[Fraction(10**30, 7**50), Fraction(10**30, 7**50)], [1, 1]], 1),
+    ],
+)
+def test_rank_edge_cases(rows, expected) -> None:
+    m = DenseMatrix.from_rows(rows)
+    assert rank(m) == _reference_rank(m) == expected
+
+
+def test_clear_denominators_returns_ints() -> None:
+    values = [Fraction(1, 6), 0, Fraction(-3, 4), 5]
+    scaled = clear_denominators(values)
+    assert scaled == [2, 0, -9, 60]
+    assert all(type(x) is int for x in scaled)
+    assert clear_denominators([0, Fraction(0)]) == [0, 0]
+    assert all(type(x) is int for x in clear_denominators([Fraction(0), 0]))
+    for bad in (0.0, 0.5, True):
+        with pytest.raises(TypeError):
+            clear_denominators([1, bad])
 
 
 @given(qq_matrices())
@@ -116,6 +200,9 @@ def test_fields_reject_inexact_scalars() -> None:
             bilinear(m, [bad, 1], [1, 1])
         with pytest.raises(TypeError):
             q_element_value([bad, 0, 0, 1, 0, 0, 0])
+    # An inexact zero on the left is refused too, not skipped as zero.
+    with pytest.raises(TypeError):
+        invariant_form().pair([0.0, 0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0])
 
 
 def test_dimension_mismatches_raise() -> None:

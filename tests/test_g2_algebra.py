@@ -3,7 +3,10 @@
 The headline facts are frozen: all 196 bracket pairs antisymmetric, all
 2744 Jacobi triples zero, all 2744 invariance triples balanced, Killing
 values kappa(h_a, h_a) = 16, kappa(h_a, h_b) = -8, kappa(e1, f1) = -24,
-and the dual Cartan norms |a_i|^2 = 1/12, |a_i - a_j|^2 = 1/4.
+and the dual Cartan norms |a_i|^2 = 1/12, |a_i - a_j|^2 = 1/4.  The
+integer Jacobi, invariance and Gram computations are checked against the
+earlier formulations through `bracket`, `killing` and `ad_matrix`, kept
+here as references.
 """
 
 from fractions import Fraction
@@ -11,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2verify import g2_algebra as g2
 from g2verify.exact_linalg import DenseMatrix, rank
 from g2verify.g2_algebra import (
     BASIS,
@@ -61,6 +65,56 @@ def test_jacobi_all_triples() -> None:
 
 def test_killing_invariance_all_triples() -> None:
     assert verify_killing_invariance() == 2744
+
+
+def _reference_jacobi() -> int:
+    """The earlier Jacobi count, one `bracket` call per term."""
+    good = 0
+    for x in BASIS:
+        for y in BASIS:
+            for z in BASIS:
+                total = (
+                    g2.bracket(x, g2.bracket(y, z))
+                    + g2.bracket(y, g2.bracket(z, x))
+                    + g2.bracket(z, g2.bracket(x, y))
+                )
+                if total.is_zero():
+                    good += 1
+    return good
+
+
+def _reference_killing_invariance() -> int:
+    """The earlier invariance count through `killing` and `bracket`."""
+    good = 0
+    for x in BASIS:
+        for y in BASIS:
+            for z in BASIS:
+                if killing(g2.bracket(x, y), z) + killing(y, g2.bracket(x, z)) == 0:
+                    good += 1
+    return good
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_integer_identities_match_reference_counts(request, perturbed) -> None:
+    if perturbed:
+        request.getfixturevalue("bracket_with_extra_h_a")
+    jacobi = verify_jacobi()
+    assert jacobi == _reference_jacobi()
+    assert verify_killing_invariance() == _reference_killing_invariance()
+    assert (jacobi < 2744) == perturbed
+
+
+def test_killing_gram_is_the_trace_of_ad_products() -> None:
+    ads = [ad_matrix(b).entries for b in BASIS]
+    expected = tuple(
+        tuple(
+            sum(a[k][l] * b[l][k] for k in range(DIM) for l in range(DIM))
+            for b in ads
+        )
+        for a in ads
+    )
+    assert killing_gram() == expected
+    assert all(type(v) is int for row in killing_gram() for v in row)
 
 
 def test_killing_frozen_values() -> None:

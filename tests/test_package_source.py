@@ -3,6 +3,10 @@
 `python -O` strips every `assert` statement, so no invariant of the
 package may rest on one: library code raises explicitly instead.
 
+Arithmetic is exact: no float literal and no `float(...)` call appears
+in the package, so that no stray inexact value can enter the integer
+and rational code.
+
 The package may import only itself, the standard library and the
 dependencies declared in pyproject.toml: a module that is merely
 installed here (scipy, sympy) would pass every test and break a clean
@@ -31,6 +35,25 @@ def test_package_has_no_assert_statements() -> None:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_has_no_float_literals_or_float_calls() -> None:
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert sources
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            literal = isinstance(node, ast.Constant) and isinstance(
+                node.value, (float, complex)
+            )
+            call = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            )
+            if literal or call:
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

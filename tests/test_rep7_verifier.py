@@ -8,7 +8,9 @@ quadratic invariant as a polynomial has unit u^2 coefficient; there are
 6 isotropic T-fixed lines with pairwise distinct orbit dimensions; and
 the Borel-orbit count over F_p is 7 for p in {3, 5, 7}, with the same
 orbits as the earlier union-find oracle over all p - 1 multiples of each
-root vector.
+root vector.  The integer conormal, moment and fiber computations are
+checked against their earlier `Fraction` formulations through the
+bilinear forms, kept here as references.
 """
 
 import itertools
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from g2verify import rep7_verifier as rep7
-from g2verify.exact_linalg import rank
+from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, kernel_basis, rank
 from g2verify.rep7_verifier import (
     BOREL_G2_NAMES,
     REP_DIM,
@@ -204,6 +206,77 @@ def test_moment_map_matches_conormal_on_random_pairs() -> None:
         z = tuple(sampler.fraction() for _ in range(REP_DIM))
         point = tuple(z) + tuple(zprime)
         assert conormal_conditions(zprime, z) == moment_zero_check(point)
+
+
+def _reference_conormal_conditions(zprime, z) -> bool:
+    form = invariant_form()
+    if form.pair(zprime, zprime) != 0 or form.pair(z, zprime) != 0:
+        return False
+    return all(
+        form.pair(m.mul_vec(z), zprime) == form.pair(z, m.mul_vec(zprime))
+        for m in build_symplectic14().borel_g2
+    )
+
+
+def _reference_moment_zero_check(point) -> bool:
+    return all(
+        omega_pair(point, a.mul_vec(point)) == 0
+        for a in build_symplectic14().actions14
+    )
+
+
+def _reference_fiber_basis(zprime) -> tuple:
+    form = invariant_form().matrix
+    rows = [list(form.mul_vec(zprime))]
+    for m in build_symplectic14().borel_g2:
+        lhs = (m.transpose() @ form).mul_vec(zprime)
+        rhs = form.mul_vec(m.mul_vec(zprime))
+        rows.append([a - b for a, b in zip(lhs, rhs)])
+    return kernel_basis(DenseMatrix.from_rows(rows))
+
+
+def _assert_predicates_match_reference(zprime, z) -> bool:
+    point = tuple(z) + tuple(zprime)
+    conormal = conormal_conditions(zprime, z)
+    assert conormal == _reference_conormal_conditions(zprime, z)
+    assert moment_zero_check(point) == _reference_moment_zero_check(point)
+    return conormal
+
+
+def test_integer_predicates_match_reference_on_random_pairs() -> None:
+    sampler = SmallRationalSampler(31)
+    for _ in range(200):
+        zprime = tuple(sampler.fraction() for _ in range(REP_DIM))
+        z = tuple(sampler.fraction() for _ in range(REP_DIM))
+        _assert_predicates_match_reference(zprime, z)
+
+
+def test_integer_predicates_match_reference_on_sampled_conormal_pairs() -> None:
+    sampler = SmallRationalSampler(37)
+    for k in range(100):
+        zprime, z = sample_conormal_pair(sampler, k)
+        assert conormal_fiber_basis(zprime) == _reference_fiber_basis(zprime)
+        assert _assert_predicates_match_reference(zprime, z)
+        # One coordinate moved off the pair: both sides must follow.
+        bumped = list(z)
+        bumped[k % REP_DIM] += 1
+        _assert_predicates_match_reference(zprime, bumped)
+
+
+def test_conormal_predicates_reject_bad_vectors() -> None:
+    for call in (
+        lambda: conormal_conditions(unit(0), ZERO + (0,)),
+        lambda: conormal_conditions(unit(0)[:6], ZERO),
+        lambda: moment_zero_check(unit(0)),
+        lambda: conormal_fiber_basis(ZERO[:6]),
+    ):
+        with pytest.raises(DimensionMismatch):
+            call()
+    for bad in (0.0, 0.5, True):
+        with pytest.raises(TypeError):
+            conormal_conditions(unit(0), (bad,) + ZERO[1:])
+        with pytest.raises(TypeError):
+            moment_zero_check((bad,) + ZERO + ZERO[1:])
 
 
 def test_isotropic_sampler(rep) -> None:

@@ -2,6 +2,7 @@
 skipping, JSON schema and byte stability, and CLI exit codes.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -205,6 +206,65 @@ def test_perturbed_structure_constant_fails_and_skips_dependents(
     assert by_name["algebra.bracket.jacobi"].status == "skipped"
     assert by_name["algebra.killing.invariance"].status == "skipped"
     assert report.summary["failed"] == 1
+
+
+def test_antisymmetric_structure_constant_fault_fails_jacobi(
+    bracket_with_extra_h_a,
+) -> None:
+    by_name = {c.name: c for c in run_suite(Config(suites=("algebra",))).checks}
+    assert by_name["algebra.bracket.antisymmetry"].actual == "196/196"
+    jacobi = by_name["algebra.bracket.jacobi"]
+    assert jacobi.status == "fail"
+    assert jacobi.actual != "2744/2744"
+    assert by_name["algebra.killing.invariance"].status == "skipped"
+
+
+def test_perturbed_killing_gram_fails_invariance(monkeypatch) -> None:
+    gram = [list(row) for row in g2.killing_gram()]
+    gram[0][12] += 1  # kappa(e1, h_a), kept symmetric
+    gram[12][0] += 1
+    bad = tuple(tuple(row) for row in gram)
+    monkeypatch.setattr(g2, "killing_gram", lambda: bad)
+    by_name = {c.name: c for c in run_suite(Config(suites=("algebra",))).checks}
+    assert by_name["algebra.bracket.jacobi"].status == "pass"
+    invariance = by_name["algebra.killing.invariance"]
+    assert invariance.status == "fail"
+    assert invariance.actual != "2744/2744"
+
+
+def test_replaced_borel_action_breaks_conormal_equivalence(monkeypatch) -> None:
+    # A 1 at (0, 0) of the sl2 raising operator's action adds 2 x_0 x_10 to
+    # its Hamiltonian and leaves the conormal conditions, which read only
+    # the g2 part, alone: members with z_0 z'_3 != 0 now disagree.
+    symp = rep7.build_symplectic14()
+    odd = _with_entry(symp.actions14[-1], 0, 0, 1)
+    bad = dataclasses.replace(symp, actions14=symp.actions14[:-1] + (odd,))
+    monkeypatch.setattr(rep7, "build_symplectic14", lambda: bad)
+    rep7._integer_tables.cache_clear()
+    try:
+        actual, _ = report_cli._run_conormal_equivalence(Config(samples=10))
+    finally:
+        # Drop the tables built from the replaced action before the true
+        # build_symplectic14 is restored.
+        rep7._integer_tables.cache_clear()
+    agree = int(actual.split("/")[0])
+    assert agree < 20, actual
+
+
+def test_tfixed_line_dimensions_computed_once_per_run(monkeypatch) -> None:
+    calls = []
+    true_orbit_dimension = rep7.orbit_dimension
+
+    def counted(x):
+        calls.append(tuple(x))
+        return true_orbit_dimension(x)
+
+    monkeypatch.setattr(rep7, "orbit_dimension", counted)
+    report = run_suite(Config(suites=("linear",), samples=1))
+    assert report.summary["failed"] == 0
+    # Two for the one scaling sample, six T-fixed lines, three examples;
+    # the three primes reuse the six line dimensions.
+    assert len(calls) == 2 + 6 + 3
 
 
 def test_perturbed_rho_seed_entry_fails_and_skips_dependents(monkeypatch) -> None:

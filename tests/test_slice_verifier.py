@@ -3,7 +3,9 @@
 Frozen facts: grading dimensions (2, 1, 2, 4, 2, 1, 2) over levels
 -3..3, a 6-dimensional kernel of ad f, psi(f1) = -24, all structural
 lemmas true, relevancy criteria agreeing on all 12 Weyl elements, and
-the headline count 6 base + 1 complementary = 7 relevant orbits.
+the headline count 6 base + 1 complementary = 7 relevant orbits.  The
+omega' Gram is checked against its earlier entry-by-entry formulation
+through `killing` and `bracket`, kept here as the reference.
 """
 
 from fractions import Fraction
@@ -11,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from g2verify.exact_linalg import DenseMatrix, rank, span_contains
-from g2verify.g2_algebra import G2Element, bracket
+from g2verify.g2_algebra import BASIS, DIM, G2Element, bracket, killing
 from g2verify.root_weyl import ALPHA, GAMMA
 from g2verify.slice_verifier import (
     NotOnSliceError,
@@ -129,6 +131,27 @@ def test_omega_prime_at_seeded_points(data) -> None:
         gram = omega_prime_gram(x, data)
         assert (gram + gram.transpose()).is_zero()
         assert rank(gram) == 20
+
+
+def _reference_omega_prime_gram(x: G2Element, data) -> DenseMatrix:
+    kernel = [G2Element(v) for v in data.subalgebras.ker_ad_f]
+    n = DIM + len(kernel)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(DIM):
+        for j in range(DIM):
+            rows[i][j] = -killing(x, bracket(BASIS[i], BASIS[j]))
+        for j, kv in enumerate(kernel):
+            rows[i][DIM + j] = -killing(BASIS[i], kv)
+            rows[DIM + j][i] = killing(BASIS[i], kv)
+    return DenseMatrix.from_rows(rows)
+
+
+def test_omega_prime_gram_matches_reference(data) -> None:
+    points = [(data.triple.e, ())] + list(
+        omega_prime_sample_points(seed=3, count=20, data=data)
+    )
+    for x, _ in points:
+        assert omega_prime_gram(x, data) == _reference_omega_prime_gram(x, data)
 
 
 def test_omega_prime_sampling_is_seed_deterministic(data) -> None:
