@@ -1,8 +1,9 @@
 """Exact scalar arithmetic and small dense linear algebra.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``), the
-package's one scalar type: ints are coerced and inexact values refused.  Rank
-is fraction-free Bareiss elimination on integers; one rational Gaussian-
+Scalars are exact rationals: an entry is stored as an ``int`` when it is
+integral and as a ``fractions.Fraction`` only otherwise, so the package's
+integer matrices run on Python ints; inexact values are refused.  Rank is
+fraction-free Bareiss elimination on integers; one rational Gaussian-
 elimination kernel provides the canonical null-space bases and linear solving.
 Floating point is never used anywhere in this package.
 """
@@ -19,19 +20,22 @@ class DimensionMismatch(ValueError):
     """A vector or matrix operand has incompatible dimensions."""
 
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
-def _exact(x: int | Fraction) -> Fraction:
-    """`x` as a Fraction; TypeError for an inexact scalar (float, bool, ...)."""
-    if type(x) is Fraction:
+def _exact(x: int | Fraction) -> int | Fraction:
+    """`x` as an int when integral, else as a Fraction; TypeError for an
+    inexact scalar (float, bool, ...)."""
+    if type(x) is int:
         return x
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"not an exact rational: {x!r}")
-    return Fraction(x)
+    return _exact(Fraction(x))
 
 
-Vector = tuple  # tuple[Fraction, ...]
+Vector = tuple  # tuple of scalars: int when integral, Fraction otherwise
 
 
 def clear_denominators(values: Sequence) -> list[int]:
@@ -44,7 +48,8 @@ def clear_denominators(values: Sequence) -> list[int]:
 
 @dataclass(frozen=True)
 class DenseMatrix:
-    """An immutable dense matrix with exact rational entries."""
+    """An immutable dense matrix with exact rational entries (ints when
+    integral, Fractions otherwise)."""
 
     rows: int
     cols: int
@@ -67,7 +72,7 @@ class DenseMatrix:
     def identity(cls, n: int) -> DenseMatrix:
         return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> int | Fraction:
         return self.entries[i][j]
 
     def row(self, i: int) -> Vector:
@@ -90,7 +95,7 @@ class DenseMatrix:
             self.rows,
             self.cols,
             tuple(
-                tuple(a + b for a, b in zip(ra, rb))
+                tuple(_exact(a + b) for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
             ),
         )
@@ -106,7 +111,7 @@ class DenseMatrix:
         return DenseMatrix(
             self.rows,
             self.cols,
-            tuple(tuple(s * x for x in row) for row in self.entries),
+            tuple(tuple(_exact(s * x) for x in row) for row in self.entries),
         )
 
     def __matmul__(self, other: DenseMatrix) -> DenseMatrix:
@@ -122,7 +127,7 @@ class DenseMatrix:
                     a = row_i[k]
                     if a:
                         acc = acc + a * other.entries[k][j]
-                out_row.append(acc)
+                out_row.append(_exact(acc))
             out.append(tuple(out_row))
         return DenseMatrix(self.rows, other.cols, tuple(out))
 
@@ -137,7 +142,7 @@ class DenseMatrix:
             for k, x in enumerate(vv):
                 if x:
                     acc = acc + row_i[k] * x
-            out.append(acc)
+            out.append(_exact(acc))
         return tuple(out)
 
     def is_zero(self) -> bool:
@@ -164,7 +169,7 @@ def _echelon(rows: list, ncols: int) -> tuple[list, list[int]]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
+        rows[r] = [Fraction(x) / piv for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
@@ -203,10 +208,10 @@ def kernel_basis(m: DenseMatrix) -> tuple[Vector, ...]:
     free_cols = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for fc in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
+        v = [0] * m.cols
+        v[fc] = 1
         for r_i, pc in enumerate(pivots):
-            v[pc] = -reduced[r_i][fc]
+            v[pc] = _exact(-reduced[r_i][fc])
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -222,9 +227,9 @@ def solve_linear(m: DenseMatrix, b: Sequence) -> Vector | None:
     reduced, pivots = _echelon(work, m.cols + 1)
     if m.cols in pivots:
         return None
-    x = [Fraction(0)] * m.cols
+    x = [0] * m.cols
     for r_i, pc in enumerate(pivots):
-        x[pc] = reduced[r_i][m.cols]
+        x[pc] = _exact(reduced[r_i][m.cols])
     return tuple(x)
 
 
@@ -260,7 +265,9 @@ def span_contains(basis: Sequence[Sequence], v: Sequence) -> bool:
     return solve_linear(matrix, v) is not None
 
 
-def bilinear(m: DenseMatrix, x: Sequence, y: Sequence) -> Fraction:
+def bilinear(m: DenseMatrix, x: Sequence, y: Sequence) -> int | Fraction:
     """The bilinear form x^T m y, evaluated exactly."""
+    if len(x) != m.rows:
+        raise DimensionMismatch(f"left vector has length {len(x)}, expected {m.rows}")
     img = m.mul_vec(y)
-    return sum((a * v for a, v in zip(map(_exact, x), img) if a), Fraction(0))
+    return sum((a * v for a, v in zip(map(_exact, x), img) if a), _ZERO)

@@ -26,7 +26,7 @@ from functools import cache
 from itertools import product
 from typing import Sequence
 
-from .exact_linalg import DenseMatrix, clear_denominators, solve_linear
+from .exact_linalg import DenseMatrix, solve_linear
 
 #: Names of the 14 basis elements, in the fixed order used everywhere.
 BASIS_NAMES: tuple[str, ...] = (
@@ -234,7 +234,7 @@ def ad_matrix(x: G2Element) -> DenseMatrix:
     table = _bracket_table()
     columns = []
     for j in range(DIM):
-        col = [Fraction(0)] * DIM
+        col = [0] * DIM
         for i, c in enumerate(x.coords):
             if c:
                 for k in range(DIM):
@@ -242,10 +242,7 @@ def ad_matrix(x: G2Element) -> DenseMatrix:
                     if t:
                         col[k] += c * t
         columns.append(col)
-    rows = tuple(
-        tuple(Fraction(columns[j][k]) for j in range(DIM)) for k in range(DIM)
-    )
-    return DenseMatrix(DIM, DIM, rows)
+    return DenseMatrix.from_rows(list(zip(*columns)))
 
 
 @cache
@@ -257,10 +254,10 @@ def killing_gram() -> tuple:
     return tuple(tuple(trace(i, j) for j in range(DIM)) for i in range(DIM))
 
 
-def killing(x: G2Element, y: G2Element) -> Fraction:
+def killing(x: G2Element, y: G2Element) -> int | Fraction:
     """The Killing form trace(ad x . ad y), via the cached basis Gram matrix."""
     gram = killing_gram()
-    total = Fraction(0)
+    total = 0
     for i, a in enumerate(x.coords):
         if a:
             row = gram[i]
@@ -276,7 +273,7 @@ class LinearFunctional:
 
     rep: G2Element
 
-    def __call__(self, x: G2Element) -> Fraction:
+    def __call__(self, x: G2Element) -> int | Fraction:
         return killing(self.rep, x)
 
 
@@ -357,11 +354,11 @@ def verify_antisymmetry() -> int:
 
 def _structure_constants() -> list:
     """c[i][j] lists the nonzero (k, c_ij^k) of [b_i, b_j], read from
-    `bracket` on every call and cleared of denominators; the Jacobi and
-    invariance identities are homogeneous in them."""
-    flat = clear_denominators([c for x in BASIS for y in BASIS for c in bracket(x, y).coords])
-    pairs = [[(k, c) for k, c in enumerate(flat[n : n + DIM]) if c] for n in range(0, DIM**3, DIM)]
-    return [pairs[n : n + DIM] for n in range(0, DIM**2, DIM)]
+    `bracket` on every call."""
+    return [
+        [[(k, c) for k, c in enumerate(bracket(x, y).coords) if c] for y in BASIS]
+        for x in BASIS
+    ]
 
 
 def verify_jacobi() -> int:

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import g2_algebra as g2
-from .exact_linalg import DenseMatrix, DimensionMismatch, _exact, bilinear, kernel_basis
+from .exact_linalg import DenseMatrix, _exact, bilinear, kernel_basis
 from .exact_linalg import clear_denominators, rank, solve_linear
 from .g2_algebra import BASIS, BASIS_NAMES, BASIS_WEIGHTS, DIM, G2Element, bracket
 from .sampling import SmallRationalSampler
@@ -163,7 +163,8 @@ def quadric_element() -> DenseMatrix:
         row = []
         for b in basis:
             s = tuple(x + y for x, y in zip(a, b))
-            row.append((q_element_value(s) - q_element_value(a) - q_element_value(b)) / 2)
+            polar = q_element_value(s) - q_element_value(a) - q_element_value(b)
+            row.append(Fraction(polar, 2))
         rows.append(row)
     return DenseMatrix.from_rows(rows)
 
@@ -193,12 +194,10 @@ def invariant_form() -> InvariantForm:
         # (m^T B + B m)[r][c] = sum_k m[k][r] B[k][c] + B[r][k] m[k][c].
         for r in range(REP_DIM):
             for c in range(r, REP_DIM):
-                coeffs = [Fraction(0)] * nunk
+                coeffs = [0] * nunk
                 for k in range(REP_DIM):
-                    if m.entry(k, r):
-                        coeffs[_sym_index(k, c)] += Fraction(m.entry(k, r))
-                    if m.entry(k, c):
-                        coeffs[_sym_index(r, k)] += Fraction(m.entry(k, c))
+                    coeffs[_sym_index(k, c)] += m.entry(k, r)
+                    coeffs[_sym_index(r, k)] += m.entry(k, c)
                 if any(coeffs):
                     rows.append(coeffs)
     kern = kernel_basis(DenseMatrix.from_rows(rows))
@@ -261,23 +260,24 @@ def _cartan_action(x: G2Element) -> DenseMatrix:
     return _sparse_matrix({(i, i): diag[i] for i in range(REP_DIM) if diag[i]})
 
 
+def _f_and_e_matrices(c: Sequence) -> tuple[tuple, tuple]:
+    """rho(f1), rho(f2), rho(f3) with the f2 coefficients `c`, and
+    rho(e_i) = [rho(f_j), rho(f_k)]/2 for (i, j, k) cyclic."""
+    fs = (_f1_matrix(), _f2_matrix(c), _f3_matrix())
+    half = Fraction(1, 2)
+    es = tuple(_commutator(fs[j], fs[k]).scale(half) for j, k in ((1, 2), (2, 0), (0, 1)))
+    return fs, es
+
+
 def _constraint_stack(c: Sequence) -> tuple:
     """The three sl2-commutation residuals, flattened to one long vector.
 
     Each residual [rho(e_i), rho(f_i)] - rho([e_i, f_i]) is affine in the
     four unknown f2 coefficients.
     """
-    f1m, f3m = _f1_matrix(), _f3_matrix()
-    f2m = _f2_matrix(c)
-    e1m = _commutator(f2m, f3m).scale(Fraction(1, 2))
-    e2m = _commutator(f3m, f1m).scale(Fraction(1, 2))
-    e3m = _commutator(f1m, f2m).scale(Fraction(1, 2))
+    fs, es = _f_and_e_matrices(c)
     residuals = []
-    for em, fm, ei, fi in (
-        (e1m, f1m, g2.e1, g2.f1),
-        (e2m, f2m, g2.e2, g2.f2),
-        (e3m, f3m, g2.e3, g2.f3),
-    ):
+    for em, fm, ei, fi in zip(es, fs, (g2.e1, g2.e2, g2.e3), (g2.f1, g2.f2, g2.f3)):
         target = _cartan_action(bracket(ei, fi))
         residuals.append(_commutator(em, fm) - target)
     flat = []
@@ -321,13 +321,7 @@ def build_rep7() -> Rep7:
     all 91 basis pairs is run afterwards (see verify_homomorphism).
     """
     coeffs = _solve_f2_coefficients()
-    f1m, f3m = _f1_matrix(), _f3_matrix()
-    f2m = _f2_matrix(coeffs)
-    e1m = _commutator(f2m, f3m).scale(Fraction(1, 2))
-    e2m = _commutator(f3m, f1m).scale(Fraction(1, 2))
-    e3m = _commutator(f1m, f2m).scale(Fraction(1, 2))
-    es = (e1m, e2m, e3m)
-    fs = (f1m, f2m, f3m)
+    fs, es = _f_and_e_matrices(coeffs)
     third = Fraction(-1, 3)
     e12 = _commutator(es[0], fs[1]).scale(third)
     e13 = _commutator(es[0], fs[2]).scale(third)
@@ -337,8 +331,7 @@ def build_rep7() -> Rep7:
     e32 = _commutator(es[2], fs[1]).scale(third)
     h_a = _commutator(e12, e21)
     h_b = _commutator(e23, e32)
-    matrices = (
-        e1m, e2m, e3m, f1m, f2m, f3m,
+    matrices = es + fs + (
         e12, e13, e21, e23, e31, e32,
         h_a, h_b,
     )
@@ -498,60 +491,39 @@ def phi_symplectomorphism_check() -> bool:
     return True
 
 
-def _integer_entries(m: DenseMatrix) -> tuple:
-    """The nonzero entries (i, j, value) of `m` cleared of denominators."""
-    flat = clear_denominators([x for row in m.entries for x in row])
-    return tuple((k // m.cols, k % m.cols, v) for k, v in enumerate(flat) if v)
+@cache
+def _conormal_forms() -> tuple:
+    """B and K_m = m^T B - B m for the g2-Borel generators m: conditions
+    (ii) and (iii) make z orthogonal to B z' and to every K_m z'."""
+    b = invariant_form().matrix
+    return (b,) + tuple(m.transpose() @ b - b @ m for m in build_symplectic14().borel_g2)
 
 
 @cache
-def _integer_tables() -> tuple[tuple, tuple]:
-    """`_integer_entries` of B and of K_m = m^T B - B m for the g2-Borel
-    generators m (conormal), and of omega A for all ten Borel A (moment)."""
+def _moment_forms() -> tuple:
+    """omega A for the ten Borel generators A: H_A(x) = x^T omega A x / 2."""
     symp = build_symplectic14()
-    b = invariant_form().matrix
-    conormal = [b] + [m.transpose() @ b - b @ m for m in symp.borel_g2]
-    moment = [symp.omega @ a for a in symp.actions14]
-    return tuple(map(_integer_entries, conormal)), tuple(map(_integer_entries, moment))
-
-
-def _integer_vector(v: Sequence, n: int) -> list:
-    """`v` cleared of denominators; DimensionMismatch unless it has n entries."""
-    if len(v) != n:
-        raise DimensionMismatch(f"vector of length {len(v)}, expected {n}")
-    return clear_denominators(v)
-
-
-def _image(entries: tuple, y: Sequence) -> list:
-    out = [0] * len(y)
-    for i, j, v in entries:
-        out[i] += v * y[j]
-    return out
-
-
-def _dot(x: Sequence, y: Sequence) -> int:
-    return sum(a * b for a, b in zip(x, y))
-
-
-def _conormal_rows(zprime: list) -> list:
-    """B z' and K_m z', to which conditions (ii) and (iii) make z orthogonal."""
-    return [_image(entries, zprime) for entries in _integer_tables()[0]]
+    return tuple(symp.omega @ a for a in symp.actions14)
 
 
 def conormal_conditions(zprime: Sequence, z: Sequence) -> bool:
     """The three exact conormal conditions: (i) <z', z'> = 0, (ii) <z, z'> = 0,
     (iii) <A z, z'> = <z, A z'>, i.e. z^T K_A z' = 0, for every g2-Borel
-    generator A; forms of degree 2, so tested on z, z' cleared of denominators."""
-    zprime, z = _integer_vector(zprime, REP_DIM), _integer_vector(z, REP_DIM)
-    rows = _conormal_rows(zprime)
-    return _dot(zprime, rows[0]) == 0 and not any(_dot(z, row) for row in rows)
+    generator A; forms of degree 2, so tested on z, z' cleared of denominators.
+    (ii) is evaluated first: its call checks the lengths of both z and z'."""
+    zprime, z = clear_denominators(zprime), clear_denominators(z)
+    forms = _conormal_forms()
+    return (
+        not any(bilinear(f, z, zprime) for f in forms)
+        and bilinear(forms[0], zprime, zprime) == 0
+    )
 
 
 def moment_zero_check(point: Sequence) -> bool:
     """H_A(point) = omega(point, A point)/2 = 0 for all ten Borel generators,
     tested on the point cleared of denominators (H_A is quadratic)."""
-    x = _integer_vector(point, 2 * REP_DIM)
-    return not any(_dot(x, _image(h, x)) for h in _integer_tables()[1])
+    x = clear_denominators(point)
+    return not any(bilinear(h, x, x) for h in _moment_forms())
 
 
 def orbit_dimension(x: Sequence) -> int:
@@ -735,9 +707,9 @@ def sample_isotropic_vector(sampler: SmallRationalSampler, chart: int) -> tuple:
     b = invariant_form().matrix
     x = [sampler.fraction() for _ in range(REP_DIM)]
     x[pivot] = sampler.nonzero_fraction()
-    x[solve_for] = Fraction(0)
+    x[solve_for] = 0
     residual = quadric_value(x)
-    x[solve_for] = -residual / (2 * b.entry(pivot, solve_for) * x[pivot])
+    x[solve_for] = Fraction(-residual) / (2 * b.entry(pivot, solve_for) * x[pivot])
     if quadric_value(x) != 0:
         raise AssertionError("sampled vector is not on the quadric cone")
     return tuple(x)
@@ -746,8 +718,8 @@ def sample_isotropic_vector(sampler: SmallRationalSampler, chart: int) -> tuple:
 def conormal_fiber_basis(zprime: Sequence) -> tuple:
     """Basis of the space of z satisfying conditions (ii) and (iii) at z';
     scaling z' scales every row alike and leaves the reduced kernel as it is."""
-    rows = _conormal_rows(_integer_vector(zprime, REP_DIM))
-    return kernel_basis(DenseMatrix.from_rows(rows))
+    zprime = clear_denominators(zprime)
+    return kernel_basis(DenseMatrix.from_rows([f.mul_vec(zprime) for f in _conormal_forms()]))
 
 
 def sample_conormal_pair(
@@ -756,7 +728,7 @@ def sample_conormal_pair(
     """A pair (z', z) satisfying all three conormal conditions by construction."""
     zprime = sample_isotropic_vector(sampler, chart)
     fiber = conormal_fiber_basis(zprime)
-    z = [Fraction(0)] * REP_DIM
+    z = [0] * REP_DIM
     for basis_vec in fiber:
         c = sampler.fraction()
         z = [a + c * b for a, b in zip(z, basis_vec)]

@@ -482,7 +482,7 @@ def omega_prime_gram(x: G2Element, data: SliceData | None = None) -> DenseMatrix
     if not span_contains(list(kernel), diff.coords):
         raise NotOnSliceError("point is not on the slice e1 + ker ad_f")
     n = DIM + len(kernel)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     kernel_elems = [G2Element(v) for v in kernel]
     kappa_x = [killing(x, b) for b in BASIS]
     table = g2._bracket_table()

@@ -25,7 +25,15 @@ from g2verify.exact_linalg import (
     solve_linear,
     span_contains,
 )
-from g2verify.rep7_verifier import invariant_form, q_element_value
+from g2verify.g2_algebra import BASIS, ad_matrix, killing_gram
+from g2verify.rep7_verifier import (
+    _conormal_forms,
+    _moment_forms,
+    build_rep7,
+    build_symplectic14,
+    invariant_form,
+    q_element_value,
+)
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -215,6 +223,35 @@ def test_dimension_mismatches_raise() -> None:
         DenseMatrix(2, 2, ((Fraction(1),),))
     with pytest.raises(DimensionMismatch):
         solve_linear(m, [1, 2, 3])
+    # The left operand of a bilinear form is checked too, short or long.
+    with pytest.raises(DimensionMismatch):
+        invariant_form().pair([1, 2], [1, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(DimensionMismatch):
+        invariant_form().pair([0, 0, 0, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0])
+
+
+def test_integral_entries_are_stored_as_ints() -> None:
+    def all_int(m: DenseMatrix) -> bool:
+        return all(type(e) is int for row in m.entries for e in row)
+
+    rep = build_rep7()
+    symp = build_symplectic14()
+    assert len(rep.matrices) == 14 and all(map(all_int, rep.matrices))
+    assert all_int(invariant_form().matrix) and all_int(symp.omega)
+    assert len(_moment_forms()) == 10 and all(map(all_int, _moment_forms()))
+    assert len(_conormal_forms()) == 9 and all(map(all_int, _conormal_forms()))
+    assert all(all_int(ad_matrix(b)) for b in BASIS)
+    assert all(type(e) is int for row in killing_gram() for e in row)
+    two = DenseMatrix.from_rows([[Fraction(4, 2)]]).entry(0, 0)
+    assert type(two) is int and two == 2
+    # Arithmetic that lands on an integer stores it as an int as well.
+    half = DenseMatrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(3, 2)]])
+    for m in (half + half, half.scale(2), half @ DenseMatrix.from_rows([[2, 0], [0, 2]])):
+        assert all_int(m)
+    assert all(type(e) is int for e in half.mul_vec([2, 2]))
+    (v,) = kernel_basis(DenseMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)]]))
+    assert v == (-1, 1) and all(type(e) is int for e in v)
+    assert type(half.entry(0, 0)) is Fraction
 
 
 def test_direct_sum_check_detects_overlap() -> None:

@@ -5,7 +5,9 @@ package may rest on one: library code raises explicitly instead.
 
 Arithmetic is exact: no float literal and no `float(...)` call appears
 in the package, so that no stray inexact value can enter the integer
-and rational code.
+and rational code.  Integral entries are stored as ints, and `/` on two
+ints is a float, so every true division has a direct `Fraction(...)` call
+as one operand; floor division `//` is exact on ints and exempt.
 
 The package may import only itself, the standard library and the
 dependencies declared in pyproject.toml: a module that is merely
@@ -53,6 +55,30 @@ def test_package_has_no_float_literals_or_float_calls() -> None:
                 and node.func.id == "float"
             )
             if literal or call:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_every_division_has_a_fraction_operand() -> None:
+    def is_fraction_call(node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction"
+        )
+
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert sources
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                operands = (node.left, node.right)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+                operands = (node.value,)
+            else:
+                continue
+            if not any(map(is_fraction_call, operands)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

@@ -240,13 +240,13 @@ def test_replaced_borel_action_breaks_conormal_equivalence(monkeypatch) -> None:
     odd = _with_entry(symp.actions14[-1], 0, 0, 1)
     bad = dataclasses.replace(symp, actions14=symp.actions14[:-1] + (odd,))
     monkeypatch.setattr(rep7, "build_symplectic14", lambda: bad)
-    rep7._integer_tables.cache_clear()
+    rep7._moment_forms.cache_clear()
     try:
         actual, _ = report_cli._run_conormal_equivalence(Config(samples=10))
     finally:
-        # Drop the tables built from the replaced action before the true
+        # Drop the forms built from the replaced action before the true
         # build_symplectic14 is restored.
-        rep7._integer_tables.cache_clear()
+        rep7._moment_forms.cache_clear()
     agree = int(actual.split("/")[0])
     assert agree < 20, actual
 
