@@ -2,9 +2,11 @@
 
 Scalars are exact rationals: an entry is stored as an ``int`` when it is
 integral and as a ``fractions.Fraction`` only otherwise, so the package's
-integer matrices run on Python ints; inexact values are refused.  Rank is
-fraction-free Bareiss elimination on integers; one rational Gaussian-
-elimination kernel provides the canonical null-space bases and linear solving.
+integer matrices run on Python ints; inexact values are refused.  One
+fraction-free Bareiss elimination on integers serves rank, kernels and
+linear solving: the rank is its pivot count, and null-space bases and
+solutions come from its echelon form by exact back-substitution, equal
+entry for entry to those of the reduced row-echelon form.
 Floating point is never used anywhere in this package.
 """
 
@@ -149,42 +151,18 @@ class DenseMatrix:
         return not any(any(row) for row in self.entries)
 
 
-def _echelon(rows: list, ncols: int) -> tuple[list, list[int]]:
-    """Reduce `rows` (a list of scalar lists) to reduced row-echelon form.
-
-    Returns the reduced rows and the list of pivot columns.
-    """
-    nrows = len(rows)
+def _bareiss(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) row-echelon form of `rows`, each first scaled
+    to integers: a nonzero row factor changes neither the row space nor the
+    solutions of an augmented row.  Returns the nonzero integer echelon rows
+    and their pivot columns.  Every row below a pivot is updated, zeros in
+    the pivot column included, so every division by the previous pivot is
+    exact."""
+    rows = [r for r in map(clear_denominators, rows) if any(r)]
     pivots: list[int] = []
-    r = 0
+    prev = 1
     for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        rows[r] = [Fraction(x) / piv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def rank(m: DenseMatrix) -> int:
-    """Rank of `m`, by fraction-free Bareiss elimination on its rows
-    scaled to integers; every division by the previous pivot is exact."""
-    rows = [r for r in map(clear_denominators, m.entries) if any(r)]
-    r, prev = 0, 1
-    for c in range(m.cols):
+        r = len(pivots)
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
@@ -194,43 +172,53 @@ def rank(m: DenseMatrix) -> int:
             f = rows[i][c]
             rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], rows[r])]
         prev = piv
-        r += 1
-    return r
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def _null_vector(rows: list[list[int]], pivots: list[int], ncols: int, free: int) -> list:
+    """The null vector of the echelon `rows` that is 1 at the non-pivot
+    column `free` and 0 at every other one, by exact back-substitution.
+    It is unique, so it is the reduced row-echelon basis vector."""
+    v = [0] * ncols
+    v[free] = 1
+    for row, pc in zip(reversed(rows), reversed(pivots)):
+        acc = sum(row[j] * v[j] for j in range(pc + 1, ncols) if v[j])
+        v[pc] = _exact(Fraction(-acc) / row[pc])
+    return v
+
+
+def rank(m: DenseMatrix) -> int:
+    """Rank of `m`: the pivot count of its Bareiss echelon form."""
+    return len(_bareiss(m.entries, m.cols)[1])
 
 
 def kernel_basis(m: DenseMatrix) -> tuple[Vector, ...]:
-    """An exact basis of the right null space of `m`.
-
-    Returns ``cols - rank(m)`` vectors v with ``m.mul_vec(v) = 0``.
+    """An exact basis of the right null space of `m`: for each non-pivot
+    column, the null vector that is 1 there and 0 at the other non-pivot
+    columns.  Returns ``cols - rank(m)`` vectors v with ``m.mul_vec(v) = 0``.
     """
-    work = [list(row) for row in m.entries]
-    reduced, pivots = _echelon(work, m.cols)
-    free_cols = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        v = [0] * m.cols
-        v[fc] = 1
-        for r_i, pc in enumerate(pivots):
-            v[pc] = _exact(-reduced[r_i][fc])
-        basis.append(tuple(v))
-    return tuple(basis)
+    rows, pivots = _bareiss(m.entries, m.cols)
+    return tuple(
+        tuple(_null_vector(rows, pivots, m.cols, c))
+        for c in range(m.cols)
+        if c not in pivots
+    )
 
 
 def solve_linear(m: DenseMatrix, b: Sequence) -> Vector | None:
-    """One exact solution of ``m x = b``, or None if the system is inconsistent."""
+    """One exact solution of ``m x = b``, with every free variable 0, or
+    None if the system is inconsistent."""
     if len(b) != m.rows:
         raise DimensionMismatch(
             f"right-hand side has length {len(b)}, expected {m.rows}"
         )
-    bb = [_exact(x) for x in b]
-    work = [list(row) + [bb[i]] for i, row in enumerate(m.entries)]
-    reduced, pivots = _echelon(work, m.cols + 1)
+    augmented = [list(row) + [x] for row, x in zip(m.entries, b)]
+    rows, pivots = _bareiss(augmented, m.cols + 1)
     if m.cols in pivots:
         return None
-    x = [0] * m.cols
-    for r_i, pc in enumerate(pivots):
-        x[pc] = _exact(reduced[r_i][m.cols])
-    return tuple(x)
+    # (x, -1) is a null vector of [m | b], so x is minus the one that is 1 at b.
+    return tuple(-x for x in _null_vector(rows, pivots, m.cols + 1, m.cols)[:-1])
 
 
 def _rank_of_vectors(vectors: Sequence[Sequence], ambient_dim: int) -> int:

@@ -26,7 +26,7 @@ from functools import cache
 from itertools import product
 from typing import Sequence
 
-from .exact_linalg import DenseMatrix, solve_linear
+from .exact_linalg import DenseMatrix, _exact, solve_linear
 
 #: Names of the 14 basis elements, in the fixed order used everywhere.
 BASIS_NAMES: tuple[str, ...] = (
@@ -67,13 +67,15 @@ class NonNilpotentError(ValueError):
 
 @dataclass(frozen=True)
 class G2Element:
-    """An element of g2: 14 exact coefficients in the fixed basis order."""
+    """An element of g2: 14 exact coefficients in the fixed basis order,
+    stored as ints when integral; inexact coefficients raise TypeError."""
 
     coords: tuple
 
     def __post_init__(self) -> None:
         if len(self.coords) != DIM:
             raise ValueError(f"g2 elements have {DIM} coordinates")
+        object.__setattr__(self, "coords", tuple(map(_exact, self.coords)))
 
     @classmethod
     def zero(cls) -> G2Element:

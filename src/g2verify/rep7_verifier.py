@@ -446,49 +446,28 @@ def verify_symplectic_invariance() -> bool:
     return True
 
 
-def _embed(x7: Sequence, slot: int) -> tuple:
-    """Embed a 7-vector into C^7 tensor C^2 in tensor slot 0 (e1) or 1 (e2)."""
-    head = [0] * REP_DIM
-    vec = list(x7)
-    return tuple(vec + head) if slot == 0 else tuple(head + vec)
-
-
 def phi_symplectomorphism_check() -> bool:
-    """The identification (x', x) -> ([x'], x) is a symplectomorphism.
+    """The identification Phi: (x', x) -> ([x'], x) is a symplectomorphism.
 
-    Checks omega(p1, p2) = Omega(Phi(p1), Phi(p2)) on all 196 basis pairs,
-    where Omega(([y1], x1), ([y2], x2)) = omega(x1, y2) - omega(x2, y1),
-    and that each g2-Borel generator preserves both tensor slots, acting
-    on each as its own 7x7 matrix (so the action descends to the quotient
-    and commutes with Phi).
+    L = C^7 tensor e1 is the first block and the quotient V by L is
+    represented by the e2 block, so Phi is the block swap P, and the check
+    is omega = P^T Omega P for Omega(([y1], x1), ([y2], x2)) =
+    x1^T B y2 - y1^T B^T x2: rows y are [0, -B^T], rows x are [B, 0].  Each
+    g2-Borel generator must act as eye2 tensor its 7x7 matrix, i.e. alike
+    on both tensor slots, so the action descends to V and commutes with Phi.
     """
     symp = build_symplectic14()
-    n = 2 * REP_DIM
-    basis14 = [tuple(1 if i == k else 0 for i in range(n)) for k in range(n)]
-
-    def phi(p):
-        # L = C^7 tensor e1 (first block); V = quotient by L, represented
-        # by the e2 block.
-        return (p[REP_DIM:], p[:REP_DIM])
-
-    for p1 in basis14:
-        for p2 in basis14:
-            y1, x1 = phi(p1)
-            y2, x2 = phi(p2)
-            big_omega = omega_pair(_embed(x1, 0), _embed(y2, 1)) - omega_pair(
-                _embed(x2, 0), _embed(y1, 1)
-            )
-            if omega_pair(p1, p2) != big_omega:
-                return False
-
-    for m7, m14 in zip(symp.borel_g2, symp.actions14[: len(symp.borel_g2)]):
-        for i in range(n):
-            for j in range(n):
-                same_block = (i < REP_DIM) == (j < REP_DIM)
-                expected = m7.entry(i % REP_DIM, j % REP_DIM) if same_block else 0
-                if m14.entry(i, j) != expected:
-                    return False
-    return True
+    b = invariant_form().matrix
+    zero = [0] * REP_DIM
+    big_omega = DenseMatrix.from_rows(
+        [zero + [-x for x in b.column(i)] for i in range(REP_DIM)]
+        + [list(b.row(i)) + zero for i in range(REP_DIM)]
+    )
+    swap = _kron(DenseMatrix.from_rows([[0, 1], [1, 0]]), DenseMatrix.identity(REP_DIM))
+    if symp.omega != swap.transpose() @ big_omega @ swap:
+        return False
+    eye2 = DenseMatrix.identity(2)
+    return all(m14 == _kron(eye2, m7) for m7, m14 in zip(symp.borel_g2, symp.actions14))
 
 
 @cache
@@ -513,6 +492,11 @@ def conormal_conditions(zprime: Sequence, z: Sequence) -> bool:
     (ii) is evaluated first: its call checks the lengths of both z and z'."""
     zprime, z = clear_denominators(zprime), clear_denominators(z)
     forms = _conormal_forms()
+    # (ii) never decides alone in any current test: on sampled cone points
+    # (iii) implied it, and off the cone (i) fails.  It stays because it is
+    # part of the conormal definition, its call checks the lengths of both
+    # vectors, and a point count of the Lagrangian, which uses all ten
+    # Hamiltonians, would give it a check that can fail.
     return (
         not any(bilinear(f, z, zprime) for f in forms)
         and bilinear(forms[0], zprime, zprime) == 0
@@ -528,10 +512,7 @@ def moment_zero_check(point: Sequence) -> bool:
 
 def orbit_dimension(x: Sequence) -> int:
     """Rank of the g2-Borel tangent map A -> rho(A) x at the point x."""
-    symp = build_symplectic14()
-    rows = [list(m.mul_vec(x)) for m in symp.borel_g2]
-    if not any(any(r) for r in rows):
-        return 0
+    rows = [m.mul_vec(x) for m in build_symplectic14().borel_g2]
     return rank(DenseMatrix.from_rows(rows))
 
 

@@ -3,9 +3,10 @@
 Property-based checks pin down the algebraic laws (rank--nullity, kernel
 membership, solve correctness) that every later verification step leans
 on; small frozen cases guard the edge behavior and the error paths.  The
-fraction-free Bareiss `rank` is checked against the earlier rank, the
-pivot count of the rational row-echelon kernel, kept here as the
-reference.
+fraction-free Bareiss `rank`, `kernel_basis` and `solve_linear` are checked
+against the earlier rational reduced row-echelon elimination, kept here as
+the reference: same rank, and the same basis vectors and solutions, value
+for value and int or `Fraction` entry for entry.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from g2verify.exact_linalg import (
     DenseMatrix,
     DimensionMismatch,
-    _echelon,
+    _exact,
     bilinear,
     clear_denominators,
     direct_sum_check,
@@ -25,7 +26,7 @@ from g2verify.exact_linalg import (
     solve_linear,
     span_contains,
 )
-from g2verify.g2_algebra import BASIS, ad_matrix, killing_gram
+from g2verify.g2_algebra import BASIS, G2Element, ad_matrix, bracket, killing, killing_gram
 from g2verify.rep7_verifier import (
     _conormal_forms,
     _moment_forms,
@@ -52,10 +53,71 @@ def qq_matrices(draw, max_dim: int = 5) -> DenseMatrix:
     return DenseMatrix.from_rows(entries)
 
 
+def _echelon(rows: list, ncols: int) -> tuple[list, list[int]]:
+    """Reduce `rows` (a list of scalar lists) to reduced row-echelon form.
+
+    Returns the reduced rows and the list of pivot columns.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        piv = rows[r][c]
+        rows[r] = [Fraction(x) / piv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
 def _reference_rank(m: DenseMatrix) -> int:
     """The earlier rank: pivots of the rational reduced row-echelon form."""
     _, pivots = _echelon([list(row) for row in m.entries], m.cols)
     return len(pivots)
+
+
+def _reference_kernel_basis(m: DenseMatrix) -> tuple:
+    """The earlier kernel: one RREF basis vector per non-pivot column."""
+    reduced, pivots = _echelon([list(row) for row in m.entries], m.cols)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [0] * m.cols
+        v[fc] = 1
+        for r_i, pc in enumerate(pivots):
+            v[pc] = _exact(-reduced[r_i][fc])
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _reference_solve_linear(m: DenseMatrix, b) -> tuple | None:
+    """The earlier solver: the RREF solution with every free variable 0."""
+    work = [list(row) + [_exact(x)] for row, x in zip(m.entries, b)]
+    reduced, pivots = _echelon(work, m.cols + 1)
+    if m.cols in pivots:
+        return None
+    x = [0] * m.cols
+    for r_i, pc in enumerate(pivots):
+        x[pc] = _exact(reduced[r_i][m.cols])
+    return tuple(x)
+
+
+def _typed(v) -> list | None:
+    """The entries of `v` with their types: an int and an integral
+    Fraction compare equal, and the kernel must store the int."""
+    return None if v is None else [(type(x), x) for x in v]
 
 
 tall_fractions = st.builds(
@@ -90,6 +152,21 @@ def test_bareiss_rank_matches_reference_rank(m: DenseMatrix) -> None:
     r = rank(m)
     assert type(r) is int
     assert r == _reference_rank(m)
+
+
+@given(rank_test_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_bareiss_kernel_and_solution_match_reference_rref(m: DenseMatrix, data) -> None:
+    kern, reference = kernel_basis(m), _reference_kernel_basis(m)
+    assert list(map(_typed, kern)) == list(map(_typed, reference))
+    # A right-hand side in the image, or drawn freely (mostly inconsistent
+    # when m is rank-deficient, so the None branch is exercised too).
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(small_fractions, min_size=m.cols, max_size=m.cols))
+        b = m.mul_vec(x)
+    else:
+        b = data.draw(st.lists(small_fractions, min_size=m.rows, max_size=m.rows))
+    assert _typed(solve_linear(m, b)) == _typed(_reference_solve_linear(m, b))
 
 
 @pytest.mark.parametrize(
@@ -208,6 +285,12 @@ def test_fields_reject_inexact_scalars() -> None:
             bilinear(m, [bad, 1], [1, 1])
         with pytest.raises(TypeError):
             q_element_value([bad, 0, 0, 1, 0, 0, 0])
+        # A g2 element refuses it, so no float reaches a Killing value or
+        # a bracket.
+        with pytest.raises(TypeError):
+            killing(G2Element((bad,) + (0,) * 13), BASIS[3])
+        with pytest.raises(TypeError):
+            bracket(G2Element((bad,) + (0,) * 13), BASIS[3])
     # An inexact zero on the left is refused too, not skipped as zero.
     with pytest.raises(TypeError):
         invariant_form().pair([0.0, 0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0])
@@ -244,6 +327,7 @@ def test_integral_entries_are_stored_as_ints() -> None:
     assert all(type(e) is int for row in killing_gram() for e in row)
     two = DenseMatrix.from_rows([[Fraction(4, 2)]]).entry(0, 0)
     assert type(two) is int and two == 2
+    assert type(G2Element((Fraction(4, 2),) + (0,) * 13).coords[0]) is int
     # Arithmetic that lands on an integer stores it as an int as well.
     half = DenseMatrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(3, 2)]])
     for m in (half + half, half.scale(2), half @ DenseMatrix.from_rows([[2, 0], [0, 2]])):

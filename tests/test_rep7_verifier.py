@@ -13,6 +13,7 @@ checked against their earlier `Fraction` formulations through the
 bilinear forms, kept here as references.
 """
 
+import dataclasses
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -173,6 +174,39 @@ def test_omega_pair_antisymmetry() -> None:
 
 
 def test_phi_is_a_symplectomorphism() -> None:
+    assert phi_symplectomorphism_check()
+
+
+def _with_entry(m: DenseMatrix, i: int, j: int, value) -> DenseMatrix:
+    rows = [list(row) for row in m.entries]
+    rows[i][j] = value
+    return DenseMatrix.from_rows(rows)
+
+
+def test_phi_check_fails_on_a_perturbed_omega_or_block(monkeypatch) -> None:
+    symp = build_symplectic14()
+    # omega(v, v~) moved off -2, and one entry of the e2-slot block of the
+    # first g2-Borel generator moved off its 7x7 matrix.
+    bad_omega = _with_entry(symp.omega, 0, REP_DIM + 3, -1)
+    a = symp.actions14[0]
+    bad_block = _with_entry(a, REP_DIM, REP_DIM, a.entry(REP_DIM, REP_DIM) + 1)
+    faults = (
+        dataclasses.replace(symp, omega=bad_omega),
+        dataclasses.replace(symp, actions14=(bad_block,) + symp.actions14[1:]),
+    )
+    caches = (rep7._conormal_forms, rep7._moment_forms)
+    for bad in faults:
+        for cached in caches:
+            cached.cache_clear()
+        monkeypatch.setattr(rep7, "build_symplectic14", lambda: bad)
+        try:
+            assert not phi_symplectomorphism_check()
+        finally:
+            # Drop anything built from the fault, then restore the true
+            # build_symplectic14.
+            for cached in caches:
+                cached.cache_clear()
+            monkeypatch.undo()
     assert phi_symplectomorphism_check()
 
 

@@ -1,0 +1,60 @@
+"""sympy as an independent witness for the exact kernel.
+
+sympy is installed in the development environment but is no dependency
+of the package, so this module is skipped where it is missing.  Its
+`Matrix.nullspace` and `Matrix.rank` share no code with the package's
+Bareiss elimination: the null spaces of the conormal fiber systems drawn
+by a default run, and the ranks of the Killing Gram and of the omega'
+Gram at e, must agree with it.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from g2verify import report_cli
+from g2verify import slice_verifier as sv
+from g2verify.exact_linalg import DenseMatrix, clear_denominators, kernel_basis
+from g2verify.g2_algebra import killing_gram
+from g2verify.rep7_verifier import (
+    _conormal_forms,
+    conormal_fiber_basis,
+    sample_conormal_pair,
+)
+from g2verify.sampling import SmallRationalSampler
+
+sympy = pytest.importorskip("sympy")
+
+
+def _sympy_matrix(m: DenseMatrix):
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.entries]
+    )
+
+
+def _as_fractions(v) -> tuple:
+    return tuple(Fraction(int(x.p), int(x.q)) for x in v)
+
+
+def test_nullspace_matches_kernel_basis_on_default_conormal_fibers() -> None:
+    # The stream of the default run's linear.conormal_moment_equivalence.
+    config = report_cli.Config()
+    sampler = SmallRationalSampler(report_cli._check_seed(config, 11))
+    assert config.conormal_samples == 100
+    for k in range(config.conormal_samples):
+        zprime, _ = sample_conormal_pair(sampler, k)
+        scaled = clear_denominators(zprime)
+        m = DenseMatrix.from_rows([f.mul_vec(scaled) for f in _conormal_forms()])
+        expected = tuple(map(_as_fractions, _sympy_matrix(m).nullspace()))
+        assert kernel_basis(m) == expected
+        assert conormal_fiber_basis(zprime) == expected
+
+
+def test_killing_gram_has_sympy_rank_14() -> None:
+    assert sympy.Matrix(killing_gram()).rank() == 14
+
+
+def test_omega_prime_gram_at_e_has_sympy_rank_20() -> None:
+    data = sv.build_slice_data()
+    gram = sv.omega_prime_gram(data.triple.e, data)
+    assert _sympy_matrix(gram).rank() == 20
