@@ -13,6 +13,7 @@ Floating point is never used anywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -116,36 +117,29 @@ class DenseMatrix:
             tuple(tuple(_exact(s * x) for x in row) for row in self.entries),
         )
 
+    @cached_property
+    def _nonzeros(self) -> tuple:
+        """Per row, the (column, entry) pairs of its nonzero entries."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.entries)
+
     def __matmul__(self, other: DenseMatrix) -> DenseMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
+        other_rows = other._nonzeros
         out = []
-        for i in range(self.rows):
-            row_i = self.entries[i]
-            out_row = []
-            for j in range(other.cols):
-                acc = _ZERO
-                for k in range(self.cols):
-                    a = row_i[k]
-                    if a:
-                        acc = acc + a * other.entries[k][j]
-                out_row.append(_exact(acc))
-            out.append(tuple(out_row))
+        for row in self._nonzeros:
+            acc = [_ZERO] * other.cols
+            for k, a in row:
+                for j, b in other_rows[k]:
+                    acc[j] += a * b
+            out.append(tuple(map(_exact, acc)))
         return DenseMatrix(self.rows, other.cols, tuple(out))
 
     def mul_vec(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch("matrix-vector shape mismatch")
         vv = [_exact(x) for x in v]
-        out = []
-        for i in range(self.rows):
-            acc = _ZERO
-            row_i = self.entries[i]
-            for k, x in enumerate(vv):
-                if x:
-                    acc = acc + row_i[k] * x
-            out.append(_exact(acc))
-        return tuple(out)
+        return tuple(_exact(sum(a * vv[k] for k, a in row)) for row in self._nonzeros)
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.entries)

@@ -20,10 +20,11 @@ isotropic locus of the form, which is what the Borel action preserves.
 
 The linear side counts Borel orbits on the quadric cone two ways: over
 characteristic zero via T-fixed isotropic lines with pairwise-distinct
-orbit dimensions (6 lines + the origin = 7), and over F_p by brute-force
-point enumeration plus numpy orbit labelling under one unipotent
-generator per positive root and two torus generators (expected 7 for
-each configured prime).
+orbit dimensions (6 lines + the origin = 7), and over F_p by brute force
+(expected 7 for each configured prime): the cone's points are found by
+broadcasting the quadric over all p^7 vectors one p^6 slab at a time and
+kept as sorted int32 keys sum_i x_i p^i, and numpy labels their orbits
+under one unipotent generator per positive root and two torus generators.
 """
 
 from __future__ import annotations
@@ -199,8 +200,9 @@ def invariant_form() -> InvariantForm:
                     coeffs[_sym_index(k, c)] += m.entry(k, r)
                     coeffs[_sym_index(r, k)] += m.entry(k, c)
                 if any(coeffs):
-                    rows.append(coeffs)
-    kern = kernel_basis(DenseMatrix.from_rows(rows))
+                    rows.append(tuple(coeffs))
+    # Repeated rows (120 of 246) leave the row space, and so the kernel, as it is.
+    kern = kernel_basis(DenseMatrix.from_rows(list(dict.fromkeys(rows))))
     if len(kern) != 1:
         raise AmbiguousSolutionError(
             f"invariant-form solution space has dimension {len(kern)}"
@@ -531,16 +533,27 @@ def tfixed_isotropic_lines() -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-#: Upper bound on p**REP_DIM, the number of vectors the oracle walks: it
-#: admits p = 3, 5, 7 (823,543 vectors) and refuses p = 11.  The oracle
-#: allocates a p**7-entry int64 lookup (6.6 MB at p = 7) plus p**6-row
-#: arrays: the chunk being walked, the cone and one image per generator.
+#: Upper bound on p**REP_DIM, the size of the oracle's key range: it admits
+#: p = 3, 5, 7 (823,543 keys) and refuses p = 11.  The oracle allocates a
+#: p**7-entry int32 lookup (3.3 MB at p = 7), one p**6-entry int32 slab of
+#: quadric values at a time, and int32 arrays with one entry per cone point
+#: (p**6 of them): the keys, seven coordinate rows, and per generator its
+#: image keys and the permutation they index.
 MAX_ORACLE_POINTS = 2_000_000
+
+
+def _int32_intermediates(p: int) -> tuple[int, int, int]:
+    """Worst cases of the oracle's int32 intermediates for coordinates in
+    [0, p): the largest key p**7 - 1, a quadric value (at most 28 terms
+    c x_i x_j with c reduced mod p) and an image row sum_j g_ij x_j."""
+    terms = REP_DIM * (REP_DIM + 1) // 2
+    return p**REP_DIM - 1, terms * (p - 1) ** 3, REP_DIM * (p - 1) ** 2
 
 
 def check_oracle_prime(p: int) -> None:
     """Raise BadPrimeError unless p is a prime >= 3 with p**7 at most
-    MAX_ORACLE_POINTS, i.e. a modulus the oracle can enumerate."""
+    MAX_ORACLE_POINTS, i.e. a modulus the oracle can enumerate, and with
+    every int32 intermediate of the oracle in range."""
     if p**REP_DIM > MAX_ORACLE_POINTS:
         raise BadPrimeError(
             f"oracle would enumerate {p}^{REP_DIM} points, more than "
@@ -548,6 +561,8 @@ def check_oracle_prime(p: int) -> None:
         )
     if p < 3 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise BadPrimeError(f"oracle requires a prime >= 3, got {p}")
+    if max(_int32_intermediates(p)) > np.iinfo(np.int32).max:
+        raise BadPrimeError(f"oracle intermediates overflow int32 at p = {p}")
 
 
 def _matrix_mod_p(m: DenseMatrix, p: int) -> np.ndarray:
@@ -593,25 +608,53 @@ def _torus_generators(p: int) -> list[np.ndarray]:
     ]
 
 
-def _sparse_product(m: np.ndarray, coords: np.ndarray) -> list:
-    """The rows of m @ coords, summed over the nonzero entries of m only."""
-    return [sum(c * coords[j] for j, c in enumerate(row) if c) for row in m]
-
-
-def _cone_points(p: int, powers: np.ndarray) -> np.ndarray:
-    """The points x of F_p^7 with <x, x> = 0, one column each, found by
-    walking the p^7 vectors in p chunks of p^6, one chunk per value of the
-    last coordinate, so that only the cone (p^6 points) is ever kept."""
+def _cone_keys(p: int) -> np.ndarray:
+    """The sorted int32 keys sum_i x_i p^i of the points x of F_p^7 with
+    <x, x> = 0.  The quadric's nonzero terms c x_i x_j are broadcast over
+    a grid with one axis per coordinate, largest place value first, so a
+    grid point's C-order flat index is its key.  The grid is walked one
+    p^6 slab per value of the last coordinate."""
     b_mod = _matrix_mod_p(invariant_form().matrix, p)
-    low = np.arange(p ** (REP_DIM - 1), dtype=np.int64)
-    chunk = np.empty((REP_DIM, len(low)), dtype=np.int64)
-    chunk[:-1] = low // powers[:-1, None] % p
-    columns = []
+    terms = [
+        (c, i, j)
+        for i in range(REP_DIM)
+        for j in range(i, REP_DIM)
+        if (c := int(b_mod[i, i] if i == j else (b_mod[i, j] + b_mod[j, i]) % p))
+    ]
+    n = REP_DIM - 1
+    axis = np.arange(p, dtype=np.int32)
+    grid = [axis.reshape([p if a == n - 1 - i else 1 for a in range(n)]) for i in range(n)]
+    keys = []
     for last in range(p):
-        chunk[-1] = last
-        quadric = sum(x * bx for x, bx in zip(chunk, _sparse_product(b_mod, chunk)))
-        columns.append(chunk[:, quadric % p == 0])
-    return np.concatenate(columns, axis=1)
+        coords = grid + [last]
+        quadric = np.zeros((p,) * n, dtype=np.int32)
+        for c, i, j in terms:
+            quadric += c * coords[i] * coords[j]
+        keys.append(np.flatnonzero(quadric % p == 0).astype(np.int32) + last * p**n)
+    return np.concatenate(keys)
+
+
+def _key_points(keys: np.ndarray, p: int) -> np.ndarray:
+    """The points with the given keys, one C-contiguous int32 row per
+    coordinate."""
+    points = np.empty((REP_DIM, len(keys)), dtype=np.int32)
+    rest = keys
+    for i in range(REP_DIM):
+        rest, points[i] = np.divmod(rest, p)
+    return points
+
+
+def _image_keys(gen: np.ndarray, points: np.ndarray, keys: np.ndarray, p: int) -> np.ndarray:
+    """The keys of gen @ points mod p.  A row of gen equal to the identity's
+    leaves its coordinate, and so its place in the key, as it is; every
+    other row i moves the key by p^i (y_i - x_i), where y_i is that row's
+    image coordinate, summed over the row's nonzero entries only."""
+    image = keys.copy()
+    for i, row in enumerate(gen.tolist()):
+        if any(c != (i == j) for j, c in enumerate(row)):
+            y = sum(c * points[j] for j, c in enumerate(row) if c) % p
+            image += p**i * (y - points[i])
+    return image
 
 
 def _orbit_labels(perms: list[np.ndarray]) -> np.ndarray:
@@ -620,7 +663,7 @@ def _orbit_labels(perms: list[np.ndarray]) -> np.ndarray:
     ways, then pointer-jumps label = label[label] to a fixed point
     (Shiloach-Vishkin).  After a round that changes no label, every edge
     joins equal labels, so the labels are exactly the orbits."""
-    label = np.arange(len(perms[0]), dtype=np.int64)
+    label = np.arange(len(perms[0]), dtype=np.int32)
     while True:
         before = label
         for perm in perms:
@@ -637,24 +680,23 @@ def _orbit_labels(perms: list[np.ndarray]) -> np.ndarray:
 def count_orbits_mod_p(p: int) -> OrbitCountResult:
     """Count Borel orbits on the quadric cone Q(F_p) by brute force.
 
-    Enumerates the p^7 vectors chunk by chunk, keeps those with
-    <x, x> = 0, and labels the orbits of the group generated by the
-    unipotent maps exp(rho(x_delta)) for the six positive roots and the
-    two coroot scalings by a primitive root.  All arithmetic is exact
-    integer arithmetic mod p.
+    Finds the points with <x, x> = 0 among all p^7 vectors, and labels
+    the orbits of the group generated by the unipotent maps
+    exp(rho(x_delta)) for the six positive roots and the two coroot
+    scalings by a primitive root.  All arithmetic is exact integer
+    arithmetic mod p, in int32 within the bounds check_oracle_prime sets.
     """
     check_oracle_prime(p)
-    powers = np.array([p**i for i in range(REP_DIM)], dtype=np.int64)
-    points = _cone_points(p, powers)
-    npoints = points.shape[1]
+    keys = _cone_keys(p)
+    points = _key_points(keys, p)
+    npoints = len(keys)
 
-    lookup = np.full(p**REP_DIM, -1, dtype=np.int64)
-    lookup[powers @ points] = np.arange(npoints, dtype=np.int64)
+    lookup = np.full(p**REP_DIM, -1, dtype=np.int32)
+    lookup[keys] = np.arange(npoints, dtype=np.int32)
 
     perms = []
     for gen in _unipotent_generators(p) + _torus_generators(p):
-        images = _sparse_product(gen, points)
-        image_idx = lookup[sum(w * (y % p) for w, y in zip(powers, images))]
+        image_idx = lookup[_image_keys(gen, points, keys, p)]
         if np.any(image_idx < 0):
             raise AssertionError("generator does not preserve the quadric")
         perms.append(image_idx)

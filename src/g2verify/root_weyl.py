@@ -168,9 +168,10 @@ class Polarization:
 
     def separating_functional(self) -> tuple[int, int] | None:
         """An integer functional strictly positive on all six roots, if any."""
+        roots = self.sorted_roots
         for phi1 in range(-25, 26):
             for phi2 in range(-25, 26):
-                if all(phi1 * r.m1 + phi2 * r.m2 > 0 for r in self.sorted_roots):
+                if all(phi1 * r.m1 + phi2 * r.m2 > 0 for r in roots):
                     return (phi1, phi2)
         return None
 

@@ -254,6 +254,36 @@ def test_product_transpose_law(a: DenseMatrix, b: DenseMatrix) -> None:
     assert lhs.entries == rhs.entries
 
 
+sparse_fractions = st.one_of(st.just(0), small_fractions)
+
+
+@st.composite
+def sparse_matrix_pairs(draw) -> tuple[DenseMatrix, DenseMatrix, list]:
+    """a (n x k), b (k x m) and a k-vector, with about half their entries 0."""
+    n, k, m = (draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
+
+    def grid(r: int, c: int) -> DenseMatrix:
+        row = st.lists(sparse_fractions, min_size=c, max_size=c)
+        return DenseMatrix.from_rows(draw(st.lists(row, min_size=r, max_size=r)))
+
+    return grid(n, k), grid(k, m), draw(st.lists(sparse_fractions, min_size=k, max_size=k))
+
+
+@given(sparse_matrix_pairs())
+@settings(max_examples=100, deadline=None)
+def test_sparse_products_match_dense_reference(operands) -> None:
+    # The products walk only nonzero entries; every entry of the dense sums
+    # must come out equal in value and in int/Fraction type.
+    a, b, v = operands
+    dense = [
+        [_exact(sum(x * y for x, y in zip(row, b.column(j)))) for j in range(b.cols)]
+        for row in a.entries
+    ]
+    assert [_typed(row) for row in (a @ b).entries] == [_typed(row) for row in dense]
+    dense_vec = [_exact(sum(x * y for x, y in zip(row, v))) for row in a.entries]
+    assert _typed(a.mul_vec(v)) == _typed(dense_vec)
+
+
 def test_solve_inconsistent_returns_none() -> None:
     m = DenseMatrix.from_rows([[1], [1]])
     assert solve_linear(m, [0, 1]) is None

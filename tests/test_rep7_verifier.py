@@ -428,6 +428,58 @@ def test_unipotent_generator_powers_are_all_multiples(p: int) -> None:
             assert np.array_equal(power, _exp_mod_p(n, c, p)), (name, c)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_key_built_cone_equals_brute_force_cone(p: int) -> None:
+    # Every vector of F_p^7 from itertools.product, kept when the integer
+    # form <x, x> vanishes mod p: the same set of points, not only as many.
+    b = np.array(invariant_form().matrix.entries, dtype=np.int64)
+    vectors = np.array(list(itertools.product(range(p), repeat=REP_DIM)), dtype=np.int64)
+    cone = vectors[((vectors @ b) * vectors).sum(axis=1) % p == 0]
+    keys = rep7._cone_keys(p)
+    points = rep7._key_points(keys, p)
+    assert keys.dtype == points.dtype == np.int32
+    assert points.shape == (REP_DIM, p**6) and points.flags["C_CONTIGUOUS"]
+    assert np.all(np.diff(keys) > 0)
+    assert np.array_equal(p ** np.arange(REP_DIM) @ points, keys)
+    assert set(map(tuple, points.T.tolist())) == set(map(tuple, cone.tolist()))
+
+
+def test_oracle_keeps_its_cache() -> None:
+    # The benchmark's tracer counts oracle points through cache misses.
+    assert callable(count_orbits_mod_p.cache_info)
+    assert callable(count_orbits_mod_p.cache_clear)
+    count_orbits_mod_p(3)
+    hits = count_orbits_mod_p.cache_info().hits
+    count_orbits_mod_p(3)
+    assert count_orbits_mod_p.cache_info().hits == hits + 1
+
+
+def test_int32_headroom_at_the_largest_admitted_prime(monkeypatch) -> None:
+    int32_max = 2**31 - 1
+    admitted = []
+    for p in range(3, 30):
+        try:
+            rep7.check_oracle_prime(p)
+        except BadPrimeError:
+            continue
+        admitted.append(p)
+    assert admitted == [3, 5, 7]
+    p = admitted[-1]
+    # The largest key, a quadric value (28 terms c x_i x_j, each factor at
+    # most p - 1) and an image row sum_j g_ij x_j (7 terms).
+    bounds = (p**7 - 1, 28 * (p - 1) ** 3, 7 * (p - 1) ** 2)
+    assert rep7._int32_intermediates(p) == bounds
+    assert max(bounds) <= int32_max
+    # Without the size cap the guard admits 13 and 19 but refuses 23,
+    # whose largest key 23^7 - 1 overflows int32.
+    monkeypatch.setattr(rep7, "MAX_ORACLE_POINTS", 10**12)
+    for ok in (11, 13, 19):
+        rep7.check_oracle_prime(ok)
+    assert 23**7 - 1 > int32_max
+    with pytest.raises(BadPrimeError, match="int32"):
+        rep7.check_oracle_prime(23)
+
+
 @pytest.mark.parametrize("bad", [2, 4, 9, 11])
 def test_orbit_count_rejects_bad_moduli(bad: int) -> None:
     with pytest.raises(BadPrimeError):

@@ -324,6 +324,21 @@ def test_oracle_rejects_a_generator_off_the_quadric(monkeypatch) -> None:
     assert report.summary["failed"] == 1
 
 
+def test_oracle_fails_on_a_cone_missing_one_point(monkeypatch) -> None:
+    true_cone_keys = rep7._cone_keys
+    monkeypatch.setattr(rep7, "_cone_keys", lambda p: true_cone_keys(p)[:-1])
+    rep7.count_orbits_mod_p.cache_clear()
+    try:
+        report = run_suite(LINEAR_FAST)
+    finally:
+        # Drop the count made on the short cone before _cone_keys is restored.
+        rep7.count_orbits_mod_p.cache_clear()
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["linear.count_orbits_mod_p.p3"].status == "fail"
+    assert by_name["linear.count_orbits_mod_p.consistency"].status == "skipped"
+    assert report.summary["failed"] == 1
+
+
 def test_check_exceptions_recorded_not_raised(monkeypatch) -> None:
     def boom(config):
         raise RuntimeError("boom")
