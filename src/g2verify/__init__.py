@@ -7,174 +7,34 @@ quadric — then machine-checks two independent counts of 7: the relevant
 slice orbits (6 base + 1 complementary) and the Borel orbits on the
 quadric cone (6 T-fixed isotropic lines + the origin, cross-checked by a
 finite-field orbit-labelling oracle).
+
+The top level re-exports the entry points: the bracket and Killing form,
+both orbit counts, the representation and its invariant form B, and the
+report runner.  Every other name imports from its module, for example
+``from g2verify.rep7_verifier import orbit_dimension``.
 """
 
 from __future__ import annotations
 
-from .exact_linalg import (
-    DenseMatrix,
-    DimensionMismatch,
-    direct_sum_check,
-    kernel_basis,
-    rank,
-    solve_linear,
-    span_contains,
-)
-from .g2_algebra import (
-    BASIS,
-    BASIS_NAMES,
-    BASIS_WEIGHTS,
-    DIM,
-    G2Element,
-    LinearFunctional,
-    NonNilpotentError,
-    ad_matrix,
-    bracket,
-    exp_ad_nilpotent,
-    killing,
-    killing_gram,
-    weight_component,
-)
-from .root_weyl import (
-    ALPHA,
-    BETA,
-    GAMMA,
-    Polarization,
-    Root,
-    WeylElement,
-    all_polarizations,
-    base_positive_system,
-    enumerate_roots,
-    generate_weyl,
-    verify_root_addition_lemma,
-)
+from .exact_linalg import DenseMatrix
+from .g2_algebra import BASIS, bracket, killing
+from .rep7_verifier import build_rep7, count_orbits_mod_p, invariant_form
+from .report_cli import Config, ConfigError, emit, run_suite
 from .sampling import SmallRationalSampler
-from .slice_verifier import (
-    InconsistentCriteriaError,
-    NotOnSliceError,
-    RelevancyRecord,
-    RelevantOrbitCount,
-    SliceData,
-    StructureMismatchError,
-    build_slice_data,
-    count_relevant_orbits,
-    omega_minus1_check,
-    omega_prime_gram,
-    omega_prime_sample_points,
-    verify_contracting_weights,
-    verify_lemma_incl,
-    verify_ml_formula,
-    verify_psi_conditions,
-)
-from .rep7_verifier import (
-    AmbiguousSolutionError,
-    BadPrimeError,
-    InvariantForm,
-    NoSolutionError,
-    OrbitCountResult,
-    REP_LABELS,
-    REP_WEIGHTS,
-    Rep7,
-    Symplectic14,
-    build_rep7,
-    build_symplectic14,
-    conormal_conditions,
-    count_orbits_mod_p,
-    invariant_form,
-    moment_zero_check,
-    orbit_dimension,
-    phi_symplectomorphism_check,
-    quadric_element,
-    quadric_value,
-    tfixed_isotropic_lines,
-    verify_homomorphism,
-    verify_invariant_form,
-    verify_quadric_element,
-)
-from .report_cli import (
-    CheckResult,
-    Config,
-    ConfigError,
-    VerificationReport,
-    emit,
-    run_suite,
-)
+from .slice_verifier import count_relevant_orbits
 
 __all__ = [
-    "ALPHA",
-    "AmbiguousSolutionError",
-    "BadPrimeError",
     "BASIS",
-    "BASIS_NAMES",
-    "BASIS_WEIGHTS",
-    "BETA",
-    "CheckResult",
     "Config",
     "ConfigError",
     "DenseMatrix",
-    "DIM",
-    "DimensionMismatch",
-    "G2Element",
-    "GAMMA",
-    "InconsistentCriteriaError",
-    "InvariantForm",
-    "LinearFunctional",
-    "NoSolutionError",
-    "NonNilpotentError",
-    "NotOnSliceError",
-    "OrbitCountResult",
-    "Polarization",
-    "RelevancyRecord",
-    "RelevantOrbitCount",
-    "Rep7",
-    "REP_LABELS",
-    "REP_WEIGHTS",
-    "Root",
-    "SliceData",
     "SmallRationalSampler",
-    "StructureMismatchError",
-    "Symplectic14",
-    "VerificationReport",
-    "WeylElement",
-    "ad_matrix",
-    "all_polarizations",
-    "base_positive_system",
     "bracket",
     "build_rep7",
-    "build_slice_data",
-    "build_symplectic14",
-    "conormal_conditions",
     "count_orbits_mod_p",
     "count_relevant_orbits",
-    "direct_sum_check",
     "emit",
-    "enumerate_roots",
-    "exp_ad_nilpotent",
-    "generate_weyl",
     "invariant_form",
-    "kernel_basis",
     "killing",
-    "killing_gram",
-    "moment_zero_check",
-    "omega_minus1_check",
-    "omega_prime_gram",
-    "omega_prime_sample_points",
-    "orbit_dimension",
-    "phi_symplectomorphism_check",
-    "quadric_element",
-    "quadric_value",
-    "rank",
     "run_suite",
-    "solve_linear",
-    "span_contains",
-    "tfixed_isotropic_lines",
-    "verify_contracting_weights",
-    "verify_homomorphism",
-    "verify_invariant_form",
-    "verify_lemma_incl",
-    "verify_ml_formula",
-    "verify_psi_conditions",
-    "verify_quadric_element",
-    "verify_root_addition_lemma",
-    "weight_component",
 ]

@@ -23,9 +23,6 @@ class DimensionMismatch(ValueError):
     """A vector or matrix operand has incompatible dimensions."""
 
 
-_ZERO = 0
-
-
 def _exact(x: int | Fraction) -> int | Fraction:
     """`x` as an int when integral, else as a Fraction; TypeError for an
     inexact scalar (float, bool, ...)."""
@@ -128,7 +125,7 @@ class DenseMatrix:
         other_rows = other._nonzeros
         out = []
         for row in self._nonzeros:
-            acc = [_ZERO] * other.cols
+            acc = [0] * other.cols
             for k, a in row:
                 for j, b in other_rows[k]:
                     acc[j] += a * b
@@ -215,30 +212,6 @@ def solve_linear(m: DenseMatrix, b: Sequence) -> Vector | None:
     return tuple(-x for x in _null_vector(rows, pivots, m.cols + 1, m.cols)[:-1])
 
 
-def _rank_of_vectors(vectors: Sequence[Sequence], ambient_dim: int) -> int:
-    if not vectors:
-        return 0
-    for v in vectors:
-        if len(v) != ambient_dim:
-            raise DimensionMismatch(
-                f"vector of length {len(v)} in ambient dimension {ambient_dim}"
-            )
-    return rank(DenseMatrix.from_rows(vectors))
-
-
-def direct_sum_check(
-    a: Sequence[Sequence], b: Sequence[Sequence], ambient_dim: int
-) -> bool:
-    """True iff span(a) and span(b) intersect trivially.
-
-    Decided exactly: rank(a + b) must equal rank(a) + rank(b).
-    """
-    rank_a = _rank_of_vectors(a, ambient_dim)
-    rank_b = _rank_of_vectors(b, ambient_dim)
-    rank_ab = _rank_of_vectors(list(a) + list(b), ambient_dim)
-    return rank_ab == rank_a + rank_b
-
-
 def span_contains(basis: Sequence[Sequence], v: Sequence) -> bool:
     """True iff `v` lies in the span of `basis` (exact membership test)."""
     if not basis:
@@ -252,4 +225,4 @@ def bilinear(m: DenseMatrix, x: Sequence, y: Sequence) -> int | Fraction:
     if len(x) != m.rows:
         raise DimensionMismatch(f"left vector has length {len(x)}, expected {m.rows}")
     img = m.mul_vec(y)
-    return sum((a * v for a, v in zip(map(_exact, x), img) if a), _ZERO)
+    return sum((a * v for a, v in zip(map(_exact, x), img) if a), 0)

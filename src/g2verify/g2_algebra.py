@@ -60,11 +60,6 @@ BASIS_WEIGHTS: tuple[tuple[int, int], ...] = (
 )
 
 
-class NonNilpotentError(ValueError):
-    """Raised when a nilpotent adjoint exponential is requested for a
-    non-nilpotent element."""
-
-
 @dataclass(frozen=True)
 class G2Element:
     """An element of g2: 14 exact coefficients in the fixed basis order,
@@ -85,10 +80,6 @@ class G2Element:
     def basis(cls, index: int) -> G2Element:
         return cls(tuple(1 if i == index else 0 for i in range(DIM)))
 
-    @classmethod
-    def from_coords(cls, coords: Sequence) -> G2Element:
-        return cls(tuple(coords))
-
     def __add__(self, other: G2Element) -> G2Element:
         return G2Element(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
@@ -100,9 +91,6 @@ class G2Element:
 
     def scale(self, s) -> G2Element:
         return G2Element(tuple(s * a for a in self.coords))
-
-    def __rmul__(self, s) -> G2Element:
-        return self.scale(s)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -269,80 +257,20 @@ def killing(x: G2Element, y: G2Element) -> int | Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class LinearFunctional:
-    """The functional x -> killing(rep, x) for a fixed representing element."""
-
-    rep: G2Element
-
-    def __call__(self, x: G2Element) -> int | Fraction:
-        return killing(self.rep, x)
-
-
-def exp_ad_nilpotent(x: G2Element, t) -> DenseMatrix:
-    """The exact exponential sum_k t^k/k! ad(x)^k for nilpotent ad(x).
-
-    Raises NonNilpotentError if the powers of ad(x) do not vanish within
-    the dimension bound 14.
-    """
-    t = Fraction(t)
-    a = ad_matrix(x)
-    result = DenseMatrix.identity(DIM)
-    term = DenseMatrix.identity(DIM)
-    factorial = 1
-    for k in range(1, DIM + 1):
-        term = term @ a
-        if term.is_zero():
-            return result
-        factorial *= k
-        result = result + term.scale(Fraction(t**k, factorial))
-    raise NonNilpotentError(f"ad({x!r}) is not nilpotent within power {DIM}")
-
-
 def apply_matrix(m: DenseMatrix, x: G2Element) -> G2Element:
     """Apply a 14x14 matrix (in the fixed basis) to an algebra element."""
     return G2Element(m.mul_vec(x.coords))
 
 
-def weight_component(x: G2Element, w: Sequence[int]) -> G2Element:
-    """Projection of `x` onto the coordinate subspace of weight `w`."""
-    target = (w[0], w[1])
-    return G2Element(
-        tuple(
-            c if BASIS_WEIGHTS[i] == target else 0
-            for i, c in enumerate(x.coords)
-        )
-    )
-
-
-def root_vector_index(w: Sequence[int]) -> int:
-    """Index of the unique basis element of nonzero weight `w`."""
+def root_vector(w: Sequence[int]) -> G2Element:
+    """The basis root vector of nonzero weight `w`."""
     target = (w[0], w[1])
     if target == (0, 0):
         raise ValueError("weight zero is not a root")
-    for i, bw in enumerate(BASIS_WEIGHTS):
-        if bw == target:
-            return i
-    raise ValueError(f"{target} is not a root of g2")
+    if target not in BASIS_WEIGHTS:
+        raise ValueError(f"{target} is not a root of g2")
+    return BASIS[BASIS_WEIGHTS.index(target)]
 
-
-def root_vector(w: Sequence[int]) -> G2Element:
-    """The basis root vector of nonzero weight `w`."""
-    return BASIS[root_vector_index(w)]
-
-
-def adjoint_tables_text() -> str:
-    """Plain-text dump of all 14 adjoint matrices, for documentation."""
-    lines = []
-    for i, name in enumerate(BASIS_NAMES):
-        lines.append(f"ad({name}) =")
-        m = ad_matrix(BASIS[i])
-        width = max(len(str(m.entry(r, c))) for r in range(DIM) for c in range(DIM))
-        for r in range(DIM):
-            row = "  ".join(str(m.entry(r, c)).rjust(width) for c in range(DIM))
-            lines.append(f"  [{row}]")
-        lines.append("")
-    return "\n".join(lines)
 
 def verify_antisymmetry() -> int:
     """Number of ordered basis pairs with [x, y] + [y, x] = 0 (196 = all)."""

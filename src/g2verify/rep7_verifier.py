@@ -60,17 +60,6 @@ REP_WEIGHTS: tuple[tuple[int, int], ...] = (
     (0, 0),    # u
 )
 
-#: Coefficients (on a1, a2, a3) of each line's weight, for Cartan action.
-_REP_A_COEFFS: tuple[tuple[int, int, int], ...] = (
-    (0, 0, -1),
-    (0, 1, 0),
-    (-1, 0, 0),
-    (0, 0, 1),
-    (0, -1, 0),
-    (1, 0, 0),
-    (0, 0, 0),
-)
-
 _V, _W, _TT, _VT, _WT, _T, _U = range(REP_DIM)
 
 
@@ -104,16 +93,6 @@ class Rep7:
             for i in range(REP_DIM)
         ]
         return DenseMatrix.from_rows(rows)
-
-
-@dataclass(frozen=True)
-class InvariantForm:
-    """The invariant symmetric bilinear form <.,.> on the representation."""
-
-    matrix: DenseMatrix
-
-    def pair(self, x: Sequence, y: Sequence) -> Fraction:
-        return bilinear(self.matrix, x, y)
 
 
 @dataclass(frozen=True)
@@ -178,8 +157,9 @@ def _sym_index(i: int, j: int) -> int:
 
 
 @cache
-def invariant_form() -> InvariantForm:
-    """The invariant symmetric bilinear form <.,.>, solved exactly.
+def invariant_form() -> DenseMatrix:
+    """The matrix B of the invariant symmetric bilinear form <.,.>, solved
+    exactly.
 
     The unknown symmetric matrix B must satisfy rho(x)^T B + B rho(x) = 0
     for all 14 basis elements x; the solution space is required to be a
@@ -216,12 +196,12 @@ def invariant_form() -> InvariantForm:
         [packed[_sym_index(i, j)] * scale for j in range(REP_DIM)]
         for i in range(REP_DIM)
     ]
-    return InvariantForm(DenseMatrix.from_rows(entries))
+    return DenseMatrix.from_rows(entries)
 
 
 def quadric_value(x: Sequence) -> Fraction:
     """The quadratic form <x, x> whose isotropic locus is the cone Q."""
-    return invariant_form().pair(x, x)
+    return bilinear(invariant_form(), x, x)
 
 
 def _sparse_matrix(entries: dict, scale=1) -> DenseMatrix:
@@ -253,12 +233,13 @@ def _commutator(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 
 
 def _cartan_action(x: G2Element) -> DenseMatrix:
-    """The diagonal action of a Cartan element, read off from the weights."""
+    """The diagonal action of a Cartan element H = c12 h_a + c13 h_b, read
+    off from the weights: alpha(H) = c12 and beta(H) = c13 - 2 c12."""
     c = x.coords
     if any(c[:12]):
         raise ValueError("not a Cartan element")
-    d = (c[12], c[13] - c[12], -c[13])
-    diag = [sum(k * di for k, di in zip(coeffs, d)) for coeffs in _REP_A_COEFFS]
+    alpha, beta = c[12], c[13] - 2 * c[12]
+    diag = [m1 * alpha + m2 * beta for m1, m2 in REP_WEIGHTS]
     return _sparse_matrix({(i, i): diag[i] for i in range(REP_DIM) if diag[i]})
 
 
@@ -340,10 +321,10 @@ def build_rep7() -> Rep7:
     return Rep7(matrices=matrices, f2_coefficients=coeffs)
 
 
-def verify_homomorphism(rep: Rep7 | None = None) -> int:
+def verify_homomorphism() -> int:
     """Number of basis pairs (i < j) satisfying the homomorphism identity
     rho([b_i, b_j]) = [rho(b_i), rho(b_j)]; 91 means all pass."""
-    rep = rep or build_rep7()
+    rep = build_rep7()
     good = 0
     for i in range(DIM):
         for j in range(i + 1, DIM):
@@ -354,12 +335,10 @@ def verify_homomorphism(rep: Rep7 | None = None) -> int:
     return good
 
 
-def verify_weight_compatibility(rep: Rep7 | None = None) -> bool:
+def verify_weight_compatibility() -> bool:
     """Each root vector maps every weight line into the shifted weight line."""
-    rep = rep or build_rep7()
-    for b_idx in range(12):
+    for b_idx, m in enumerate(build_rep7().matrices[:12]):
         delta = BASIS_WEIGHTS[b_idx]
-        m = rep.matrices[b_idx]
         for j in range(REP_DIM):
             target = (REP_WEIGHTS[j][0] + delta[0], REP_WEIGHTS[j][1] + delta[1])
             for i in range(REP_DIM):
@@ -368,31 +347,29 @@ def verify_weight_compatibility(rep: Rep7 | None = None) -> bool:
     return True
 
 
-def zero_weight_space(rep: Rep7 | None = None) -> tuple:
+def zero_weight_space() -> tuple:
     """Basis of the joint kernel of the two Cartan actions (the zero-weight
     space); expected to be the single line through u."""
-    rep = rep or build_rep7()
+    rep = build_rep7()
     stacked = [
         list(rep.matrix("h_a").row(i)) for i in range(REP_DIM)
     ] + [list(rep.matrix("h_b").row(i)) for i in range(REP_DIM)]
     return kernel_basis(DenseMatrix.from_rows(stacked))
 
 
-def verify_invariant_form(rep: Rep7 | None = None) -> int:
+def verify_invariant_form() -> int:
     """Number of basis x whose action leaves the bilinear form invariant,
     rho(x)^T B + B rho(x) = 0; 14 means all pass."""
-    rep = rep or build_rep7()
-    b = invariant_form().matrix
-    return sum(1 for m in rep.matrices if (m.transpose() @ b + b @ m).is_zero())
+    b = invariant_form()
+    return sum(1 for m in build_rep7().matrices if (m.transpose() @ b + b @ m).is_zero())
 
 
-def verify_quadric_element(rep: Rep7 | None = None) -> int:
+def verify_quadric_element() -> int:
     """Number of basis x whose action leaves the symmetric-square element q
     invariant, rho(x) C + C rho(x)^T = 0, where C is the polarized
     coefficient matrix of q = u^2 - 4vv~ - 4ww~ - 4tt~; 14 means all pass."""
-    rep = rep or build_rep7()
     c = quadric_element()
-    return sum(1 for m in rep.matrices if (m @ c + c @ m.transpose()).is_zero())
+    return sum(1 for m in build_rep7().matrices if (m @ c + c @ m.transpose()).is_zero())
 
 
 #: The linear-side Borel: Cartan pair plus the six positive-root vectors of
@@ -420,7 +397,7 @@ def build_symplectic14() -> Symplectic14:
     # The basis runs over the C^2 index first, so each tensor product
     # below is a Kronecker product with the 2x2 factor on the left.
     omega2 = DenseMatrix.from_rows([[0, 1], [-1, 0]])
-    omega = _kron(omega2, invariant_form().matrix)
+    omega = _kron(omega2, invariant_form())
     borel_g2 = tuple(rep.matrix(name) for name in BOREL_G2_NAMES)
     sl2_h = DenseMatrix.from_rows([[1, 0], [0, -1]])
     sl2_e = DenseMatrix.from_rows([[0, 1], [0, 0]])
@@ -430,11 +407,6 @@ def build_symplectic14() -> Symplectic14:
         _kron(sl2_e, eye7),
     )
     return Symplectic14(omega=omega, borel_g2=borel_g2, actions14=actions)
-
-
-def omega_pair(x: Sequence, y: Sequence) -> Fraction:
-    """Evaluate omega = B tensor omega2 on two 14-vectors."""
-    return bilinear(build_symplectic14().omega, x, y)
 
 
 def verify_symplectic_invariance() -> bool:
@@ -459,7 +431,7 @@ def phi_symplectomorphism_check() -> bool:
     on both tensor slots, so the action descends to V and commutes with Phi.
     """
     symp = build_symplectic14()
-    b = invariant_form().matrix
+    b = invariant_form()
     zero = [0] * REP_DIM
     big_omega = DenseMatrix.from_rows(
         [zero + [-x for x in b.column(i)] for i in range(REP_DIM)]
@@ -476,7 +448,7 @@ def phi_symplectomorphism_check() -> bool:
 def _conormal_forms() -> tuple:
     """B and K_m = m^T B - B m for the g2-Borel generators m: conditions
     (ii) and (iii) make z orthogonal to B z' and to every K_m z'."""
-    b = invariant_form().matrix
+    b = invariant_form()
     return (b,) + tuple(m.transpose() @ b - b @ m for m in build_symplectic14().borel_g2)
 
 
@@ -524,7 +496,7 @@ def tfixed_isotropic_lines() -> tuple[int, ...]:
     Exactly the six nonzero-weight lines qualify; the zero-weight line u
     is excluded because B(u, u) = 4.
     """
-    b = invariant_form().matrix
+    b = invariant_form()
     return tuple(k for k in range(REP_DIM) if b.entry(k, k) == 0)
 
 
@@ -614,7 +586,7 @@ def _cone_keys(p: int) -> np.ndarray:
     a grid with one axis per coordinate, largest place value first, so a
     grid point's C-order flat index is its key.  The grid is walked one
     p^6 slab per value of the last coordinate."""
-    b_mod = _matrix_mod_p(invariant_form().matrix, p)
+    b_mod = _matrix_mod_p(invariant_form(), p)
     terms = [
         (c, i, j)
         for i in range(REP_DIM)
@@ -727,7 +699,7 @@ def sample_isotropic_vector(sampler: SmallRationalSampler, chart: int) -> tuple:
     the line is isotropic, and <x, e_s> = B[pivot][s] x[pivot] != 0.
     """
     solve_for, pivot = ((_VT, _V), (_WT, _W), (_TT, _T))[chart % 3]
-    b = invariant_form().matrix
+    b = invariant_form()
     x = [sampler.fraction() for _ in range(REP_DIM)]
     x[pivot] = sampler.nonzero_fraction()
     x[solve_for] = 0
@@ -756,19 +728,3 @@ def sample_conormal_pair(
         c = sampler.fraction()
         z = [a + c * b for a, b in zip(z, basis_vec)]
     return zprime, tuple(z)
-
-
-def rep_matrix_table(rep: Rep7 | None = None) -> str:
-    """Plain-text dump of the fourteen representation matrices."""
-    rep = rep or build_rep7()
-    lines = [f"basis order: {', '.join(REP_LABELS)}", ""]
-    for name, m in zip(BASIS_NAMES, rep.matrices):
-        lines.append(f"rho({name}) =")
-        width = max(
-            len(str(m.entry(i, j))) for i in range(REP_DIM) for j in range(REP_DIM)
-        )
-        for i in range(REP_DIM):
-            row = "  ".join(str(m.entry(i, j)).rjust(width) for j in range(REP_DIM))
-            lines.append(f"  [{row}]")
-        lines.append("")
-    return "\n".join(lines)

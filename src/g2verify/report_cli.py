@@ -260,25 +260,20 @@ def _run_relevant_total(config: Config) -> tuple[str, dict | None]:
     return str(count.total), details
 
 
+def _omega_prime_rank(x: g2.G2Element) -> int | None:
+    """The rank of the omega' Gram at x, or None if it is not antisymmetric."""
+    gram = sv.omega_prime_gram(x)
+    return rank(gram) if (gram + gram.transpose()).is_zero() else None
+
+
 def _run_omega_prime_at_e(config: Config) -> tuple[str, dict | None]:
-    data = sv.build_slice_data()
-    gram = sv.omega_prime_gram(data.triple.e, data)
-    if not (gram + gram.transpose()).is_zero():
-        return "not antisymmetric", None
-    return str(rank(gram)), None
+    r = _omega_prime_rank(sv.build_slice_data().triple.e)
+    return ("not antisymmetric" if r is None else str(r)), None
 
 
 def _omega_prime_full_rank_samples(config: Config) -> int:
-    data = sv.build_slice_data()
-    points = sv.omega_prime_sample_points(
-        _check_seed(config, 5), config.rank_samples, data
-    )
-    good = 0
-    for x, _coeffs in points:
-        gram = sv.omega_prime_gram(x, data)
-        if (gram + gram.transpose()).is_zero() and rank(gram) == 20:
-            good += 1
-    return good
+    points = sv.omega_prime_sample_points(_check_seed(config, 5), config.rank_samples)
+    return sum(_omega_prime_rank(x) == 20 for x, _coeffs in points)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +317,7 @@ def _run_zero_weight(config: Config) -> tuple[str, dict | None]:
 
 
 def _run_form_values(config: Config) -> tuple[str, dict | None]:
-    b = rep7.invariant_form().matrix
+    b = rep7.invariant_form()
     expected_entries = {(0, 3): -2, (1, 4): -2, (5, 2): -2, (6, 6): 4}
     for i in range(7):
         for j in range(7):
@@ -681,9 +676,13 @@ def _headline_int(results: Sequence[CheckResult], name: str) -> int | None:
 
 
 def _headline_linear(results: Sequence[CheckResult]) -> int | None:
-    # T-fixed isotropic lines plus the origin orbit.
+    # T-fixed isotropic lines plus the origin orbit, once their orbit
+    # dimensions are distinct, so that the lines lie in distinct orbits.
     count = _headline_int(results, "linear.tfixed_lines.count")
-    return count + 1 if count is not None else None
+    dims_pass = any(
+        r.name == "linear.tfixed_lines.orbit_dims" and r.status == "pass" for r in results
+    )
+    return count + 1 if count is not None and dims_pass else None
 
 
 def _config_payload(config: Config) -> dict:
@@ -756,6 +755,25 @@ def emit(report: VerificationReport, config: Config) -> str:
         f"linear_total = {h['linear_total']}"
     )
     return "\n".join(lines) + "\n"
+
+
+def _matrix_lines(label: str, m: DenseMatrix) -> list[str]:
+    """`label =`, then the rows of `m` with entries right-aligned to one
+    width, then a blank line."""
+    width = max(len(str(x)) for row in m.entries for x in row)
+    rows = ["  [" + "  ".join(str(x).rjust(width) for x in row) + "]" for row in m.entries]
+    return [f"{label} ="] + rows + [""]
+
+
+def _tables_text() -> str:
+    """The 14 adjoint matrices and the 14 representation matrices, as text."""
+    lines = []
+    for name, b in zip(g2.BASIS_NAMES, g2.BASIS):
+        lines += _matrix_lines(f"ad({name})", g2.ad_matrix(b))
+    lines += [f"basis order: {', '.join(rep7.REP_LABELS)}", ""]
+    for name, m in zip(g2.BASIS_NAMES, rep7.build_rep7().matrices):
+        lines += _matrix_lines(f"rho({name})", m)
+    return "\n".join(lines)
 
 
 def _parse_csv(value: str, what: str) -> tuple[str, ...]:
@@ -852,14 +870,9 @@ def main(
         click.echo(document, nl=False)
 
     if dump_tables is not None:
-        tables = (
-            g2.adjoint_tables_text()
-            + "\n"
-            + rep7.rep_matrix_table(rep7.build_rep7())
-        )
         try:
             with open(dump_tables, "w", encoding="utf-8") as handle:
-                handle.write(tables)
+                handle.write(_tables_text())
         except OSError as exc:
             click.echo(f"failed to write tables to {dump_tables}: {exc}", err=True)
             raise SystemExit(1)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -49,9 +48,6 @@ class Root:
     def norm_sq(self) -> int:
         return self.pairing(self)
 
-    def is_long(self) -> bool:
-        return self.norm_sq() == 6
-
     def __repr__(self) -> str:
         return f"({self.m1},{self.m2})"
 
@@ -67,10 +63,6 @@ def enumerate_roots() -> tuple[Root, ...]:
     positive = [Root(1, 0), Root(0, 1), Root(1, 1), Root(2, 1), Root(3, 1), Root(3, 2)]
     roots = positive + [-r for r in positive]
     return tuple(sorted(roots))
-
-
-def is_root(v: Root) -> bool:
-    return v in set(enumerate_roots())
 
 
 @dataclass(frozen=True, order=True)

@@ -17,25 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from typing import Sequence
+from functools import cache, partial
+from typing import Callable, Sequence
 
 from . import g2_algebra as g2
-from .exact_linalg import (
-    DenseMatrix,
-    direct_sum_check,
-    kernel_basis,
-    rank,
-    solve_linear,
-    span_contains,
-)
+from .exact_linalg import DenseMatrix, kernel_basis, rank, span_contains
 from .g2_algebra import (
     BASIS,
     BASIS_NAMES,
     BASIS_WEIGHTS,
     DIM,
     G2Element,
-    LinearFunctional,
     ad_matrix,
     apply_matrix,
     bracket,
@@ -47,7 +39,6 @@ from .root_weyl import (
     Root,
     WeylElement,
     all_polarizations,
-    base_positive_system,
     generate_weyl,
 )
 from .sampling import SmallRationalSampler
@@ -125,7 +116,7 @@ class SliceData:
     triple: Sl2TripleData
     grading: HGrading
     subalgebras: SliceSubalgebras
-    psi: LinearFunctional
+    psi: Callable[[G2Element], int | Fraction]  # x -> killing(e, x)
 
 
 @dataclass(frozen=True)
@@ -152,10 +143,6 @@ def _indices(*names: str) -> tuple[int, ...]:
     return tuple(BASIS_NAMES.index(n) for n in names)
 
 
-def _span_rows(indices: Sequence[int]) -> list[tuple]:
-    return [BASIS[i].coords for i in indices]
-
-
 def _h_weight(x: G2Element, h: G2Element) -> int:
     """The eigenvalue of ad h on a joint eigenvector x (must be exact)."""
     bx = bracket(h, x)
@@ -170,14 +157,15 @@ def _h_weight(x: G2Element, h: G2Element) -> int:
     return 0
 
 
-def _check_bracket_closed(indices: Sequence[int], name: str) -> None:
-    rows = _span_rows(indices)
-    for i in indices:
-        for j in indices:
+def _check_brackets_in(a: Sequence[int], b: Sequence[int], what: str) -> None:
+    """Brackets of the basis vectors `a` with those of `b` stay in span(b)."""
+    rows = [BASIS[j].coords for j in b]
+    for i in a:
+        for j in b:
             br = bracket(BASIS[i], BASIS[j])
             if not br.is_zero() and not span_contains(rows, br.coords):
                 raise StructureMismatchError(
-                    f"{name} is not bracket-closed at ({BASIS_NAMES[i]}, {BASIS_NAMES[j]})"
+                    f"{what} at ({BASIS_NAMES[i]}, {BASIS_NAMES[j]})"
                 )
 
 
@@ -242,20 +230,16 @@ def build_slice_data() -> SliceData:
         l=l, n_l=n_l, u5=u5, u6=u6, s=s, t_prime=t_prime, ker_ad_f=ker
     )
 
-    # Subalgebra closure and nilpotency.
-    _check_bracket_closed(n_l, "n_l")
-    _check_bracket_closed(u5, "u5")
-    _check_bracket_closed(u6, "u6")
-    _check_bracket_closed(s, "s")
+    # Subalgebra closure, [s, n_l] inside n_l, and nilpotency.
+    for name, a, b in (
+        ("n_l is not bracket-closed", n_l, n_l),
+        ("u5 is not bracket-closed", u5, u5),
+        ("u6 is not bracket-closed", u6, u6),
+        ("s is not bracket-closed", s, s),
+        ("[s, n_l] escapes n_l", s, n_l),
+    ):
+        _check_brackets_in(a, b, name)
     _check_nilpotent_span(n_l, "n_l")
-
-    # [s, n_l] inside n_l.
-    n_l_rows = _span_rows(n_l)
-    for i in s:
-        for j in n_l:
-            br = bracket(BASIS[i], BASIS[j])
-            if not br.is_zero() and not span_contains(n_l_rows, br.coords):
-                raise StructureMismatchError("[s, n_l] escapes n_l")
 
     # l sits in g_(-1) and is isotropic for omega_{-1}.
     if set(l) - set(grading.indices(-1)):
@@ -264,18 +248,17 @@ def build_slice_data() -> SliceData:
     if killing(bracket(e2, e2), e) != 0:
         raise StructureMismatchError("l is not isotropic for omega_{-1}")
 
-    psi = LinearFunctional(e)
-    return SliceData(triple=triple, grading=grading, subalgebras=subs, psi=psi)
+    return SliceData(triple, grading, subs, psi=partial(killing, e))
 
 
-def verify_psi_conditions(data: SliceData | None = None) -> bool:
+def verify_psi_conditions() -> bool:
     """psi kills all brackets of n_l, of s with n_l, and of t' + u5.
 
     The first family is n_l-invariance of psi, the second is s-invariance,
     and the third certifies the invariant extension to the semidirect
     product at the Lie level.
     """
-    data = data or build_slice_data()
+    data = build_slice_data()
     psi = data.psi
     subs = data.subalgebras
     n_l = [BASIS[i] for i in subs.n_l]
@@ -289,13 +272,13 @@ def verify_psi_conditions(data: SliceData | None = None) -> bool:
     return True
 
 
-def verify_lemma_incl(data: SliceData | None = None) -> bool:
+def verify_lemma_incl() -> bool:
     """Bracket-level inclusion of the slice action into e + m_l-perp.
 
     Checks killing(z, y) = 0 and killing([x, y + e], z) = 0 for all basis
     x in n_l, y in ker ad_f together with y = 0, and z in m_l = n_l.
     """
-    data = data or build_slice_data()
+    data = build_slice_data()
     subs = data.subalgebras
     e = data.triple.e
     n_l = [BASIS[i] for i in subs.n_l]
@@ -322,9 +305,9 @@ def _m_l_perp_basis(data: SliceData) -> tuple:
     return kernel_basis(DenseMatrix.from_rows(pairing_rows))
 
 
-def verify_ml_formula(data: SliceData | None = None) -> bool:
+def verify_ml_formula() -> bool:
     """m_l-perp = [n_l, e] + ker ad_f, a direct sum of dimensions 4 + 6 = 10."""
-    data = data or build_slice_data()
+    data = build_slice_data()
     subs = data.subalgebras
     e = data.triple.e
     perp = _m_l_perp_basis(data)
@@ -340,7 +323,8 @@ def verify_ml_formula(data: SliceData | None = None) -> bool:
     for v in bracket_span + kernel_span:
         if not span_contains(perp_rows, v):
             return False
-    return direct_sum_check(bracket_span, kernel_span, DIM)
+    # Rank 4 + 6 = 10 makes the sum direct.
+    return rank(DenseMatrix.from_rows(bracket_span + kernel_span)) == 10
 
 
 def _max_h_level(vectors: Sequence, grading: HGrading) -> int:
@@ -356,21 +340,21 @@ def _max_h_level(vectors: Sequence, grading: HGrading) -> int:
     return top
 
 
-def verify_contracting_weights(data: SliceData | None = None) -> bool:
+def verify_contracting_weights() -> bool:
     """The contracting-action weight bounds: ker ad_f sits in levels <= 0
     (so every scaling weight 2 - i is positive) and m_l-perp in levels <= 1."""
-    data = data or build_slice_data()
+    data = build_slice_data()
     return (
         _max_h_level(data.subalgebras.ker_ad_f, data.grading) <= 0
         and _max_h_level(_m_l_perp_basis(data), data.grading) <= 1
     )
 
 
-def omega_minus1_check(data: SliceData | None = None) -> bool:
+def omega_minus1_check() -> bool:
     """The form omega_{-1}(x, y) = killing([x, y], e) on g_(-1) is
     alternating and non-degenerate, and l = <e2> is an isotropic
     single-weight line."""
-    data = data or build_slice_data()
+    data = build_slice_data()
     e = data.triple.e
     idx = data.grading.indices(-1)
     if len(idx) != 2:
@@ -391,13 +375,12 @@ def omega_minus1_check(data: SliceData | None = None) -> bool:
     return BASIS_WEIGHTS[l_index] != (0, 0)
 
 
-def _psi_ad_powers_vanish(data: SliceData, x: G2Element) -> bool:
+def _psi_ad_powers_vanish(psi: Callable, x: G2Element) -> bool:
     """True iff psi(ad(f3)^k x / k!) = 0 for every k >= 1.
 
     Coefficient-wise vanishing of psi(exp(t ad f3) x) - psi(x) as a
     polynomial in t; ad(f3) is nilpotent so the sum is finite.
     """
-    psi = data.psi
     a = ad_matrix(g2.f3)
     current = x
     factorial = 1
@@ -411,7 +394,7 @@ def _psi_ad_powers_vanish(data: SliceData, x: G2Element) -> bool:
     return True
 
 
-def count_relevant_orbits(data: SliceData | None = None) -> RelevantOrbitCount:
+def count_relevant_orbits() -> RelevantOrbitCount:
     """Count relevant base and complementary orbits over the 12 Weyl elements.
 
     For each w: S_w = w(base positive system); the opposite-cell weights
@@ -421,7 +404,7 @@ def count_relevant_orbits(data: SliceData | None = None) -> RelevantOrbitCount:
     exists iff gamma is not in S_w, and is relevant iff the base orbit is
     and psi kills all higher ad(f3)-corrections coefficient-wise.
     """
-    data = data or build_slice_data()
+    data = build_slice_data()
     psi = data.psi
     neg_alpha = Root(-1, 0)
     records = []
@@ -442,7 +425,7 @@ def count_relevant_orbits(data: SliceData | None = None) -> RelevantOrbitCount:
         complementary_relevant = (
             complementary_exists
             and base_relevant
-            and all(_psi_ad_powers_vanish(data, x) for x in ubar_vectors)
+            and all(_psi_ad_powers_vanish(psi, x) for x in ubar_vectors)
         )
         if base_relevant:
             base_count += 1
@@ -466,7 +449,7 @@ def count_relevant_orbits(data: SliceData | None = None) -> RelevantOrbitCount:
     )
 
 
-def omega_prime_gram(x: G2Element, data: SliceData | None = None) -> DenseMatrix:
+def omega_prime_gram(x: G2Element) -> DenseMatrix:
     """The 20x20 Gram matrix of the two-form
 
         omega'((u1, v1), (u2, v2)) =
@@ -476,7 +459,7 @@ def omega_prime_gram(x: G2Element, data: SliceData | None = None) -> DenseMatrix
     slice e1 + span(ker ad_f).  The first 14 rows/columns are the algebra
     basis directions u; the last 6 are the kernel-basis slice directions v.
     """
-    data = data or build_slice_data()
+    data = build_slice_data()
     kernel = data.subalgebras.ker_ad_f
     diff = x - data.triple.e
     if not span_contains(list(kernel), diff.coords):
@@ -498,10 +481,10 @@ def omega_prime_gram(x: G2Element, data: SliceData | None = None) -> DenseMatrix
 
 
 def omega_prime_sample_points(
-    seed: int, count: int, data: SliceData | None = None
+    seed: int, count: int
 ) -> tuple[tuple[G2Element, tuple[Fraction, ...]], ...]:
     """Seeded rational slice points e1 + sum c_i k_i with their coefficients."""
-    data = data or build_slice_data()
+    data = build_slice_data()
     sampler = SmallRationalSampler(seed)
     kernel_elems = [G2Element(v) for v in data.subalgebras.ker_ad_f]
     points = []

@@ -20,7 +20,6 @@ from g2verify.exact_linalg import (
     _exact,
     bilinear,
     clear_denominators,
-    direct_sum_check,
     kernel_basis,
     rank,
     solve_linear,
@@ -323,7 +322,7 @@ def test_fields_reject_inexact_scalars() -> None:
             bracket(G2Element((bad,) + (0,) * 13), BASIS[3])
     # An inexact zero on the left is refused too, not skipped as zero.
     with pytest.raises(TypeError):
-        invariant_form().pair([0.0, 0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0])
+        bilinear(invariant_form(), [0.0, 0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0])
 
 
 def test_dimension_mismatches_raise() -> None:
@@ -338,9 +337,9 @@ def test_dimension_mismatches_raise() -> None:
         solve_linear(m, [1, 2, 3])
     # The left operand of a bilinear form is checked too, short or long.
     with pytest.raises(DimensionMismatch):
-        invariant_form().pair([1, 2], [1, 0, 0, 0, 0, 0, 0])
+        bilinear(invariant_form(), [1, 2], [1, 0, 0, 0, 0, 0, 0])
     with pytest.raises(DimensionMismatch):
-        invariant_form().pair([0, 0, 0, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0])
+        bilinear(invariant_form(), [0, 0, 0, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0])
 
 
 def test_integral_entries_are_stored_as_ints() -> None:
@@ -350,7 +349,7 @@ def test_integral_entries_are_stored_as_ints() -> None:
     rep = build_rep7()
     symp = build_symplectic14()
     assert len(rep.matrices) == 14 and all(map(all_int, rep.matrices))
-    assert all_int(invariant_form().matrix) and all_int(symp.omega)
+    assert all_int(invariant_form()) and all_int(symp.omega)
     assert len(_moment_forms()) == 10 and all(map(all_int, _moment_forms()))
     assert len(_conormal_forms()) == 9 and all(map(all_int, _conormal_forms()))
     assert all(all_int(ad_matrix(b)) for b in BASIS)
@@ -366,13 +365,6 @@ def test_integral_entries_are_stored_as_ints() -> None:
     (v,) = kernel_basis(DenseMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)]]))
     assert v == (-1, 1) and all(type(e) is int for e in v)
     assert type(half.entry(0, 0)) is Fraction
-
-
-def test_direct_sum_check_detects_overlap() -> None:
-    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    assert direct_sum_check([e1, e2], [e3], 3)
-    assert not direct_sum_check([e1, e2], [(1, 1, 0)], 3)
-    assert direct_sum_check([], [e1], 3)
 
 
 def test_span_contains_membership() -> None:

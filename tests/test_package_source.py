@@ -13,6 +13,10 @@ The package may import only itself, the standard library and the
 dependencies declared in pyproject.toml: a module that is merely
 installed here (scipy, sympy) would pass every test and break a clean
 install.
+
+Every public top-level function or class is used by the package itself,
+not only by its tests, and the top-level namespace re-exports exactly the
+names the README's Python API example imports, plus a few more.
 """
 
 import ast
@@ -26,6 +30,7 @@ import g2verify
 
 PACKAGE_DIR = Path(g2verify.__file__).parent
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_package_has_no_assert_statements() -> None:
@@ -99,3 +104,60 @@ def test_package_imports_only_declared_dependencies() -> None:
                 imported.add(node.module.split(".")[0])
     assert imported, sources
     assert sorted(imported - allowed) == []
+
+
+def test_every_public_definition_is_used_by_the_package() -> None:
+    # The `verify` entry point in [project.scripts] is used from outside.
+    entry_points = {"report_cli.main"}
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+        and f"{module}.{node.name}" not in entry_points
+    ]
+    assert unused == []
+
+
+def _readme_api_example() -> str:
+    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    return section.split("```python", 1)[1].split("```", 1)[0]
+
+
+def test_top_level_names_are_the_documented_api() -> None:
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert sorted(g2verify.__all__) == sorted(imported)
+    assert len(g2verify.__all__) == len(imported)
+    example = {
+        alias.name
+        for node in ast.walk(ast.parse(_readme_api_example()))
+        if isinstance(node, ast.ImportFrom) and node.module == "g2verify"
+        for alias in node.names
+    }
+    assert example and example <= imported
+    for name in g2verify.__all__:
+        assert getattr(g2verify, name) is not None, name
+
+
+def test_readme_api_example_runs() -> None:
+    exec(compile(_readme_api_example(), str(README), "exec"), {})

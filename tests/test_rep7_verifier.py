@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from g2verify import rep7_verifier as rep7
-from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, kernel_basis, rank
+from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, bilinear, kernel_basis, rank
 from g2verify.rep7_verifier import (
     BOREL_G2_NAMES,
     REP_DIM,
@@ -36,7 +36,6 @@ from g2verify.rep7_verifier import (
     count_orbits_mod_p,
     invariant_form,
     moment_zero_check,
-    omega_pair,
     orbit_dimension,
     phi_symplectomorphism_check,
     q_element_value,
@@ -101,23 +100,23 @@ def test_seed_matrix_entries(rep) -> None:
         assert actual == expected
 
 
-def test_homomorphism_all_pairs(rep) -> None:
-    assert verify_homomorphism(rep) == 91
+def test_homomorphism_all_pairs() -> None:
+    assert verify_homomorphism() == 91
 
 
-def test_weight_compatibility(rep) -> None:
-    assert verify_weight_compatibility(rep)
+def test_weight_compatibility() -> None:
+    assert verify_weight_compatibility()
 
 
-def test_zero_weight_space_is_the_u_line(rep) -> None:
-    space = zero_weight_space(rep)
+def test_zero_weight_space_is_the_u_line() -> None:
+    space = zero_weight_space()
     assert len(space) == 1
     (v,) = space
     assert [k for k in range(REP_DIM) if v[k]] == [6]
 
 
 def test_invariant_form_entries() -> None:
-    b = invariant_form().matrix
+    b = invariant_form()
     expected = {
         (0, 3): -2, (3, 0): -2,
         (1, 4): -2, (4, 1): -2,
@@ -135,12 +134,12 @@ def test_invariant_form_entries() -> None:
     assert rank(b) == 7
 
 
-def test_invariant_form_identity(rep) -> None:
-    assert verify_invariant_form(rep) == 14
+def test_invariant_form_identity() -> None:
+    assert verify_invariant_form() == 14
 
 
-def test_quadric_element_invariance(rep) -> None:
-    assert verify_quadric_element(rep) == 14
+def test_quadric_element_invariance() -> None:
+    assert verify_quadric_element() == 14
 
 
 def test_quadratic_invariant_polynomial() -> None:
@@ -166,11 +165,12 @@ def test_symplectic_doubling() -> None:
 
 
 def test_omega_pair_antisymmetry() -> None:
+    omega = build_symplectic14().omega
     sampler = SmallRationalSampler(11)
     for _ in range(10):
         x = [sampler.fraction() for _ in range(14)]
         y = [sampler.fraction() for _ in range(14)]
-        assert omega_pair(x, y) == -omega_pair(y, x)
+        assert bilinear(omega, x, y) == -bilinear(omega, y, x)
 
 
 def test_phi_is_a_symplectomorphism() -> None:
@@ -244,23 +244,21 @@ def test_moment_map_matches_conormal_on_random_pairs() -> None:
 
 def _reference_conormal_conditions(zprime, z) -> bool:
     form = invariant_form()
-    if form.pair(zprime, zprime) != 0 or form.pair(z, zprime) != 0:
+    if bilinear(form, zprime, zprime) != 0 or bilinear(form, z, zprime) != 0:
         return False
     return all(
-        form.pair(m.mul_vec(z), zprime) == form.pair(z, m.mul_vec(zprime))
+        bilinear(form, m.mul_vec(z), zprime) == bilinear(form, z, m.mul_vec(zprime))
         for m in build_symplectic14().borel_g2
     )
 
 
 def _reference_moment_zero_check(point) -> bool:
-    return all(
-        omega_pair(point, a.mul_vec(point)) == 0
-        for a in build_symplectic14().actions14
-    )
+    symp = build_symplectic14()
+    return all(bilinear(symp.omega, point, a.mul_vec(point)) == 0 for a in symp.actions14)
 
 
 def _reference_fiber_basis(zprime) -> tuple:
-    form = invariant_form().matrix
+    form = invariant_form()
     rows = [list(form.mul_vec(zprime))]
     for m in build_symplectic14().borel_g2:
         lhs = (m.transpose() @ form).mul_vec(zprime)
@@ -313,7 +311,7 @@ def test_conormal_predicates_reject_bad_vectors() -> None:
             moment_zero_check((bad,) + ZERO + ZERO[1:])
 
 
-def test_isotropic_sampler(rep) -> None:
+def test_isotropic_sampler() -> None:
     sampler = SmallRationalSampler(17)
     for chart in range(9):
         x = sample_isotropic_vector(sampler, chart)
@@ -327,7 +325,7 @@ def test_conormal_fiber_is_annihilated() -> None:
     form = invariant_form()
     for z in conormal_fiber_basis(zprime):
         assert conormal_conditions(zprime, z)
-        assert form.pair(z, zprime) == 0
+        assert bilinear(form, z, zprime) == 0
 
 
 def test_tfixed_isotropic_lines() -> None:
@@ -380,7 +378,7 @@ def _reference_orbit_count(p: int) -> tuple[int, tuple[int, ...], int]:
     union-find.  Returns the point count, sorted orbit sizes and the size
     of the origin's orbit."""
     vectors = np.array(list(itertools.product(range(p), repeat=REP_DIM)), dtype=np.int64)
-    b = _mod_p(invariant_form().matrix, p)
+    b = _mod_p(invariant_form(), p)
     cone = vectors[((vectors @ b) * vectors).sum(axis=1) % p == 0]
     powers = p ** np.arange(REP_DIM, dtype=np.int64)
     index = {k: i for i, k in enumerate((cone @ powers).tolist())}
@@ -432,7 +430,7 @@ def test_unipotent_generator_powers_are_all_multiples(p: int) -> None:
 def test_key_built_cone_equals_brute_force_cone(p: int) -> None:
     # Every vector of F_p^7 from itertools.product, kept when the integer
     # form <x, x> vanishes mod p: the same set of points, not only as many.
-    b = np.array(invariant_form().matrix.entries, dtype=np.int64)
+    b = np.array(invariant_form().entries, dtype=np.int64)
     vectors = np.array(list(itertools.product(range(p), repeat=REP_DIM)), dtype=np.int64)
     cone = vectors[((vectors @ b) * vectors).sum(axis=1) % p == 0]
     keys = rep7._cone_keys(p)

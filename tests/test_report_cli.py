@@ -164,8 +164,8 @@ def test_perturbed_invariant_form_fails_and_skips_dependents(monkeypatch) -> Non
     # Cache the true symplectic doubling first, so that no check run with
     # the perturbed form can leave a perturbed omega behind in the cache.
     rep7.build_symplectic14()
-    b = rep7.invariant_form().matrix
-    bad = rep7.InvariantForm(_with_entry(b, 6, 6, b.entry(6, 6) + 1))
+    b = rep7.invariant_form()
+    bad = _with_entry(b, 6, 6, b.entry(6, 6) + 1)
     monkeypatch.setattr(rep7, "invariant_form", lambda: bad)
     assert rep7.verify_invariant_form() < 14
     report = run_suite(LINEAR_FAST)
@@ -304,6 +304,22 @@ def test_mod_p_orbit_sizes_must_match_tfixed_line_dimensions(monkeypatch) -> Non
     check = by_name["linear.count_orbits_mod_p.p3"]
     assert check.status == "fail"
     assert "orbit sizes do not match" in check.actual
+
+
+def test_linear_headline_needs_distinct_orbit_dimensions(monkeypatch) -> None:
+    # Six T-fixed lines of one orbit dimension need not lie in six orbits:
+    # the line count still reads 6, but the headline must not claim 7.
+    monkeypatch.setattr(
+        report_cli,
+        "_tfixed_line_dims",
+        lambda: {rep7.REP_LABELS[k]: 3 for k in rep7.tfixed_isotropic_lines()},
+    )
+    report = run_suite(LINEAR_FAST)
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["linear.tfixed_lines.count"].status == "pass"
+    assert by_name["linear.tfixed_lines.orbit_dims"].actual == "collision"
+    assert by_name["linear.count_orbits_mod_p.p3"].status == "fail"
+    assert report.headline["linear_total"] is None
 
 
 def test_oracle_rejects_a_generator_off_the_quadric(monkeypatch) -> None:

@@ -20,7 +20,6 @@ from g2verify.root_weyl import (
     base_positive_system,
     enumerate_roots,
     generate_weyl,
-    is_root,
     reflection,
     verify_root_addition_lemma,
 )
@@ -41,7 +40,7 @@ def test_twelve_roots_closed_under_negation() -> None:
 
 def test_length_split_six_six() -> None:
     roots = enumerate_roots()
-    assert sum(1 for r in roots if r.is_long()) == 6
+    assert sum(1 for r in roots if r.norm_sq() == 6) == 6
     assert sum(1 for r in roots if r.norm_sq() == 2) == 6
 
 
@@ -50,9 +49,10 @@ def test_named_roots() -> None:
     assert BETA.norm_sq() == 6
     assert GAMMA == ALPHA.times(2) + BETA
     assert GAMMA.norm_sq() == 2
-    assert is_root(ALPHA) and is_root(BETA) and is_root(GAMMA)
-    assert not is_root(Root(0, 0))
-    assert not is_root(ALPHA.times(2))
+    roots = enumerate_roots()
+    assert ALPHA in roots and BETA in roots and GAMMA in roots
+    assert Root(0, 0) not in roots
+    assert ALPHA.times(2) not in roots
 
 
 @given(lattice_vectors, lattice_vectors)
@@ -159,10 +159,10 @@ def test_root_addition_lemma() -> None:
 def test_root_addition_concrete_instances() -> None:
     # Negative pairing, non-opposite: the sum is again a root.
     assert ALPHA.pairing(Root(1, 1)) < 0
-    assert is_root(ALPHA + Root(1, 1))
+    assert ALPHA + Root(1, 1) in enumerate_roots()
     assert ALPHA.pairing(BETA) < 0
-    assert is_root(ALPHA + BETA)
+    assert ALPHA + BETA in enumerate_roots()
     # Root strings walk back to roots: gamma - alpha = alpha + beta.
-    assert is_root(GAMMA - ALPHA)
+    assert GAMMA - ALPHA in enumerate_roots()
     # Doubling never escapes the reduced system.
-    assert not is_root(ALPHA + ALPHA)
+    assert ALPHA + ALPHA not in enumerate_roots()

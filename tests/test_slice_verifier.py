@@ -66,12 +66,12 @@ def test_psi_frozen_value(data) -> None:
     assert data.psi(data.triple.e) == 0
 
 
-def test_structural_lemmas(data) -> None:
-    assert verify_psi_conditions(data)
-    assert verify_lemma_incl(data)
-    assert verify_ml_formula(data)
-    assert verify_contracting_weights(data)
-    assert omega_minus1_check(data)
+def test_structural_lemmas() -> None:
+    assert verify_psi_conditions()
+    assert verify_lemma_incl()
+    assert verify_ml_formula()
+    assert verify_contracting_weights()
+    assert omega_minus1_check()
 
 
 def test_subspace_dimensions(data) -> None:
@@ -80,16 +80,16 @@ def test_subspace_dimensions(data) -> None:
     assert len(sub.u6) == 6
 
 
-def test_relevant_orbit_count(data) -> None:
-    result = count_relevant_orbits(data)
+def test_relevant_orbit_count() -> None:
+    result = count_relevant_orbits()
     assert result.base == 6
     assert result.complementary == 1
     assert result.total == 7
     assert len(result.records) == 12
 
 
-def test_relevancy_bookkeeping(data) -> None:
-    records = count_relevant_orbits(data).records
+def test_relevancy_bookkeeping() -> None:
+    records = count_relevant_orbits().records
     assert sum(r.base_relevant for r in records) == 6
     assert sum(r.complementary_exists for r in records) == 6
     assert sum(r.complementary_relevant for r in records) == 1
@@ -103,32 +103,32 @@ def test_relevancy_bookkeeping(data) -> None:
     assert winner.base_relevant and winner.complementary_exists
 
 
-def test_combinatorial_criterion_matches_psi(data) -> None:
-    for rec in count_relevant_orbits(data).records:
+def test_combinatorial_criterion_matches_psi() -> None:
+    for rec in count_relevant_orbits().records:
         assert rec.base_relevant == (-ALPHA not in rec.s_w)
         assert rec.complementary_exists == (GAMMA not in rec.s_w)
         for r in rec.ubar_weights:
             assert r in rec.s_w
 
 
-def test_opposite_cell_sizes(data) -> None:
-    sizes = sorted(len(r.ubar_weights) for r in count_relevant_orbits(data).records)
+def test_opposite_cell_sizes() -> None:
+    sizes = sorted(len(r.ubar_weights) for r in count_relevant_orbits().records)
     assert sizes == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
 
 
 def test_omega_prime_at_base_point(data) -> None:
-    gram = omega_prime_gram(data.triple.e, data)
+    gram = omega_prime_gram(data.triple.e)
     assert gram.rows == gram.cols == 20
     assert (gram + gram.transpose()).is_zero()
     assert rank(gram) == 20
 
 
-def test_omega_prime_at_seeded_points(data) -> None:
-    points = omega_prime_sample_points(seed=42, count=10, data=data)
+def test_omega_prime_at_seeded_points() -> None:
+    points = omega_prime_sample_points(seed=42, count=10)
     assert len(points) == 10
     for x, coeffs in points:
         assert len(coeffs) == 6
-        gram = omega_prime_gram(x, data)
+        gram = omega_prime_gram(x)
         assert (gram + gram.transpose()).is_zero()
         assert rank(gram) == 20
 
@@ -148,29 +148,29 @@ def _reference_omega_prime_gram(x: G2Element, data) -> DenseMatrix:
 
 def test_omega_prime_gram_matches_reference(data) -> None:
     points = [(data.triple.e, ())] + list(
-        omega_prime_sample_points(seed=3, count=20, data=data)
+        omega_prime_sample_points(seed=3, count=20)
     )
     for x, _ in points:
-        assert omega_prime_gram(x, data) == _reference_omega_prime_gram(x, data)
+        assert omega_prime_gram(x) == _reference_omega_prime_gram(x, data)
 
 
-def test_omega_prime_sampling_is_seed_deterministic(data) -> None:
-    first = omega_prime_sample_points(seed=7, count=3, data=data)
-    second = omega_prime_sample_points(seed=7, count=3, data=data)
+def test_omega_prime_sampling_is_seed_deterministic() -> None:
+    first = omega_prime_sample_points(seed=7, count=3)
+    second = omega_prime_sample_points(seed=7, count=3)
     assert first == second
-    other = omega_prime_sample_points(seed=8, count=3, data=data)
+    other = omega_prime_sample_points(seed=8, count=3)
     assert first != other
 
 
-def test_off_slice_point_rejected(data) -> None:
+def test_off_slice_point_rejected() -> None:
     with pytest.raises(NotOnSliceError):
-        omega_prime_gram(f1, data)
+        omega_prime_gram(f1)
     with pytest.raises(NotOnSliceError):
-        omega_prime_gram(G2Element.zero(), data)
+        omega_prime_gram(G2Element.zero())
 
 
 def test_slice_points_pass_membership(data) -> None:
     kernel = data.subalgebras.ker_ad_f
     x = data.triple.e + G2Element(kernel[0]).scale(Fraction(3, 2))
-    gram = omega_prime_gram(x, data)
+    gram = omega_prime_gram(x)
     assert gram.rows == 20

@@ -5,7 +5,8 @@ of the package, so this module is skipped where it is missing.  Its
 `Matrix.nullspace` and `Matrix.rank` share no code with the package's
 Bareiss elimination: the null spaces of the conormal fiber systems drawn
 by a default run, and the ranks of the Killing Gram and of the omega'
-Gram at e, must agree with it.
+Gram at e, must agree with it.  sympy's `RootSystem('G2')` witnesses the
+root system: its root count and Cartan matrix must match `root_weyl`.
 """
 
 from fractions import Fraction
@@ -21,6 +22,7 @@ from g2verify.rep7_verifier import (
     conormal_fiber_basis,
     sample_conormal_pair,
 )
+from g2verify.root_weyl import ALPHA, BETA
 from g2verify.sampling import SmallRationalSampler
 
 sympy = pytest.importorskip("sympy")
@@ -56,5 +58,18 @@ def test_killing_gram_has_sympy_rank_14() -> None:
 
 def test_omega_prime_gram_at_e_has_sympy_rank_20() -> None:
     data = sv.build_slice_data()
-    gram = sv.omega_prime_gram(data.triple.e, data)
+    gram = sv.omega_prime_gram(data.triple.e)
     assert _sympy_matrix(gram).rank() == 20
+
+
+def test_root_system_g2_matches_root_weyl() -> None:
+    from sympy.liealgebras.root_system import RootSystem
+
+    # The roots are compared by count only: sympy 1.14 lists 2a + b as
+    # [1, 0, 1] instead of [1, 0, -1], a vector outside the root lattice.
+    system = RootSystem("G2")
+    assert len(system.all_roots()) == 12
+    cartan = [[2, -1], [-3, 2]]
+    assert system.cartan_matrix() == sympy.Matrix(cartan)
+    simple = (ALPHA, BETA)
+    assert [[Fraction(2 * a.pairing(b), b.norm_sq()) for b in simple] for a in simple] == cartan
