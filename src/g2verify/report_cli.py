@@ -226,9 +226,9 @@ def _run_alpha_partition(config: Config) -> tuple[str, dict | None]:
 def _run_slice_build(config: Config) -> tuple[str, dict | None]:
     data = sv.build_slice_data()
     details = {
-        "grading_dims": list(data.grading.dims()),
-        "dim_ker_ad_f": len(data.subalgebras.ker_ad_f),
-        "psi_f1": str(data.psi(g2.f1)),
+        "grading_dims": list(data.dims()),
+        "dim_ker_ad_f": len(data.ker_ad_f),
+        "psi_f1": str(sv.psi(g2.f1)),
     }
     return "ok", details
 
@@ -267,7 +267,7 @@ def _omega_prime_rank(x: g2.G2Element) -> int | None:
 
 
 def _run_omega_prime_at_e(config: Config) -> tuple[str, dict | None]:
-    r = _omega_prime_rank(sv.build_slice_data().triple.e)
+    r = _omega_prime_rank(sv.E)
     return ("not antisymmetric" if r is None else str(r)), None
 
 
@@ -377,8 +377,17 @@ def _tfixed_line_dims() -> dict[str, int]:
 
 
 def _run_tfixed_dims(dims: dict[str, int]) -> tuple[str, dict | None]:
-    distinct = len(set(dims.values())) == len(dims)
-    return ("distinct" if distinct else "collision"), {"orbit_dims": dims}
+    details = {"orbit_dims": dims}
+    if len(set(dims.values())) != len(dims):
+        return "collision", details
+    # Each stratum of the zero fiber, an orbit with its conormal fiber, is
+    # 7-dimensional; "origin" is no label, so its point is the fixed point 0.
+    for label, d in [*dims.items(), ("origin", 0)]:
+        point = tuple(int(x == label) for x in rep7.REP_LABELS)
+        fiber = len(rep7.conormal_fiber_basis(point))
+        if d + fiber != 7:
+            return f"stratum {label}: {d} + {fiber} != 7", details
+    return "distinct", details
 
 
 def _run_orbit_examples(config: Config) -> tuple[str, dict | None]:
@@ -878,3 +887,7 @@ def main(
             raise SystemExit(1)
 
     raise SystemExit(0 if report.summary["failed"] == 0 else 1)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,24 +1,27 @@
 """Slice-side verification: sl2-triple, grading, nilpotent subalgebras,
 the character psi, structural lemmas, and the relevant-orbit count.
 
-The distinguished nilpotent is e = e1 (a short root vector).  With
-f = -f1 and h = 3*E11 - Id = 2*h_a + h_b, the triple (e, f, h) satisfies
-the sl2 relations, and ad h grades g2 with dimension vector
-(2, 1, 2, 4, 2, 1, 2) over levels -3..3.  The isotropic line l = <e2>
+The distinguished nilpotent is E = e1 (a short root vector).  With
+F = -f1 and H = 3*E11 - Id = 2*h_a + h_b, the triple (E, F, H) satisfies
+the sl2 relations, and ad H grades g2 with dimension vector
+(2, 1, 2, 4, 2, 1, 2) over levels -3..3.  The isotropic line L = <e2>
 inside g_(-1) gives rise to the chain of nilpotent subalgebras
-n_l = <E21, E31, f1, e2> inside u5 = n_l + <E23> inside u6 = u5 + <f3>,
-with s = <E23, E22 - E33> acting on n_l and t' = <E22 - E33> a torus line.
-The character psi = killing(., e1) restricted to these subalgebras drives
+N_L = <E21, E31, f1, e2> inside U5 = N_L + <E23> inside U6 = U5 + <f3>,
+with S = <E23, E22 - E33> acting on N_L and T_PRIME = <E22 - E33> a torus
+line; these constants hold basis indices, and R_U5 the torus weights of U5.
+The character psi = killing(E, .) restricted to these subalgebras drives
 the relevancy count: 6 relevant base orbits plus 1 relevant complementary
-orbit, 7 in total.
+orbit, 7 in total.  `build_slice_data` verifies all of this and returns
+the two computed pieces: the ad-H level of each basis vector and ker ad F.
+Every verifier below calls it first, so a failed identity raises from each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
-from typing import Callable, Sequence
+from functools import cache
+from typing import Sequence
 
 from . import g2_algebra as g2
 from .exact_linalg import DenseMatrix, kernel_basis, rank, span_contains
@@ -56,67 +59,42 @@ class NotOnSliceError(ValueError):
     """The requested point does not lie on the slice e1 + ker ad_f."""
 
 
-#: Torus weights of u5: the five roots whose vectors span u5 minus the
-#: gamma line (E31, f1, E21, e2, E23 in basis order below).
-R_U5: tuple[Root, ...] = (
-    Root(-3, -1),  # E31
-    Root(-1, 0),   # f1
-    Root(0, 1),    # E21
-    Root(1, 1),    # e2
-    Root(3, 2),    # E23
-)
+def _indices(*names: str) -> tuple[int, ...]:
+    return tuple(BASIS_NAMES.index(n) for n in names)
 
 
-@dataclass(frozen=True)
-class Sl2TripleData:
-    """The verified sl2-triple (e, f, h) = (e1, -f1, 2*h_a + h_b)."""
+#: The sl2-triple (e, f, h) = (e1, -f1, 2*h_a + h_b).
+E = g2.e1
+F = -g2.f1
+H = g2.h_a.scale(2) + g2.h_b
 
-    e: G2Element
-    f: G2Element
-    h: G2Element
+#: Basis indices of the slice-side subspaces.
+L = _indices("e2")
+N_L = _indices("E21", "E31", "f1", "e2")  # m_l = n_l on this slice
+U5 = N_L + _indices("E23")
+U6 = U5 + _indices("f3")
+S = _indices("E23", "h_b")
+T_PRIME = _indices("h_b")
 
-
-@dataclass(frozen=True)
-class HGrading:
-    """Eigenspace decomposition of g2 under ad h, as basis indices."""
-
-    levels: tuple  # tuple of (level, tuple_of_basis_indices) pairs, sorted
-
-    def indices(self, level: int) -> tuple[int, ...]:
-        for lv, idx in self.levels:
-            if lv == level:
-                return idx
-        return ()
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(idx) for _, idx in self.levels)
-
-    def level_of(self, basis_index: int) -> int:
-        for lv, idx in self.levels:
-            if basis_index in idx:
-                return lv
-        raise ValueError(f"basis index {basis_index} not graded")
+#: Torus weights of u5: the five roots whose vectors span u5, sorted.
+R_U5: tuple[Root, ...] = tuple(sorted(Root(*BASIS_WEIGHTS[i]) for i in U5))
 
 
-@dataclass(frozen=True)
-class SliceSubalgebras:
-    """Basis-index descriptions of the slice-side subspaces."""
-
-    l: tuple[int, ...]
-    n_l: tuple[int, ...]  # m_l = n_l on this slice
-    u5: tuple[int, ...]
-    u6: tuple[int, ...]
-    s: tuple[int, ...]
-    t_prime: tuple[int, ...]
-    ker_ad_f: tuple  # tuple of 14-coordinate kernel vectors
+def psi(x: G2Element) -> int | Fraction:
+    """The character psi = killing(e, x)."""
+    return killing(E, x)
 
 
 @dataclass(frozen=True)
 class SliceData:
-    triple: Sl2TripleData
-    grading: HGrading
-    subalgebras: SliceSubalgebras
-    psi: Callable[[G2Element], int | Fraction]  # x -> killing(e, x)
+    """What `build_slice_data` computes rather than fixes."""
+
+    levels: tuple[int, ...]  # the ad-h eigenvalue of each basis vector
+    ker_ad_f: tuple  # tuple of 14-coordinate kernel vectors
+
+    def dims(self) -> tuple[int, ...]:
+        """Dimensions of the ad-h eigenspaces, by increasing level."""
+        return tuple(self.levels.count(lv) for lv in sorted(set(self.levels)))
 
 
 @dataclass(frozen=True)
@@ -137,10 +115,6 @@ class RelevantOrbitCount:
     complementary: int
     total: int
     records: tuple[RelevancyRecord, ...]
-
-
-def _indices(*names: str) -> tuple[int, ...]:
-    return tuple(BASIS_NAMES.index(n) for n in names)
 
 
 def _h_weight(x: G2Element, h: G2Element) -> int:
@@ -187,68 +161,48 @@ def _check_nilpotent_span(indices: Sequence[int], name: str) -> None:
 
 @cache
 def build_slice_data() -> SliceData:
-    """Construct and verify the sl2-triple, grading, subalgebras, and psi.
+    """Verify the sl2-triple, grading, subalgebras and l; return the grading
+    levels and ker ad f.
 
     Raises StructureMismatchError naming the first failing identity.
     """
-    e = g2.e1
-    f = -g2.f1
-    h = g2.h_a.scale(2) + g2.h_b
-
     # sl2 relations.
-    if bracket(h, e) != e.scale(2):
+    if bracket(H, E) != E.scale(2):
         raise StructureMismatchError("[h, e] != 2e")
-    if bracket(h, f) != f.scale(-2):
+    if bracket(H, F) != F.scale(-2):
         raise StructureMismatchError("[h, f] != -2f")
-    if bracket(e, f) != h:
+    if bracket(E, F) != H:
         raise StructureMismatchError("[e, f] != h")
-    triple = Sl2TripleData(e, f, h)
 
     # Grading by ad-h eigenvalue; each basis element is an eigenvector.
-    by_level: dict[int, list[int]] = {}
-    for i in range(DIM):
-        by_level.setdefault(_h_weight(BASIS[i], h), []).append(i)
-    grading = HGrading(
-        tuple((lv, tuple(by_level[lv])) for lv in sorted(by_level))
-    )
-    if grading.dims() != (2, 1, 2, 4, 2, 1, 2):
+    levels = tuple(_h_weight(b, H) for b in BASIS)
+    data = SliceData(levels, kernel_basis(ad_matrix(F)))
+    if data.dims() != (2, 1, 2, 4, 2, 1, 2):
         raise StructureMismatchError(
-            f"grading dimensions {grading.dims()} != (2, 1, 2, 4, 2, 1, 2)"
+            f"grading dimensions {data.dims()} != (2, 1, 2, 4, 2, 1, 2)"
         )
-
-    # Subspaces, all spanned by basis elements.
-    l = _indices("e2")
-    n_l = _indices("E21", "E31", "f1", "e2")
-    u5 = n_l + _indices("E23")
-    u6 = u5 + _indices("f3")
-    s = _indices("E23", "h_b")
-    t_prime = _indices("h_b")
-    ker = kernel_basis(ad_matrix(f))
-    if len(ker) != 6:
-        raise StructureMismatchError(f"dim ker ad_f = {len(ker)} != 6")
-    subs = SliceSubalgebras(
-        l=l, n_l=n_l, u5=u5, u6=u6, s=s, t_prime=t_prime, ker_ad_f=ker
-    )
+    if len(data.ker_ad_f) != 6:
+        raise StructureMismatchError(f"dim ker ad_f = {len(data.ker_ad_f)} != 6")
 
     # Subalgebra closure, [s, n_l] inside n_l, and nilpotency.
     for name, a, b in (
-        ("n_l is not bracket-closed", n_l, n_l),
-        ("u5 is not bracket-closed", u5, u5),
-        ("u6 is not bracket-closed", u6, u6),
-        ("s is not bracket-closed", s, s),
-        ("[s, n_l] escapes n_l", s, n_l),
+        ("n_l is not bracket-closed", N_L, N_L),
+        ("u5 is not bracket-closed", U5, U5),
+        ("u6 is not bracket-closed", U6, U6),
+        ("s is not bracket-closed", S, S),
+        ("[s, n_l] escapes n_l", S, N_L),
     ):
         _check_brackets_in(a, b, name)
-    _check_nilpotent_span(n_l, "n_l")
+    _check_nilpotent_span(N_L, "n_l")
 
     # l sits in g_(-1) and is isotropic for omega_{-1}.
-    if set(l) - set(grading.indices(-1)):
+    if any(levels[i] != -1 for i in L):
         raise StructureMismatchError("l is not inside g_(-1)")
-    e2 = BASIS[l[0]]
-    if killing(bracket(e2, e2), e) != 0:
+    e2 = BASIS[L[0]]
+    if killing(bracket(e2, e2), E) != 0:
         raise StructureMismatchError("l is not isotropic for omega_{-1}")
 
-    return SliceData(triple, grading, subs, psi=partial(killing, e))
+    return data
 
 
 def verify_psi_conditions() -> bool:
@@ -258,12 +212,10 @@ def verify_psi_conditions() -> bool:
     and the third certifies the invariant extension to the semidirect
     product at the Lie level.
     """
-    data = build_slice_data()
-    psi = data.psi
-    subs = data.subalgebras
-    n_l = [BASIS[i] for i in subs.n_l]
-    s = [BASIS[i] for i in subs.s]
-    ext = [BASIS[i] for i in subs.t_prime + subs.u5]
+    build_slice_data()
+    n_l = [BASIS[i] for i in N_L]
+    s = [BASIS[i] for i in S]
+    ext = [BASIS[i] for i in T_PRIME + U5]
     for family_a, family_b in ((n_l, n_l), (s, n_l), (ext, ext)):
         for x in family_a:
             for y in family_b:
@@ -278,41 +230,34 @@ def verify_lemma_incl() -> bool:
     Checks killing(z, y) = 0 and killing([x, y + e], z) = 0 for all basis
     x in n_l, y in ker ad_f together with y = 0, and z in m_l = n_l.
     """
-    data = build_slice_data()
-    subs = data.subalgebras
-    e = data.triple.e
-    n_l = [BASIS[i] for i in subs.n_l]
-    kernel_elems = [G2Element(v) for v in subs.ker_ad_f]
+    n_l = [BASIS[i] for i in N_L]
+    kernel_elems = [G2Element(v) for v in build_slice_data().ker_ad_f]
     for z in n_l:
         for y in kernel_elems:
             if killing(z, y) != 0:
                 return False
     for x in n_l:
         for y in kernel_elems + [G2Element.zero()]:
-            img = bracket(x, y + e)
+            img = bracket(x, y + E)
             for z in n_l:
                 if killing(img, z) != 0:
                     return False
     return True
 
 
-def _m_l_perp_basis(data: SliceData) -> tuple:
+def _m_l_perp_basis() -> tuple:
     """Basis of the Killing-orthogonal complement of m_l = n_l."""
-    subs = data.subalgebras
     pairing_rows = [
-        tuple(killing(BASIS[i], BASIS[j]) for j in range(DIM)) for i in subs.n_l
+        tuple(killing(BASIS[i], BASIS[j]) for j in range(DIM)) for i in N_L
     ]
     return kernel_basis(DenseMatrix.from_rows(pairing_rows))
 
 
 def verify_ml_formula() -> bool:
     """m_l-perp = [n_l, e] + ker ad_f, a direct sum of dimensions 4 + 6 = 10."""
-    data = build_slice_data()
-    subs = data.subalgebras
-    e = data.triple.e
-    perp = _m_l_perp_basis(data)
-    bracket_span = [bracket(BASIS[i], e).coords for i in subs.n_l]
-    kernel_span = list(subs.ker_ad_f)
+    kernel_span = list(build_slice_data().ker_ad_f)
+    perp = _m_l_perp_basis()
+    bracket_span = [bracket(BASIS[i], E).coords for i in N_L]
     if len(perp) != 10:
         return False
     if rank(DenseMatrix.from_rows(bracket_span)) != 4:
@@ -327,17 +272,9 @@ def verify_ml_formula() -> bool:
     return rank(DenseMatrix.from_rows(bracket_span + kernel_span)) == 10
 
 
-def _max_h_level(vectors: Sequence, grading: HGrading) -> int:
+def _max_h_level(vectors: Sequence, levels: Sequence[int]) -> int:
     """Largest grading level carrying a nonzero coordinate among `vectors`."""
-    top = None
-    for v in vectors:
-        for i, c in enumerate(v):
-            if c:
-                lv = grading.level_of(i)
-                top = lv if top is None else max(top, lv)
-    if top is None:
-        raise ValueError("no nonzero vectors supplied")
-    return top
+    return max(levels[i] for v in vectors for i, c in enumerate(v) if c)
 
 
 def verify_contracting_weights() -> bool:
@@ -345,8 +282,8 @@ def verify_contracting_weights() -> bool:
     (so every scaling weight 2 - i is positive) and m_l-perp in levels <= 1."""
     data = build_slice_data()
     return (
-        _max_h_level(data.subalgebras.ker_ad_f, data.grading) <= 0
-        and _max_h_level(_m_l_perp_basis(data), data.grading) <= 1
+        _max_h_level(data.ker_ad_f, data.levels) <= 0
+        and _max_h_level(_m_l_perp_basis(), data.levels) <= 1
     )
 
 
@@ -354,20 +291,18 @@ def omega_minus1_check() -> bool:
     """The form omega_{-1}(x, y) = killing([x, y], e) on g_(-1) is
     alternating and non-degenerate, and l = <e2> is an isotropic
     single-weight line."""
-    data = build_slice_data()
-    e = data.triple.e
-    idx = data.grading.indices(-1)
+    idx = [i for i, lv in enumerate(build_slice_data().levels) if lv == -1]
     if len(idx) != 2:
         return False
     x, y = BASIS[idx[0]], BASIS[idx[1]]
-    om = lambda u, v: killing(bracket(u, v), e)
+    om = lambda u, v: killing(bracket(u, v), E)
     if om(x, x) != 0 or om(y, y) != 0:
         return False
     if om(x, y) + om(y, x) != 0:
         return False
     if om(x, y) == 0:
         return False
-    l_index = data.subalgebras.l[0]
+    l_index = L[0]
     if l_index not in idx:
         return False
     # A basis line is a single torus-weight line by construction; confirm
@@ -375,7 +310,7 @@ def omega_minus1_check() -> bool:
     return BASIS_WEIGHTS[l_index] != (0, 0)
 
 
-def _psi_ad_powers_vanish(psi: Callable, x: G2Element) -> bool:
+def _psi_ad_powers_vanish(x: G2Element) -> bool:
     """True iff psi(ad(f3)^k x / k!) = 0 for every k >= 1.
 
     Coefficient-wise vanishing of psi(exp(t ad f3) x) - psi(x) as a
@@ -404,8 +339,7 @@ def count_relevant_orbits() -> RelevantOrbitCount:
     exists iff gamma is not in S_w, and is relevant iff the base orbit is
     and psi kills all higher ad(f3)-corrections coefficient-wise.
     """
-    data = build_slice_data()
-    psi = data.psi
+    build_slice_data()
     neg_alpha = Root(-1, 0)
     records = []
     base_count = 0
@@ -425,7 +359,7 @@ def count_relevant_orbits() -> RelevantOrbitCount:
         complementary_relevant = (
             complementary_exists
             and base_relevant
-            and all(_psi_ad_powers_vanish(psi, x) for x in ubar_vectors)
+            and all(_psi_ad_powers_vanish(x) for x in ubar_vectors)
         )
         if base_relevant:
             base_count += 1
@@ -459,9 +393,8 @@ def omega_prime_gram(x: G2Element) -> DenseMatrix:
     slice e1 + span(ker ad_f).  The first 14 rows/columns are the algebra
     basis directions u; the last 6 are the kernel-basis slice directions v.
     """
-    data = build_slice_data()
-    kernel = data.subalgebras.ker_ad_f
-    diff = x - data.triple.e
+    kernel = build_slice_data().ker_ad_f
+    diff = x - E
     if not span_contains(list(kernel), diff.coords):
         raise NotOnSliceError("point is not on the slice e1 + ker ad_f")
     n = DIM + len(kernel)
@@ -484,13 +417,12 @@ def omega_prime_sample_points(
     seed: int, count: int
 ) -> tuple[tuple[G2Element, tuple[Fraction, ...]], ...]:
     """Seeded rational slice points e1 + sum c_i k_i with their coefficients."""
-    data = build_slice_data()
     sampler = SmallRationalSampler(seed)
-    kernel_elems = [G2Element(v) for v in data.subalgebras.ker_ad_f]
+    kernel_elems = [G2Element(v) for v in build_slice_data().ker_ad_f]
     points = []
     for _ in range(count):
         coeffs = tuple(sampler.fraction() for _ in kernel_elems)
-        x = data.triple.e
+        x = E
         for c, kv in zip(coeffs, kernel_elems):
             x = x + kv.scale(c)
         points.append((x, coeffs))

@@ -4,11 +4,16 @@ skipping, JSON schema and byte stability, and CLI exit codes.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import g2verify
 from g2verify import g2_algebra as g2
 from g2verify import rep7_verifier as rep7
 from g2verify import report_cli
@@ -23,6 +28,7 @@ from g2verify.report_cli import (
 )
 
 FAST = Config(suites=("combinatorics",))
+GOLDEN_TABLES = Path(__file__).parent / "data" / "tables.txt"
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +328,28 @@ def test_linear_headline_needs_distinct_orbit_dimensions(monkeypatch) -> None:
     assert report.headline["linear_total"] is None
 
 
+def test_stratum_dimension_mismatch_fails_orbit_dims(monkeypatch) -> None:
+    # One vector short in the conormal fiber over the line v leaves the
+    # stratum over v 6-dimensional, so the strata no longer count components.
+    true_fiber = rep7.conormal_fiber_basis
+    v = (1, 0, 0, 0, 0, 0, 0)
+    monkeypatch.setattr(
+        rep7,
+        "conormal_fiber_basis",
+        lambda zprime: true_fiber(zprime)[: -1 if tuple(zprime) == v else None],
+    )
+    report = run_suite(LINEAR_FAST)
+    by_name = {c.name: c for c in report.checks}
+    check = by_name["linear.tfixed_lines.orbit_dims"]
+    assert check.status == "fail"
+    assert check.actual == "stratum v: 1 + 5 != 7"
+    assert check.details == {
+        "orbit_dims": {"v": 1, "w": 3, "t~": 5, "v~": 6, "w~": 4, "t": 2}
+    }
+    assert by_name["linear.tfixed_lines.count"].status == "pass"
+    assert report.headline["linear_total"] is None
+
+
 def test_oracle_rejects_a_generator_off_the_quadric(monkeypatch) -> None:
     bad_torus = np.diag([2, 1, 1, 1, 1, 1, 1]).astype(np.int64)  # not an isometry
     monkeypatch.setattr(rep7, "_torus_generators", lambda p: [bad_torus])
@@ -489,3 +517,22 @@ def test_cli_dump_tables(tmp_path) -> None:
     tables = path.read_text(encoding="utf-8")
     assert tables.count("ad(") == 14
     assert tables.count("rho(") == 14
+    assert path.read_bytes() == GOLDEN_TABLES.read_bytes()
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    package_root = str(Path(g2verify.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": package_root}
+    return subprocess.run(
+        [sys.executable, "-m", "g2verify.report_cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_module_entry_point_runs_the_cli() -> None:
+    result = _run_module("--suite", "combinatorics", "--format", "json")
+    assert result.returncode == 0
+    report = json.loads(result.stdout)
+    assert len(report["checks"]) == 6
+    assert report["summary"]["failed"] == 0
+    assert _run_module("--primes", "4").returncode == 2

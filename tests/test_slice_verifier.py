@@ -12,16 +12,22 @@ from fractions import Fraction
 
 import pytest
 
+from g2verify import root_weyl as rw
+from g2verify import slice_verifier as sv
 from g2verify.exact_linalg import DenseMatrix, rank, span_contains
-from g2verify.g2_algebra import BASIS, DIM, G2Element, bracket, killing
-from g2verify.root_weyl import ALPHA, GAMMA
+from g2verify.g2_algebra import BASIS, BASIS_WEIGHTS, DIM, G2Element, bracket, killing
+from g2verify.root_weyl import ALPHA, GAMMA, Root
 from g2verify.slice_verifier import (
+    E,
+    F,
+    H,
     NotOnSliceError,
     build_slice_data,
     count_relevant_orbits,
     omega_minus1_check,
     omega_prime_gram,
     omega_prime_sample_points,
+    psi,
     verify_contracting_weights,
     verify_lemma_incl,
     verify_ml_formula,
@@ -36,34 +42,32 @@ def data():
     return build_slice_data()
 
 
-def test_sl2_triple_relations(data) -> None:
-    e, f, h = data.triple.e, data.triple.f, data.triple.h
-    assert bracket(h, e) == e.scale(2)
-    assert bracket(h, f) == f.scale(-2)
-    assert bracket(e, f) == h
+def test_sl2_triple_relations() -> None:
+    assert bracket(H, E) == E.scale(2)
+    assert bracket(H, F) == F.scale(-2)
+    assert bracket(E, F) == H
 
 
 def test_grading_levels_and_dimensions(data) -> None:
-    levels = tuple(lv for lv, _ in data.grading.levels)
+    levels = tuple(sorted(set(data.levels)))
     assert levels == (-3, -2, -1, 0, 1, 2, 3)
-    assert data.grading.dims() == (2, 1, 2, 4, 2, 1, 2)
-    assert sum(data.grading.dims()) == 14
+    assert data.dims() == (2, 1, 2, 4, 2, 1, 2)
+    assert sum(data.dims()) == 14
 
 
 def test_kernel_of_ad_f(data) -> None:
-    kernel = data.subalgebras.ker_ad_f
+    kernel = data.ker_ad_f
     assert len(kernel) == 6
     assert rank(DenseMatrix.from_rows(list(kernel))) == 6
     # ad f annihilates every kernel vector, including f itself.
-    f = data.triple.f
     for v in kernel:
-        assert bracket(f, G2Element(v)).is_zero()
-    assert span_contains(list(kernel), f.coords)
+        assert bracket(F, G2Element(v)).is_zero()
+    assert span_contains(list(kernel), F.coords)
 
 
-def test_psi_frozen_value(data) -> None:
-    assert data.psi(f1) == -24
-    assert data.psi(data.triple.e) == 0
+def test_psi_frozen_value() -> None:
+    assert psi(f1) == -24
+    assert psi(E) == 0
 
 
 def test_structural_lemmas() -> None:
@@ -74,10 +78,21 @@ def test_structural_lemmas() -> None:
     assert omega_minus1_check()
 
 
-def test_subspace_dimensions(data) -> None:
-    sub = data.subalgebras
-    assert len(sub.u5) == 5
-    assert len(sub.u6) == 6
+def test_subspace_dimensions() -> None:
+    assert len(sv.U5) == 5
+    assert len(sv.U6) == 6
+
+
+def test_u6_weights_are_the_base_positive_system() -> None:
+    # The slice's u6 and the combinatorics suite's base polarization are
+    # written down separately; they must name the same six roots.
+    assert {Root(*BASIS_WEIGHTS[i]) for i in sv.U6} == rw.base_positive_system().roots
+
+
+def test_u5_weights_in_record_order() -> None:
+    # The order of R_U5 fixes the order of every record's ubar_weights.
+    expected = ((-3, -1), (-1, 0), (0, 1), (1, 1), (3, 2))
+    assert sv.R_U5 == tuple(Root(*r) for r in expected)
 
 
 def test_relevant_orbit_count() -> None:
@@ -116,8 +131,8 @@ def test_opposite_cell_sizes() -> None:
     assert sizes == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
 
 
-def test_omega_prime_at_base_point(data) -> None:
-    gram = omega_prime_gram(data.triple.e)
+def test_omega_prime_at_base_point() -> None:
+    gram = omega_prime_gram(E)
     assert gram.rows == gram.cols == 20
     assert (gram + gram.transpose()).is_zero()
     assert rank(gram) == 20
@@ -134,7 +149,7 @@ def test_omega_prime_at_seeded_points() -> None:
 
 
 def _reference_omega_prime_gram(x: G2Element, data) -> DenseMatrix:
-    kernel = [G2Element(v) for v in data.subalgebras.ker_ad_f]
+    kernel = [G2Element(v) for v in data.ker_ad_f]
     n = DIM + len(kernel)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(DIM):
@@ -147,7 +162,7 @@ def _reference_omega_prime_gram(x: G2Element, data) -> DenseMatrix:
 
 
 def test_omega_prime_gram_matches_reference(data) -> None:
-    points = [(data.triple.e, ())] + list(
+    points = [(E, ())] + list(
         omega_prime_sample_points(seed=3, count=20)
     )
     for x, _ in points:
@@ -170,7 +185,7 @@ def test_off_slice_point_rejected() -> None:
 
 
 def test_slice_points_pass_membership(data) -> None:
-    kernel = data.subalgebras.ker_ad_f
-    x = data.triple.e + G2Element(kernel[0]).scale(Fraction(3, 2))
+    kernel = data.ker_ad_f
+    x = E + G2Element(kernel[0]).scale(Fraction(3, 2))
     gram = omega_prime_gram(x)
     assert gram.rows == 20

@@ -57,8 +57,7 @@ def test_killing_gram_has_sympy_rank_14() -> None:
 
 
 def test_omega_prime_gram_at_e_has_sympy_rank_20() -> None:
-    data = sv.build_slice_data()
-    gram = sv.omega_prime_gram(data.triple.e)
+    gram = sv.omega_prime_gram(sv.E)
     assert _sympy_matrix(gram).rank() == 20
 
 
