@@ -66,7 +66,7 @@ class DenseMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> DenseMatrix:
         coerced = tuple(tuple(_exact(x) for x in row) for row in rows)
-        return cls(len(coerced), len(coerced[0]), coerced)
+        return cls(len(coerced), len(coerced[0]) if coerced else 0, coerced)
 
     @classmethod
     def identity(cls, n: int) -> DenseMatrix:

@@ -212,27 +212,27 @@ def bracket(x: G2Element, y: G2Element) -> G2Element:
 
 @cache
 def _bracket_table() -> tuple:
-    """Coordinates of [b_i, b_j] for all basis pairs, cached."""
+    """The structure constants: c[i][j] is the tuple of nonzero (k, c_ij^k)
+    of [b_i, b_j], built from `bracket` once per process.  Every algebra
+    check and consumer reads this one table, so a test that patches
+    `bracket` clears it (`_bracket_table.cache_clear()`) after patching
+    and again on teardown."""
     return tuple(
-        tuple(bracket(BASIS[i], BASIS[j]).coords for j in range(DIM))
-        for i in range(DIM)
+        tuple(tuple((k, t) for k, t in enumerate(bracket(x, y).coords) if t) for y in BASIS)
+        for x in BASIS
     )
 
 
 def ad_matrix(x: G2Element) -> DenseMatrix:
     """The 14x14 matrix of y -> [x, y] in the fixed basis."""
-    table = _bracket_table()
-    columns = []
-    for j in range(DIM):
-        col = [0] * DIM
-        for i, c in enumerate(x.coords):
-            if c:
-                for k in range(DIM):
-                    t = table[i][j][k]
-                    if t:
-                        col[k] += c * t
-        columns.append(col)
-    return DenseMatrix.from_rows(list(zip(*columns)))
+    c = _bracket_table()
+    rows = [[0] * DIM for _ in range(DIM)]
+    for i, s in enumerate(x.coords):
+        if s:
+            for j in range(DIM):
+                for k, t in c[i][j]:
+                    rows[k][j] += s * t
+    return DenseMatrix.from_rows(rows)
 
 
 @cache
@@ -240,7 +240,9 @@ def killing_gram() -> tuple:
     """Gram matrix K[i][j] = trace(ad b_i . ad b_j) = sum c_il^k c_jk^l over
     the fixed basis, where c_ij^k is the b_k coefficient of [b_i, b_j]."""
     c = _bracket_table()
-    trace = lambda i, j: sum(c[i][l][k] * c[j][k][l] for k in range(DIM) for l in range(DIM))
+    trace = lambda i, j: sum(
+        s * t for l in range(DIM) for k, s in c[i][l] for m, t in c[j][k] if m == l
+    )
     return tuple(tuple(trace(i, j) for j in range(DIM)) for i in range(DIM))
 
 
@@ -274,27 +276,18 @@ def root_vector(w: Sequence[int]) -> G2Element:
 
 def verify_antisymmetry() -> int:
     """Number of ordered basis pairs with [x, y] + [y, x] = 0 (196 = all)."""
-    good = 0
-    for x in BASIS:
-        for y in BASIS:
-            if (bracket(x, y) + bracket(y, x)).is_zero():
-                good += 1
-    return good
-
-
-def _structure_constants() -> list:
-    """c[i][j] lists the nonzero (k, c_ij^k) of [b_i, b_j], read from
-    `bracket` on every call."""
-    return [
-        [[(k, c) for k, c in enumerate(bracket(x, y).coords) if c] for y in BASIS]
-        for x in BASIS
-    ]
+    c = _bracket_table()
+    return sum(
+        c[i][j] == tuple((k, -t) for k, t in c[j][i])
+        for i in range(DIM)
+        for j in range(DIM)
+    )
 
 
 def verify_jacobi() -> int:
     """Number of ordered basis triples satisfying the Jacobi identity
     [x, [y, z]] + [y, [z, x]] + [z, [x, y]] = 0 (2744 = all)."""
-    c = _structure_constants()
+    c = _bracket_table()
     good = 0
     for i, j, k in product(range(DIM), repeat=3):
         total = [0] * DIM
@@ -310,7 +303,7 @@ def verify_jacobi() -> int:
 def verify_killing_invariance() -> int:
     """Number of ordered basis triples satisfying the invariance identity
     kappa([x, y], z) + kappa(y, [x, z]) = 0 (2744 = all)."""
-    c = _structure_constants()
+    c = _bracket_table()
     gram = killing_gram()
     return sum(
         sum(s * gram[m][k] for m, s in c[i][j]) + sum(s * gram[j][m] for m, s in c[i][k]) == 0

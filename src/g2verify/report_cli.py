@@ -57,7 +57,6 @@ class Config:
     samples: int | None = None
     seed: int = 42
     format: str = "text"
-    out: str | None = None
 
     def __post_init__(self) -> None:
         seen = []
@@ -697,8 +696,8 @@ def _headline_linear(results: Sequence[CheckResult]) -> int | None:
 def _config_payload(config: Config) -> dict:
     """The verification-relevant configuration echoed into the report.
 
-    Presentation fields (format, output path) are omitted so the same
-    verification emits identical bytes wherever it is written.
+    Only verification settings are echoed, so the same verification
+    emits identical bytes wherever it is written.
     """
     return {
         "suites": list(config.suites),
@@ -713,13 +712,15 @@ def _config_payload(config: Config) -> dict:
 def emit(report: VerificationReport, config: Config) -> str:
     """Serialize the report: a text table or a byte-stable JSON document.
 
-    JSON reports always record millis as 0 so that fixed (config, seed)
-    pairs produce byte-identical documents; the text table shows the
-    measured wall time.
+    The echoed configuration is the one the run used (`report.config`);
+    `config` picks only the format.  JSON reports always record millis as
+    0 so that fixed (config, seed) pairs produce byte-identical documents;
+    the text table shows the measured wall time.
     """
+    run = report.config
     if config.format == "json":
         doc = {
-            "config": _config_payload(config),
+            "config": _config_payload(run),
             "checks": [
                 {
                     "name": c.name,
@@ -741,8 +742,8 @@ def emit(report: VerificationReport, config: Config) -> str:
     expected_w = max([len(c.expected) for c in report.checks] + [len("expected")])
     lines = [
         "verification report",
-        f"suites: {', '.join(config.suites)}; primes: "
-        f"{', '.join(str(p) for p in config.primes)}; seed: {config.seed}",
+        f"suites: {', '.join(run.suites)}; primes: "
+        f"{', '.join(str(p) for p in run.primes)}; seed: {run.seed}",
         "",
         f"{'check'.ljust(name_w)}  {'status'.ljust(status_w)}  "
         f"{'expected'.ljust(expected_w)}  actual (millis)",
@@ -798,7 +799,6 @@ def build_config(
     samples: int | None = None,
     seed: int = 42,
     format: str = "text",
-    out: str | None = None,
 ) -> Config:
     """Build a validated Config from CLI-style string options."""
     suites = SUITE_ORDER if suite == "all" else _parse_csv(suite, "suite")
@@ -812,7 +812,6 @@ def build_config(
         samples=samples,
         seed=seed,
         format=format,
-        out=out,
     )
 
 
@@ -859,8 +858,7 @@ def main(
     """Run the exact verification suites and emit a report."""
     try:
         config = build_config(
-            suite=suite, primes=primes, samples=samples, seed=seed,
-            format=format_, out=out,
+            suite=suite, primes=primes, samples=samples, seed=seed, format=format_
         )
     except ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)
@@ -868,12 +866,12 @@ def main(
 
     report = run_suite(config)
     document = emit(report, config)
-    if config.out is not None:
+    if out is not None:
         try:
-            with open(config.out, "w", encoding="utf-8") as handle:
+            with open(out, "w", encoding="utf-8") as handle:
                 handle.write(document)
         except OSError as exc:
-            click.echo(f"failed to write report to {config.out}: {exc}", err=True)
+            click.echo(f"failed to write report to {out}: {exc}", err=True)
             raise SystemExit(1)
     else:
         click.echo(document, nl=False)

@@ -404,7 +404,7 @@ def omega_prime_gram(x: G2Element) -> DenseMatrix:
     table = g2._bracket_table()
     for i in range(DIM):
         for j in range(DIM):
-            rows[i][j] = -sum(c * kappa_x[k] for k, c in enumerate(table[i][j]) if c)
+            rows[i][j] = -sum(c * kappa_x[k] for k, c in table[i][j])
     for i in range(DIM):
         for j, kv in enumerate(kernel_elems):
             val = killing(BASIS[i], kv)

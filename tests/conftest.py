@@ -6,10 +6,11 @@ from g2verify import g2_algebra as g2
 
 
 @pytest.fixture
-def bracket_with_extra_h_a(monkeypatch) -> None:
+def bracket_with_extra_h_a(monkeypatch):
     """Patch g2.bracket by the antisymmetric bilinear term
     (x_e1 y_f1 - x_f1 y_e1) h_a: +1 on the h_a coefficient of [e1, f1] and
-    -1 on that of [f1, e1].  Antisymmetry still holds; Jacobi does not."""
+    -1 on that of [f1, e1].  Antisymmetry still holds; Jacobi does not.
+    The cached bracket table is cleared after patching and on teardown."""
     g2.killing_gram()  # cache the true Gram before the bracket changes
     true_bracket = g2.bracket
 
@@ -19,3 +20,6 @@ def bracket_with_extra_h_a(monkeypatch) -> None:
         return g2.G2Element(tuple(coords))
 
     monkeypatch.setattr(g2, "bracket", bad_bracket)
+    g2._bracket_table.cache_clear()
+    yield
+    g2._bracket_table.cache_clear()

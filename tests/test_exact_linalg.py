@@ -334,6 +334,8 @@ def test_dimension_mismatches_raise() -> None:
     with pytest.raises(DimensionMismatch):
         DenseMatrix(2, 2, ((Fraction(1),),))
     with pytest.raises(DimensionMismatch):
+        DenseMatrix.from_rows([])
+    with pytest.raises(DimensionMismatch):
         solve_linear(m, [1, 2, 3])
     # The left operand of a bilinear form is checked too, short or long.
     with pytest.raises(DimensionMismatch):

@@ -3,6 +3,7 @@ skipping, JSON schema and byte stability, and CLI exit codes.
 """
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -190,8 +191,9 @@ def test_perturbed_invariant_form_fails_and_skips_dependents(monkeypatch) -> Non
 def test_perturbed_structure_constant_fails_and_skips_dependents(
     monkeypatch,
 ) -> None:
-    # Cache the true bracket table and Killing Gram first, so that no
-    # check run with the perturbed bracket can leave either behind.
+    # Cache the true Killing Gram first, then rebuild the bracket table
+    # from the perturbed bracket; clear it again so that no later test
+    # reads the perturbed table.
     g2.killing_gram()
     true_bracket = g2.bracket
 
@@ -204,7 +206,11 @@ def test_perturbed_structure_constant_fails_and_skips_dependents(
         return z
 
     monkeypatch.setattr(g2, "bracket", bad_bracket)
-    report = run_suite(Config(suites=("algebra",)))
+    g2._bracket_table.cache_clear()
+    try:
+        report = run_suite(Config(suites=("algebra",)))
+    finally:
+        g2._bracket_table.cache_clear()
     by_name = {c.name: c for c in report.checks}
     antisymmetry = by_name["algebra.bracket.antisymmetry"]
     assert antisymmetry.status == "fail"
@@ -212,6 +218,27 @@ def test_perturbed_structure_constant_fails_and_skips_dependents(
     assert by_name["algebra.bracket.jacobi"].status == "skipped"
     assert by_name["algebra.killing.invariance"].status == "skipped"
     assert report.summary["failed"] == 1
+
+
+def test_algebra_suite_computes_each_basis_bracket_once(monkeypatch) -> None:
+    # The structure constants are written once: from cleared caches, an
+    # algebra run calls `bracket` on each of the 196 basis pairs exactly
+    # once.  The counting wrapper returns the true bracket, so the tables
+    # it leaves cached are the true ones.
+    true_bracket = g2.bracket
+    calls = []
+
+    def counted_bracket(x, y):
+        calls.append((x, y))
+        return true_bracket(x, y)
+
+    monkeypatch.setattr(g2, "bracket", counted_bracket)
+    g2._bracket_table.cache_clear()
+    g2.killing_gram.cache_clear()
+    report = run_suite(Config(suites=("algebra",)))
+    assert report.summary["passed"] == report.summary["total"]
+    assert len(calls) == 196
+    assert set(calls) == set(itertools.product(g2.BASIS, repeat=2))
 
 
 def test_antisymmetric_structure_constant_fault_fails_jacobi(
@@ -432,6 +459,25 @@ def test_json_output_is_byte_stable() -> None:
     second = emit(run_suite(cfg), cfg)
     assert first == second
     assert first.endswith("\n")
+
+
+def test_emit_echoes_the_config_of_the_run() -> None:
+    # The format comes from the Config passed to emit; everything echoed
+    # comes from the run itself.
+    report = run_suite(Config(suites=("combinatorics",), seed=1))
+    other = Config(suites=("algebra", "linear"), primes=(5,), samples=3, seed=2)
+    doc = json.loads(emit(report, dataclasses.replace(other, format="json")))
+    assert doc["config"] == {
+        "suites": ["combinatorics"],
+        "primes": [3, 5, 7],
+        "samples": None,
+        "rank_samples": 10,
+        "conormal_samples": 100,
+        "seed": 1,
+    }
+    assert len(doc["checks"]) == 6
+    header = emit(report, other).splitlines()[1]
+    assert header == "suites: combinatorics; primes: 3, 5, 7; seed: 1"
 
 
 def test_text_report_is_a_table() -> None:
