@@ -213,10 +213,15 @@ def bracket(x: G2Element, y: G2Element) -> G2Element:
 @cache
 def _bracket_table() -> tuple:
     """The structure constants: c[i][j] is the tuple of nonzero (k, c_ij^k)
-    of [b_i, b_j], built from `bracket` once per process.  Every algebra
-    check and consumer reads this one table, so a test that patches
-    `bracket` clears it (`_bracket_table.cache_clear()`) after patching
-    and again on teardown."""
+    of [b_i, b_j], built from `bracket` once per process.  Every question
+    about brackets of basis vectors reads this one table: the algebra
+    checks, `ad_matrix`, `killing_gram`, the slice checks and the rho
+    homomorphism and f2 constraints.  So a test that patches `bracket`
+    clears it (`_bracket_table.cache_clear()`) after patching and again on
+    teardown.  The caches filled from the table keep the table of their
+    first call: `killing_gram`, `slice_verifier.build_slice_data` and
+    `rep7_verifier.build_rep7` (and the rep7 caches built on it).  A test
+    that fills them from a patched table clears them on teardown too."""
     return tuple(
         tuple(tuple((k, t) for k, t in enumerate(bracket(x, y).coords) if t) for y in BASIS)
         for x in BASIS
@@ -257,11 +262,6 @@ def killing(x: G2Element, y: G2Element) -> int | Fraction:
                 if b:
                     total += a * row[j] * b
     return total
-
-
-def apply_matrix(m: DenseMatrix, x: G2Element) -> G2Element:
-    """Apply a 14x14 matrix (in the fixed basis) to an algebra element."""
-    return G2Element(m.mul_vec(x.coords))
 
 
 def root_vector(w: Sequence[int]) -> G2Element:

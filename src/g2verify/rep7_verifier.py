@@ -40,7 +40,7 @@ import numpy as np
 from . import g2_algebra as g2
 from .exact_linalg import DenseMatrix, _exact, bilinear, kernel_basis
 from .exact_linalg import clear_denominators, rank, solve_linear
-from .g2_algebra import BASIS, BASIS_NAMES, BASIS_WEIGHTS, DIM, G2Element, bracket
+from .g2_algebra import BASIS_NAMES, BASIS_WEIGHTS, DIM
 from .sampling import SmallRationalSampler
 
 REP_DIM = 7
@@ -85,9 +85,10 @@ class Rep7:
     def matrix(self, name: str) -> DenseMatrix:
         return self.matrices[BASIS_NAMES.index(name)]
 
-    def act(self, x: G2Element) -> DenseMatrix:
-        """The matrix of x = sum c_i b_i acting on the representation."""
-        terms = [(c, m.entries) for c, m in zip(x.coords, self.matrices) if c]
+    def act(self, terms: Sequence) -> DenseMatrix:
+        """The matrix of sum c b_k acting on the representation, for the
+        sparse terms (k, c) of a bracket-table entry."""
+        terms = [(c, self.matrices[k].entries) for k, c in terms]
         rows = [
             [sum(c * e[i][j] for c, e in terms) for j in range(REP_DIM)]
             for i in range(REP_DIM)
@@ -232,13 +233,14 @@ def _commutator(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     return a @ b - b @ a
 
 
-def _cartan_action(x: G2Element) -> DenseMatrix:
-    """The diagonal action of a Cartan element H = c12 h_a + c13 h_b, read
-    off from the weights: alpha(H) = c12 and beta(H) = c13 - 2 c12."""
-    c = x.coords
-    if any(c[:12]):
+def _cartan_action(terms: Sequence) -> DenseMatrix:
+    """The diagonal action of a Cartan element H = c12 h_a + c13 h_b, given
+    as the sparse terms (k, c_k) of a bracket-table entry, read off from the
+    weights: alpha(H) = c12 and beta(H) = c13 - 2 c12."""
+    c = dict(terms)
+    if any(k < 12 for k in c):
         raise ValueError("not a Cartan element")
-    alpha, beta = c[12], c[13] - 2 * c[12]
+    alpha, beta = c.get(12, 0), c.get(13, 0) - 2 * c.get(12, 0)
     diag = [m1 * alpha + m2 * beta for m1, m2 in REP_WEIGHTS]
     return _sparse_matrix({(i, i): diag[i] for i in range(REP_DIM) if diag[i]})
 
@@ -259,15 +261,9 @@ def _constraint_stack(c: Sequence) -> tuple:
     four unknown f2 coefficients.
     """
     fs, es = _f_and_e_matrices(c)
-    residuals = []
-    for em, fm, ei, fi in zip(es, fs, (g2.e1, g2.e2, g2.e3), (g2.f1, g2.f2, g2.f3)):
-        target = _cartan_action(bracket(ei, fi))
-        residuals.append(_commutator(em, fm) - target)
-    flat = []
-    for r in residuals:
-        for i in range(REP_DIM):
-            flat.extend(r.row(i))
-    return tuple(flat)
+    table = g2._bracket_table()  # e_i and f_i are the basis vectors b_i and b_(i+3)
+    residuals = [_commutator(es[i], fs[i]) - _cartan_action(table[i][i + 3]) for i in range(3)]
+    return tuple(x for r in residuals for row in r.entries for x in row)
 
 
 def _solve_f2_coefficients() -> tuple:
@@ -325,10 +321,11 @@ def verify_homomorphism() -> int:
     """Number of basis pairs (i < j) satisfying the homomorphism identity
     rho([b_i, b_j]) = [rho(b_i), rho(b_j)]; 91 means all pass."""
     rep = build_rep7()
+    table = g2._bracket_table()
     good = 0
     for i in range(DIM):
         for j in range(i + 1, DIM):
-            lhs = rep.act(bracket(BASIS[i], BASIS[j]))
+            lhs = rep.act(table[i][j])
             rhs = _commutator(rep.matrices[i], rep.matrices[j])
             if (lhs - rhs).is_zero():
                 good += 1

@@ -59,6 +59,10 @@ class Config:
     format: str = "text"
 
     def __post_init__(self) -> None:
+        for what, value in (("suites", self.suites), ("primes", self.primes)):
+            # A bare str is a sequence of letters: "slice" would name five suites.
+            if isinstance(value, str) or not isinstance(value, Sequence):
+                raise ConfigError(f"{what}: expected a sequence, got {value!r}")
         seen = []
         for s in self.suites:
             if s not in SUITE_ORDER:

@@ -12,8 +12,16 @@ line; these constants hold basis indices, and R_U5 the torus weights of U5.
 The character psi = killing(E, .) restricted to these subalgebras drives
 the relevancy count: 6 relevant base orbits plus 1 relevant complementary
 orbit, 7 in total.  `build_slice_data` verifies all of this and returns
-the two computed pieces: the ad-H level of each basis vector and ker ad F.
-Every verifier below calls it first, so a failed identity raises from each.
+the computed pieces: the ad-H level of each basis vector, ker ad F, and the
+Killing pairing of the basis with ker ad F.  Every verifier below calls it
+first, so a failed identity raises from each.
+
+Only the sl2 relations and the point [x, y + E] of `verify_lemma_incl`
+involve non-basis elements.  Every question about basis vectors reads the
+cached tables of `g2_algebra`: the levels are the diagonal of ad H, a
+bracket of basis vectors lies in a span of basis vectors when its support
+in the structure-constant table does, and psi([b_i, b_j]) is the sum of
+t * psi(b_k) over the table entry (`_psi_bracket`).
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import mul
 from typing import Sequence
 
 from . import g2_algebra as g2
@@ -32,7 +41,6 @@ from .g2_algebra import (
     DIM,
     G2Element,
     ad_matrix,
-    apply_matrix,
     bracket,
     killing,
 )
@@ -63,10 +71,11 @@ def _indices(*names: str) -> tuple[int, ...]:
     return tuple(BASIS_NAMES.index(n) for n in names)
 
 
-#: The sl2-triple (e, f, h) = (e1, -f1, 2*h_a + h_b).
+#: The sl2-triple (e, f, h) = (e1, -f1, 2*h_a + h_b); e is the basis vector b_0.
 E = g2.e1
 F = -g2.f1
 H = g2.h_a.scale(2) + g2.h_b
+_E = BASIS.index(E)
 
 #: Basis indices of the slice-side subspaces.
 L = _indices("e2")
@@ -91,6 +100,7 @@ class SliceData:
 
     levels: tuple[int, ...]  # the ad-h eigenvalue of each basis vector
     ker_ad_f: tuple  # tuple of 14-coordinate kernel vectors
+    kappa_ker: tuple  # kappa(b_i, k_j): 14 rows, one column per kernel vector
 
     def dims(self) -> tuple[int, ...]:
         """Dimensions of the ad-h eigenspaces, by increasing level."""
@@ -117,27 +127,13 @@ class RelevantOrbitCount:
     records: tuple[RelevancyRecord, ...]
 
 
-def _h_weight(x: G2Element, h: G2Element) -> int:
-    """The eigenvalue of ad h on a joint eigenvector x (must be exact)."""
-    bx = bracket(h, x)
-    for c, bc in zip(x.coords, bx.coords):
-        if c:
-            ratio = Fraction(bc) / Fraction(c)
-            if x.scale(ratio).coords != bx.coords:
-                raise StructureMismatchError(f"{x!r} is not an ad-h eigenvector")
-            if ratio.denominator != 1:
-                raise StructureMismatchError(f"non-integer h-weight on {x!r}")
-            return int(ratio)
-    return 0
-
-
 def _check_brackets_in(a: Sequence[int], b: Sequence[int], what: str) -> None:
-    """Brackets of the basis vectors `a` with those of `b` stay in span(b)."""
-    rows = [BASIS[j].coords for j in b]
+    """Brackets of the basis vectors `a` with those of `b` stay in span(b):
+    every basis index in the support of c[i][j] lies in `b`."""
+    c = g2._bracket_table()
     for i in a:
         for j in b:
-            br = bracket(BASIS[i], BASIS[j])
-            if not br.is_zero() and not span_contains(rows, br.coords):
+            if any(k not in b for k, _ in c[i][j]):
                 raise StructureMismatchError(
                     f"{what} at ({BASIS_NAMES[i]}, {BASIS_NAMES[j]})"
                 )
@@ -145,18 +141,20 @@ def _check_brackets_in(a: Sequence[int], b: Sequence[int], what: str) -> None:
 
 def _check_nilpotent_span(indices: Sequence[int], name: str) -> None:
     """Lower-central-series termination for the span of basis `indices`."""
-    current = [BASIS[i] for i in indices]
+    ads = [ad_matrix(BASIS[i]) for i in indices]
+    current = [BASIS[i].coords for i in indices]
     for _ in range(DIM):
-        nxt = []
-        for i in indices:
-            for y in current:
-                br = bracket(BASIS[i], y)
-                if not br.is_zero():
-                    nxt.append(br)
-        if not nxt:
+        images = (a.mul_vec(v) for a in ads for v in current)
+        current = [w for w in images if any(w)]
+        if not current:
             return
-        current = nxt
     raise StructureMismatchError(f"{name} is not nilpotent")
+
+
+def _psi_bracket(i: int, j: int) -> int | Fraction:
+    """psi([b_i, b_j]): the sum of t * psi(b_k) over the table entry c[i][j]."""
+    psi_row = g2.killing_gram()[_E]
+    return sum(t * psi_row[k] for k, t in g2._bracket_table()[i][j])
 
 
 @cache
@@ -174,9 +172,18 @@ def build_slice_data() -> SliceData:
     if bracket(E, F) != H:
         raise StructureMismatchError("[e, f] != h")
 
-    # Grading by ad-h eigenvalue; each basis element is an eigenvector.
-    levels = tuple(_h_weight(b, H) for b in BASIS)
-    data = SliceData(levels, kernel_basis(ad_matrix(F)))
+    # Grading by ad-h eigenvalue: ad h is diagonal with integer entries.
+    ad_h = ad_matrix(H)
+    for j, b in enumerate(BASIS):
+        if any(ad_h.entry(i, j) for i in range(DIM) if i != j):
+            raise StructureMismatchError(f"{b!r} is not an ad-h eigenvector")
+        if not isinstance(ad_h.entry(j, j), int):
+            raise StructureMismatchError(f"non-integer h-weight on {b!r}")
+    levels = tuple(ad_h.entry(j, j) for j in range(DIM))
+    ker_ad_f = kernel_basis(ad_matrix(F))
+    gram = g2.killing_gram()
+    kappa_ker = tuple(tuple(sum(map(mul, row, k)) for k in ker_ad_f) for row in gram)
+    data = SliceData(levels, ker_ad_f, kappa_ker)
     if data.dims() != (2, 1, 2, 4, 2, 1, 2):
         raise StructureMismatchError(
             f"grading dimensions {data.dims()} != (2, 1, 2, 4, 2, 1, 2)"
@@ -198,8 +205,7 @@ def build_slice_data() -> SliceData:
     # l sits in g_(-1) and is isotropic for omega_{-1}.
     if any(levels[i] != -1 for i in L):
         raise StructureMismatchError("l is not inside g_(-1)")
-    e2 = BASIS[L[0]]
-    if killing(bracket(e2, e2), E) != 0:
+    if _psi_bracket(L[0], L[0]) != 0:
         raise StructureMismatchError("l is not isotropic for omega_{-1}")
 
     return data
@@ -213,15 +219,13 @@ def verify_psi_conditions() -> bool:
     product at the Lie level.
     """
     build_slice_data()
-    n_l = [BASIS[i] for i in N_L]
-    s = [BASIS[i] for i in S]
-    ext = [BASIS[i] for i in T_PRIME + U5]
-    for family_a, family_b in ((n_l, n_l), (s, n_l), (ext, ext)):
-        for x in family_a:
-            for y in family_b:
-                if psi(bracket(x, y)) != 0:
-                    return False
-    return True
+    ext = T_PRIME + U5
+    return not any(
+        _psi_bracket(i, j)
+        for family_a, family_b in ((N_L, N_L), (S, N_L), (ext, ext))
+        for i in family_a
+        for j in family_b
+    )
 
 
 def verify_lemma_incl() -> bool:
@@ -230,46 +234,40 @@ def verify_lemma_incl() -> bool:
     Checks killing(z, y) = 0 and killing([x, y + e], z) = 0 for all basis
     x in n_l, y in ker ad_f together with y = 0, and z in m_l = n_l.
     """
-    n_l = [BASIS[i] for i in N_L]
-    kernel_elems = [G2Element(v) for v in build_slice_data().ker_ad_f]
-    for z in n_l:
-        for y in kernel_elems:
-            if killing(z, y) != 0:
+    data = build_slice_data()
+    if any(any(data.kappa_ker[i]) for i in N_L):
+        return False
+    gram = g2.killing_gram()
+    for i in N_L:
+        ad_x = ad_matrix(BASIS[i])
+        for y in data.ker_ad_f + (G2Element.zero().coords,):
+            img = ad_x.mul_vec((G2Element(y) + E).coords)  # [x, y + e]
+            if any(sum(c * gram[k][z] for k, c in enumerate(img)) for z in N_L):
                 return False
-    for x in n_l:
-        for y in kernel_elems + [G2Element.zero()]:
-            img = bracket(x, y + E)
-            for z in n_l:
-                if killing(img, z) != 0:
-                    return False
     return True
 
 
 def _m_l_perp_basis() -> tuple:
     """Basis of the Killing-orthogonal complement of m_l = n_l."""
-    pairing_rows = [
-        tuple(killing(BASIS[i], BASIS[j]) for j in range(DIM)) for i in N_L
-    ]
-    return kernel_basis(DenseMatrix.from_rows(pairing_rows))
+    gram = g2.killing_gram()
+    return kernel_basis(DenseMatrix.from_rows([gram[i] for i in N_L]))
 
 
 def verify_ml_formula() -> bool:
-    """m_l-perp = [n_l, e] + ker ad_f, a direct sum of dimensions 4 + 6 = 10."""
+    """m_l-perp = [n_l, e] + ker ad_f, a direct sum of dimensions 4 + 6 = 10.
+
+    The 4 + 6 spanning vectors have rank 10, so the sum is direct; adding
+    the 10 perp basis vectors keeps the rank at 10, so the sum is m_l-perp.
+    """
     kernel_span = list(build_slice_data().ker_ad_f)
-    perp = _m_l_perp_basis()
-    bracket_span = [bracket(BASIS[i], E).coords for i in N_L]
-    if len(perp) != 10:
-        return False
-    if rank(DenseMatrix.from_rows(bracket_span)) != 4:
-        return False
-    if len(kernel_span) != 6:
-        return False
-    perp_rows = list(perp)
-    for v in bracket_span + kernel_span:
-        if not span_contains(perp_rows, v):
-            return False
-    # Rank 4 + 6 = 10 makes the sum direct.
-    return rank(DenseMatrix.from_rows(bracket_span + kernel_span)) == 10
+    perp = list(_m_l_perp_basis())
+    ad_e = ad_matrix(E)
+    sum_rows = [ad_e.column(i) for i in N_L] + kernel_span  # [e, n_l] + ker ad_f
+    return (
+        len(perp) == len(sum_rows) == 10
+        and rank(DenseMatrix.from_rows(sum_rows)) == 10
+        and rank(DenseMatrix.from_rows(perp + sum_rows)) == 10
+    )
 
 
 def _max_h_level(vectors: Sequence, levels: Sequence[int]) -> int:
@@ -294,20 +292,13 @@ def omega_minus1_check() -> bool:
     idx = [i for i, lv in enumerate(build_slice_data().levels) if lv == -1]
     if len(idx) != 2:
         return False
-    x, y = BASIS[idx[0]], BASIS[idx[1]]
-    om = lambda u, v: killing(bracket(u, v), E)
-    if om(x, x) != 0 or om(y, y) != 0:
-        return False
-    if om(x, y) + om(y, x) != 0:
-        return False
-    if om(x, y) == 0:
-        return False
-    l_index = L[0]
-    if l_index not in idx:
+    # omega_{-1}(u, v) = killing([u, v], e) = psi([u, v]).
+    (xx, xy), (yx, yy) = [[_psi_bracket(u, v) for v in idx] for u in idx]
+    if xx or yy or xy + yx or not xy:
         return False
     # A basis line is a single torus-weight line by construction; confirm
     # its weight is a root (nonzero).
-    return BASIS_WEIGHTS[l_index] != (0, 0)
+    return L[0] in idx and BASIS_WEIGHTS[L[0]] != (0, 0)
 
 
 def _psi_ad_powers_vanish(x: G2Element) -> bool:
@@ -320,7 +311,7 @@ def _psi_ad_powers_vanish(x: G2Element) -> bool:
     current = x
     factorial = 1
     for k in range(1, DIM + 1):
-        current = apply_matrix(a, current)
+        current = G2Element(a.mul_vec(current.coords))
         if current.is_zero():
             return True
         factorial *= k
@@ -393,21 +384,20 @@ def omega_prime_gram(x: G2Element) -> DenseMatrix:
     slice e1 + span(ker ad_f).  The first 14 rows/columns are the algebra
     basis directions u; the last 6 are the kernel-basis slice directions v.
     """
-    kernel = build_slice_data().ker_ad_f
+    data = build_slice_data()
+    kernel = data.ker_ad_f
     diff = x - E
     if not span_contains(list(kernel), diff.coords):
         raise NotOnSliceError("point is not on the slice e1 + ker ad_f")
     n = DIM + len(kernel)
     rows = [[0] * n for _ in range(n)]
-    kernel_elems = [G2Element(v) for v in kernel]
     kappa_x = [killing(x, b) for b in BASIS]
     table = g2._bracket_table()
     for i in range(DIM):
         for j in range(DIM):
             rows[i][j] = -sum(c * kappa_x[k] for k, c in table[i][j])
-    for i in range(DIM):
-        for j, kv in enumerate(kernel_elems):
-            val = killing(BASIS[i], kv)
+    for i, kappa_row in enumerate(data.kappa_ker):
+        for j, val in enumerate(kappa_row):
             rows[i][DIM + j] = -val
             rows[DIM + j][i] = val
     return DenseMatrix.from_rows(rows)

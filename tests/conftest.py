@@ -3,6 +3,7 @@
 import pytest
 
 from g2verify import g2_algebra as g2
+from g2verify import slice_verifier as sv
 
 
 @pytest.fixture
@@ -10,7 +11,8 @@ def bracket_with_extra_h_a(monkeypatch):
     """Patch g2.bracket by the antisymmetric bilinear term
     (x_e1 y_f1 - x_f1 y_e1) h_a: +1 on the h_a coefficient of [e1, f1] and
     -1 on that of [f1, e1].  Antisymmetry still holds; Jacobi does not.
-    The cached bracket table is cleared after patching and on teardown."""
+    The cached bracket table is cleared after patching and on teardown, and
+    so is any slice data built from the perturbed table."""
     g2.killing_gram()  # cache the true Gram before the bracket changes
     true_bracket = g2.bracket
 
@@ -23,3 +25,4 @@ def bracket_with_extra_h_a(monkeypatch):
     g2._bracket_table.cache_clear()
     yield
     g2._bracket_table.cache_clear()
+    sv.build_slice_data.cache_clear()

@@ -18,6 +18,7 @@ import g2verify
 from g2verify import g2_algebra as g2
 from g2verify import rep7_verifier as rep7
 from g2verify import report_cli
+from g2verify import slice_verifier as sv
 from g2verify.exact_linalg import DenseMatrix
 from g2verify.report_cli import (
     Config,
@@ -81,11 +82,21 @@ def test_samples_override_both_defaults() -> None:
         {"samples": True},
         {"seed": True},
         {"primes": (3.0,)},
+        {"primes": 7},
+        {"primes": "3"},
+        {"suites": "slice"},
+        {"suites": None},
     ],
 )
 def test_invalid_configs_rejected(kwargs) -> None:
     with pytest.raises(ConfigError):
         Config(**kwargs)
+
+
+def test_bare_str_suites_names_the_field() -> None:
+    # Iterating "slice" would read the letters as suites ("unknown suite 's'").
+    with pytest.raises(ConfigError, match="^suites: expected a sequence, got 'slice'$"):
+        Config(suites="slice")
 
 
 def test_build_config_parses_cli_strings() -> None:
@@ -220,11 +231,20 @@ def test_perturbed_structure_constant_fails_and_skips_dependents(
     assert report.summary["failed"] == 1
 
 
+def _clear_table_caches() -> None:
+    g2._bracket_table.cache_clear()
+    g2.killing_gram.cache_clear()
+    sv.build_slice_data.cache_clear()
+    rep7.build_rep7.cache_clear()
+
+
 def test_algebra_suite_computes_each_basis_bracket_once(monkeypatch) -> None:
     # The structure constants are written once: from cleared caches, an
     # algebra run calls `bracket` on each of the 196 basis pairs exactly
-    # once.  The counting wrapper returns the true bracket, so the tables
-    # it leaves cached are the true ones.
+    # once, and a full default run makes no other call on two basis
+    # vectors (the slice and rho checks read the table).  The counting
+    # wrapper returns the true bracket, so the tables it leaves cached are
+    # the true ones.
     true_bracket = g2.bracket
     calls = []
 
@@ -232,13 +252,58 @@ def test_algebra_suite_computes_each_basis_bracket_once(monkeypatch) -> None:
         calls.append((x, y))
         return true_bracket(x, y)
 
-    monkeypatch.setattr(g2, "bracket", counted_bracket)
-    g2._bracket_table.cache_clear()
-    g2.killing_gram.cache_clear()
+    for module in (g2, sv, rep7, report_cli):
+        if getattr(module, "bracket", None) is true_bracket:
+            monkeypatch.setattr(module, "bracket", counted_bracket)
+    _clear_table_caches()
     report = run_suite(Config(suites=("algebra",)))
     assert report.summary["passed"] == report.summary["total"]
     assert len(calls) == 196
     assert set(calls) == set(itertools.product(g2.BASIS, repeat=2))
+
+    calls.clear()
+    _clear_table_caches()
+    report = run_suite(Config())
+    assert report.summary["passed"] == report.summary["total"] == 43
+    basis = set(g2.BASIS)
+    basis_pairs = [(x, y) for x, y in calls if x in basis and y in basis]
+    assert len(basis_pairs) == 196
+    assert set(basis_pairs) == set(itertools.product(g2.BASIS, repeat=2))
+
+
+@pytest.mark.parametrize(
+    ("x", "y", "extra", "message"),
+    [
+        # c[E23][E31] = E21: an extra f3 term takes u5 out of itself.
+        ("E23", "E31", "f3", "u5 is not bracket-closed at (E23, E31)"),
+        # [E21, e2] = 0: an extra e2 term keeps n_l closed, but ad E21
+        # then fixes e2, so the lower central series never ends.
+        ("E21", "e2", "e2", "n_l is not nilpotent"),
+    ],
+)
+def test_perturbed_table_entry_fails_slice_build(monkeypatch, x, y, extra, message) -> None:
+    # The slice build reads the table, so it fails there and its
+    # dependents skip.  The true Killing Gram is cached first, and the
+    # slice data built from the perturbed table is dropped afterwards.
+    g2.killing_gram()
+    i, j, k = (g2.BASIS_NAMES.index(n) for n in (x, y, extra))
+    table = [list(row) for row in g2._bracket_table()]
+    table[i][j] = tuple(sorted(table[i][j] + ((k, 1),)))
+    bad = tuple(tuple(row) for row in table)
+    monkeypatch.setattr(g2, "_bracket_table", lambda: bad)
+    sv.build_slice_data.cache_clear()
+    try:
+        report = run_suite(Config(suites=("slice",)))
+    finally:
+        sv.build_slice_data.cache_clear()
+    by_name = {c.name: c for c in report.checks}
+    build = by_name["slice.build"]
+    assert build.status == "fail"
+    assert build.actual == f"error: StructureMismatchError: {message}"
+    others = [c for c in report.checks if c.name != "slice.build"]
+    assert len(others) == 11
+    assert all(c.status == "skipped" for c in others)
+    assert report.summary["failed"] == 1
 
 
 def test_antisymmetric_structure_constant_fault_fails_jacobi(
