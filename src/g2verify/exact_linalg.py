@@ -212,14 +212,6 @@ def solve_linear(m: DenseMatrix, b: Sequence) -> Vector | None:
     return tuple(-x for x in _null_vector(rows, pivots, m.cols + 1, m.cols)[:-1])
 
 
-def span_contains(basis: Sequence[Sequence], v: Sequence) -> bool:
-    """True iff `v` lies in the span of `basis` (exact membership test)."""
-    if not basis:
-        return not any(_exact(x) for x in v)
-    matrix = DenseMatrix.from_rows(basis).transpose()
-    return solve_linear(matrix, v) is not None
-
-
 def bilinear(m: DenseMatrix, x: Sequence, y: Sequence) -> int | Fraction:
     """The bilinear form x^T m y, evaluated exactly."""
     if len(x) != m.rows:

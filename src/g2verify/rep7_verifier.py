@@ -456,21 +456,36 @@ def _moment_forms() -> tuple:
     return tuple(symp.omega @ a for a in symp.actions14)
 
 
+def _form_span_ranks() -> tuple[int, ...]:
+    """Ranks of the conormal forms, the moment forms and their union, as quadratic
+    forms on C^14 = z + z' (upper triangles of M + M^T); equal ranks: one zero set."""
+    n = 2 * REP_DIM
+    z_zprime = DenseMatrix.from_rows([[0, 1], [0, 0]])  # the block z^T . z'
+    zprime_zprime = DenseMatrix.from_rows([[0, 0], [0, 1]])  # the block z'^T . z'
+    conormal = [_kron(zprime_zprime, invariant_form())]
+    conormal += [_kron(z_zprime, f) for f in _conormal_forms()]
+    rows = [
+        [m.entries[i][j] + m.entries[j][i] for i in range(n) for j in range(i, n)]
+        for m in conormal + list(_moment_forms())
+    ]
+    rows = list(zip(*(c for c in zip(*rows) if any(c))))  # drop monomials no form uses
+    k = len(conormal)
+    return tuple(rank(DenseMatrix.from_rows(r)) for r in (rows[:k], rows[k:], rows))
+
+
 def conormal_conditions(zprime: Sequence, z: Sequence) -> bool:
     """The three exact conormal conditions: (i) <z', z'> = 0, (ii) <z, z'> = 0,
     (iii) <A z, z'> = <z, A z'>, i.e. z^T K_A z' = 0, for every g2-Borel
     generator A; forms of degree 2, so tested on z, z' cleared of denominators.
     (ii) is evaluated first: its call checks the lengths of both z and z'."""
     zprime, z = clear_denominators(zprime), clear_denominators(z)
-    forms = _conormal_forms()
-    # (ii) never decides alone in any current test: on sampled cone points
-    # (iii) implied it, and off the cone (i) fails.  It stays because it is
-    # part of the conormal definition, its call checks the lengths of both
-    # vectors, and a point count of the Lagrangian, which uses all ten
-    # Hamiltonians, would give it a check that can fail.
+    # (ii) never decides alone on a sampled point: on the cone (iii) implied
+    # it, and off the cone (i) fails.  It stays because the conormal ideal
+    # needs it: without it the conormal forms span 9 dimensions, not the
+    # moment forms' 10, and `_form_span_ranks` tells them apart.
     return (
-        not any(bilinear(f, z, zprime) for f in forms)
-        and bilinear(forms[0], zprime, zprime) == 0
+        not any(bilinear(f, z, zprime) for f in _conormal_forms())
+        and bilinear(invariant_form(), zprime, zprime) == 0
     )
 
 
@@ -523,12 +538,15 @@ def check_oracle_prime(p: int) -> None:
     """Raise BadPrimeError unless p is a prime >= 3 with p**7 at most
     MAX_ORACLE_POINTS, i.e. a modulus the oracle can enumerate, and with
     every int32 intermediate of the oracle in range."""
+    # Bounded before p**7 is formed or p printed: p may have millions of digits.
+    if not 3 <= p <= MAX_ORACLE_POINTS:
+        raise BadPrimeError(f"oracle requires a prime >= 3 with p^7 <= {MAX_ORACLE_POINTS}")
     if p**REP_DIM > MAX_ORACLE_POINTS:
         raise BadPrimeError(
             f"oracle would enumerate {p}^{REP_DIM} points, more than "
             f"{MAX_ORACLE_POINTS}; got {p}"
         )
-    if p < 3 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise BadPrimeError(f"oracle requires a prime >= 3, got {p}")
     if max(_int32_intermediates(p)) > np.iinfo(np.int32).max:
         raise BadPrimeError(f"oracle intermediates overflow int32 at p = {p}")

@@ -42,10 +42,17 @@ class ConfigError(ValueError):
     """Invalid runner configuration."""
 
 
+def _shown(value) -> str:
+    try:
+        return repr(value)
+    except ValueError:  # str() refuses an int of more than 4,300 digits
+        return "a value too long to print"
+
+
 def _require_int(what: str, value) -> None:
     # bool is an int subclass, but True is no count, seed or prime.
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what}: expected an integer, got {value!r}")
+        raise ConfigError(f"{what}: expected an integer, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -62,11 +69,11 @@ class Config:
         for what, value in (("suites", self.suites), ("primes", self.primes)):
             # A bare str is a sequence of letters: "slice" would name five suites.
             if isinstance(value, str) or not isinstance(value, Sequence):
-                raise ConfigError(f"{what}: expected a sequence, got {value!r}")
+                raise ConfigError(f"{what}: expected a sequence, got {_shown(value)}")
         seen = []
         for s in self.suites:
             if s not in SUITE_ORDER:
-                raise ConfigError(f"unknown suite {s!r}")
+                raise ConfigError(f"unknown suite {_shown(s)}")
             if s not in seen:
                 seen.append(s)
         if not seen:
@@ -88,11 +95,13 @@ class Config:
             _require_int("samples", self.samples)
             if not 1 <= self.samples <= MAX_SAMPLES:
                 raise ConfigError(
-                    f"samples must be between 1 and {MAX_SAMPLES}, got {self.samples}"
+                    f"samples must be between 1 and {MAX_SAMPLES}, got {_shown(self.samples)}"
                 )
         _require_int("seed", self.seed)
         if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+            raise ConfigError(
+                f"seed must be an unsigned 64-bit integer, got {_shown(self.seed)}"
+            )
         if self.format not in ("text", "json"):
             raise ConfigError(f"format must be 'text' or 'json', got {self.format!r}")
 
@@ -263,20 +272,20 @@ def _run_relevant_total(config: Config) -> tuple[str, dict | None]:
     return str(count.total), details
 
 
-def _omega_prime_rank(x: g2.G2Element) -> int | None:
-    """The rank of the omega' Gram at x, or None if it is not antisymmetric."""
-    gram = sv.omega_prime_gram(x)
+def _omega_prime_rank(coords: Sequence) -> int | None:
+    """The omega' Gram's rank at slice coordinates, or None if not antisymmetric."""
+    gram = sv.omega_prime_gram(coords)
     return rank(gram) if (gram + gram.transpose()).is_zero() else None
 
 
 def _run_omega_prime_at_e(config: Config) -> tuple[str, dict | None]:
-    r = _omega_prime_rank(sv.E)
+    r = _omega_prime_rank((0,) * 6)  # e is the slice point with zero coordinates
     return ("not antisymmetric" if r is None else str(r)), None
 
 
 def _omega_prime_full_rank_samples(config: Config) -> int:
     points = sv.omega_prime_sample_points(_check_seed(config, 5), config.rank_samples)
-    return sum(_omega_prime_rank(x) == 20 for x, _coeffs in points)
+    return sum(_omega_prime_rank(c) == 20 for c in points)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +336,6 @@ def _run_form_values(config: Config) -> tuple[str, dict | None]:
             want = expected_entries.get((i, j)) or expected_entries.get((j, i)) or 0
             if b.entry(i, j) != want:
                 return f"unexpected B[{i}][{j}] = {b.entry(i, j)}", None
-    if not (b - b.transpose()).is_zero():
-        return "not symmetric", None
-    if rank(b) != 7:
-        return f"rank {rank(b)}", None
     return "ok", None
 
 
@@ -350,7 +355,9 @@ def _run_conormal_equivalence(config: Config) -> tuple[str, dict | None]:
         if rep7.conormal_conditions(zprime, z) == rep7.moment_zero_check(point):
             agree += 1
     details = {"membership_samples": n, "random_samples": n}
-    return f"{agree}/{2 * n} agree", details
+    ranks = rep7._form_span_ranks()  # one span proves the zero sets equal
+    span = "" if len(set(ranks)) == 1 else f"; form span ranks {ranks}"
+    return f"{agree}/{2 * n} agree{span}", details
 
 
 def _scaling_invariant_samples(config: Config) -> int:
@@ -411,8 +418,6 @@ def _run_mod_p(p: int, line_dims: Callable) -> Callable[[Config], tuple[str, dic
     def run(config: Config) -> tuple[str, dict | None]:
         result = rep7.count_orbits_mod_p(p)
         problems = []
-        if sum(result.orbit_sizes) != result.point_count:
-            problems.append("sizes do not sum to the point count")
         if result.origin_orbit_size != 1:
             problems.append("origin orbit is not a singleton")
         nonzero = list(result.orbit_sizes)
@@ -889,7 +894,3 @@ def main(
             raise SystemExit(1)
 
     raise SystemExit(0 if report.summary["failed"] == 0 else 1)
-
-
-if __name__ == "__main__":
-    main()

@@ -21,7 +21,8 @@ involve non-basis elements.  Every question about basis vectors reads the
 cached tables of `g2_algebra`: the levels are the diagonal of ad H, a
 bracket of basis vectors lies in a span of basis vectors when its support
 in the structure-constant table does, and psi([b_i, b_j]) is the sum of
-t * psi(b_k) over the table entry (`_psi_bracket`).
+t * psi(b_k) over the table entry (`_psi_bracket`).  A point of the slice
+E + ker ad F is its coordinate tuple over ker ad F; E is the zero tuple.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from operator import mul
 from typing import Sequence
 
 from . import g2_algebra as g2
-from .exact_linalg import DenseMatrix, kernel_basis, rank, span_contains
+from .exact_linalg import DenseMatrix, DimensionMismatch, kernel_basis, rank
 from .g2_algebra import (
     BASIS,
     BASIS_NAMES,
@@ -61,10 +62,6 @@ class StructureMismatchError(AssertionError):
 
 class InconsistentCriteriaError(AssertionError):
     """The two independent base-relevancy criteria disagreed."""
-
-
-class NotOnSliceError(ValueError):
-    """The requested point does not lie on the slice e1 + ker ad_f."""
 
 
 def _indices(*names: str) -> tuple[int, ...]:
@@ -301,21 +298,17 @@ def omega_minus1_check() -> bool:
     return L[0] in idx and BASIS_WEIGHTS[L[0]] != (0, 0)
 
 
-def _psi_ad_powers_vanish(x: G2Element) -> bool:
-    """True iff psi(ad(f3)^k x / k!) = 0 for every k >= 1.
-
-    Coefficient-wise vanishing of psi(exp(t ad f3) x) - psi(x) as a
-    polynomial in t; ad(f3) is nilpotent so the sum is finite.
-    """
+def _psi_ad_powers_vanish(v: Sequence) -> bool:
+    """True iff psi(ad(f3)^k x) = 0 for every k >= 1, x with coordinates v:
+    up to the factors 1/k! != 0, the coefficients of psi(exp(t ad f3) x) -
+    psi(x) as a polynomial in t.  ad(f3) is nilpotent, so they are finitely many."""
     a = ad_matrix(g2.f3)
-    current = x
-    factorial = 1
-    for k in range(1, DIM + 1):
-        current = G2Element(a.mul_vec(current.coords))
-        if current.is_zero():
+    psi_row = g2.killing_gram()[_E]
+    for _ in range(DIM):
+        v = a.mul_vec(v)
+        if not any(v):
             return True
-        factorial *= k
-        if psi(current.scale(Fraction(1, factorial))) != 0:
+        if sum(map(mul, psi_row, v)):
             return False
     return True
 
@@ -350,7 +343,7 @@ def count_relevant_orbits() -> RelevantOrbitCount:
         complementary_relevant = (
             complementary_exists
             and base_relevant
-            and all(_psi_ad_powers_vanish(x) for x in ubar_vectors)
+            and all(_psi_ad_powers_vanish(x.coords) for x in ubar_vectors)
         )
         if base_relevant:
             base_count += 1
@@ -374,24 +367,25 @@ def count_relevant_orbits() -> RelevantOrbitCount:
     )
 
 
-def omega_prime_gram(x: G2Element) -> DenseMatrix:
+def omega_prime_gram(coords: Sequence) -> DenseMatrix:
     """The 20x20 Gram matrix of the two-form
 
         omega'((u1, v1), (u2, v2)) =
             -killing(x, [u1, u2]) - killing(u1, v2) + killing(u2, v1)
 
-    on (algebra directions) + (slice directions), at a point x of the
-    slice e1 + span(ker ad_f).  The first 14 rows/columns are the algebra
-    basis directions u; the last 6 are the kernel-basis slice directions v.
+    on (algebra directions) + (slice directions), at the slice point
+    x = e1 + sum c_j k_j with coordinates c = `coords` over ker ad_f.  The
+    first 14 rows/columns are the algebra basis directions u; the last 6
+    are the slice directions v.  killing(x, .) is psi plus the c-weighted
+    columns of `SliceData.kappa_ker`.  DimensionMismatch unless len(c) = 6.
     """
     data = build_slice_data()
-    kernel = data.ker_ad_f
-    diff = x - E
-    if not span_contains(list(kernel), diff.coords):
-        raise NotOnSliceError("point is not on the slice e1 + ker ad_f")
-    n = DIM + len(kernel)
+    if len(coords) != len(data.ker_ad_f):
+        raise DimensionMismatch(f"{len(coords)} slice coordinates, expected 6")
+    n = DIM + len(coords)
     rows = [[0] * n for _ in range(n)]
-    kappa_x = [killing(x, b) for b in BASIS]
+    psi_row = g2.killing_gram()[_E]
+    kappa_x = [p + sum(map(mul, coords, k)) for p, k in zip(psi_row, data.kappa_ker)]
     table = g2._bracket_table()
     for i in range(DIM):
         for j in range(DIM):
@@ -403,17 +397,8 @@ def omega_prime_gram(x: G2Element) -> DenseMatrix:
     return DenseMatrix.from_rows(rows)
 
 
-def omega_prime_sample_points(
-    seed: int, count: int
-) -> tuple[tuple[G2Element, tuple[Fraction, ...]], ...]:
-    """Seeded rational slice points e1 + sum c_i k_i with their coefficients."""
+def omega_prime_sample_points(seed: int, count: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Seeded rational slice points, as coordinates over the ker ad_f basis."""
     sampler = SmallRationalSampler(seed)
-    kernel_elems = [G2Element(v) for v in build_slice_data().ker_ad_f]
-    points = []
-    for _ in range(count):
-        coeffs = tuple(sampler.fraction() for _ in kernel_elems)
-        x = E
-        for c, kv in zip(coeffs, kernel_elems):
-            x = x + kv.scale(c)
-        points.append((x, coeffs))
-    return tuple(points)
+    dim = len(build_slice_data().ker_ad_f)
+    return tuple(tuple(sampler.fraction() for _ in range(dim)) for _ in range(count))

@@ -23,7 +23,6 @@ from g2verify.exact_linalg import (
     kernel_basis,
     rank,
     solve_linear,
-    span_contains,
 )
 from g2verify.g2_algebra import BASIS, G2Element, ad_matrix, bracket, killing, killing_gram
 from g2verify.rep7_verifier import (
@@ -367,11 +366,3 @@ def test_integral_entries_are_stored_as_ints() -> None:
     (v,) = kernel_basis(DenseMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)]]))
     assert v == (-1, 1) and all(type(e) is int for e in v)
     assert type(half.entry(0, 0)) is Fraction
-
-
-def test_span_contains_membership() -> None:
-    basis = [(1, 0, 1), (0, 1, 1)]
-    assert span_contains(basis, (1, 1, 2))
-    assert not span_contains(basis, (0, 0, 1))
-    assert span_contains([], (0, 0, 0))
-    assert not span_contains([], (1, 0, 0))

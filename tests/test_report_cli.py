@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -86,11 +88,24 @@ def test_samples_override_both_defaults() -> None:
         {"primes": "3"},
         {"suites": "slice"},
         {"suites": None},
+        # Too long for str(): a message that printed them would raise ValueError.
+        {"primes": (10**5000 + 1,)},
+        {"seed": 10**5000},
+        {"samples": 10**5000},
+        {"seed": Fraction(10**5000)},
     ],
 )
 def test_invalid_configs_rejected(kwargs) -> None:
     with pytest.raises(ConfigError):
         Config(**kwargs)
+
+
+def test_huge_prime_refused_before_its_seventh_power() -> None:
+    # p**7 alone takes seconds for this 3,000,000-bit p.
+    start = time.perf_counter()
+    with pytest.raises(ConfigError):
+        Config(primes=((1 << 3_000_000) // 3,))
+    assert time.perf_counter() - start < 1
 
 
 def test_bare_str_suites_names_the_field() -> None:
@@ -347,6 +362,33 @@ def test_replaced_borel_action_breaks_conormal_equivalence(monkeypatch) -> None:
         rep7._moment_forms.cache_clear()
     agree = int(actual.split("/")[0])
     assert agree < 20, actual
+
+
+def _omega_a_bumped() -> tuple:
+    first, *rest = rep7._moment_forms()
+    return (_with_entry(first, 0, 1, first.entry(0, 1) + 1), *rest)
+
+
+@pytest.mark.parametrize(
+    "name, bad, tail",
+    [
+        # Without (ii), z^T B z', every sample still agrees: on them (iii)
+        # implies it.  Only the span of the forms tells.
+        (
+            "_conormal_forms", lambda: rep7._conormal_forms()[1:],
+            "20/20 agree; form span ranks (9, 10, 10)",
+        ),
+        ("_moment_forms", _omega_a_bumped, " agree; form span ranks (10, 10, 11)"),
+    ],
+)
+def test_conormal_and_moment_forms_must_span_one_space(
+    monkeypatch, name, bad, tail
+) -> None:
+    forms = bad()
+    monkeypatch.setattr(rep7, name, lambda: forms)
+    actual, details = report_cli._run_conormal_equivalence(Config(samples=10))
+    assert actual.endswith(tail), actual
+    assert details == {"membership_samples": 10, "random_samples": 10}
 
 
 def test_tfixed_line_dimensions_computed_once_per_run(monkeypatch) -> None:
@@ -635,7 +677,7 @@ def _run_module(*args: str) -> subprocess.CompletedProcess:
     package_root = str(Path(g2verify.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": package_root}
     return subprocess.run(
-        [sys.executable, "-m", "g2verify.report_cli", *args],
+        [sys.executable, "-m", "g2verify", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -643,6 +685,7 @@ def _run_module(*args: str) -> subprocess.CompletedProcess:
 def test_module_entry_point_runs_the_cli() -> None:
     result = _run_module("--suite", "combinatorics", "--format", "json")
     assert result.returncode == 0
+    assert result.stderr == ""
     report = json.loads(result.stdout)
     assert len(report["checks"]) == 6
     assert report["summary"]["failed"] == 0

@@ -14,14 +14,13 @@ import pytest
 
 from g2verify import root_weyl as rw
 from g2verify import slice_verifier as sv
-from g2verify.exact_linalg import DenseMatrix, rank, span_contains
+from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, rank
 from g2verify.g2_algebra import BASIS, BASIS_WEIGHTS, DIM, G2Element, bracket, killing
 from g2verify.root_weyl import ALPHA, GAMMA, Root
 from g2verify.slice_verifier import (
     E,
     F,
     H,
-    NotOnSliceError,
     build_slice_data,
     count_relevant_orbits,
     omega_minus1_check,
@@ -62,7 +61,7 @@ def test_kernel_of_ad_f(data) -> None:
     # ad f annihilates every kernel vector, including f itself.
     for v in kernel:
         assert bracket(F, G2Element(v)).is_zero()
-    assert span_contains(list(kernel), F.coords)
+    assert rank(DenseMatrix.from_rows(list(kernel) + [F.coords])) == 6
 
 
 def test_psi_frozen_value() -> None:
@@ -131,8 +130,11 @@ def test_opposite_cell_sizes() -> None:
     assert sizes == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
 
 
+E_COORDS = (0,) * 6  # e is the slice point with zero coordinates
+
+
 def test_omega_prime_at_base_point() -> None:
-    gram = omega_prime_gram(E)
+    gram = omega_prime_gram(E_COORDS)
     assert gram.rows == gram.cols == 20
     assert (gram + gram.transpose()).is_zero()
     assert rank(gram) == 20
@@ -141,15 +143,18 @@ def test_omega_prime_at_base_point() -> None:
 def test_omega_prime_at_seeded_points() -> None:
     points = omega_prime_sample_points(seed=42, count=10)
     assert len(points) == 10
-    for x, coeffs in points:
+    for coeffs in points:
         assert len(coeffs) == 6
-        gram = omega_prime_gram(x)
+        gram = omega_prime_gram(coeffs)
         assert (gram + gram.transpose()).is_zero()
         assert rank(gram) == 20
 
 
-def _reference_omega_prime_gram(x: G2Element, data) -> DenseMatrix:
+def _reference_omega_prime_gram(coeffs, data) -> DenseMatrix:
     kernel = [G2Element(v) for v in data.ker_ad_f]
+    x = E
+    for c, kv in zip(coeffs, kernel):
+        x = x + kv.scale(c)
     n = DIM + len(kernel)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(DIM):
@@ -162,11 +167,9 @@ def _reference_omega_prime_gram(x: G2Element, data) -> DenseMatrix:
 
 
 def test_omega_prime_gram_matches_reference(data) -> None:
-    points = [(E, ())] + list(
-        omega_prime_sample_points(seed=3, count=20)
-    )
-    for x, _ in points:
-        assert omega_prime_gram(x) == _reference_omega_prime_gram(x, data)
+    points = [E_COORDS] + list(omega_prime_sample_points(seed=3, count=20))
+    for coeffs in points:
+        assert omega_prime_gram(coeffs) == _reference_omega_prime_gram(coeffs, data)
 
 
 def test_omega_prime_sampling_is_seed_deterministic() -> None:
@@ -177,15 +180,9 @@ def test_omega_prime_sampling_is_seed_deterministic() -> None:
     assert first != other
 
 
-def test_off_slice_point_rejected() -> None:
-    with pytest.raises(NotOnSliceError):
-        omega_prime_gram(f1)
-    with pytest.raises(NotOnSliceError):
-        omega_prime_gram(G2Element.zero())
-
-
-def test_slice_points_pass_membership(data) -> None:
-    kernel = data.ker_ad_f
-    x = E + G2Element(kernel[0]).scale(Fraction(3, 2))
-    gram = omega_prime_gram(x)
-    assert gram.rows == 20
+def test_omega_prime_gram_takes_six_slice_coordinates() -> None:
+    for length in (0, 5, 7, 14):
+        with pytest.raises(DimensionMismatch):
+            omega_prime_gram((1,) * length)
+    gram = omega_prime_gram((Fraction(3, 2), 0, 0, 0, 0, 0))
+    assert gram.rows == gram.cols == 20
