@@ -5,8 +5,8 @@ integral and as a ``fractions.Fraction`` only otherwise, so the package's
 integer matrices run on Python ints; inexact values are refused.  One
 fraction-free Bareiss elimination on integers serves rank, kernels and
 linear solving: the rank is its pivot count, and null-space bases and
-solutions come from its echelon form by exact back-substitution, equal
-entry for entry to those of the reduced row-echelon form.
+solutions come from its echelon form by integer back-substitution,
+equal entry for entry to those of the reduced row-echelon form.
 Floating point is never used anywhere in this package.
 """
 
@@ -41,6 +41,8 @@ Vector = tuple  # tuple of scalars: int when integral, Fraction otherwise
 def clear_denominators(values: Sequence) -> list[int]:
     """`values` times the lcm of their denominators, as ints: a nonzero
     factor that changes no rank and no zero of a homogeneous form."""
+    if all(type(x) is int for x in values):
+        return list(values)
     exact = [_exact(x) for x in values]
     d = lcm(*(x.denominator for x in exact if x))
     return [x.numerator * (d // x.denominator) for x in exact]
@@ -169,14 +171,20 @@ def _bareiss(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], lis
 
 def _null_vector(rows: list[list[int]], pivots: list[int], ncols: int, free: int) -> list:
     """The null vector of the echelon `rows` that is 1 at the non-pivot
-    column `free` and 0 at every other one, by exact back-substitution.
-    It is unique, so it is the reduced row-echelon basis vector."""
+    column `free` and 0 at every other one.  It is unique, so it is the
+    reduced row-echelon basis vector.  The last Bareiss pivot d is the
+    determinant of the pivot rows' minor on the pivot columns, so by
+    Cramer's rule d times the vector is integral: it is back-substituted
+    in integers, each division exact, and divided by d once at the end."""
+    d = rows[-1][pivots[-1]] if rows else 1
     v = [0] * ncols
-    v[free] = 1
+    v[free] = d
     for row, pc in zip(reversed(rows), reversed(pivots)):
         acc = sum(row[j] * v[j] for j in range(pc + 1, ncols) if v[j])
-        v[pc] = _exact(Fraction(-acc) / row[pc])
-    return v
+        v[pc], remainder = divmod(-acc, row[pc])
+        if remainder:
+            raise ArithmeticError("Bareiss back-substitution left a remainder")
+    return [x // d if x % d == 0 else Fraction(x, d) for x in v]
 
 
 def rank(m: DenseMatrix) -> int:
@@ -210,11 +218,3 @@ def solve_linear(m: DenseMatrix, b: Sequence) -> Vector | None:
         return None
     # (x, -1) is a null vector of [m | b], so x is minus the one that is 1 at b.
     return tuple(-x for x in _null_vector(rows, pivots, m.cols + 1, m.cols)[:-1])
-
-
-def bilinear(m: DenseMatrix, x: Sequence, y: Sequence) -> int | Fraction:
-    """The bilinear form x^T m y, evaluated exactly."""
-    if len(x) != m.rows:
-        raise DimensionMismatch(f"left vector has length {len(x)}, expected {m.rows}")
-    img = m.mul_vec(y)
-    return sum((a * v for a, v in zip(map(_exact, x), img) if a), 0)

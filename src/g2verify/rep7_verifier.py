@@ -18,6 +18,14 @@ three opposite-weight line pairs with -2 and the zero-weight line with
 4, and is proportional to the inverse of C.  The quadric cone Q is the
 isotropic locus of the form, which is what the Borel action preserves.
 
+The linear side's quadratic forms are written once, as sparse integer
+monomial terms (`_form_terms`): <x, x> on C^7, and on C^14 = (z, z') the
+ten conormal polynomials (<z', z'> and the nine z^T f z') and the ten
+moment polynomials x^T omega A x.  The conormal and moment predicates
+evaluate them on integer vectors (`clear_denominators`), the conormal
+fiber's rows are read off the bilinear terms, and the check that both
+sets span one space takes its coefficient rows from the same table.
+
 The linear side counts Borel orbits on the quadric cone two ways: over
 characteristic zero via T-fixed isotropic lines with pairwise-distinct
 orbit dimensions (6 lines + the origin = 7), and over F_p by brute force
@@ -38,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from . import g2_algebra as g2
-from .exact_linalg import DenseMatrix, _exact, bilinear, kernel_basis
+from .exact_linalg import DenseMatrix, DimensionMismatch, _exact, kernel_basis
 from .exact_linalg import clear_denominators, rank, solve_linear
 from .g2_algebra import BASIS_NAMES, BASIS_WEIGHTS, DIM
 from .sampling import SmallRationalSampler
@@ -200,9 +208,10 @@ def invariant_form() -> DenseMatrix:
     return DenseMatrix.from_rows(entries)
 
 
-def quadric_value(x: Sequence) -> Fraction:
+def quadric_value(x: Sequence) -> int | Fraction:
     """The quadratic form <x, x> whose isotropic locus is the cone Q."""
-    return bilinear(invariant_form(), x, x)
+    x = [_exact(c) for c in _checked(x, REP_DIM)]
+    return _exact(sum(c * x[i] * x[j] for i, j, c in _form_terms().quadric))
 
 
 def _sparse_matrix(entries: dict, scale=1) -> DenseMatrix:
@@ -456,44 +465,90 @@ def _moment_forms() -> tuple:
     return tuple(symp.omega @ a for a in symp.actions14)
 
 
+@dataclass(frozen=True)
+class _FormTerms:
+    """The linear side's quadratic forms, each written as its sparse
+    monomial terms (i, j, c) with i <= j: the form is sum c x_i x_j.  The
+    coefficients are integers, as B and the forms they come from are."""
+
+    quadric: tuple  # <x, x> on C^7
+    conormal: tuple  # (i) <z', z'>, then z^T f z' per _conormal_forms() f, on C^14 = (z, z')
+    moment: tuple  # x^T omega A x per _moment_forms() omega A, on C^14 = (z, z')
+
+
+def _quadratic_terms(m: DenseMatrix) -> tuple:
+    """x^T m x as terms (i, j, c), i <= j: c is m_ii on the diagonal and
+    m_ij + m_ji off it; zero coefficients are left out."""
+    n, e = m.rows, m.entries
+    return tuple(
+        (i, j, c)
+        for i in range(n)
+        for j in range(i, n)
+        if (c := e[i][i] if i == j else e[i][j] + e[j][i])
+    )
+
+
+@cache
+def _form_terms() -> _FormTerms:
+    """The term table every linear-side form is evaluated from, built once
+    from invariant_form(), _conormal_forms() and _moment_forms(); a test
+    that patches one of those (or build_symplectic14) clears it too."""
+    quadric = _quadratic_terms(invariant_form())
+    n = REP_DIM
+    conormal = (tuple((i + n, j + n, c) for i, j, c in quadric),) + tuple(
+        tuple((i, j + n, c) for i, row in enumerate(f.entries) for j, c in enumerate(row) if c)
+        for f in _conormal_forms()
+    )
+    moment = tuple(map(_quadratic_terms, _moment_forms()))
+    return _FormTerms(quadric=quadric, conormal=conormal, moment=moment)
+
+
+def _checked(x: Sequence, n: int) -> Sequence:
+    """`x` itself, once its length is n; DimensionMismatch otherwise."""
+    if len(x) != n:
+        raise DimensionMismatch(f"vector has length {len(x)}, expected {n}")
+    return x
+
+
+def _vanish(forms: Sequence, x: Sequence) -> bool:
+    """Whether every form (terms (i, j, c): sum c x_i x_j) is 0 at x."""
+    return not any(sum(c * x[i] * x[j] for i, j, c in terms) for terms in forms)
+
+
 def _form_span_ranks() -> tuple[int, ...]:
-    """Ranks of the conormal forms, the moment forms and their union, as quadratic
-    forms on C^14 = z + z' (upper triangles of M + M^T); equal ranks: one zero set."""
-    n = 2 * REP_DIM
-    z_zprime = DenseMatrix.from_rows([[0, 1], [0, 0]])  # the block z^T . z'
-    zprime_zprime = DenseMatrix.from_rows([[0, 0], [0, 1]])  # the block z'^T . z'
-    conormal = [_kron(zprime_zprime, invariant_form())]
-    conormal += [_kron(z_zprime, f) for f in _conormal_forms()]
-    rows = [
-        [m.entries[i][j] + m.entries[j][i] for i in range(n) for j in range(i, n)]
-        for m in conormal + list(_moment_forms())
-    ]
-    rows = list(zip(*(c for c in zip(*rows) if any(c))))  # drop monomials no form uses
-    k = len(conormal)
+    """Ranks of the conormal forms, the moment forms and their union, as
+    quadratic forms on C^14 = z + z' (coefficient rows over the monomials
+    some form uses); equal ranks: one span, so one zero set."""
+    terms = _form_terms()
+    forms = terms.conormal + terms.moment
+    column = {ij: k for k, ij in enumerate(sorted({(i, j) for t in forms for i, j, _ in t}))}
+    rows = []
+    for t in forms:
+        row = [0] * len(column)
+        for i, j, c in t:
+            row[column[i, j]] = c
+        rows.append(row)
+    k = len(terms.conormal)
     return tuple(rank(DenseMatrix.from_rows(r)) for r in (rows[:k], rows[k:], rows))
 
 
 def conormal_conditions(zprime: Sequence, z: Sequence) -> bool:
     """The three exact conormal conditions: (i) <z', z'> = 0, (ii) <z, z'> = 0,
     (iii) <A z, z'> = <z, A z'>, i.e. z^T K_A z' = 0, for every g2-Borel
-    generator A; forms of degree 2, so tested on z, z' cleared of denominators.
-    (ii) is evaluated first: its call checks the lengths of both z and z'."""
-    zprime, z = clear_denominators(zprime), clear_denominators(z)
+    generator A.  Each is homogeneous in z and in z' apart, so the table's
+    conormal forms are evaluated on z, z' cleared of denominators."""
     # (ii) never decides alone on a sampled point: on the cone (iii) implied
     # it, and off the cone (i) fails.  It stays because the conormal ideal
     # needs it: without it the conormal forms span 9 dimensions, not the
     # moment forms' 10, and `_form_span_ranks` tells them apart.
-    return (
-        not any(bilinear(f, z, zprime) for f in _conormal_forms())
-        and bilinear(invariant_form(), zprime, zprime) == 0
-    )
+    z, zprime = (clear_denominators(_checked(v, REP_DIM)) for v in (z, zprime))
+    return _vanish(_form_terms().conormal, z + zprime)
 
 
 def moment_zero_check(point: Sequence) -> bool:
     """H_A(point) = omega(point, A point)/2 = 0 for all ten Borel generators,
     tested on the point cleared of denominators (H_A is quadratic)."""
-    x = clear_denominators(point)
-    return not any(bilinear(h, x, x) for h in _moment_forms())
+    return _vanish(_form_terms().moment, clear_denominators(_checked(point, 2 * REP_DIM)))
 
 
 def orbit_dimension(x: Sequence) -> int:
@@ -726,10 +781,18 @@ def sample_isotropic_vector(sampler: SmallRationalSampler, chart: int) -> tuple:
 
 
 def conormal_fiber_basis(zprime: Sequence) -> tuple:
-    """Basis of the space of z satisfying conditions (ii) and (iii) at z';
-    scaling z' scales every row alike and leaves the reduced kernel as it is."""
-    zprime = clear_denominators(zprime)
-    return kernel_basis(DenseMatrix.from_rows([f.mul_vec(zprime) for f in _conormal_forms()]))
+    """Basis of the space of z satisfying conditions (ii) and (iii) at z':
+    the kernel of the rows f z', read off the bilinear terms (i, 7 + j, c)
+    of the conormal forms after (i).  Scaling z' scales every row alike and
+    leaves the reduced kernel as it is."""
+    zprime = clear_denominators(_checked(zprime, REP_DIM))
+    rows = []
+    for terms in _form_terms().conormal[1:]:
+        row = [0] * REP_DIM
+        for i, j, c in terms:
+            row[i] += c * zprime[j - REP_DIM]
+        rows.append(row)
+    return kernel_basis(DenseMatrix.from_rows(rows))
 
 
 def sample_conormal_pair(

@@ -18,7 +18,6 @@ from g2verify.exact_linalg import (
     DenseMatrix,
     DimensionMismatch,
     _exact,
-    bilinear,
     clear_denominators,
     kernel_basis,
     rank,
@@ -30,8 +29,11 @@ from g2verify.rep7_verifier import (
     _moment_forms,
     build_rep7,
     build_symplectic14,
+    conormal_conditions,
     invariant_form,
+    moment_zero_check,
     q_element_value,
+    quadric_value,
 )
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -310,18 +312,27 @@ def test_fields_reject_inexact_scalars() -> None:
         with pytest.raises(TypeError):
             m.scale(bad)
         with pytest.raises(TypeError):
-            bilinear(m, [bad, 1], [1, 1])
-        with pytest.raises(TypeError):
             q_element_value([bad, 0, 0, 1, 0, 0, 0])
+        with pytest.raises(TypeError):
+            quadric_value([bad, 0, 0, 1, 0, 0, 0])
         # A g2 element refuses it, so no float reaches a Killing value or
         # a bracket.
         with pytest.raises(TypeError):
             killing(G2Element((bad,) + (0,) * 13), BASIS[3])
         with pytest.raises(TypeError):
             bracket(G2Element((bad,) + (0,) * 13), BASIS[3])
-    # An inexact zero on the left is refused too, not skipped as zero.
-    with pytest.raises(TypeError):
-        bilinear(invariant_form(), [0.0, 0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0])
+    # An inexact zero is refused too, not skipped as zero, in either
+    # vector of the conormal conditions and in the moment map's point.
+    inexact = [0.0, 0, 0, 1, 0, 0, 0]
+    exact = [1, 0, 0, 0, 0, 0, 0]
+    for call in (
+        lambda: quadric_value(inexact),
+        lambda: conormal_conditions(inexact, exact),
+        lambda: conormal_conditions(exact, inexact),
+        lambda: moment_zero_check(exact + inexact),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_dimension_mismatches_raise() -> None:
@@ -336,11 +347,17 @@ def test_dimension_mismatches_raise() -> None:
         DenseMatrix.from_rows([])
     with pytest.raises(DimensionMismatch):
         solve_linear(m, [1, 2, 3])
-    # The left operand of a bilinear form is checked too, short or long.
-    with pytest.raises(DimensionMismatch):
-        bilinear(invariant_form(), [1, 2], [1, 0, 0, 0, 0, 0, 0])
-    with pytest.raises(DimensionMismatch):
-        bilinear(invariant_form(), [0, 0, 0, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0])
+    # The quadratic forms check the length of every vector, short or long.
+    exact = [1, 0, 0, 0, 0, 0, 0]
+    for bad in ([1, 2], [0, 0, 0, 1, 0, 0, 0, 0, 0]):
+        for call in (
+            lambda: quadric_value(bad),
+            lambda: conormal_conditions(bad, exact),
+            lambda: conormal_conditions(exact, bad),
+            lambda: moment_zero_check(exact + bad),
+        ):
+            with pytest.raises(DimensionMismatch):
+                call()
 
 
 def test_integral_entries_are_stored_as_ints() -> None:

@@ -8,9 +8,11 @@ quadratic invariant as a polynomial has unit u^2 coefficient; there are
 6 isotropic T-fixed lines with pairwise distinct orbit dimensions; and
 the Borel-orbit count over F_p is 7 for p in {3, 5, 7}, with the same
 orbits as the earlier union-find oracle over all p - 1 multiples of each
-root vector.  The integer conormal, moment and fiber computations are
-checked against their earlier `Fraction` formulations through the
-bilinear forms, kept here as references.
+root vector.  The integer conormal, moment and fiber computations, read
+from one table of monomial terms, are checked against their earlier
+`Fraction` formulations through the tests' own bilinear form x^T m y,
+kept here as references, and the table against the matrices it is
+written from.
 """
 
 import dataclasses
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 from g2verify import rep7_verifier as rep7
-from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, bilinear, kernel_basis, rank
+from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, kernel_basis, rank
 from g2verify.rep7_verifier import (
     BOREL_G2_NAMES,
     REP_DIM,
@@ -56,6 +58,13 @@ from g2verify.sampling import SmallRationalSampler
 
 def unit(i: int) -> tuple:
     return tuple(Fraction(1) if k == i else Fraction(0) for k in range(REP_DIM))
+
+
+def _bilinear(m: DenseMatrix, x, y):
+    """x^T m y, summed entry by entry: the tests' own reference, which
+    shares no code with the package's evaluators."""
+    assert (len(x), len(y)) == (m.rows, m.cols)
+    return sum(x[i] * m.entry(i, j) * y[j] for i in range(m.rows) for j in range(m.cols))
 
 
 ZERO = tuple(Fraction(0) for _ in range(REP_DIM))
@@ -170,7 +179,7 @@ def test_omega_pair_antisymmetry() -> None:
     for _ in range(10):
         x = [sampler.fraction() for _ in range(14)]
         y = [sampler.fraction() for _ in range(14)]
-        assert bilinear(omega, x, y) == -bilinear(omega, y, x)
+        assert _bilinear(omega, x, y) == -_bilinear(omega, y, x)
 
 
 def test_phi_is_a_symplectomorphism() -> None:
@@ -194,7 +203,7 @@ def test_phi_check_fails_on_a_perturbed_omega_or_block(monkeypatch) -> None:
         dataclasses.replace(symp, omega=bad_omega),
         dataclasses.replace(symp, actions14=(bad_block,) + symp.actions14[1:]),
     )
-    caches = (rep7._conormal_forms, rep7._moment_forms)
+    caches = (rep7._conormal_forms, rep7._moment_forms, rep7._form_terms)
     for bad in faults:
         for cached in caches:
             cached.cache_clear()
@@ -244,17 +253,17 @@ def test_moment_map_matches_conormal_on_random_pairs() -> None:
 
 def _reference_conormal_conditions(zprime, z) -> bool:
     form = invariant_form()
-    if bilinear(form, zprime, zprime) != 0 or bilinear(form, z, zprime) != 0:
+    if _bilinear(form, zprime, zprime) != 0 or _bilinear(form, z, zprime) != 0:
         return False
     return all(
-        bilinear(form, m.mul_vec(z), zprime) == bilinear(form, z, m.mul_vec(zprime))
+        _bilinear(form, m.mul_vec(z), zprime) == _bilinear(form, z, m.mul_vec(zprime))
         for m in build_symplectic14().borel_g2
     )
 
 
 def _reference_moment_zero_check(point) -> bool:
     symp = build_symplectic14()
-    return all(bilinear(symp.omega, point, a.mul_vec(point)) == 0 for a in symp.actions14)
+    return all(_bilinear(symp.omega, point, a.mul_vec(point)) == 0 for a in symp.actions14)
 
 
 def _reference_fiber_basis(zprime) -> tuple:
@@ -311,6 +320,30 @@ def test_conormal_predicates_reject_bad_vectors() -> None:
             moment_zero_check((bad,) + ZERO + ZERO[1:])
 
 
+def test_form_terms_match_their_matrices() -> None:
+    # Each polynomial sum c x_i x_j of the term table equals x^T M x for
+    # the matrix M it was written from, at every e_i and e_i + e_j, which
+    # fix a quadratic form.  On C^14 = (z, z'), condition (i) is B in the
+    # z' block and each z^T f z' is f in the (z, z') block.
+    terms = rep7._form_terms()
+    b = invariant_form()
+    z_zprime = DenseMatrix.from_rows([[0, 1], [0, 0]])
+    zprime_zprime = DenseMatrix.from_rows([[0, 0], [0, 1]])
+    conormal = [rep7._kron(zprime_zprime, b)]
+    conormal += [rep7._kron(z_zprime, f) for f in rep7._conormal_forms()]
+    pairs = [(terms.quadric, b)]
+    pairs += list(zip(terms.conormal, conormal, strict=True))
+    pairs += list(zip(terms.moment, rep7._moment_forms(), strict=True))
+    assert len(pairs) == 21
+    for poly, m in pairs:
+        assert all(type(c) is int and c and i <= j for i, j, c in poly)
+        n = m.rows
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            for x in ([int(k == i) for k in range(n)], [int(k in (i, j)) for k in range(n)]):
+                value = sum(c * x[p] * x[q] for p, q, c in poly)
+                assert value == _bilinear(m, x, x), (poly, i, j)
+
+
 def test_isotropic_sampler() -> None:
     sampler = SmallRationalSampler(17)
     for chart in range(9):
@@ -325,7 +358,7 @@ def test_conormal_fiber_is_annihilated() -> None:
     form = invariant_form()
     for z in conormal_fiber_basis(zprime):
         assert conormal_conditions(zprime, z)
-        assert bilinear(form, z, zprime) == 0
+        assert _bilinear(form, z, zprime) == 0
 
 
 def test_tfixed_isotropic_lines() -> None:

@@ -199,9 +199,14 @@ def test_perturbed_invariant_form_fails_and_skips_dependents(monkeypatch) -> Non
     rep7.build_symplectic14()
     b = rep7.invariant_form()
     bad = _with_entry(b, 6, 6, b.entry(6, 6) + 1)
+    rep7._form_terms.cache_clear()
     monkeypatch.setattr(rep7, "invariant_form", lambda: bad)
-    assert rep7.verify_invariant_form() < 14
-    report = run_suite(LINEAR_FAST)
+    try:
+        assert rep7.verify_invariant_form() < 14
+        report = run_suite(LINEAR_FAST)
+    finally:
+        # Drop any form terms read from the perturbed form.
+        rep7._form_terms.cache_clear()
     by_name = {c.name: c for c in report.checks}
     assert by_name["linear.invariant_form.values"].status == "fail"
     for name in (
@@ -352,14 +357,16 @@ def test_replaced_borel_action_breaks_conormal_equivalence(monkeypatch) -> None:
     symp = rep7.build_symplectic14()
     odd = _with_entry(symp.actions14[-1], 0, 0, 1)
     bad = dataclasses.replace(symp, actions14=symp.actions14[:-1] + (odd,))
+    rep7._form_terms.cache_clear()
     monkeypatch.setattr(rep7, "build_symplectic14", lambda: bad)
     rep7._moment_forms.cache_clear()
     try:
         actual, _ = report_cli._run_conormal_equivalence(Config(samples=10))
     finally:
-        # Drop the forms built from the replaced action before the true
-        # build_symplectic14 is restored.
+        # Drop the forms and their terms built from the replaced action
+        # before the true build_symplectic14 is restored.
         rep7._moment_forms.cache_clear()
+        rep7._form_terms.cache_clear()
     agree = int(actual.split("/")[0])
     assert agree < 20, actual
 
@@ -385,10 +392,33 @@ def test_conormal_and_moment_forms_must_span_one_space(
     monkeypatch, name, bad, tail
 ) -> None:
     forms = bad()
+    rep7._form_terms.cache_clear()
     monkeypatch.setattr(rep7, name, lambda: forms)
-    actual, details = report_cli._run_conormal_equivalence(Config(samples=10))
+    try:
+        actual, details = report_cli._run_conormal_equivalence(Config(samples=10))
+    finally:
+        # Drop the terms read from the replaced forms.
+        rep7._form_terms.cache_clear()
     assert actual.endswith(tail), actual
     assert details == {"membership_samples": 10, "random_samples": 10}
+
+
+def test_conormal_equivalence_makes_no_mul_vec_call(monkeypatch) -> None:
+    # The twenty forms are evaluated from their cached integer terms, and
+    # the fiber rows are read off the same terms: no matrix-vector product,
+    # from a cleared term table on.
+    calls = []
+    true_mul_vec = DenseMatrix.mul_vec
+
+    def counted(self, v):
+        calls.append(v)
+        return true_mul_vec(self, v)
+
+    monkeypatch.setattr(DenseMatrix, "mul_vec", counted)
+    rep7._form_terms.cache_clear()
+    actual, _ = report_cli._run_conormal_equivalence(Config())
+    assert actual == "200/200 agree"
+    assert calls == []
 
 
 def test_tfixed_line_dimensions_computed_once_per_run(monkeypatch) -> None:
