@@ -19,20 +19,23 @@ three opposite-weight line pairs with -2 and the zero-weight line with
 isotropic locus of the form, which is what the Borel action preserves.
 
 The linear side's quadratic forms are written once, as sparse integer
-monomial terms (`_form_terms`): <x, x> on C^7, and on C^14 = (z, z') the
-ten conormal polynomials (<z', z'> and the nine z^T f z') and the ten
+monomial terms (`_form_terms`, the only cached record of them, built
+from B and the symplectic doubling): <x, x> on C^7, and on C^14 = (z, z')
+the ten conormal polynomials (<z', z'> and the nine z^T f z') and the ten
 moment polynomials x^T omega A x.  The conormal and moment predicates
 evaluate them on integer vectors (`clear_denominators`), the conormal
-fiber's rows are read off the bilinear terms, and the check that both
-sets span one space takes its coefficient rows from the same table.
+fiber's rows are read off the bilinear terms, the check that both sets
+span one space takes its coefficient rows from the same table, and so
+does the F_p oracle's quadric.
 
 The linear side counts Borel orbits on the quadric cone two ways: over
 characteristic zero via T-fixed isotropic lines with pairwise-distinct
 orbit dimensions (6 lines + the origin = 7), and over F_p by brute force
 (expected 7 for each configured prime): the cone's points are found by
-broadcasting the quadric over all p^7 vectors one p^6 slab at a time and
-kept as sorted int32 keys sum_i x_i p^i, and numpy labels their orbits
-under one unipotent generator per positive root and two torus generators.
+broadcasting the table's <x, x> mod p over all p^7 vectors one p^6 slab
+at a time and kept as sorted int32 keys sum_i x_i p^i, and numpy labels
+their orbits under exp(rho(x)) for the eight BOREL_G2_NAMES x: one
+unipotent map per positive root, and s^rho(h) for h_a, h_b.
 """
 
 from __future__ import annotations
@@ -342,8 +345,10 @@ def verify_homomorphism() -> int:
 
 
 def verify_weight_compatibility() -> bool:
-    """Each root vector maps every weight line into the shifted weight line."""
-    for b_idx, m in enumerate(build_rep7().matrices[:12]):
+    """Each basis element maps every weight line into the line shifted by
+    its weight: root vectors move the lines, and h_a, h_b (weight (0, 0))
+    are diagonal."""
+    for b_idx, m in enumerate(build_rep7().matrices):
         delta = BASIS_WEIGHTS[b_idx]
         for j in range(REP_DIM):
             target = (REP_WEIGHTS[j][0] + delta[0], REP_WEIGHTS[j][1] + delta[1])
@@ -450,21 +455,6 @@ def phi_symplectomorphism_check() -> bool:
     return all(m14 == _kron(eye2, m7) for m7, m14 in zip(symp.borel_g2, symp.actions14))
 
 
-@cache
-def _conormal_forms() -> tuple:
-    """B and K_m = m^T B - B m for the g2-Borel generators m: conditions
-    (ii) and (iii) make z orthogonal to B z' and to every K_m z'."""
-    b = invariant_form()
-    return (b,) + tuple(m.transpose() @ b - b @ m for m in build_symplectic14().borel_g2)
-
-
-@cache
-def _moment_forms() -> tuple:
-    """omega A for the ten Borel generators A: H_A(x) = x^T omega A x / 2."""
-    symp = build_symplectic14()
-    return tuple(symp.omega @ a for a in symp.actions14)
-
-
 @dataclass(frozen=True)
 class _FormTerms:
     """The linear side's quadratic forms, each written as its sparse
@@ -472,8 +462,8 @@ class _FormTerms:
     coefficients are integers, as B and the forms they come from are."""
 
     quadric: tuple  # <x, x> on C^7
-    conormal: tuple  # (i) <z', z'>, then z^T f z' per _conormal_forms() f, on C^14 = (z, z')
-    moment: tuple  # x^T omega A x per _moment_forms() omega A, on C^14 = (z, z')
+    conormal: tuple  # (i) <z', z'>, (ii) z^T B z', (iii) z^T K_m z' per m, on C^14 = (z, z')
+    moment: tuple  # x^T omega A x per Borel generator A, on C^14 = (z, z')
 
 
 def _quadratic_terms(m: DenseMatrix) -> tuple:
@@ -490,16 +480,24 @@ def _quadratic_terms(m: DenseMatrix) -> tuple:
 
 @cache
 def _form_terms() -> _FormTerms:
-    """The term table every linear-side form is evaluated from, built once
-    from invariant_form(), _conormal_forms() and _moment_forms(); a test
-    that patches one of those (or build_symplectic14) clears it too."""
-    quadric = _quadratic_terms(invariant_form())
+    """The term table every linear-side form is evaluated from, the F_p
+    oracle's quadric included, built once from invariant_form() and
+    build_symplectic14().  Conditions (ii) and (iii) make z orthogonal to
+    B z' and to K_m z', K_m = m^T B - B m, for each g2-Borel generator m;
+    the moment map's H_A is x^T omega A x / 2 for each Borel generator A.
+    A test that patches invariant_form or build_symplectic14 clears this
+    cache before and after (and count_orbits_mod_p's when it counts over
+    F_p); a test that changes one form patches _form_terms itself."""
+    b = invariant_form()
+    symp = build_symplectic14()
+    quadric = _quadratic_terms(b)
     n = REP_DIM
+    fs = (b,) + tuple(m.transpose() @ b - b @ m for m in symp.borel_g2)
     conormal = (tuple((i + n, j + n, c) for i, j, c in quadric),) + tuple(
         tuple((i, j + n, c) for i, row in enumerate(f.entries) for j, c in enumerate(row) if c)
-        for f in _conormal_forms()
+        for f in fs
     )
-    moment = tuple(map(_quadratic_terms, _moment_forms()))
+    moment = tuple(_quadratic_terms(symp.omega @ a) for a in symp.actions14)
     return _FormTerms(quadric=quadric, conormal=conormal, moment=moment)
 
 
@@ -608,14 +606,12 @@ def check_oracle_prime(p: int) -> None:
 
 
 def _matrix_mod_p(m: DenseMatrix, p: int) -> np.ndarray:
-    """Reduce an exact rational matrix mod p; BadPrimeError on collision."""
-    bad = [x.denominator for row in m.entries for x in row if x.denominator % p == 0]
+    """Reduce an integer matrix mod p.  TypeError on any other entry: numpy
+    would truncate a Fraction, not invert its denominator."""
+    bad = [x for row in m.entries for x in row if type(x) is not int]
     if bad:
-        raise BadPrimeError(f"denominator {bad[0]} collides with {p}")
-    return np.array(
-        [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in m.entries],
-        dtype=np.int64,
-    )
+        raise TypeError(f"matrix entry {bad[0]!r} is not an int")
+    return np.array(m.entries, dtype=np.int64) % p
 
 
 def _primitive_root(p: int) -> int:
@@ -641,28 +637,25 @@ def _unipotent_generators(p: int) -> list[np.ndarray]:
 
 
 def _torus_generators(p: int) -> list[np.ndarray]:
-    """Diagonal scalings s^<mu, coroot> mod p for the two simple coroots."""
-    s = _primitive_root(p)
-    coroots = ((2, -3), (-1, 2))  # <mu, alpha-coroot>, <mu, beta-coroot>
-    return [
-        np.diag([pow(s, (a * m1 + b * m2) % (p - 1), p) for m1, m2 in REP_WEIGHTS])
-        for a, b in coroots
-    ]
+    """s^rho(h) mod p for h = h_a, h_b and a primitive root s: the diagonal
+    scaling of each weight line by s to the power of its eigenvalue."""
+    rep, s = build_rep7(), _primitive_root(p)
+    gens = []
+    for name in BOREL_G2_NAMES[:2]:
+        h = rep.matrix(name).entries
+        if any(c for i, row in enumerate(h) for j, c in enumerate(row) if i != j):
+            raise ValueError(f"rho({name}) is not diagonal")
+        gens.append(np.diag([pow(s, h[i][i] % (p - 1), p) for i in range(REP_DIM)]))
+    return gens
 
 
 def _cone_keys(p: int) -> np.ndarray:
     """The sorted int32 keys sum_i x_i p^i of the points x of F_p^7 with
-    <x, x> = 0.  The quadric's nonzero terms c x_i x_j are broadcast over
-    a grid with one axis per coordinate, largest place value first, so a
-    grid point's C-order flat index is its key.  The grid is walked one
-    p^6 slab per value of the last coordinate."""
-    b_mod = _matrix_mod_p(invariant_form(), p)
-    terms = [
-        (c, i, j)
-        for i in range(REP_DIM)
-        for j in range(i, REP_DIM)
-        if (c := int(b_mod[i, i] if i == j else (b_mod[i, j] + b_mod[j, i]) % p))
-    ]
+    <x, x> = 0.  The terms c x_i x_j of `_form_terms().quadric`, with c
+    reduced mod p, are broadcast over a grid with one axis per coordinate,
+    largest place value first, so a grid point's C-order flat index is its
+    key.  The grid is walked one p^6 slab per value of the last coordinate."""
+    terms = [(c % p, i, j) for i, j, c in _form_terms().quadric if c % p]
     n = REP_DIM - 1
     axis = np.arange(p, dtype=np.int32)
     grid = [axis.reshape([p if a == n - 1 - i else 1 for a in range(n)]) for i in range(n)]
@@ -724,9 +717,10 @@ def count_orbits_mod_p(p: int) -> OrbitCountResult:
 
     Finds the points with <x, x> = 0 among all p^7 vectors, and labels
     the orbits of the group generated by the unipotent maps
-    exp(rho(x_delta)) for the six positive roots and the two coroot
-    scalings by a primitive root.  All arithmetic is exact integer
-    arithmetic mod p, in int32 within the bounds check_oracle_prime sets.
+    exp(rho(x_delta)) for the six positive roots and the two torus
+    scalings s^rho(h_a), s^rho(h_b) by a primitive root s.  All arithmetic
+    is exact integer arithmetic mod p, in int32 within the bounds
+    check_oracle_prime sets.
     """
     check_oracle_prime(p)
     keys = _cone_keys(p)

@@ -103,7 +103,7 @@ class Config:
                 f"seed must be an unsigned 64-bit integer, got {_shown(self.seed)}"
             )
         if self.format not in ("text", "json"):
-            raise ConfigError(f"format must be 'text' or 'json', got {self.format!r}")
+            raise ConfigError(f"format must be 'text' or 'json', got {_shown(self.format)}")
 
     @property
     def rank_samples(self) -> int:

@@ -132,7 +132,7 @@ def generate_weyl() -> tuple[WeylElement, ...]:
 @dataclass(frozen=True)
 class Polarization:
     """A positive system: six roots, one from each opposite pair, closed
-    under root addition, and separated by an integer linear functional."""
+    under root addition, and separated by a linear functional."""
 
     roots: frozenset
 
@@ -158,20 +158,15 @@ class Polarization:
                     return False
         return True
 
-    def separating_functional(self) -> tuple[int, int] | None:
-        """An integer functional strictly positive on all six roots, if any."""
-        roots = self.sorted_roots
-        for phi1 in range(-25, 26):
-            for phi2 in range(-25, 26):
-                if all(phi1 * r.m1 + phi2 * r.m2 > 0 for r in roots):
-                    return (phi1, phi2)
-        return None
-
     def is_valid(self) -> bool:
+        """A half-system is separated by some functional exactly when
+        <2 rho_S, .> is positive on it, 2 rho_S being the sum of its roots:
+        for a positive system 2 rho_S is strictly dominant."""
+        two_rho = sum(self.roots, Root(0, 0))
         return (
             self.is_half_system()
             and self.is_addition_closed()
-            and self.separating_functional() is not None
+            and all(two_rho.pairing(r) > 0 for r in self.roots)
         )
 
     def __repr__(self) -> str:

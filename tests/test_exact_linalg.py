@@ -25,8 +25,6 @@ from g2verify.exact_linalg import (
 )
 from g2verify.g2_algebra import BASIS, G2Element, ad_matrix, bracket, killing, killing_gram
 from g2verify.rep7_verifier import (
-    _conormal_forms,
-    _moment_forms,
     build_rep7,
     build_symplectic14,
     conormal_conditions,
@@ -368,8 +366,11 @@ def test_integral_entries_are_stored_as_ints() -> None:
     symp = build_symplectic14()
     assert len(rep.matrices) == 14 and all(map(all_int, rep.matrices))
     assert all_int(invariant_form()) and all_int(symp.omega)
-    assert len(_moment_forms()) == 10 and all(map(all_int, _moment_forms()))
-    assert len(_conormal_forms()) == 9 and all(map(all_int, _conormal_forms()))
+    b = invariant_form()
+    moment = [symp.omega @ a for a in symp.actions14]
+    conormal = [b] + [m.transpose() @ b - b @ m for m in symp.borel_g2]
+    assert len(moment) == 10 and all(map(all_int, moment))
+    assert len(conormal) == 9 and all(map(all_int, conormal))
     assert all(all_int(ad_matrix(b)) for b in BASIS)
     assert all(type(e) is int for row in killing_gram() for e in row)
     two = DenseMatrix.from_rows([[Fraction(4, 2)]]).entry(0, 0)

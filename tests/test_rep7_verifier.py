@@ -203,18 +203,15 @@ def test_phi_check_fails_on_a_perturbed_omega_or_block(monkeypatch) -> None:
         dataclasses.replace(symp, omega=bad_omega),
         dataclasses.replace(symp, actions14=(bad_block,) + symp.actions14[1:]),
     )
-    caches = (rep7._conormal_forms, rep7._moment_forms, rep7._form_terms)
     for bad in faults:
-        for cached in caches:
-            cached.cache_clear()
+        rep7._form_terms.cache_clear()
         monkeypatch.setattr(rep7, "build_symplectic14", lambda: bad)
         try:
             assert not phi_symplectomorphism_check()
         finally:
             # Drop anything built from the fault, then restore the true
             # build_symplectic14.
-            for cached in caches:
-                cached.cache_clear()
+            rep7._form_terms.cache_clear()
             monkeypatch.undo()
     assert phi_symplectomorphism_check()
 
@@ -324,16 +321,19 @@ def test_form_terms_match_their_matrices() -> None:
     # Each polynomial sum c x_i x_j of the term table equals x^T M x for
     # the matrix M it was written from, at every e_i and e_i + e_j, which
     # fix a quadratic form.  On C^14 = (z, z'), condition (i) is B in the
-    # z' block and each z^T f z' is f in the (z, z') block.
+    # z' block and each z^T f z' is f in the (z, z') block, for f = B and
+    # f = m^T B - B m per g2-Borel generator m; the moment forms are omega A.
     terms = rep7._form_terms()
     b = invariant_form()
+    symp = build_symplectic14()
     z_zprime = DenseMatrix.from_rows([[0, 1], [0, 0]])
     zprime_zprime = DenseMatrix.from_rows([[0, 0], [0, 1]])
-    conormal = [rep7._kron(zprime_zprime, b)]
-    conormal += [rep7._kron(z_zprime, f) for f in rep7._conormal_forms()]
+    fs = [b] + [m.transpose() @ b - b @ m for m in symp.borel_g2]
+    conormal = [rep7._kron(zprime_zprime, b)] + [rep7._kron(z_zprime, f) for f in fs]
+    moment = [symp.omega @ a for a in symp.actions14]
     pairs = [(terms.quadric, b)]
     pairs += list(zip(terms.conormal, conormal, strict=True))
-    pairs += list(zip(terms.moment, rep7._moment_forms(), strict=True))
+    pairs += list(zip(terms.moment, moment, strict=True))
     assert len(pairs) == 21
     for poly, m in pairs:
         assert all(type(c) is int and c and i <= j for i, j, c in poly)
@@ -407,15 +407,21 @@ def _exp_mod_p(n: np.ndarray, c: int, p: int) -> np.ndarray:
 def _reference_orbit_count(p: int) -> tuple[int, tuple[int, ...], int]:
     """The earlier oracle, kept as the reference: the cone cut out of all
     p^7 vectors, the images under exp(cN) for every positive root and
-    every c in F_p - {0} plus the two torus generators, and a pure-Python
-    union-find.  Returns the point count, sorted orbit sizes and the size
-    of the origin's orbit."""
+    every c in F_p - {0} plus the scalings s^<mu, coroot> by a primitive
+    root s for the two simple coroots, typed here rather than read off
+    rho(h), and a pure-Python union-find.  Returns the point count, sorted
+    orbit sizes and the size of the origin's orbit."""
     vectors = np.array(list(itertools.product(range(p), repeat=REP_DIM)), dtype=np.int64)
     b = _mod_p(invariant_form(), p)
     cone = vectors[((vectors @ b) * vectors).sum(axis=1) % p == 0]
     powers = p ** np.arange(REP_DIM, dtype=np.int64)
     index = {k: i for i, k in enumerate((cone @ powers).tolist())}
-    generators = list(rep7._torus_generators(p))
+    s = rep7._primitive_root(p)
+    coroots = ((2, -3), (-1, 2))  # <mu, alpha-coroot>, <mu, beta-coroot>
+    generators = [
+        np.diag([pow(s, (ca * m1 + cb * m2) % (p - 1), p) for m1, m2 in REP_WEIGHTS])
+        for ca, cb in coroots
+    ]
     for name in BOREL_G2_NAMES[2:]:
         n = _mod_p(build_rep7().matrix(name), p)
         generators += [_exp_mod_p(n, c, p) for c in range(1, p)]
@@ -457,6 +463,25 @@ def test_unipotent_generator_powers_are_all_multiples(p: int) -> None:
         for c in range(1, p):
             power = power @ gen % p
             assert np.array_equal(power, _exp_mod_p(n, c, p)), (name, c)
+
+
+def test_matrix_mod_p_takes_integers_only() -> None:
+    # numpy would truncate Fraction(1, 2) to 0 instead of inverting the 2.
+    half = DenseMatrix.from_rows([[Fraction(1, 2), 3], [-1, 0]])
+    with pytest.raises(TypeError):
+        rep7._matrix_mod_p(half, 5)
+    reduced = rep7._matrix_mod_p(DenseMatrix.from_rows([[7, -1], [0, 2]]), 5)
+    assert reduced.tolist() == [[2, 4], [0, 2]]
+
+
+def test_torus_generators_refuse_a_non_diagonal_cartan_action(monkeypatch) -> None:
+    rep = build_rep7()
+    k = rep7.BASIS_NAMES.index("h_a")
+    bad_h_a = _with_entry(rep.matrices[k], 0, 1, 1)
+    bad = dataclasses.replace(rep, matrices=rep.matrices[:k] + (bad_h_a,) + rep.matrices[k + 1:])
+    monkeypatch.setattr(rep7, "build_rep7", lambda: bad)
+    with pytest.raises(ValueError, match="not diagonal"):
+        rep7._torus_generators(3)
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -3,6 +3,7 @@ skipping, JSON schema and byte stability, and CLI exit codes.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -33,6 +34,10 @@ from g2verify.report_cli import (
 
 FAST = Config(suites=("combinatorics",))
 GOLDEN_TABLES = Path(__file__).parent / "data" / "tables.txt"
+#: sha256 of `verify ARGS --format json` for a few non-default ARGS.
+REPORT_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "report_digests.json").read_text(encoding="utf-8")
+)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +98,7 @@ def test_samples_override_both_defaults() -> None:
         {"seed": 10**5000},
         {"samples": 10**5000},
         {"seed": Fraction(10**5000)},
+        {"format": 10**5000},
     ],
 )
 def test_invalid_configs_rejected(kwargs) -> None:
@@ -191,6 +197,51 @@ def test_perturbed_quadric_element_fails_its_check(monkeypatch) -> None:
     assert check.status == "fail"
     assert check.actual != "14/14"
     assert by_name["linear.invariant_form.invariance"].status == "pass"
+
+
+#: Every cache built from build_rep7(), directly or through another.
+_REP7_CACHES = (
+    rep7.invariant_form, rep7.build_symplectic14, rep7._form_terms, rep7.count_orbits_mod_p
+)
+
+
+def _linear_checks_with_rho_entry(monkeypatch, name: str, i: int, j: int, value) -> dict:
+    """The LINEAR_FAST checks by name, run on the true representation with
+    entry (i, j) of rho(name) set to `value`; every cache that reads
+    build_rep7 is cleared before the run and after it."""
+    rep = rep7.build_rep7()
+    k = g2.BASIS_NAMES.index(name)
+    bad_m = _with_entry(rep.matrices[k], i, j, value)
+    bad = dataclasses.replace(rep, matrices=rep.matrices[:k] + (bad_m,) + rep.matrices[k + 1:])
+    for cached in _REP7_CACHES:
+        cached.cache_clear()
+    monkeypatch.setattr(rep7, "build_rep7", lambda: bad)
+    try:
+        report = run_suite(LINEAR_FAST)
+    finally:
+        # Drop everything built from the fault before build_rep7 is restored.
+        for cached in _REP7_CACHES:
+            cached.cache_clear()
+    return {c.name: c for c in report.checks}
+
+
+def test_changed_seed_entry_fails_its_check(monkeypatch) -> None:
+    # f3 . t~ = 2 w instead of w: one of the eight seed entries moves.
+    by_name = _linear_checks_with_rho_entry(monkeypatch, "f3", 1, 2, 2)
+    assert by_name["linear.rep7.build"].status == "pass"
+    check = by_name["linear.rep7.seed_entries"]
+    assert check.status == "fail"
+    assert check.actual == "7/8"
+
+
+def test_off_diagonal_cartan_action_fails_weight_compatibility(monkeypatch) -> None:
+    # rho(h_a) sends w into the line of v: h_a has weight (0, 0), so it
+    # must keep every weight line, and the oracle's torus reads its diagonal.
+    by_name = _linear_checks_with_rho_entry(monkeypatch, "h_a", 0, 1, 1)
+    assert by_name["linear.rep7.build"].status == "pass"
+    check = by_name["linear.rep7.weight_compatibility"]
+    assert check.status == "fail"
+    assert check.actual == "false"
 
 
 def test_perturbed_invariant_form_fails_and_skips_dependents(monkeypatch) -> None:
@@ -359,46 +410,43 @@ def test_replaced_borel_action_breaks_conormal_equivalence(monkeypatch) -> None:
     bad = dataclasses.replace(symp, actions14=symp.actions14[:-1] + (odd,))
     rep7._form_terms.cache_clear()
     monkeypatch.setattr(rep7, "build_symplectic14", lambda: bad)
-    rep7._moment_forms.cache_clear()
     try:
         actual, _ = report_cli._run_conormal_equivalence(Config(samples=10))
     finally:
-        # Drop the forms and their terms built from the replaced action
-        # before the true build_symplectic14 is restored.
-        rep7._moment_forms.cache_clear()
+        # Drop the terms built from the replaced action before the true
+        # build_symplectic14 is restored.
         rep7._form_terms.cache_clear()
     agree = int(actual.split("/")[0])
     assert agree < 20, actual
 
 
-def _omega_a_bumped() -> tuple:
-    first, *rest = rep7._moment_forms()
-    return (_with_entry(first, 0, 1, first.entry(0, 1) + 1), *rest)
+def _without_condition_ii(terms):
+    # The conormal forms are (i) <z', z'>, then (ii) z^T B z', then (iii).
+    return dataclasses.replace(terms, conormal=terms.conormal[:1] + terms.conormal[2:])
+
+
+def _omega_a_bumped(terms):
+    # Entry (0, 1) of the first omega A, plus 1: its moment form, which has
+    # no x_0 x_1 term, gains 1 x_0 x_1.
+    first, *rest = terms.moment
+    assert all((i, j) != (0, 1) for i, j, _ in first)
+    return dataclasses.replace(terms, moment=(((0, 1, 1),) + first, *rest))
 
 
 @pytest.mark.parametrize(
-    "name, bad, tail",
+    "bad, tail",
     [
         # Without (ii), z^T B z', every sample still agrees: on them (iii)
         # implies it.  Only the span of the forms tells.
-        (
-            "_conormal_forms", lambda: rep7._conormal_forms()[1:],
-            "20/20 agree; form span ranks (9, 10, 10)",
-        ),
-        ("_moment_forms", _omega_a_bumped, " agree; form span ranks (10, 10, 11)"),
+        (_without_condition_ii, "20/20 agree; form span ranks (9, 10, 10)"),
+        (_omega_a_bumped, " agree; form span ranks (10, 10, 11)"),
     ],
+    ids=["without_condition_ii", "omega_a_bumped"],
 )
-def test_conormal_and_moment_forms_must_span_one_space(
-    monkeypatch, name, bad, tail
-) -> None:
-    forms = bad()
-    rep7._form_terms.cache_clear()
-    monkeypatch.setattr(rep7, name, lambda: forms)
-    try:
-        actual, details = report_cli._run_conormal_equivalence(Config(samples=10))
-    finally:
-        # Drop the terms read from the replaced forms.
-        rep7._form_terms.cache_clear()
+def test_conormal_and_moment_forms_must_span_one_space(monkeypatch, bad, tail) -> None:
+    terms = bad(rep7._form_terms())
+    monkeypatch.setattr(rep7, "_form_terms", lambda: terms)
+    actual, details = report_cli._run_conormal_equivalence(Config(samples=10))
     assert actual.endswith(tail), actual
     assert details == {"membership_samples": 10, "random_samples": 10}
 
@@ -701,6 +749,15 @@ def test_cli_dump_tables(tmp_path) -> None:
     assert tables.count("ad(") == 14
     assert tables.count("rho(") == 14
     assert path.read_bytes() == GOLDEN_TABLES.read_bytes()
+
+
+@pytest.mark.parametrize("args", sorted(REPORT_DIGESTS))
+def test_cli_json_report_digests(args) -> None:
+    """Behaviour lock beyond the default report: seeds, sample counts,
+    primes and suite subsets each keep their report bytes."""
+    result = CliRunner().invoke(main, args.split() + ["--format", "json"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == REPORT_DIGESTS[args]
 
 
 def _run_module(*args: str) -> subprocess.CompletedProcess:

@@ -117,9 +117,19 @@ def test_neg_alpha_partition_six_six() -> None:
     assert contain == 6
 
 
+def _box_separable(pol: Polarization) -> bool:
+    """The earlier separability test, kept as the reference: some integer
+    functional (phi1, phi2) in [-25, 25]^2 is strictly positive on every root."""
+    box = range(-25, 26)
+    return any(
+        all(phi1 * r.m1 + phi2 * r.m2 > 0 for r in pol.roots) for phi1 in box for phi2 in box
+    )
+
+
 def test_exactly_twelve_of_all_half_systems_are_valid() -> None:
     # Exhaust all 2^6 sign choices, one root from each opposite pair:
-    # exactly the 12 Weyl images of the base system survive validation.
+    # exactly the 12 Weyl images of the base system survive validation,
+    # and validation agrees with the box search on every one of the 64.
     roots = enumerate_roots()
     pairs = [r for r in roots if (r.m1, r.m2) > (-r.m1, -r.m2)]
     assert len(pairs) == 6
@@ -130,6 +140,7 @@ def test_exactly_twelve_of_all_half_systems_are_valid() -> None:
         )
         pol = Polarization(chosen)
         assert pol.is_half_system()
+        assert pol.is_valid() == _box_separable(pol), pol
         if pol.is_valid():
             valid.add(pol)
     assert valid == set(all_polarizations())

@@ -18,8 +18,9 @@ from g2verify import slice_verifier as sv
 from g2verify.exact_linalg import DenseMatrix, clear_denominators, kernel_basis
 from g2verify.g2_algebra import killing_gram
 from g2verify.rep7_verifier import (
-    _conormal_forms,
+    build_symplectic14,
     conormal_fiber_basis,
+    invariant_form,
     sample_conormal_pair,
 )
 from g2verify.root_weyl import ALPHA, BETA
@@ -43,10 +44,13 @@ def test_nullspace_matches_kernel_basis_on_default_conormal_fibers() -> None:
     config = report_cli.Config()
     sampler = SmallRationalSampler(report_cli._check_seed(config, 11))
     assert config.conormal_samples == 100
+    # Conditions (ii) and (iii): z orthogonal to B z' and to (m^T B - B m) z'.
+    b = invariant_form()
+    forms = [b] + [m.transpose() @ b - b @ m for m in build_symplectic14().borel_g2]
     for k in range(config.conormal_samples):
         zprime, _ = sample_conormal_pair(sampler, k)
         scaled = clear_denominators(zprime)
-        m = DenseMatrix.from_rows([f.mul_vec(scaled) for f in _conormal_forms()])
+        m = DenseMatrix.from_rows([f.mul_vec(scaled) for f in forms])
         expected = tuple(map(_as_fractions, _sympy_matrix(m).nullspace()))
         assert kernel_basis(m) == expected
         assert conormal_fiber_basis(zprime) == expected
