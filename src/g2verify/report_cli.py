@@ -272,20 +272,14 @@ def _run_relevant_total(config: Config) -> tuple[str, dict | None]:
     return str(count.total), details
 
 
-def _omega_prime_rank(coords: Sequence) -> int | None:
-    """The omega' Gram's rank at slice coordinates, or None if not antisymmetric."""
-    gram = sv.omega_prime_gram(coords)
-    return rank(gram) if (gram + gram.transpose()).is_zero() else None
-
-
 def _run_omega_prime_at_e(config: Config) -> tuple[str, dict | None]:
-    r = _omega_prime_rank((0,) * 6)  # e is the slice point with zero coordinates
+    r = sv.omega_prime_rank((0,) * 6)  # e is the slice point with zero coordinates
     return ("not antisymmetric" if r is None else str(r)), None
 
 
 def _omega_prime_full_rank_samples(config: Config) -> int:
     points = sv.omega_prime_sample_points(_check_seed(config, 5), config.rank_samples)
-    return sum(_omega_prime_rank(c) == 20 for c in points)
+    return sum(sv.omega_prime_rank(c) == 20 for c in points)
 
 
 # ---------------------------------------------------------------------------

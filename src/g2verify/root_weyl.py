@@ -149,25 +149,13 @@ class Polarization:
             (r in self.roots) != (-r in self.roots) for r in all_roots
         )
 
-    def is_addition_closed(self) -> bool:
-        root_set = set(enumerate_roots())
-        for d in self.roots:
-            for e in self.roots:
-                s = d + e
-                if s in root_set and s not in self.roots:
-                    return False
-        return True
-
     def is_valid(self) -> bool:
         """A half-system is separated by some functional exactly when
         <2 rho_S, .> is positive on it, 2 rho_S being the sum of its roots:
-        for a positive system 2 rho_S is strictly dominant."""
+        for a positive system 2 rho_S is strictly dominant.  S is then the
+        positive system of that functional, so it is closed under addition."""
         two_rho = sum(self.roots, Root(0, 0))
-        return (
-            self.is_half_system()
-            and self.is_addition_closed()
-            and all(two_rho.pairing(r) > 0 for r in self.roots)
-        )
+        return self.is_half_system() and all(two_rho.pairing(r) > 0 for r in self.roots)
 
     def __repr__(self) -> str:
         return "{" + ", ".join(repr(r) for r in self.sorted_roots) + "}"

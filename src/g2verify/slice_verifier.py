@@ -12,9 +12,10 @@ line; these constants hold basis indices, and R_U5 the torus weights of U5.
 The character psi = killing(E, .) restricted to these subalgebras drives
 the relevancy count: 6 relevant base orbits plus 1 relevant complementary
 orbit, 7 in total.  `build_slice_data` verifies all of this and returns
-the computed pieces: the ad-H level of each basis vector, ker ad F, and the
-Killing pairing of the basis with ker ad F.  Every verifier below calls it
-first, so a failed identity raises from each.
+the computed pieces: the ad-H level of each basis vector, ker ad F, the
+Killing pairing of the basis with ker ad F, and the affine pieces of omega'
+with their 8 x 8 reductions.  Every verifier below calls it first, so a failed
+identity raises from each.
 
 Only the sl2 relations and the point [x, y + E] of `verify_lemma_incl`
 involve non-basis elements.  Every question about basis vectors reads the
@@ -34,7 +35,7 @@ from operator import mul
 from typing import Sequence
 
 from . import g2_algebra as g2
-from .exact_linalg import DenseMatrix, DimensionMismatch, kernel_basis, rank
+from .exact_linalg import DenseMatrix, DimensionMismatch, clear_denominators, kernel_basis, rank
 from .g2_algebra import (
     BASIS,
     BASIS_NAMES,
@@ -98,6 +99,11 @@ class SliceData:
     levels: tuple[int, ...]  # the ad-h eigenvalue of each basis vector
     ker_ad_f: tuple  # tuple of 14-coordinate kernel vectors
     kappa_ker: tuple  # kappa(b_i, k_j): 14 rows, one column per kernel vector
+    omega_pieces: tuple  # 14x14 A_0, ..., A_6: omega' at c has block A_0 + sum c_j A_j
+    omega_antisymmetric: bool  # whether every piece is
+    kappa_rank: int  # r = rank K, K = kappa_ker
+    omega_kernel: tuple  # P: integer rows spanning ker K^T
+    omega_blocks: tuple  # the 8x8 reduced blocks B_j = P^T A_j P
 
     def dims(self) -> tuple[int, ...]:
         """Dimensions of the ad-h eigenspaces, by increasing level."""
@@ -154,10 +160,35 @@ def _psi_bracket(i: int, j: int) -> int | Fraction:
     return sum(t * psi_row[k] for k, t in g2._bracket_table()[i][j])
 
 
+def _omega_pieces(kappa_ker: Sequence) -> tuple:
+    """The pieces A_0, ..., A_6 of the algebra block of omega': A_j(b_i, b_l) =
+    -w_j([b_i, b_l]) for w_0 = psi and w_j the j-th column of `kappa_ker`."""
+    table = g2._bracket_table()
+    return tuple(
+        tuple(
+            tuple(-sum(t * w[k] for k, t in table[i][l]) for l in range(DIM))
+            for i in range(DIM)
+        )
+        for w in (g2.killing_gram()[_E], *zip(*kappa_ker))
+    )
+
+
+def _slice_data(levels, ker_ad_f, kappa_ker, pieces) -> SliceData:
+    """SliceData with the pieces of omega' reduced by P, an integer basis of ker K^T."""
+    k_t = DenseMatrix.from_rows(kappa_ker).transpose()
+    p = DenseMatrix.from_rows([clear_denominators(v) for v in kernel_basis(k_t)])
+    return SliceData(
+        levels, ker_ad_f, kappa_ker, pieces,
+        all(row == tuple(-x for x in col) for a in pieces for row, col in zip(a, zip(*a))),
+        DIM - p.rows, p.entries,
+        tuple((p @ DenseMatrix.from_rows(a) @ p.transpose()).entries for a in pieces),
+    )
+
+
 @cache
 def build_slice_data() -> SliceData:
     """Verify the sl2-triple, grading, subalgebras and l; return the grading
-    levels and ker ad f.
+    levels, ker ad f and the pieces of omega'.
 
     Raises StructureMismatchError naming the first failing identity.
     """
@@ -180,7 +211,7 @@ def build_slice_data() -> SliceData:
     ker_ad_f = kernel_basis(ad_matrix(F))
     gram = g2.killing_gram()
     kappa_ker = tuple(tuple(sum(map(mul, row, k)) for k in ker_ad_f) for row in gram)
-    data = SliceData(levels, ker_ad_f, kappa_ker)
+    data = _slice_data(levels, ker_ad_f, kappa_ker, _omega_pieces(kappa_ker))
     if data.dims() != (2, 1, 2, 4, 2, 1, 2):
         raise StructureMismatchError(
             f"grading dimensions {data.dims()} != (2, 1, 2, 4, 2, 1, 2)"
@@ -367,34 +398,30 @@ def count_relevant_orbits() -> RelevantOrbitCount:
     )
 
 
-def omega_prime_gram(coords: Sequence) -> DenseMatrix:
-    """The 20x20 Gram matrix of the two-form
+def omega_prime_rank(coords: Sequence) -> int | None:
+    """Rank of the 20x20 Gram of the two-form
 
         omega'((u1, v1), (u2, v2)) =
             -killing(x, [u1, u2]) - killing(u1, v2) + killing(u2, v1)
 
-    on (algebra directions) + (slice directions), at the slice point
-    x = e1 + sum c_j k_j with coordinates c = `coords` over ker ad_f.  The
-    first 14 rows/columns are the algebra basis directions u; the last 6
-    are the slice directions v.  killing(x, .) is psi plus the c-weighted
-    columns of `SliceData.kappa_ker`.  DimensionMismatch unless len(c) = 6.
+    on (algebra directions) + (slice directions) at the slice point
+    x = e1 + sum c_j k_j, c = `coords`; None if a piece is not antisymmetric.
+    The Gram is [[A, -K], [K^T, 0]] with A = A_0 + sum c_j A_j and
+    K = `kappa_ker`, and its rank is 2 rank K + rank(P^T A P) for any square
+    A, P spanning ker K^T: complete P to an invertible Q = [P R] and transform
+    by diag(Q, I); once K's dependent columns are dropped, S = R^T K is
+    invertible and clears P^T A R, R^T A R and R^T A P.  Scaling c by the
+    lcm d of its denominators keeps the rank: P^T A P times d is the
+    integer d B_0 + sum (d c_j) B_j.  DimensionMismatch unless len(c) = 6.
     """
     data = build_slice_data()
     if len(coords) != len(data.ker_ad_f):
         raise DimensionMismatch(f"{len(coords)} slice coordinates, expected 6")
-    n = DIM + len(coords)
-    rows = [[0] * n for _ in range(n)]
-    psi_row = g2.killing_gram()[_E]
-    kappa_x = [p + sum(map(mul, coords, k)) for p, k in zip(psi_row, data.kappa_ker)]
-    table = g2._bracket_table()
-    for i in range(DIM):
-        for j in range(DIM):
-            rows[i][j] = -sum(c * kappa_x[k] for k, c in table[i][j])
-    for i, kappa_row in enumerate(data.kappa_ker):
-        for j, val in enumerate(kappa_row):
-            rows[i][DIM + j] = -val
-            rows[DIM + j][i] = val
-    return DenseMatrix.from_rows(rows)
+    if not data.omega_antisymmetric:
+        return None
+    w = clear_denominators((1, *coords))
+    block = [[sum(map(mul, w, xs)) for xs in zip(*rows)] for rows in zip(*data.omega_blocks)]
+    return 2 * data.kappa_rank + rank(DenseMatrix.from_rows(block))
 
 
 def omega_prime_sample_points(seed: int, count: int) -> tuple[tuple[Fraction, ...], ...]:

@@ -1,9 +1,11 @@
-"""Shared fault injections."""
+"""Shared fault injections and references."""
 
 import pytest
 
 from g2verify import g2_algebra as g2
 from g2verify import slice_verifier as sv
+from g2verify.exact_linalg import DenseMatrix
+from g2verify.g2_algebra import BASIS, DIM, G2Element, bracket, killing
 
 
 @pytest.fixture
@@ -26,3 +28,28 @@ def bracket_with_extra_h_a(monkeypatch):
     yield
     g2._bracket_table.cache_clear()
     sv.build_slice_data.cache_clear()
+
+
+def _reference_omega_prime_gram(coeffs) -> DenseMatrix:
+    """The 20x20 Gram of omega' at the slice point e + sum c_j k_j, entry by
+    entry through `killing` and `bracket`: the algebra directions first,
+    then the six slice directions."""
+    kernel = [G2Element(v) for v in sv.build_slice_data().ker_ad_f]
+    x = sv.E
+    for c, kv in zip(coeffs, kernel):
+        x = x + kv.scale(c)
+    n = DIM + len(kernel)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(DIM):
+        for j in range(DIM):
+            rows[i][j] = -killing(x, bracket(BASIS[i], BASIS[j]))
+        for j, kv in enumerate(kernel):
+            rows[i][DIM + j] = -killing(BASIS[i], kv)
+            rows[DIM + j][i] = killing(BASIS[i], kv)
+    return DenseMatrix.from_rows(rows)
+
+
+@pytest.fixture
+def reference_omega_prime_gram():
+    """The entry-by-entry omega' Gram, the witness for `omega_prime_rank`."""
+    return _reference_omega_prime_gram

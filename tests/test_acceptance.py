@@ -13,7 +13,6 @@ from g2verify import g2_algebra as g2
 from g2verify import rep7_verifier as rep7
 from g2verify import root_weyl as rw
 from g2verify import slice_verifier as sv
-from g2verify.exact_linalg import rank
 from g2verify.report_cli import Config, emit, run_suite
 from g2verify.sampling import SmallRationalSampler
 
@@ -107,13 +106,9 @@ def test_6_symplectic_identifications() -> None:
     sv.build_slice_data()  # built before the clock starts
     with Stopwatch() as sw:
         assert rep7.phi_symplectomorphism_check()
-        gram = sv.omega_prime_gram((0,) * 6)
-        assert (gram + gram.transpose()).is_zero()
-        assert rank(gram) == 20
+        assert sv.omega_prime_rank((0,) * 6) == 20  # None if not antisymmetric
         for coeffs in sv.omega_prime_sample_points(seed=42, count=10):
-            gram = sv.omega_prime_gram(coeffs)
-            assert (gram + gram.transpose()).is_zero()
-            assert rank(gram) == 20
+            assert sv.omega_prime_rank(coeffs) == 20
     assert sw.elapsed < 2.0
 
 

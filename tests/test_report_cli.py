@@ -18,6 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 import g2verify
+from g2verify import exact_linalg
 from g2verify import g2_algebra as g2
 from g2verify import rep7_verifier as rep7
 from g2verify import report_cli
@@ -377,6 +378,54 @@ def test_perturbed_table_entry_fails_slice_build(monkeypatch, x, y, extra, messa
     assert report.summary["failed"] == 1
 
 
+def _slice_checks_with(monkeypatch, name: str, fault) -> dict:
+    """The slice suite's checks by name, run with `sv.<name>` replaced by
+    `fault(true)`; build_slice_data is cleared before the run and after it."""
+    monkeypatch.setattr(sv, name, fault(getattr(sv, name)))
+    sv.build_slice_data.cache_clear()
+    try:
+        report = run_suite(Config(suites=("slice",)))
+    finally:
+        sv.build_slice_data.cache_clear()
+    assert report.summary["failed"] == 1
+    return {c.name: c for c in report.checks}
+
+
+def test_zeroed_kappa_column_fails_omega_prime_rank(monkeypatch) -> None:
+    # kappa(b_i, k_0) = 0 for every i: K drops to rank 5, and omega' at e
+    # has a zero row, so its even rank is at most 18.  The pieces are read
+    # from the zeroed columns too.
+    def zeroed(true_slice_data):
+        def slice_data(levels, ker_ad_f, kappa_ker, pieces):
+            kappa_ker = tuple((0,) + row[1:] for row in kappa_ker)
+            return true_slice_data(levels, ker_ad_f, kappa_ker, sv._omega_pieces(kappa_ker))
+
+        return slice_data
+
+    by_name = _slice_checks_with(monkeypatch, "_slice_data", zeroed)
+    at_e = by_name["slice.omega_prime.rank_at_e"]
+    assert at_e.status == "fail"
+    assert at_e.actual == "18"
+    assert by_name["slice.omega_prime.rank_at_samples"].status == "skipped"
+
+
+def test_non_antisymmetric_piece_fails_omega_prime_rank(monkeypatch) -> None:
+    # One entry of A_0 (psi's piece) moves by 1, off its transpose's negative.
+    def bumped(true_pieces):
+        def pieces(kappa_ker):
+            a = [list(row) for row in true_pieces(kappa_ker)[0]]
+            a[0][1] += 1
+            return (tuple(map(tuple, a)),) + true_pieces(kappa_ker)[1:]
+
+        return pieces
+
+    by_name = _slice_checks_with(monkeypatch, "_omega_pieces", bumped)
+    at_e = by_name["slice.omega_prime.rank_at_e"]
+    assert at_e.status == "fail"
+    assert at_e.actual == "not antisymmetric"
+    assert by_name["slice.omega_prime.rank_at_samples"].status == "skipped"
+
+
 def test_antisymmetric_structure_constant_fault_fails_jacobi(
     bracket_with_extra_h_a,
 ) -> None:
@@ -467,6 +516,23 @@ def test_conormal_equivalence_makes_no_mul_vec_call(monkeypatch) -> None:
     actual, _ = report_cli._run_conormal_equivalence(Config())
     assert actual == "200/200 agree"
     assert calls == []
+
+
+def test_omega_prime_samples_run_eight_by_eight_eliminations(monkeypatch) -> None:
+    # Each sample's rank is one elimination of an 8x8 integer block: no
+    # 20x20 Gram is eliminated, and no sample's block holds a Fraction.
+    shapes = []
+    true_bareiss = exact_linalg._bareiss
+
+    def recorded(rows, ncols):
+        shapes.append((len(rows), ncols, all(type(x) is int for r in rows for x in r)))
+        return true_bareiss(rows, ncols)
+
+    sv.build_slice_data()
+    monkeypatch.setattr(exact_linalg, "_bareiss", recorded)
+    config = Config(suites=("slice",), samples=40)
+    assert report_cli._omega_prime_full_rank_samples(config) == 40
+    assert shapes == [(8, 8, True)] * 40
 
 
 def test_tfixed_line_dimensions_computed_once_per_run(monkeypatch) -> None:

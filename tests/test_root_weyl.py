@@ -126,10 +126,17 @@ def _box_separable(pol: Polarization) -> bool:
     )
 
 
+def _addition_closed(roots: frozenset) -> bool:
+    """No sum of two roots of the set is a root outside it."""
+    all_roots = set(enumerate_roots())
+    return not any(d + e in all_roots - roots for d in roots for e in roots)
+
+
 def test_exactly_twelve_of_all_half_systems_are_valid() -> None:
     # Exhaust all 2^6 sign choices, one root from each opposite pair:
     # exactly the 12 Weyl images of the base system survive validation,
-    # and validation agrees with the box search on every one of the 64.
+    # and validation agrees with the box search and with addition closure
+    # on every one of the 64.
     roots = enumerate_roots()
     pairs = [r for r in roots if (r.m1, r.m2) > (-r.m1, -r.m2)]
     assert len(pairs) == 6
@@ -140,7 +147,7 @@ def test_exactly_twelve_of_all_half_systems_are_valid() -> None:
         )
         pol = Polarization(chosen)
         assert pol.is_half_system()
-        assert pol.is_valid() == _box_separable(pol), pol
+        assert pol.is_valid() == _box_separable(pol) == _addition_closed(chosen), pol
         if pol.is_valid():
             valid.add(pol)
     assert valid == set(all_polarizations())
@@ -155,7 +162,8 @@ def test_polarization_validity_rejects_broken_sets() -> None:
     )
     flipped = Polarization(swapped)
     assert flipped.is_half_system()
-    assert not flipped.is_addition_closed()
+    assert Root(-1, 0) + Root(-1, -1) in set(enumerate_roots()) - swapped
+    assert not _addition_closed(swapped)
     assert not flipped.is_valid()
     # Drop a root entirely: not a half-system.
     short = Polarization(frozenset(base.sorted_roots[1:]))

@@ -5,7 +5,8 @@ of the package, so this module is skipped where it is missing.  Its
 `Matrix.nullspace` and `Matrix.rank` share no code with the package's
 Bareiss elimination: the null spaces of the conormal fiber systems drawn
 by a default run, and the ranks of the Killing Gram and of the omega'
-Gram at e, must agree with it.  sympy's `RootSystem('G2')` witnesses the
+Gram at e (built entry by entry, and reduced by `omega_prime_rank`),
+must agree with it.  sympy's `RootSystem('G2')` witnesses the
 root system: its root count and Cartan matrix must match `root_weyl`.
 """
 
@@ -60,9 +61,9 @@ def test_killing_gram_has_sympy_rank_14() -> None:
     assert sympy.Matrix(killing_gram()).rank() == 14
 
 
-def test_omega_prime_gram_at_e_has_sympy_rank_20() -> None:
-    gram = sv.omega_prime_gram((0,) * 6)
-    assert _sympy_matrix(gram).rank() == 20
+def test_omega_prime_gram_at_e_has_sympy_rank_20(reference_omega_prime_gram) -> None:
+    gram = reference_omega_prime_gram((0,) * 6)
+    assert _sympy_matrix(gram).rank() == sv.omega_prime_rank((0,) * 6) == 20
 
 
 def test_root_system_g2_matches_root_weyl() -> None:
