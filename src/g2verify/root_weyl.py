@@ -161,7 +161,6 @@ class Polarization:
         return "{" + ", ".join(repr(r) for r in self.sorted_roots) + "}"
 
 
-@cache
 def base_positive_system() -> Polarization:
     """The fixed base polarization {-3a-b, -a, b, a+b, 2a+b, 3a+2b}.
 

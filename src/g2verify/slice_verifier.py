@@ -357,8 +357,6 @@ def count_relevant_orbits() -> RelevantOrbitCount:
     build_slice_data()
     neg_alpha = Root(-1, 0)
     records = []
-    base_count = 0
-    comp_count = 0
     for w, s_w in zip(generate_weyl(), all_polarizations()):
         ubar_weights = tuple(r for r in R_U5 if r in s_w)
         ubar_vectors = [g2.root_vector(r.coords) for r in ubar_weights]
@@ -376,10 +374,6 @@ def count_relevant_orbits() -> RelevantOrbitCount:
             and base_relevant
             and all(_psi_ad_powers_vanish(x.coords) for x in ubar_vectors)
         )
-        if base_relevant:
-            base_count += 1
-        if complementary_relevant:
-            comp_count += 1
         records.append(
             RelevancyRecord(
                 w=w,
@@ -390,12 +384,9 @@ def count_relevant_orbits() -> RelevantOrbitCount:
                 complementary_relevant=complementary_relevant,
             )
         )
-    return RelevantOrbitCount(
-        base=base_count,
-        complementary=comp_count,
-        total=base_count + comp_count,
-        records=tuple(records),
-    )
+    base = sum(r.base_relevant for r in records)
+    comp = sum(r.complementary_relevant for r in records)
+    return RelevantOrbitCount(base, comp, base + comp, tuple(records))
 
 
 def omega_prime_rank(coords: Sequence) -> int | None:

@@ -30,7 +30,6 @@ from g2verify.rep7_verifier import (
     conormal_conditions,
     invariant_form,
     moment_zero_check,
-    q_element_value,
     quadric_value,
 )
 
@@ -309,8 +308,6 @@ def test_fields_reject_inexact_scalars() -> None:
             m.mul_vec([1, bad])
         with pytest.raises(TypeError):
             m.scale(bad)
-        with pytest.raises(TypeError):
-            q_element_value([bad, 0, 0, 1, 0, 0, 0])
         with pytest.raises(TypeError):
             quadric_value([bad, 0, 0, 1, 0, 0, 0])
         # A g2 element refuses it, so no float reaches a Killing value or

@@ -161,3 +161,55 @@ def test_top_level_names_are_the_documented_api() -> None:
 
 def test_readme_api_example_runs() -> None:
     exec(compile(_readme_api_example(), str(README), "exec"), {})
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller() -> None:
+    # A default that no call site in the package overrides is a constant
+    # dressed up as a parameter: every caller gets the same value.
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE_DIR.glob("*.py"))
+    ]
+    methods = {
+        id(node)
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    calls: dict = {}  # called name -> its ast.Call nodes
+    defaulted = []  # (function, parameter, positional index or None)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                # A method call through an attribute does not pass self or cls.
+                skip = 1 if id(node) in methods else 0
+                defaulted += [
+                    (node.name, a.arg, i - skip) for i, a in enumerate(positional) if i >= first
+                ]
+                defaulted += [
+                    (node.name, a.arg, None)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None
+                ]
+    assert defaulted
+
+    def sets(call: ast.Call, param: str, index: int | None) -> bool:
+        if any(k.arg in (param, None) for k in call.keywords):  # None is **kwargs
+            return True
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        return index is not None and len(call.args) > index
+
+    unset = [
+        f"{function}({param}=...)"
+        for function, param, index in defaulted
+        if not any(sets(call, param, index) for call in calls.get(function, ()))
+    ]
+    assert unset == []

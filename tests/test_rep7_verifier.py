@@ -40,7 +40,6 @@ from g2verify.rep7_verifier import (
     moment_zero_check,
     orbit_dimension,
     phi_symplectomorphism_check,
-    q_element_value,
     quadric_element,
     quadric_value,
     sample_conormal_pair,
@@ -152,15 +151,18 @@ def test_quadric_element_invariance() -> None:
 
 
 def test_quadratic_invariant_polynomial() -> None:
+    # The typed matrix C against the polynomial it stands for.
     c = quadric_element()
     sampler = SmallRationalSampler(5)
     for _ in range(20):
         x = [sampler.fraction() for _ in range(REP_DIM)]
         v, w, tt, vt, wt, t, u = x
-        assert q_element_value(x) == u * u - 4 * v * vt - 4 * w * wt - 4 * t * tt
+        q = u * u - 4 * v * vt - 4 * w * wt - 4 * t * tt
+        xcx = sum(x[i] * c.entry(i, j) * x[j] for i in range(REP_DIM) for j in range(REP_DIM))
+        assert xcx == q
         # The bilinear form computes the same polynomial up to the u^2
         # normalization: <x, x> = q(x) + 3 u^2.
-        assert quadric_value(x) == q_element_value(x) + 3 * u * u
+        assert quadric_value(x) == q + 3 * u * u
     assert c.entry(6, 6) == 1
 
 

@@ -176,6 +176,10 @@ def test_failure_skips_dependents(monkeypatch) -> None:
         "unmet prerequisites"
         in by_name["combinatorics.weyl.order"].actual
     )
+    skipped = by_name["combinatorics.weyl.order"]
+    assert skipped.expected == "12"
+    assert skipped.millis == 0
+    assert skipped.details is None
     assert report.summary["failed"] == 1
     assert report.summary["skipped"] >= 1
 
@@ -469,6 +473,30 @@ def test_replaced_borel_action_breaks_conormal_equivalence(monkeypatch) -> None:
     assert agree < 20, actual
 
 
+def test_symmetric_omega_fails_symplectic_invariance(monkeypatch) -> None:
+    # omega = [[0, B], [-B, 0]] with its lower-left block negated is
+    # [[0, B], [B, 0]]: symmetric and still of rank 14, so only the
+    # generators' invariance can reject it (the sl2 raising operator does).
+    symp = rep7.build_symplectic14()
+    rows = [list(row) for row in symp.omega.entries]
+    for i in range(7, 14):
+        rows[i][:7] = [-x for x in rows[i][:7]]
+    bad = dataclasses.replace(symp, omega=DenseMatrix.from_rows(rows))
+    rep7._form_terms.cache_clear()
+    monkeypatch.setattr(rep7, "build_symplectic14", lambda: bad)
+    try:
+        report = run_suite(Config(suites=("linear",), samples=1))
+    finally:
+        # Drop the terms built from the symmetric omega before the true
+        # build_symplectic14 is restored.
+        rep7._form_terms.cache_clear()
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["linear.symplectic.invariance"].actual == "false"
+    for name in ("linear.phi_symplectomorphism", "linear.conormal_moment_equivalence"):
+        assert by_name[name].status == "skipped"
+    assert report.summary == {"total": 19, "passed": 16, "failed": 1, "skipped": 2}
+
+
 def _without_condition_ii(terms):
     # The conormal forms are (i) <z', z'>, then (ii) z^T B z', then (iii).
     return dataclasses.replace(terms, conormal=terms.conormal[:1] + terms.conormal[2:])
@@ -577,7 +605,6 @@ def test_mod_p_orbit_sizes_must_match_tfixed_line_dimensions(monkeypatch) -> Non
     # size even: only the link to the orbit dimensions 1..6 of the T-fixed
     # lines, which ask for sizes 2 * 3^(d-1), can reject it.
     fake = rep7.OrbitCountResult(
-        p=3,
         point_count=729,
         orbit_count=7,
         orbit_sizes=(1, 2, 6, 18, 54, 216, 432),
@@ -670,6 +697,8 @@ def test_check_exceptions_recorded_not_raised(monkeypatch) -> None:
     failed = {c.name: c for c in report.checks}["combinatorics.roots.count"]
     assert failed.status == "fail"
     assert failed.actual == "error: RuntimeError: boom"
+    assert failed.expected == "12"
+    assert failed.details is None
 
 
 def test_absent_prerequisites_are_ignored() -> None:
