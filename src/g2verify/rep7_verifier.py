@@ -32,9 +32,9 @@ does the F_p oracle's quadric.
 The linear side counts Borel orbits on the quadric cone two ways: over
 characteristic zero via T-fixed isotropic lines with pairwise-distinct
 orbit dimensions (6 lines + the origin = 7), and over F_p by brute force
-(expected 7 for each configured prime): the cone's points are found by
-broadcasting the table's <x, x> mod p over all p^7 vectors one p^6 slab
-at a time and kept as sorted int32 keys sum_i x_i p^i, and numpy labels
+(expected 7 for each configured prime): the cone's points are read slab
+by slab in u off the table's <x, x> terms without u, summed mod p once
+over a p^6 grid, and kept as sorted int32 keys sum_i x_i p^i; numpy labels
 their orbits under exp(rho(x)) for the eight BOREL_G2_NAMES x: one
 unipotent map per positive root, and s^rho(h) for h_a, h_b.
 """
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import gcd, isqrt
 from typing import Sequence
 
 import numpy as np
@@ -147,6 +147,13 @@ def _sym_index(i: int, j: int) -> int:
     return i * REP_DIM - i * (i - 1) // 2 + (j - i)
 
 
+def _primitive(row: Sequence) -> tuple:
+    """The integer row on `row`'s line with gcd 1 and first nonzero entry > 0."""
+    ints = clear_denominators(row)
+    g = gcd(*ints) if next(filter(None, ints)) > 0 else -gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
 @cache
 def invariant_form() -> DenseMatrix:
     """The matrix B of the invariant symmetric bilinear form <.,.>, solved
@@ -172,8 +179,9 @@ def invariant_form() -> DenseMatrix:
                     coeffs[_sym_index(r, k)] += m.entry(k, c)
                 if any(coeffs):
                     rows.append(tuple(coeffs))
-    # Repeated rows (120 of 246) leave the row space, and so the kernel, as it is.
-    kern = kernel_basis(DenseMatrix.from_rows(list(dict.fromkeys(rows))))
+    # One primitive row per line (54 of 246 rows) keeps the row space and kernel.
+    lines = dict.fromkeys(map(_primitive, dict.fromkeys(rows)))
+    kern = kernel_basis(DenseMatrix.from_rows(list(lines)))
     if len(kern) != 1:
         raise AmbiguousSolutionError(
             f"invariant-form solution space has dimension {len(kern)}"
@@ -316,9 +324,7 @@ def verify_homomorphism() -> int:
     good = 0
     for i in range(DIM):
         for j in range(i + 1, DIM):
-            lhs = rep.act(table[i][j])
-            rhs = _commutator(rep.matrices[i], rep.matrices[j])
-            if (lhs - rhs).is_zero():
+            if rep.act(table[i][j]) == _commutator(rep.matrices[i], rep.matrices[j]):
                 good += 1
     return good
 
@@ -553,11 +559,11 @@ def tfixed_isotropic_lines() -> tuple[int, ...]:
 
 
 #: Upper bound on p**REP_DIM, the size of the oracle's key range: it admits
-#: p = 3, 5, 7 (823,543 keys) and refuses p = 11.  The oracle allocates a
-#: p**7-entry int32 lookup (3.3 MB at p = 7), one p**6-entry int32 slab of
-#: quadric values at a time, and int32 arrays with one entry per cone point
-#: (p**6 of them): the keys, seven coordinate rows, and per generator its
-#: image keys and the permutation they index.
+#: p = 3, 5, 7 (823,543 keys) and refuses p = 11.  At p = 7 the oracle holds
+#: a p**7-entry int32 lookup (3.3 MB) and per cone point (p**6 = 117,649): an
+#: int32 key, 7 uint8 digits, 2 int32 image buffers and 8 int32 permutation
+#: entries (0.47 MB per int32 array); all but the permutations are freed
+#: before labelling, which adds 2 int32 label arrays (traced peak 9.8 MiB).
 MAX_ORACLE_POINTS = 2_000_000
 
 
@@ -633,44 +639,55 @@ def _torus_generators(p: int) -> list[np.ndarray]:
 
 def _cone_keys(p: int) -> np.ndarray:
     """The sorted int32 keys sum_i x_i p^i of the points x of F_p^7 with
-    <x, x> = 0.  The terms c x_i x_j of `_form_terms().quadric`, with c
-    reduced mod p, are broadcast over a grid with one axis per coordinate,
-    largest place value first, so a grid point's C-order flat index is its
-    key.  The grid is walked one p^6 slab per value of the last coordinate."""
+    <x, x> = 0.  The `_form_terms().quadric` terms c x_i x_j without the
+    last coordinate u, c mod p, are summed once over a grid with one axis
+    per other coordinate, largest place value first (a point's C-order flat
+    index is its key mod p^6), and reduced mod p in place; the cone's slab
+    u = s is where that equals -c_u s^2.  A term c x_i u, i != u: ValueError."""
+    u = REP_DIM - 1
     terms = [(c % p, i, j) for i, j, c in _form_terms().quadric if c % p]
-    n = REP_DIM - 1
+    if any(i != j == u for _, i, j in terms):
+        raise ValueError("the quadric mixes u with another coordinate")
     axis = np.arange(p, dtype=np.int32)
-    grid = [axis.reshape([p if a == n - 1 - i else 1 for a in range(n)]) for i in range(n)]
-    keys = []
-    for last in range(p):
-        coords = grid + [last]
-        quadric = np.zeros((p,) * n, dtype=np.int32)
-        for c, i, j in terms:
-            quadric += c * coords[i] * coords[j]
-        keys.append(np.flatnonzero(quadric % p == 0).astype(np.int32) + last * p**n)
-    return np.concatenate(keys)
+    grid = [axis.reshape([p if a == u - 1 - i else 1 for a in range(u)]) for i in range(u)]
+    rest = np.zeros((p,) * u, dtype=np.int32)
+    for c, i, j in terms:
+        if j != u:
+            rest += c * grid[i] * grid[j]
+    np.remainder(rest, p, out=rest)
+    c_u = sum(c for c, i, _ in terms if i == u)
+    return np.concatenate(
+        [np.flatnonzero(rest == -c_u * s * s % p).astype(np.int32) + s * p**u for s in range(p)]
+    )
 
 
 def _key_points(keys: np.ndarray, p: int) -> np.ndarray:
-    """The points with the given keys, one C-contiguous int32 row per
-    coordinate."""
-    points = np.empty((REP_DIM, len(keys)), dtype=np.int32)
-    rest = keys
+    """The points with the given keys, one C-contiguous uint8 row of digits
+    (each below p) per coordinate."""
+    points = np.empty((REP_DIM, len(keys)), dtype=np.uint8)
+    rest = keys.copy()
     for i in range(REP_DIM):
-        rest, points[i] = np.divmod(rest, p)
+        np.divmod(rest, p, out=(rest, points[i]), casting="unsafe")
     return points
 
 
-def _image_keys(gen: np.ndarray, points: np.ndarray, keys: np.ndarray, p: int) -> np.ndarray:
-    """The keys of gen @ points mod p.  A row of gen equal to the identity's
-    leaves its coordinate, and so its place in the key, as it is; every
-    other row i moves the key by p^i (y_i - x_i), where y_i is that row's
-    image coordinate, summed over the row's nonzero entries only."""
-    image = keys.copy()
+def _image_keys(
+    gen: np.ndarray, points: np.ndarray, keys: np.ndarray, p: int, image: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """The keys of gen @ points mod p, built in the int32 buffers `image`
+    (returned) and `y`.  A row of gen equal to the identity's leaves its
+    coordinate, and so its place in the key, as it is; every other row i
+    moves the key by p^i (y_i - x_i), where y_i, that row's image coordinate,
+    is summed over the row's nonzero entries and reduced mod p."""
+    np.copyto(image, keys)
     for i, row in enumerate(gen.tolist()):
         if any(c != (i == j) for j, c in enumerate(row)):
-            y = sum(c * points[j] for j, c in enumerate(row) if c) % p
-            image += p**i * (y - points[i])
+            y.fill(0)
+            for j, c in enumerate(row):
+                if c:
+                    y += np.int32(c) * points[j]
+            np.subtract(np.remainder(y, p, out=y), points[i], out=y)
+            image += np.multiply(y, p**i, out=y)
     return image
 
 
@@ -678,18 +695,19 @@ def _orbit_labels(perms: list[np.ndarray]) -> np.ndarray:
     """The least point of each point's orbit, by label propagation: each
     round takes the minimum label across every edge i -> perm[i], both
     ways, then pointer-jumps label = label[label] to a fixed point
-    (Shiloach-Vishkin).  After a round that changes no label, every edge
-    joins equal labels, so the labels are exactly the orbits."""
+    (Shiloach-Vishkin), until every edge joins equal labels: a label is a
+    point of its own orbit and only falls, so one constant on an orbit is
+    its least point."""
+    # Indices are in range; mode="clip" lets take write into `pulled` unbuffered.
     label = np.arange(len(perms[0]), dtype=np.int32)
+    pulled = np.empty_like(label)
     while True:
-        before = label
         for perm in perms:
-            label = np.minimum(label, label[perm])
+            np.minimum(label, label.take(perm, out=pulled, mode="clip"), out=label)
             np.minimum.at(label, perm, label)
-        jumped = label[label]
-        while not np.array_equal(jumped, label):
-            label, jumped = jumped, jumped[jumped]
-        if np.array_equal(label, before):
+        while not np.array_equal(label.take(label, out=pulled, mode="clip"), label):
+            label, pulled = pulled, label
+        if all(np.array_equal(label.take(q, out=pulled, mode="clip"), label) for q in perms):
             return label
 
 
@@ -706,23 +724,25 @@ def count_orbits_mod_p(p: int) -> OrbitCountResult:
     """
     check_oracle_prime(p)
     keys = _cone_keys(p)
-    points = _key_points(keys, p)
+    if keys[0] != 0:
+        raise AssertionError("the origin is not the first cone key")
     npoints = len(keys)
-
+    points = _key_points(keys, p)
     lookup = np.full(p**REP_DIM, -1, dtype=np.int32)
     lookup[keys] = np.arange(npoints, dtype=np.int32)
-
+    image, y = np.empty_like(keys), np.empty_like(keys)
     perms = []
     for gen in _unipotent_generators(p) + _torus_generators(p):
-        image_idx = lookup[_image_keys(gen, points, keys, p)]
-        if np.any(image_idx < 0):
+        perm = lookup[_image_keys(gen, points, keys, p, image, y)]
+        if perm.min() < 0:
             raise AssertionError("generator does not preserve the quadric")
-        perms.append(image_idx)
+        perms.append(perm)
+    del keys, points, lookup, image, y  # the labelling needs only the permutations
 
     label = _orbit_labels(perms)
     counts = np.bincount(label)
     sizes = tuple(int(c) for c in np.sort(counts[counts > 0]))
-    origin_size = int(counts[label[lookup[0]]])
+    origin_size = int(counts[label[0]])
     return OrbitCountResult(
         point_count=npoints,
         orbit_count=len(sizes),

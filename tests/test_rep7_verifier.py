@@ -17,6 +17,8 @@ written from.
 
 import dataclasses
 import itertools
+import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -144,6 +146,36 @@ def test_invariant_form_entries() -> None:
 
 def test_invariant_form_identity() -> None:
     assert verify_invariant_form() == 14
+
+
+def test_invariant_form_system_keeps_one_primitive_row_per_line() -> None:
+    # The full system rho(x)^T B + B rho(x) = 0, written out here as the
+    # reference: 246 nonzero rows, 126 distinct, on 54 lines.
+    pairs = itertools.combinations_with_replacement(range(REP_DIM), 2)
+    idx = {ij: k for k, ij in enumerate(pairs)}
+    full = []
+    for m in build_rep7().matrices:
+        for r, c in idx:
+            row = [0] * len(idx)
+            for k in range(REP_DIM):
+                row[idx[min(k, c), max(k, c)]] += m.entry(k, r)
+                row[idx[min(r, k), max(r, k)]] += m.entry(k, c)
+            if any(row):
+                full.append(tuple(row))
+    lines = set(map(rep7._primitive, full))
+    assert (len(full), len(set(full)), len(lines)) == (246, 126, 54)
+    for row in full:
+        prim = rep7._primitive(row)
+        lead = next(x for x in prim if x)
+        assert lead > 0 and math.gcd(*prim) == 1
+        assert all(x * lead == y * next(z for z in row if z) for x, y in zip(row, prim))
+    (kernel,) = kernel_basis(DenseMatrix.from_rows(full))
+    assert kernel_basis(DenseMatrix.from_rows(sorted(lines))) == (kernel,)
+    scale = Fraction(-2) / kernel[idx[0, 3]]
+    assert invariant_form().entries == tuple(
+        tuple(kernel[idx[min(i, j), max(i, j)]] * scale for j in range(REP_DIM))
+        for i in range(REP_DIM)
+    )
 
 
 def test_quadric_element_invariance() -> None:
@@ -495,11 +527,91 @@ def test_key_built_cone_equals_brute_force_cone(p: int) -> None:
     cone = vectors[((vectors @ b) * vectors).sum(axis=1) % p == 0]
     keys = rep7._cone_keys(p)
     points = rep7._key_points(keys, p)
-    assert keys.dtype == points.dtype == np.int32
+    assert keys.dtype == np.int32 and points.dtype == np.uint8
     assert points.shape == (REP_DIM, p**6) and points.flags["C_CONTIGUOUS"]
     assert np.all(np.diff(keys) > 0)
     assert np.array_equal(p ** np.arange(REP_DIM) @ points, keys)
     assert set(map(tuple, points.T.tolist())) == set(map(tuple, cone.tolist()))
+
+
+def test_cone_keys_refuse_a_quadric_mixing_u_with_another_coordinate(monkeypatch) -> None:
+    terms = rep7._form_terms()
+    mixed = dataclasses.replace(terms, quadric=terms.quadric + ((0, REP_DIM - 1, 1),))
+    monkeypatch.setattr(rep7, "_form_terms", lambda: mixed)
+    with pytest.raises(ValueError, match="mixes u"):
+        rep7._cone_keys(3)
+
+
+class _CountedPasses(list):
+    """A list of permutations that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def _cycles(cycles: list, n: int) -> np.ndarray:
+    perm = np.arange(n, dtype=np.int32)
+    for cycle in cycles:
+        perm[cycle] = np.roll(cycle, -1)
+    return perm
+
+
+def _union_find_least_points(perms: list, n: int) -> list[int]:
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for perm in perms:
+        for i, j in enumerate(perm.tolist()):
+            parent[find(i)] = find(j)
+    least = {}
+    for i in range(n):
+        least.setdefault(find(i), i)
+    return [least[find(i)] for i in range(n)]
+
+
+def _sawtooth_cycle() -> list:
+    # One 16-cycle 0 -> 15 -> 1 -> 14 -> ... -> 8 -> 0.
+    return [_cycles([[0, 15, 1, 14, 2, 13, 3, 12, 4, 11, 5, 10, 6, 9, 7, 8]], 16)]
+
+
+def _random_blocks() -> list:
+    # Two random permutations of each block of a seeded partition of 200
+    # points into blocks of 1, 2, 50 and 147.
+    rng = np.random.default_rng(18)
+    blocks = np.split(rng.permutation(200), [1, 3, 53])
+    return [_cycles([rng.permutation(b) for b in blocks], 200) for _ in range(2)]
+
+
+@pytest.mark.parametrize("build", [_sawtooth_cycle, _random_blocks])
+def test_orbit_labels_are_least_points_after_several_rounds(build) -> None:
+    perms = _CountedPasses(build())
+    label = rep7._orbit_labels(perms)
+    # Each round passes over the permutations twice, to propagate and then
+    # to check every edge, so these components took more than one round.
+    assert perms.passes >= 4
+    assert label.tolist() == _union_find_least_points(perms, len(label))
+
+
+def test_oracle_memory_peak_at_p7() -> None:
+    # numpy reports its buffers to tracemalloc, so the peak counts every
+    # array the count allocates; the cached form table and rho are built first.
+    rep7._form_terms()
+    count_orbits_mod_p.cache_clear()
+    tracemalloc.start()
+    try:
+        count_orbits_mod_p(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 2**20
 
 
 def test_oracle_keeps_its_cache() -> None:
