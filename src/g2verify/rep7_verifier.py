@@ -13,15 +13,15 @@ element q = u^2 - 4 v v~ - 4 w w~ - 4 t t~ of the symmetric square of
 the representation is invariant (coefficient matrix C, typed as sparse
 data like rho(f1) and rho(f3); invariance rho(x) C + C rho(x)^T = 0).
 The invariant bilinear FORM <.,.> on the representation space
-(invariance rho(x)^T B + B rho(x) = 0) is solved from its own linear
-system and normalized by <v, v~> = -2; it pairs the three
-opposite-weight line pairs with -2 and the zero-weight line with 4, and
-is proportional to the inverse of C.  The quadric cone Q is the
+(invariance rho(x)^T B + B rho(x) = 0) is solved from the invariance of
+the generators rho(f1), rho(f2), rho(f3) and normalized by <v, v~> = -2;
+it pairs the opposite-weight line pairs with -2 and the zero-weight line
+with 4, and is proportional to the inverse of C.  The quadric cone Q is the
 isotropic locus of the form, which is what the Borel action preserves.
 
 The linear side's quadratic forms are written once, as sparse integer
 monomial terms (`_form_terms`, the only cached record of them, built
-from B and the symplectic doubling): <x, x> on C^7, and on C^14 = (z, z')
+from B, rho and the symplectic doubling): <x, x> on C^7, and on C^14 = (z, z')
 the ten conormal polynomials (<z', z'> and the nine z^T f z') and the ten
 moment polynomials x^T omega A x.  The conormal and moment predicates
 evaluate them on integer vectors (`clear_denominators`), the conormal
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -117,7 +117,6 @@ class Symplectic14:
     """
 
     omega: DenseMatrix
-    borel_g2: tuple  # 7x7 DenseMatrix per BOREL_G2_NAMES entry
     actions14: tuple  # the ten 14x14 matrices, g2 part first
 
 
@@ -147,21 +146,18 @@ def _sym_index(i: int, j: int) -> int:
     return i * REP_DIM - i * (i - 1) // 2 + (j - i)
 
 
-def _primitive(row: Sequence) -> tuple:
-    """The integer row on `row`'s line with gcd 1 and first nonzero entry > 0."""
-    ints = clear_denominators(row)
-    g = gcd(*ints) if next(filter(None, ints)) > 0 else -gcd(*ints)
-    return tuple(x // g for x in ints)
-
-
 @cache
 def invariant_form() -> DenseMatrix:
     """The matrix B of the invariant symmetric bilinear form <.,.>, solved
     exactly.
 
     The unknown symmetric matrix B must satisfy rho(x)^T B + B rho(x) = 0
-    for all 14 basis elements x; the solution space is required to be a
-    single line, and B is normalized by <v, v~> = -2.  The result pairs
+    for the generators x = f1, f2, f3 (66 nonzero rows): build_rep7 builds
+    the other eleven matrices as their brackets, and invariance under X
+    and Y implies it under [X, Y]; verify_invariant_form tests all 14.
+    The solution space must be one line (NoSolutionError if it is zero,
+    AmbiguousSolutionError if larger), and B is normalized by
+    <v, v~> = -2.  The result pairs
     opposite weight lines (<v,v~> = <w,w~> = <t,t~> = -2, <u,u> = 4, all
     other basis pairings zero) and is proportional to the inverse of the
     q coefficient matrix.
@@ -169,7 +165,7 @@ def invariant_form() -> DenseMatrix:
     rep = build_rep7()
     nunk = REP_DIM * (REP_DIM + 1) // 2
     rows = []
-    for m in rep.matrices:
+    for m in map(rep.matrix, ("f1", "f2", "f3")):
         # (m^T B + B m)[r][c] = sum_k m[k][r] B[k][c] + B[r][k] m[k][c].
         for r in range(REP_DIM):
             for c in range(r, REP_DIM):
@@ -178,14 +174,11 @@ def invariant_form() -> DenseMatrix:
                     coeffs[_sym_index(k, c)] += m.entry(k, r)
                     coeffs[_sym_index(r, k)] += m.entry(k, c)
                 if any(coeffs):
-                    rows.append(tuple(coeffs))
-    # One primitive row per line (54 of 246 rows) keeps the row space and kernel.
-    lines = dict.fromkeys(map(_primitive, dict.fromkeys(rows)))
-    kern = kernel_basis(DenseMatrix.from_rows(list(lines)))
+                    rows.append(coeffs)
+    kern = kernel_basis(DenseMatrix.from_rows(rows))
     if len(kern) != 1:
-        raise AmbiguousSolutionError(
-            f"invariant-form solution space has dimension {len(kern)}"
-        )
+        error = AmbiguousSolutionError if kern else NoSolutionError
+        raise error(f"invariant-form solution space has dimension {len(kern)}")
     packed = kern[0]
     pivot = packed[_sym_index(_V, _VT)]
     if pivot == 0:
@@ -394,15 +387,14 @@ def build_symplectic14() -> Symplectic14:
     # below is a Kronecker product with the 2x2 factor on the left.
     omega2 = DenseMatrix.from_rows([[0, 1], [-1, 0]])
     omega = _kron(omega2, invariant_form())
-    borel_g2 = tuple(rep.matrix(name) for name in BOREL_G2_NAMES)
     sl2_h = DenseMatrix.from_rows([[1, 0], [0, -1]])
     sl2_e = DenseMatrix.from_rows([[0, 1], [0, 0]])
     eye2, eye7 = DenseMatrix.identity(2), DenseMatrix.identity(REP_DIM)
-    actions = tuple(_kron(eye2, m) for m in borel_g2) + (
+    actions = tuple(_kron(eye2, rep.matrix(name)) for name in BOREL_G2_NAMES) + (
         _kron(sl2_h, eye7),
         _kron(sl2_e, eye7),
     )
-    return Symplectic14(omega=omega, borel_g2=borel_g2, actions14=actions)
+    return Symplectic14(omega=omega, actions14=actions)
 
 
 def verify_symplectic_invariance() -> bool:
@@ -439,8 +431,8 @@ def phi_symplectomorphism_check() -> bool:
     # This half repeats build_symplectic14's own _kron(eye2, m), so only a
     # patched builder can fail it; it stays because deleting it would
     # change the default report.
-    eye2 = DenseMatrix.identity(2)
-    return all(m14 == _kron(eye2, m7) for m7, m14 in zip(symp.borel_g2, symp.actions14))
+    eye2, rep = DenseMatrix.identity(2), build_rep7()
+    return all(m14 == _kron(eye2, rep.matrix(n)) for n, m14 in zip(BOREL_G2_NAMES, symp.actions14))
 
 
 @dataclass(frozen=True)
@@ -469,18 +461,17 @@ def _quadratic_terms(m: DenseMatrix) -> tuple:
 @cache
 def _form_terms() -> _FormTerms:
     """The term table every linear-side form is evaluated from, the F_p
-    oracle's quadric included, built once from invariant_form() and
+    oracle's quadric included, built once from invariant_form(), rho and
     build_symplectic14().  Conditions (ii) and (iii) make z orthogonal to
-    B z' and to K_m z', K_m = m^T B - B m, for each g2-Borel generator m;
-    the moment map's H_A is x^T omega A x / 2 for each Borel generator A.
-    A test that patches invariant_form or build_symplectic14 clears this
+    B z' and to K_m z', K_m = m^T B - B m, for each g2-Borel generator m,
+    read from rho; the moment map's H_A is x^T omega A x / 2 for each Borel
+    generator A.  A test that patches one of the three builders clears this
     cache before and after (and count_orbits_mod_p's when it counts over
     F_p); a test that changes one form patches _form_terms itself."""
-    b = invariant_form()
-    symp = build_symplectic14()
+    b, rep, symp = invariant_form(), build_rep7(), build_symplectic14()
     quadric = _quadratic_terms(b)
     n = REP_DIM
-    fs = (b,) + tuple(m.transpose() @ b - b @ m for m in symp.borel_g2)
+    fs = (b,) + tuple(m.transpose() @ b - b @ m for m in map(rep.matrix, BOREL_G2_NAMES))
     conormal = (tuple((i + n, j + n, c) for i, j, c in quadric),) + tuple(
         tuple((i, j + n, c) for i, row in enumerate(f.entries) for j, c in enumerate(row) if c)
         for f in fs
@@ -539,7 +530,7 @@ def moment_zero_check(point: Sequence) -> bool:
 
 def orbit_dimension(x: Sequence) -> int:
     """Rank of the g2-Borel tangent map A -> rho(A) x at the point x."""
-    rows = [m.mul_vec(x) for m in build_symplectic14().borel_g2]
+    rows = [m.mul_vec(x) for m in map(build_rep7().matrix, BOREL_G2_NAMES)]
     return rank(DenseMatrix.from_rows(rows))
 
 
@@ -619,7 +610,7 @@ def _unipotent_generators(p: int) -> list[np.ndarray]:
         n_mat = _matrix_mod_p(rep.matrix(name), p)
         n2 = n_mat @ n_mat % p
         if np.any(n2 @ n_mat % p):
-            raise BadPrimeError("root-vector action is not nilpotent of order <= 3")
+            raise ValueError(f"rho({name}) is not nilpotent of order <= 3")
         gens.append((eye + n_mat + inv2 * n2) % p)
     return gens
 

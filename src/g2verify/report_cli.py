@@ -137,7 +137,7 @@ class _CheckSpec:
     name: str  # "<suite>.<check>"
     needs: tuple[str, ...]
     expected: str
-    run: Callable[[Config], tuple[str, dict | None]]
+    run: Callable[[], tuple[str, dict | None]]
 
 
 def _tally(
@@ -145,7 +145,7 @@ def _tally(
 ) -> _CheckSpec:
     """A check whose `count()` says how many of `total` cases hold; all must."""
     return _CheckSpec(
-        name, needs, f"{total}/{total}", lambda config: (f"{count()}/{total}", None)
+        name, needs, f"{total}/{total}", lambda: (f"{count()}/{total}", None)
     )
 
 
@@ -154,7 +154,7 @@ def _holds(
 ) -> _CheckSpec:
     """A check that passes when `verifier()` returns True."""
     return _CheckSpec(
-        name, needs, "true", lambda config: (str(verifier()).lower(), None)
+        name, needs, "true", lambda: (str(verifier()).lower(), None)
     )
 
 
@@ -167,7 +167,7 @@ def _check_seed(config: Config, offset: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_linalg_selftest(config: Config) -> tuple[str, dict | None]:
+def _run_linalg_selftest() -> tuple[str, dict | None]:
     # Its inputs are constant 2 x 2 matrices, so no fault in g2's or rho's
     # data reaches it; it stays because deleting it would change the
     # default report.
@@ -185,7 +185,7 @@ def _run_linalg_selftest(config: Config) -> tuple[str, dict | None]:
 _A_VALUES = ((1, 0), (-1, 1), (0, -1))  # a1, a2, a3 on (h_a, h_b)
 
 
-def _run_cartan_norms(config: Config) -> tuple[str, dict | None]:
+def _run_cartan_norms() -> tuple[str, dict | None]:
     a_norms = [g2.killing_dual_norm(*v) for v in _A_VALUES]
     diff_norms = []
     for i in range(3):
@@ -211,18 +211,18 @@ def _run_cartan_norms(config: Config) -> tuple[str, dict | None]:
 # ---------------------------------------------------------------------------
 
 
-def _run_root_count(config: Config) -> tuple[str, dict | None]:
+def _run_root_count() -> tuple[str, dict | None]:
     roots = rw.enumerate_roots()
     return str(len(roots)), {"roots": [repr(r) for r in roots]}
 
 
-def _run_polarization_count(config: Config) -> tuple[str, dict | None]:
+def _run_polarization_count() -> tuple[str, dict | None]:
     pols = rw.all_polarizations()
     distinct = {p.roots for p in pols}
     return str(len(distinct)), None
 
 
-def _run_alpha_partition(config: Config) -> tuple[str, dict | None]:
+def _run_alpha_partition() -> tuple[str, dict | None]:
     minus_alpha = -rw.ALPHA
     pols = rw.all_polarizations()
     omit = sum(1 for p in pols if minus_alpha not in p)
@@ -238,7 +238,7 @@ def _run_alpha_partition(config: Config) -> tuple[str, dict | None]:
 # ---------------------------------------------------------------------------
 
 
-def _run_slice_build(config: Config) -> tuple[str, dict | None]:
+def _run_slice_build() -> tuple[str, dict | None]:
     data = sv.build_slice_data()
     details = {
         "grading_dims": list(data.dims()),
@@ -256,8 +256,7 @@ _COUNT_SCOPE_NOTE = (
 )
 
 
-def _run_relevant_total(config: Config) -> tuple[str, dict | None]:
-    count = sv.count_relevant_orbits()
+def _run_relevant_total(count: sv.RelevantOrbitCount) -> tuple[str, dict | None]:
     rows = []
     for idx, record in enumerate(count.records):
         rows.append(
@@ -275,7 +274,7 @@ def _run_relevant_total(config: Config) -> tuple[str, dict | None]:
     return str(count.total), details
 
 
-def _run_omega_prime_at_e(config: Config) -> tuple[str, dict | None]:
+def _run_omega_prime_at_e() -> tuple[str, dict | None]:
     r = sv.omega_prime_rank((0,) * 6)  # e is the slice point with zero coordinates
     return ("not antisymmetric" if r is None else str(r)), None
 
@@ -290,7 +289,7 @@ def _omega_prime_full_rank_samples(config: Config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_rep_build(config: Config) -> tuple[str, dict | None]:
+def _run_rep_build() -> tuple[str, dict | None]:
     rep = rep7.build_rep7()
     details = {"f2_coefficients": [str(c) for c in rep.f2_coefficients]}
     return "unique solution", details
@@ -318,14 +317,14 @@ def _seed_entries_held() -> int:
     )
 
 
-def _run_zero_weight(config: Config) -> tuple[str, dict | None]:
+def _run_zero_weight() -> tuple[str, dict | None]:
     basis = rep7.zero_weight_space()
     if len(basis) == 1 and all(basis[0][i] == 0 for i in range(6)):
         return "dim 1 (u)", None
     return f"dim {len(basis)}", None
 
 
-def _run_form_values(config: Config) -> tuple[str, dict | None]:
+def _run_form_values() -> tuple[str, dict | None]:
     b = rep7.invariant_form()
     expected_entries = {(0, 3): -2, (1, 4): -2, (5, 2): -2, (6, 6): 4}
     for i in range(7):
@@ -369,7 +368,7 @@ def _scaling_invariant_samples(config: Config) -> int:
     return good
 
 
-def _run_tfixed_count(config: Config) -> tuple[str, dict | None]:
+def _run_tfixed_count() -> tuple[str, dict | None]:
     lines = rep7.tfixed_isotropic_lines()
     details = {"lines": [rep7.REP_LABELS[k] for k in lines]}
     return str(len(lines)), details
@@ -397,7 +396,7 @@ def _run_tfixed_dims(dims: dict[str, int]) -> tuple[str, dict | None]:
     return "distinct", details
 
 
-def _run_orbit_examples(config: Config) -> tuple[str, dict | None]:
+def _run_orbit_examples() -> tuple[str, dict | None]:
     origin = rep7.orbit_dimension((0,) * 7)
     highest = rep7.orbit_dimension((1, 0, 0, 0, 0, 0, 0))
     lowest = rep7.orbit_dimension((0, 0, 0, 1, 0, 0, 0))
@@ -411,8 +410,8 @@ _ORACLE_NOTE = (
 )
 
 
-def _run_mod_p(p: int, line_dims: Callable) -> Callable[[Config], tuple[str, dict | None]]:
-    def run(config: Config) -> tuple[str, dict | None]:
+def _run_mod_p(p: int, line_dims: Callable) -> Callable[[], tuple[str, dict | None]]:
+    def run() -> tuple[str, dict | None]:
         result = rep7.count_orbits_mod_p(p)
         problems = []
         if result.origin_orbit_size != 1:
@@ -442,8 +441,8 @@ def _run_mod_p(p: int, line_dims: Callable) -> Callable[[Config], tuple[str, dic
     return run
 
 
-def _run_mod_p_consistency(config: Config) -> tuple[str, dict | None]:
-    counts = {p: rep7.count_orbits_mod_p(p).orbit_count for p in config.primes}
+def _run_mod_p_consistency(primes: Sequence[int]) -> tuple[str, dict | None]:
+    counts = {p: rep7.count_orbits_mod_p(p).orbit_count for p in primes}
     details = {str(p): c for p, c in counts.items()}
     if len(set(counts.values())) == 1:
         return "equal", details
@@ -459,8 +458,9 @@ def _registry(config: Config) -> tuple[_CheckSpec, ...]:
     """Every check in run order; each name starts with its suite."""
     rank_n = config.rank_samples
     conormal_n = 2 * config.conormal_samples
-    # Shared by the checks of one run only, so the next run sees a patched form.
+    # Shared by the checks of one run only, so the next run sees patched data.
     line_dims = cache(_tfixed_line_dims)
+    relevant = cache(sv.count_relevant_orbits)
     specs = [
         _CheckSpec("algebra.exact_linalg.selftest", (), "ok", _run_linalg_selftest),
         _tally(
@@ -477,7 +477,7 @@ def _registry(config: Config) -> tuple[_CheckSpec, ...]:
         ),
         _CheckSpec(
             "algebra.killing.gram_rank", ("algebra.exact_linalg.selftest",), "14",
-            lambda config: (str(rank(DenseMatrix.from_rows(g2.killing_gram()))), None),
+            lambda: (str(rank(DenseMatrix.from_rows(g2.killing_gram()))), None),
         ),
         _CheckSpec(
             "algebra.killing.cartan_norms", ("algebra.killing.gram_rank",),
@@ -486,7 +486,7 @@ def _registry(config: Config) -> tuple[_CheckSpec, ...]:
         _CheckSpec("combinatorics.roots.count", (), "12", _run_root_count),
         _CheckSpec(
             "combinatorics.weyl.order", ("combinatorics.roots.count",), "12",
-            lambda config: (str(len(rw.generate_weyl())), None),
+            lambda: (str(len(rw.generate_weyl())), None),
         ),
         _CheckSpec(
             "combinatorics.polarizations.count", ("combinatorics.weyl.order",),
@@ -520,17 +520,17 @@ def _registry(config: Config) -> tuple[_CheckSpec, ...]:
         _tally(
             "slice.relevancy_criteria_agreement",
             ("slice.build", "combinatorics.polarizations.count"), 12,
-            lambda: len(sv.count_relevant_orbits().records),
+            lambda: len(relevant().records),
         ),
         _CheckSpec(
             "slice.count_relevant_orbits.base",
             ("slice.relevancy_criteria_agreement",), "6",
-            lambda config: (str(sv.count_relevant_orbits().base), None),
+            lambda: (str(relevant().base), None),
         ),
         _CheckSpec(
             "slice.count_relevant_orbits.complementary",
             ("slice.relevancy_criteria_agreement",), "1",
-            lambda config: (str(sv.count_relevant_orbits().complementary), None),
+            lambda: (str(relevant().complementary), None),
         ),
         _CheckSpec(
             "slice.count_relevant_orbits.total",
@@ -538,7 +538,7 @@ def _registry(config: Config) -> tuple[_CheckSpec, ...]:
                 "slice.count_relevant_orbits.base",
                 "slice.count_relevant_orbits.complementary",
             ),
-            "7", _run_relevant_total,
+            "7", lambda: _run_relevant_total(relevant()),
         ),
         _CheckSpec(
             "slice.omega_prime.rank_at_e", ("slice.build",), "20",
@@ -590,7 +590,7 @@ def _registry(config: Config) -> tuple[_CheckSpec, ...]:
         ),
         _CheckSpec(
             "linear.conormal_moment_equivalence", ("linear.symplectic.invariance",),
-            f"{conormal_n}/{conormal_n} agree", _run_conormal_equivalence,
+            f"{conormal_n}/{conormal_n} agree", lambda: _run_conormal_equivalence(config),
         ),
         _tally(
             "linear.orbit_scaling_invariance", ("linear.rep7.build",), rank_n,
@@ -602,7 +602,7 @@ def _registry(config: Config) -> tuple[_CheckSpec, ...]:
         ),
         _CheckSpec(
             "linear.tfixed_lines.orbit_dims", ("linear.tfixed_lines.count",),
-            "distinct", lambda config: _run_tfixed_dims(line_dims()),
+            "distinct", lambda: _run_tfixed_dims(line_dims()),
         ),
         _CheckSpec(
             "linear.orbit_dimension.examples", ("linear.rep7.build",), "0,1,6",
@@ -620,7 +620,7 @@ def _registry(config: Config) -> tuple[_CheckSpec, ...]:
     specs.append(
         _CheckSpec(
             "linear.count_orbits_mod_p.consistency", tuple(prime_names), "equal",
-            _run_mod_p_consistency,
+            lambda: _run_mod_p_consistency(config.primes),
         )
     )
     return tuple(specs)
@@ -646,7 +646,7 @@ def run_suite(config: Config) -> VerificationReport:
         else:
             start = time.perf_counter()
             try:
-                actual, details = spec.run(config)
+                actual, details = spec.run()
             except Exception as exc:  # recorded, never raised
                 actual, details = f"error: {type(exc).__name__}: {exc}", None
             millis = int((time.perf_counter() - start) * 1000)
@@ -660,30 +660,20 @@ def run_suite(config: Config) -> VerificationReport:
         "failed": sum(1 for r in results if r.status == "fail"),
         "skipped": sum(1 for r in results if r.status == "skipped"),
     }
+    passed = {r.name: r.actual for r in results if r.status == "pass"}
+    slice_total = passed.get("slice.count_relevant_orbits.total")
+    # T-fixed isotropic lines plus the origin orbit, once their orbit
+    # dimensions are distinct, so that the lines lie in distinct orbits.
+    lines = passed.get("linear.tfixed_lines.count")
+    if "linear.tfixed_lines.orbit_dims" not in passed:
+        lines = None
     headline = {
-        "slice_total": _headline_int(results, "slice.count_relevant_orbits.total"),
-        "linear_total": _headline_linear(results),
+        "slice_total": None if slice_total is None else int(slice_total),
+        "linear_total": None if lines is None else int(lines) + 1,
     }
     return VerificationReport(
         config=config, checks=tuple(results), summary=summary, headline=headline
     )
-
-
-def _headline_int(results: Sequence[CheckResult], name: str) -> int | None:
-    for r in results:
-        if r.name == name and r.status == "pass":
-            return int(r.actual)
-    return None
-
-
-def _headline_linear(results: Sequence[CheckResult]) -> int | None:
-    # T-fixed isotropic lines plus the origin orbit, once their orbit
-    # dimensions are distinct, so that the lines lie in distinct orbits.
-    count = _headline_int(results, "linear.tfixed_lines.count")
-    dims_pass = any(
-        r.name == "linear.tfixed_lines.orbit_dims" and r.status == "pass" for r in results
-    )
-    return count + 1 if count is not None and dims_pass else None
 
 
 def _config_payload(config: Config) -> dict:

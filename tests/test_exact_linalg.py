@@ -25,6 +25,7 @@ from g2verify.exact_linalg import (
 )
 from g2verify.g2_algebra import BASIS, G2Element, ad_matrix, bracket, killing, killing_gram
 from g2verify.rep7_verifier import (
+    BOREL_G2_NAMES,
     build_rep7,
     build_symplectic14,
     conormal_conditions,
@@ -365,7 +366,7 @@ def test_integral_entries_are_stored_as_ints() -> None:
     assert all_int(invariant_form()) and all_int(symp.omega)
     b = invariant_form()
     moment = [symp.omega @ a for a in symp.actions14]
-    conormal = [b] + [m.transpose() @ b - b @ m for m in symp.borel_g2]
+    conormal = [b] + [m.transpose() @ b - b @ m for m in map(rep.matrix, BOREL_G2_NAMES)]
     assert len(moment) == 10 and all(map(all_int, moment))
     assert len(conormal) == 9 and all(map(all_int, conormal))
     assert all(all_int(ad_matrix(b)) for b in BASIS)

@@ -16,7 +16,8 @@ install.
 
 Every public top-level function or class is used by the package itself,
 not only by its tests, and the top-level namespace re-exports exactly the
-names the README's Python API example imports, plus a few more.
+names the README's Python API example imports, plus a few more.  Every
+parameter is read in its function's body.
 """
 
 import ast
@@ -213,3 +214,30 @@ def test_every_defaulted_parameter_is_set_by_some_caller() -> None:
         if not any(sets(call, param, index) for call in calls.get(function, ()))
     ]
     assert unset == []
+
+
+def test_every_parameter_is_read_in_its_body() -> None:
+    # A parameter the body never reads makes every caller pass a value for
+    # nothing.  self and cls are exempt: a method cannot drop them.
+    unread = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for statement in body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "lambda")
+            unread += [
+                f"{path.name}:{node.lineno} {name}({p})"
+                for p in params
+                if p not in read and p not in ("self", "cls")
+            ]
+    assert unread == []

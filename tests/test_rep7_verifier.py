@@ -17,7 +17,6 @@ written from.
 
 import dataclasses
 import itertools
-import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -149,28 +148,30 @@ def test_invariant_form_identity() -> None:
 
 
 def test_invariant_form_system_keeps_one_primitive_row_per_line() -> None:
-    # The full system rho(x)^T B + B rho(x) = 0, written out here as the
-    # reference: 246 nonzero rows, 126 distinct, on 54 lines.
+    # The full system rho(x)^T B + B rho(x) = 0 over all 14 matrices,
+    # written out here as the reference: 246 nonzero rows, 126 distinct.
+    # The generators' rows alone (66 of them) have the same one-line kernel.
     pairs = itertools.combinations_with_replacement(range(REP_DIM), 2)
     idx = {ij: k for k, ij in enumerate(pairs)}
-    full = []
-    for m in build_rep7().matrices:
-        for r, c in idx:
-            row = [0] * len(idx)
-            for k in range(REP_DIM):
-                row[idx[min(k, c), max(k, c)]] += m.entry(k, r)
-                row[idx[min(r, k), max(r, k)]] += m.entry(k, c)
-            if any(row):
-                full.append(tuple(row))
-    lines = set(map(rep7._primitive, full))
-    assert (len(full), len(set(full)), len(lines)) == (246, 126, 54)
-    for row in full:
-        prim = rep7._primitive(row)
-        lead = next(x for x in prim if x)
-        assert lead > 0 and math.gcd(*prim) == 1
-        assert all(x * lead == y * next(z for z in row if z) for x, y in zip(row, prim))
+
+    def rows(matrices) -> list:
+        found = []
+        for m in matrices:
+            for r, c in idx:
+                row = [0] * len(idx)
+                for k in range(REP_DIM):
+                    row[idx[min(k, c), max(k, c)]] += m.entry(k, r)
+                    row[idx[min(r, k), max(r, k)]] += m.entry(k, c)
+                if any(row):
+                    found.append(tuple(row))
+        return found
+
+    full = rows(build_rep7().matrices)
+    assert (len(full), len(set(full))) == (246, 126)
     (kernel,) = kernel_basis(DenseMatrix.from_rows(full))
-    assert kernel_basis(DenseMatrix.from_rows(sorted(lines))) == (kernel,)
+    generators = rows(map(build_rep7().matrix, ("f1", "f2", "f3")))
+    assert len(generators) == 66
+    assert kernel_basis(DenseMatrix.from_rows(generators)) == (kernel,)
     scale = Fraction(-2) / kernel[idx[0, 3]]
     assert invariant_form().entries == tuple(
         tuple(kernel[idx[min(i, j), max(i, j)]] * scale for j in range(REP_DIM))
@@ -288,7 +289,7 @@ def _reference_conormal_conditions(zprime, z) -> bool:
         return False
     return all(
         _bilinear(form, m.mul_vec(z), zprime) == _bilinear(form, z, m.mul_vec(zprime))
-        for m in build_symplectic14().borel_g2
+        for m in map(build_rep7().matrix, BOREL_G2_NAMES)
     )
 
 
@@ -300,7 +301,7 @@ def _reference_moment_zero_check(point) -> bool:
 def _reference_fiber_basis(zprime) -> tuple:
     form = invariant_form()
     rows = [list(form.mul_vec(zprime))]
-    for m in build_symplectic14().borel_g2:
+    for m in map(build_rep7().matrix, BOREL_G2_NAMES):
         lhs = (m.transpose() @ form).mul_vec(zprime)
         rhs = form.mul_vec(m.mul_vec(zprime))
         rows.append([a - b for a, b in zip(lhs, rhs)])
@@ -362,7 +363,7 @@ def test_form_terms_match_their_matrices() -> None:
     symp = build_symplectic14()
     z_zprime = DenseMatrix.from_rows([[0, 1], [0, 0]])
     zprime_zprime = DenseMatrix.from_rows([[0, 0], [0, 1]])
-    fs = [b] + [m.transpose() @ b - b @ m for m in symp.borel_g2]
+    fs = [b] + [m.transpose() @ b - b @ m for m in map(build_rep7().matrix, BOREL_G2_NAMES)]
     conormal = [rep7._kron(zprime_zprime, b)] + [rep7._kron(z_zprime, f) for f in fs]
     moment = [symp.omega @ a for a in symp.actions14]
     pairs = [(terms.quadric, b)]

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -166,7 +167,7 @@ def test_summary_counts_match_statuses() -> None:
 
 def test_failure_skips_dependents(monkeypatch) -> None:
     monkeypatch.setattr(
-        report_cli, "_run_root_count", lambda config: ("13", None)
+        report_cli, "_run_root_count", lambda: ("13", None)
     )
     report = run_suite(FAST)
     by_name = {c.name: c for c in report.checks}
@@ -247,6 +248,34 @@ def test_off_diagonal_cartan_action_fails_weight_compatibility(monkeypatch) -> N
     check = by_name["linear.rep7.weight_compatibility"]
     assert check.status == "fail"
     assert check.actual == "false"
+
+
+def test_wrong_derived_rho_matrix_fails_the_checks_that_read_it(monkeypatch) -> None:
+    # rho(E13) sends v into its own line: it is built from the generators,
+    # so B, solved from f1, f2, f3 alone, stays right, and only the checks
+    # that read rho(E13) (or need B invariant under it) fail.
+    report = _linear_checks_with_rho_entry(monkeypatch, "E13", 0, 0, 1)
+    assert report["linear.invariant_form.values"].actual == "ok"
+    assert report["linear.invariant_form.invariance"].actual == "13/14"
+    for name in (
+        "linear.orbit_scaling_invariance",
+        "linear.orbit_dimension.examples",
+        "linear.tfixed_lines.count",
+        "linear.tfixed_lines.orbit_dims",
+    ):
+        assert report[name].status == "pass", name
+    # count_orbits_mod_p(3) raises a plain ValueError: the prime is fine.
+    oracle = report["linear.count_orbits_mod_p.p3"].actual
+    assert oracle.startswith("error: ValueError: rho(E13) is not nilpotent")
+    statuses = Counter(c.status for c in report.values())
+    assert (len(report), statuses["pass"], statuses["fail"], statuses["skipped"]) == (17, 8, 6, 3)
+
+
+def test_wrong_generator_leaves_no_invariant_form(monkeypatch) -> None:
+    # rho(f2) sends v to 7 t instead of t: a generator's own entry, so the
+    # invariance rows of f1, f2, f3 leave no nonzero symmetric form.
+    report = _linear_checks_with_rho_entry(monkeypatch, "f2", 5, 0, 7)
+    assert report["linear.invariant_form.values"].actual.startswith("error: NoSolutionError: ")
 
 
 def test_perturbed_invariant_form_fails_and_skips_dependents(monkeypatch) -> None:
@@ -689,7 +718,7 @@ def test_oracle_fails_on_a_cone_missing_one_point(monkeypatch) -> None:
 
 
 def test_check_exceptions_recorded_not_raised(monkeypatch) -> None:
-    def boom(config):
+    def boom():
         raise RuntimeError("boom")
 
     monkeypatch.setattr(report_cli, "_run_root_count", boom)
@@ -825,7 +854,7 @@ def test_cli_config_errors_exit_two(args) -> None:
 
 def test_cli_failure_exits_one(monkeypatch) -> None:
     monkeypatch.setattr(
-        report_cli, "_run_root_count", lambda config: ("13", None)
+        report_cli, "_run_root_count", lambda: ("13", None)
     )
     runner = CliRunner()
     result = runner.invoke(main, ["--suite", "combinatorics"])

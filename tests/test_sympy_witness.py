@@ -19,7 +19,8 @@ from g2verify import slice_verifier as sv
 from g2verify.exact_linalg import DenseMatrix, clear_denominators, kernel_basis
 from g2verify.g2_algebra import killing_gram
 from g2verify.rep7_verifier import (
-    build_symplectic14,
+    BOREL_G2_NAMES,
+    build_rep7,
     conormal_fiber_basis,
     invariant_form,
     sample_conormal_pair,
@@ -47,7 +48,7 @@ def test_nullspace_matches_kernel_basis_on_default_conormal_fibers() -> None:
     assert config.conormal_samples == 100
     # Conditions (ii) and (iii): z orthogonal to B z' and to (m^T B - B m) z'.
     b = invariant_form()
-    forms = [b] + [m.transpose() @ b - b @ m for m in build_symplectic14().borel_g2]
+    forms = [b] + [m.transpose() @ b - b @ m for m in map(build_rep7().matrix, BOREL_G2_NAMES)]
     for k in range(config.conormal_samples):
         zprime, _ = sample_conormal_pair(sampler, k)
         scaled = clear_denominators(zprime)
