@@ -51,7 +51,7 @@ import numpy as np
 
 from . import g2_algebra as g2
 from .exact_linalg import DenseMatrix, DimensionMismatch, _exact, kernel_basis
-from .exact_linalg import clear_denominators, rank, solve_linear
+from .exact_linalg import clear_denominators, rank
 from .g2_algebra import BASIS_NAMES, BASIS_WEIGHTS, DIM
 from .sampling import SmallRationalSampler
 
@@ -267,15 +267,13 @@ def _solve_f2_coefficients() -> tuple:
         unit = tuple(1 if i == k else 0 for i in range(4))
         shifted = _constraint_stack(unit)
         columns.append([s - b for s, b in zip(shifted, base)])
-    m = DenseMatrix.from_rows(list(zip(*columns)))
-    rhs = [-b for b in base]
-    solution = solve_linear(m, rhs)
-    if solution is None:
+    columns.append(base)  # the residual at c is zero iff (c, 1) is a null vector
+    null = kernel_basis(DenseMatrix.from_rows(list(zip(*columns))))
+    if not any(v[-1] for v in null):
         raise NoSolutionError("representation constraint system is inconsistent")
-    if kernel_basis(m):
-        raise AmbiguousSolutionError(
-            "representation constraint system is underdetermined"
-        )
+    if len(null) > 1:
+        raise AmbiguousSolutionError("representation constraint system is underdetermined")
+    solution = null[0][:-1]
     if any(_constraint_stack(solution)):
         raise NoSolutionError("solved coefficients fail the constraint system")
     return solution

@@ -8,6 +8,13 @@ from g2verify.exact_linalg import DenseMatrix
 from g2verify.g2_algebra import BASIS, DIM, G2Element, bracket, killing
 
 
+def with_entry(m: DenseMatrix, i: int, j: int, value) -> DenseMatrix:
+    """`m` with entry (i, j) set to `value`."""
+    rows = [list(row) for row in m.entries]
+    rows[i][j] = value
+    return DenseMatrix.from_rows(rows)
+
+
 @pytest.fixture
 def bracket_with_extra_h_a(monkeypatch):
     """Patch g2.bracket by the antisymmetric bilinear term

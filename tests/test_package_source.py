@@ -164,12 +164,9 @@ def test_readme_api_example_runs() -> None:
     exec(compile(_readme_api_example(), str(README), "exec"), {})
 
 
-def test_every_defaulted_parameter_is_set_by_some_caller() -> None:
-    # A default that no call site in the package overrides is a constant
-    # dressed up as a parameter: every caller gets the same value.
-    trees = [
-        ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE_DIR.glob("*.py"))
-    ]
+def _unset_defaults(trees: list) -> list[str]:
+    """`function(param=...)` for each defaulted parameter in `trees` that no
+    call in `trees` sets, by keyword, by position or through * or **."""
     methods = {
         id(node)
         for tree in trees
@@ -199,7 +196,6 @@ def test_every_defaulted_parameter_is_set_by_some_caller() -> None:
                     for a, d in zip(args.kwonlyargs, args.kw_defaults)
                     if d is not None
                 ]
-    assert defaulted
 
     def sets(call: ast.Call, param: str, index: int | None) -> bool:
         if any(k.arg in (param, None) for k in call.keywords):  # None is **kwargs
@@ -208,12 +204,23 @@ def test_every_defaulted_parameter_is_set_by_some_caller() -> None:
             return True
         return index is not None and len(call.args) > index
 
-    unset = [
+    return [
         f"{function}({param}=...)"
         for function, param, index in defaulted
         if not any(sets(call, param, index) for call in calls.get(function, ()))
     ]
-    assert unset == []
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller() -> None:
+    # A default that no call site in the package overrides is a constant
+    # dressed up as a parameter: every caller gets the same value.
+    definition = "def f(x, y=1, *, z=2):\n    return x + y + z\n"
+    assert _unset_defaults([ast.parse(definition)]) == ["f(y=...)", "f(z=...)"]
+    assert _unset_defaults([ast.parse(definition + "f(0, 1, z=3)\n")]) == []
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE_DIR.glob("*.py"))
+    ]
+    assert _unset_defaults(trees) == []
 
 
 def test_every_parameter_is_read_in_its_body() -> None:

@@ -55,6 +55,8 @@ from g2verify.rep7_verifier import (
 )
 from g2verify.sampling import SmallRationalSampler
 
+from conftest import with_entry
+
 
 def unit(i: int) -> tuple:
     return tuple(Fraction(1) if k == i else Fraction(0) for k in range(REP_DIM))
@@ -221,19 +223,13 @@ def test_phi_is_a_symplectomorphism() -> None:
     assert phi_symplectomorphism_check()
 
 
-def _with_entry(m: DenseMatrix, i: int, j: int, value) -> DenseMatrix:
-    rows = [list(row) for row in m.entries]
-    rows[i][j] = value
-    return DenseMatrix.from_rows(rows)
-
-
 def test_phi_check_fails_on_a_perturbed_omega_or_block(monkeypatch) -> None:
     symp = build_symplectic14()
     # omega(v, v~) moved off -2, and one entry of the e2-slot block of the
     # first g2-Borel generator moved off its 7x7 matrix.
-    bad_omega = _with_entry(symp.omega, 0, REP_DIM + 3, -1)
+    bad_omega = with_entry(symp.omega, 0, REP_DIM + 3, -1)
     a = symp.actions14[0]
-    bad_block = _with_entry(a, REP_DIM, REP_DIM, a.entry(REP_DIM, REP_DIM) + 1)
+    bad_block = with_entry(a, REP_DIM, REP_DIM, a.entry(REP_DIM, REP_DIM) + 1)
     faults = (
         dataclasses.replace(symp, omega=bad_omega),
         dataclasses.replace(symp, actions14=(bad_block,) + symp.actions14[1:]),
@@ -512,7 +508,7 @@ def test_matrix_mod_p_takes_integers_only() -> None:
 def test_torus_generators_refuse_a_non_diagonal_cartan_action(monkeypatch) -> None:
     rep = build_rep7()
     k = rep7.BASIS_NAMES.index("h_a")
-    bad_h_a = _with_entry(rep.matrices[k], 0, 1, 1)
+    bad_h_a = with_entry(rep.matrices[k], 0, 1, 1)
     bad = dataclasses.replace(rep, matrices=rep.matrices[:k] + (bad_h_a,) + rep.matrices[k + 1:])
     monkeypatch.setattr(rep7, "build_rep7", lambda: bad)
     with pytest.raises(ValueError, match="not diagonal"):

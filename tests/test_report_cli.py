@@ -26,13 +26,16 @@ from g2verify import report_cli
 from g2verify import slice_verifier as sv
 from g2verify.exact_linalg import DenseMatrix
 from g2verify.report_cli import (
+    MAX_SAMPLES,
+    SUITE_ORDER,
     Config,
     ConfigError,
-    build_config,
     emit,
     main,
     run_suite,
 )
+
+from conftest import with_entry
 
 FAST = Config(suites=("combinatorics",))
 GOLDEN_TABLES = Path(__file__).parent / "data" / "tables.txt"
@@ -122,15 +125,21 @@ def test_bare_str_suites_names_the_field() -> None:
         Config(suites="slice")
 
 
-def test_build_config_parses_cli_strings() -> None:
-    cfg = build_config(suite="linear,algebra", primes="5, 3", seed=7)
-    assert cfg.suites == ("algebra", "linear")
-    assert cfg.primes == (5, 3)
-    assert cfg.seed == 7
-    with pytest.raises(ConfigError):
-        build_config(primes="3,five")
-    with pytest.raises(ConfigError):
-        build_config(suite=" , ")
+def test_cli_parses_comma_lists() -> None:
+    runner = CliRunner()
+    result = runner.invoke(main, [
+        "--suite", "combinatorics,algebra", "--primes", "5, 3", "--seed", "7",
+        "--format", "json",
+    ])
+    assert result.exit_code == 0
+    config = json.loads(result.stdout)["config"]
+    assert config["suites"] == ["algebra", "combinatorics"]
+    assert config["primes"] == [5, 3]
+    assert config["seed"] == 7
+    for args in (["--primes", "3,five"], ["--suite", " , "]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "configuration error" in result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +194,12 @@ def test_failure_skips_dependents(monkeypatch) -> None:
     assert report.summary["skipped"] >= 1
 
 
-def _with_entry(m: DenseMatrix, i: int, j: int, value) -> DenseMatrix:
-    rows = [list(row) for row in m.entries]
-    rows[i][j] = value
-    return DenseMatrix.from_rows(rows)
-
-
 LINEAR_FAST = Config(suites=("linear",), primes=(3,), samples=1)
 
 
 def test_perturbed_quadric_element_fails_its_check(monkeypatch) -> None:
     c = rep7.quadric_element()
-    bad = _with_entry(c, 6, 6, c.entry(6, 6) + 1)
+    bad = with_entry(c, 6, 6, c.entry(6, 6) + 1)
     monkeypatch.setattr(rep7, "quadric_element", lambda: bad)
     by_name = {c.name: c for c in run_suite(LINEAR_FAST).checks}
     check = by_name["linear.quadric_element.invariance"]
@@ -217,7 +220,7 @@ def _linear_checks_with_rho_entry(monkeypatch, name: str, i: int, j: int, value)
     build_rep7 is cleared before the run and after it."""
     rep = rep7.build_rep7()
     k = g2.BASIS_NAMES.index(name)
-    bad_m = _with_entry(rep.matrices[k], i, j, value)
+    bad_m = with_entry(rep.matrices[k], i, j, value)
     bad = dataclasses.replace(rep, matrices=rep.matrices[:k] + (bad_m,) + rep.matrices[k + 1:])
     for cached in _REP7_CACHES:
         cached.cache_clear()
@@ -283,7 +286,7 @@ def test_perturbed_invariant_form_fails_and_skips_dependents(monkeypatch) -> Non
     # the perturbed form can leave a perturbed omega behind in the cache.
     rep7.build_symplectic14()
     b = rep7.invariant_form()
-    bad = _with_entry(b, 6, 6, b.entry(6, 6) + 1)
+    bad = with_entry(b, 6, 6, b.entry(6, 6) + 1)
     rep7._form_terms.cache_clear()
     monkeypatch.setattr(rep7, "invariant_form", lambda: bad)
     try:
@@ -488,7 +491,7 @@ def test_replaced_borel_action_breaks_conormal_equivalence(monkeypatch) -> None:
     # its Hamiltonian and leaves the conormal conditions, which read only
     # the g2 part, alone: members with z_0 z'_3 != 0 now disagree.
     symp = rep7.build_symplectic14()
-    odd = _with_entry(symp.actions14[-1], 0, 0, 1)
+    odd = with_entry(symp.actions14[-1], 0, 0, 1)
     bad = dataclasses.replace(symp, actions14=symp.actions14[:-1] + (odd,))
     rep7._form_terms.cache_clear()
     monkeypatch.setattr(rep7, "build_symplectic14", lambda: bad)
@@ -610,7 +613,7 @@ def test_tfixed_line_dimensions_computed_once_per_run(monkeypatch) -> None:
 
 def test_perturbed_rho_seed_entry_fails_and_skips_dependents(monkeypatch) -> None:
     true_f1 = rep7._f1_matrix
-    bad_f1 = _with_entry(true_f1(), 1, 0, 2)  # f1 . v = 2w instead of w
+    bad_f1 = with_entry(true_f1(), 1, 0, 2)  # f1 . v = 2w instead of w
     monkeypatch.setattr(rep7, "_f1_matrix", lambda: bad_f1)
     rep7.build_rep7.cache_clear()
     try:
@@ -850,6 +853,24 @@ def test_cli_config_errors_exit_two(args) -> None:
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "configuration error" in result.stderr
+
+
+def test_cli_help_states_the_config_defaults_and_limits() -> None:
+    result = CliRunner().invoke(main, ["--help"])
+    assert result.exit_code == 0
+    text = " ".join(result.output.split())
+    defaults = Config()
+    for stated in (
+        f"({','.join(SUITE_ORDER)}) or 'all'. [default: all]",
+        f"p**7 <= {rep7.MAX_ORACLE_POINTS}",
+        f"[default: {','.join(map(str, defaults.primes))}]",
+        f"1 to {MAX_SAMPLES} (defaults: {defaults.rank_samples} for rank checks, "
+        f"{defaults.conormal_samples} for the conormal/moment equivalence)",
+        f"[default: {defaults.seed}]",
+        f"[{'|'.join(report_cli._FORMATS)}]",
+        f"[default: {defaults.format}]",
+    ):
+        assert stated in text
 
 
 def test_cli_failure_exits_one(monkeypatch) -> None:
