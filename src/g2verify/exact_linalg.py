@@ -150,7 +150,8 @@ def _bareiss(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], lis
     solutions of an augmented row.  Returns the nonzero integer echelon rows
     and their pivot columns.  Every row below a pivot is updated, zeros in
     the pivot column included, so every division by the previous pivot is
-    exact."""
+    exact.  Only the entries right of the pivot column are computed: those
+    left of it are already 0 in these rows, and the pivot column's become 0."""
     rows = [r for r in map(clear_denominators, rows) if any(r)]
     pivots: list[int] = []
     prev = 1
@@ -160,31 +161,51 @@ def _bareiss(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], lis
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
+        piv, top = rows[r][c], rows[r][c + 1 :]
         for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            row[c] = 0
+            row[c + 1 :] = [(piv * x - f * y) // prev for x, y in zip(row[c + 1 :], top)]
         prev = piv
         pivots.append(c)
     return rows[: len(pivots)], pivots
 
 
-def _null_vector(rows: list[list[int]], pivots: list[int], ncols: int, free: int) -> list:
-    """The null vector of the echelon `rows` that is 1 at the non-pivot
-    column `free` and 0 at every other one.  It is unique, so it is the
-    reduced row-echelon basis vector.  The last Bareiss pivot d is the
-    determinant of the pivot rows' minor on the pivot columns, so by
-    Cramer's rule d times the vector is integral: it is back-substituted
-    in integers, each division exact, and divided by d once at the end."""
-    d = rows[-1][pivots[-1]] if rows else 1
+def _last_pivot(rows: list[list[int]], pivots: list[int]) -> int:
+    """The last Bareiss pivot d of the echelon `rows` (1 without pivots): the
+    determinant of their minor on the pivot columns."""
+    return rows[-1][pivots[-1]] if rows else 1
+
+
+def _null_vector(rows: list[list[int]], pivots: list[int], ncols: int, free: int) -> list[int]:
+    """d times the null vector of the echelon `rows` that is 1 at the
+    non-pivot column `free` and 0 at every other one, d = `_last_pivot`.
+    The vector is unique, so it is the reduced row-echelon basis vector, and
+    by Cramer's rule d times it is integral: it is back-substituted in
+    integers, each division exact."""
     v = [0] * ncols
-    v[free] = d
+    v[free] = _last_pivot(rows, pivots)
     for row, pc in zip(reversed(rows), reversed(pivots)):
         acc = sum(row[j] * v[j] for j in range(pc + 1, ncols) if v[j])
         v[pc], remainder = divmod(-acc, row[pc])
         if remainder:
             raise ArithmeticError("Bareiss back-substitution left a remainder")
-    return [x // d if x % d == 0 else Fraction(x, d) for x in v]
+    return v
+
+
+def _divided(v: Sequence[int], d: int) -> Vector:
+    """The integer vector `v` divided by d, entries as ints where integral."""
+    return tuple(x // d if x % d == 0 else Fraction(x, d) for x in v)
+
+
+def integer_kernel(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], int]:
+    """The `kernel_basis` of the matrix with these rows and `ncols` columns,
+    each vector times d, and d: integer null vectors from one Bareiss
+    elimination, for callers that only need the kernel up to scale."""
+    echelon, pivots = _bareiss(rows, ncols)
+    vectors = [_null_vector(echelon, pivots, ncols, c) for c in range(ncols) if c not in pivots]
+    return vectors, _last_pivot(echelon, pivots)
 
 
 def rank(m: DenseMatrix) -> int:
@@ -197,12 +218,8 @@ def kernel_basis(m: DenseMatrix) -> tuple[Vector, ...]:
     column, the null vector that is 1 there and 0 at the other non-pivot
     columns.  Returns ``cols - rank(m)`` vectors v with ``m.mul_vec(v) = 0``.
     """
-    rows, pivots = _bareiss(m.entries, m.cols)
-    return tuple(
-        tuple(_null_vector(rows, pivots, m.cols, c))
-        for c in range(m.cols)
-        if c not in pivots
-    )
+    vectors, d = integer_kernel(m.entries, m.cols)
+    return tuple(_divided(v, d) for v in vectors)
 
 
 def solve_linear(m: DenseMatrix, b: Sequence) -> Vector | None:
@@ -217,4 +234,5 @@ def solve_linear(m: DenseMatrix, b: Sequence) -> Vector | None:
     if m.cols in pivots:
         return None
     # (x, -1) is a null vector of [m | b], so x is minus the one that is 1 at b.
-    return tuple(-x for x in _null_vector(rows, pivots, m.cols + 1, m.cols)[:-1])
+    v = _null_vector(rows, pivots, m.cols + 1, m.cols)
+    return _divided([-x for x in v[:-1]], _last_pivot(rows, pivots))

@@ -27,7 +27,10 @@ moment polynomials x^T omega A x.  The conormal and moment predicates
 evaluate them on integer vectors (`clear_denominators`), the conormal
 fiber's rows are read off the bilinear terms, the check that both sets
 span one space takes its coefficient rows from the same table, and so
-does the F_p oracle's quadric.
+does the F_p oracle's quadric.  The sampled points are integral from the
+draw on: coordinates drawn as (numerator, denominator) pairs are cleared
+by their lcm, the cone's chart is solved by scaling instead of dividing,
+and a conormal pair's z combines the fiber's integer null vectors.
 
 The linear side counts Borel orbits on the quadric cone two ways: over
 characteristic zero via T-fixed isotropic lines with pairwise-distinct
@@ -51,9 +54,9 @@ import numpy as np
 
 from . import g2_algebra as g2
 from .exact_linalg import DenseMatrix, DimensionMismatch, _exact, kernel_basis
-from .exact_linalg import clear_denominators, rank
+from .exact_linalg import clear_denominators, integer_kernel, rank
 from .g2_algebra import BASIS_NAMES, BASIS_WEIGHTS, DIM
-from .sampling import SmallRationalSampler
+from .sampling import SmallRationalSampler, cleared
 
 REP_DIM = 7
 
@@ -527,7 +530,9 @@ def moment_zero_check(point: Sequence) -> bool:
 
 
 def orbit_dimension(x: Sequence) -> int:
-    """Rank of the g2-Borel tangent map A -> rho(A) x at the point x."""
+    """Rank of the g2-Borel tangent map A -> rho(A) x at the point x.  The
+    map is linear in x, so x is cleared of denominators first."""
+    x = clear_denominators(x)
     rows = [m.mul_vec(x) for m in map(build_rep7().matrix, BOREL_G2_NAMES)]
     return rank(DenseMatrix.from_rows(rows))
 
@@ -667,7 +672,9 @@ def _image_keys(
     (returned) and `y`.  A row of gen equal to the identity's leaves its
     coordinate, and so its place in the key, as it is; every other row i
     moves the key by p^i (y_i - x_i), where y_i, that row's image coordinate,
-    is summed over the row's nonzero entries and reduced mod p."""
+    is summed over the row's nonzero entries and reduced mod p by a take from
+    a table of residues up to `_int32_intermediates`' row bound."""
+    residues = np.arange(_int32_intermediates(p)[2] + 1, dtype=np.int32) % p
     np.copyto(image, keys)
     for i, row in enumerate(gen.tolist()):
         if any(c != (i == j) for j, c in enumerate(row)):
@@ -675,7 +682,8 @@ def _image_keys(
             for j, c in enumerate(row):
                 if c:
                     y += np.int32(c) * points[j]
-            np.subtract(np.remainder(y, p, out=y), points[i], out=y)
+            # Each y is within the row bound, so mode="clip" never clips.
+            np.subtract(residues.take(y, out=y, mode="clip"), points[i], out=y)
             image += np.multiply(y, p**i, out=y)
     return image
 
@@ -745,48 +753,60 @@ def count_orbits_mod_p(p: int) -> OrbitCountResult:
 # ---------------------------------------------------------------------------
 
 
-def sample_isotropic_vector(sampler: SmallRationalSampler, chart: int) -> tuple:
-    """A rational point of the quadric cone, solved on one of three charts.
+def sample_isotropic_vector(sampler: SmallRationalSampler, chart: int) -> tuple[int, ...]:
+    """An integer point of the quadric cone, solved on one of three charts.
 
-    With x fixed outside the isotropic coordinate line `solve_for`,
-    <x + t e_s, x + t e_s> = <x, x> + 2 t <x, e_s> is linear in t because
-    the line is isotropic, and <x, e_s> = B[pivot][s] x[pivot] != 0.
+    The drawn coordinates, with a nonzero one at `pivot`, are cleared to an
+    integer x with x_s = 0 on the isotropic coordinate line s = `solve_for`.
+    Then <x + t e_s, x + t e_s> = <x, x> + 2 t <x, e_s> is linear in t
+    because the line is isotropic, and <x, e_s> = B[pivot][s] x[pivot] != 0.
+    Its root is integral after scaling x by lam = 2 B[pivot][s] x[pivot]:
+    lam x - <x, x> e_s is on the cone.
     """
     solve_for, pivot = ((_VT, _V), (_WT, _W), (_TT, _T))[chart % 3]
-    b = invariant_form()
-    x = [sampler.fraction() for _ in range(REP_DIM)]
-    x[pivot] = sampler.nonzero_fraction()
-    x[solve_for] = 0
+    ratios = [sampler.ratio() for _ in range(REP_DIM)]
+    ratios[pivot] = sampler.ratio()
+    while not ratios[pivot][0]:
+        ratios[pivot] = sampler.ratio()
+    ratios[solve_for] = (0, 1)
+    x = cleared(ratios)
+    lam = 2 * invariant_form().entry(pivot, solve_for) * x[pivot]
     residual = quadric_value(x)
-    x[solve_for] = Fraction(-residual) / (2 * b.entry(pivot, solve_for) * x[pivot])
+    x = [lam * c for c in x]
+    x[solve_for] = -residual
     if quadric_value(x) != 0:
         raise AssertionError("sampled vector is not on the quadric cone")
     return tuple(x)
 
 
-def conormal_fiber_basis(zprime: Sequence) -> tuple:
-    """Basis of the space of z satisfying conditions (ii) and (iii) at z':
-    the kernel of the rows f z', read off the bilinear terms (i, 7 + j, c)
-    of the conormal forms after (i).  Scaling z' scales every row alike and
-    leaves the reduced kernel as it is."""
-    zprime = clear_denominators(_checked(zprime, REP_DIM))
+def _fiber_rows(zprime: Sequence[int]) -> list[list[int]]:
+    """The rows f z' of conditions (ii) and (iii) at an integer z', read off
+    the bilinear terms (i, 7 + j, c) of the conormal forms after (i)."""
     rows = []
     for terms in _form_terms().conormal[1:]:
         row = [0] * REP_DIM
         for i, j, c in terms:
             row[i] += c * zprime[j - REP_DIM]
         rows.append(row)
-    return kernel_basis(DenseMatrix.from_rows(rows))
+    return rows
+
+
+def conormal_fiber_basis(zprime: Sequence) -> tuple:
+    """Basis of the space of z satisfying conditions (ii) and (iii) at z':
+    the reduced kernel of `_fiber_rows`.  Scaling z' scales every row alike
+    and leaves the reduced kernel as it is, so z' is cleared first."""
+    zprime = clear_denominators(_checked(zprime, REP_DIM))
+    return kernel_basis(DenseMatrix.from_rows(_fiber_rows(zprime)))
 
 
 def sample_conormal_pair(
     sampler: SmallRationalSampler, chart: int
-) -> tuple[tuple, tuple]:
-    """A pair (z', z) satisfying all three conormal conditions by construction."""
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """An integer pair (z', z) satisfying all three conormal conditions by
+    construction: z combines the fiber's integer null vectors (the reduced
+    basis times the last Bareiss pivot) with drawn coefficients, cleared."""
     zprime = sample_isotropic_vector(sampler, chart)
-    fiber = conormal_fiber_basis(zprime)
-    z = [0] * REP_DIM
-    for basis_vec in fiber:
-        c = sampler.fraction()
-        z = [a + c * b for a, b in zip(z, basis_vec)]
-    return zprime, tuple(z)
+    vectors, _ = integer_kernel(_fiber_rows(zprime), REP_DIM)
+    coeffs = cleared([sampler.ratio() for _ in vectors])
+    z = tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(REP_DIM))
+    return zprime, z

@@ -191,14 +191,13 @@ def all_polarizations() -> tuple[Polarization, ...]:
     return tuple(apply_weyl(w, base) for w in generate_weyl())
 
 
-def _is_root_multiple(v: Root) -> bool:
-    """True iff v = k*delta for some root delta and integer |k| >= 2."""
-    roots = enumerate_roots()
-    for k in range(2, 4):
-        if v.m1 % k == 0 and v.m2 % k == 0:
-            if Root(v.m1 // k, v.m2 // k) in roots:
-                return True
-    return False
+def _is_root_multiple(v: tuple[int, int], root_set: set) -> bool:
+    """True iff the coordinates v are k*delta for a root delta (in
+    `root_set`, as coordinate pairs) and an integer |k| >= 2."""
+    return any(
+        v[0] % k == 0 and v[1] % k == 0 and (v[0] // k, v[1] // k) in root_set
+        for k in range(2, 4)
+    )
 
 
 def verify_root_addition_lemma() -> bool:
@@ -209,27 +208,23 @@ def verify_root_addition_lemma() -> bool:
     (i-1)*delta + j*epsilon and i*delta + (j-1)*epsilon must be roots or
     zero.  Decremented vectors that are integer multiples (|k| >= 2) of a
     single root are excluded, since they can only arise from non-reduced
-    configurations.
+    configurations.  The walk runs on coordinate pairs (m1, m2).
     """
-    roots = enumerate_roots()
+    roots = [r.coords for r in enumerate_roots()]
     root_set = set(roots)
-    zero = Root(0, 0)
-    for delta in roots:
-        for eps in roots:
-            if eps == delta or eps == -delta:
+    for d1, d2 in roots:
+        for e1, e2 in roots:
+            if (e1, e2) in ((d1, d2), (-d1, -d2)):
                 continue
             for i in range(1, 5):
                 for j in range(1, 5):
-                    total = delta.times(i) + eps.times(j)
-                    if total not in root_set:
+                    t1, t2 = i * d1 + j * e1, i * d2 + j * e2
+                    if (t1, t2) not in root_set:
                         continue
-                    for cand in (
-                        delta.times(i - 1) + eps.times(j),
-                        delta.times(i) + eps.times(j - 1),
-                    ):
-                        if cand == zero or cand in root_set:
+                    for cand in ((t1 - d1, t2 - d2), (t1 - e1, t2 - e2)):
+                        if cand == (0, 0) or cand in root_set:
                             continue
-                        if _is_root_multiple(cand):
+                        if _is_root_multiple(cand, root_set):
                             continue
                         return False
     return True

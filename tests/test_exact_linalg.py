@@ -19,6 +19,7 @@ from g2verify.exact_linalg import (
     DimensionMismatch,
     _exact,
     clear_denominators,
+    integer_kernel,
     kernel_basis,
     rank,
     solve_linear,
@@ -157,6 +158,11 @@ def test_bareiss_rank_matches_reference_rank(m: DenseMatrix) -> None:
 def test_bareiss_kernel_and_solution_match_reference_rref(m: DenseMatrix, data) -> None:
     kern, reference = kernel_basis(m), _reference_kernel_basis(m)
     assert list(map(_typed, kern)) == list(map(_typed, reference))
+    # The integer kernel is the same basis before its division by d.
+    vectors, d = integer_kernel(m.entries, m.cols)
+    assert type(d) is int and d != 0
+    assert all(type(x) is int for v in vectors for x in v)
+    assert [[Fraction(x, d) for x in v] for v in vectors] == [list(v) for v in reference]
     # A right-hand side in the image, or drawn freely (mostly inconsistent
     # when m is rank-deficient, so the None branch is exercised too).
     if data.draw(st.booleans()):

@@ -383,6 +383,60 @@ def test_isotropic_sampler() -> None:
         assert any(x)
 
 
+def _reference_isotropic_vector(sampler, chart) -> tuple:
+    # The rational chart solve the integer sampler replaced: the same draws
+    # as Fractions, and the isotropic coordinate solved by a division.
+    solve_for, pivot = ((3, 0), (4, 1), (2, 5))[chart % 3]
+    x = [sampler.fraction() for _ in range(REP_DIM)]
+    x[pivot] = sampler.nonzero_fraction()
+    x[solve_for] = 0
+    residual = quadric_value(x)
+    x[solve_for] = Fraction(-residual) / (2 * invariant_form().entry(pivot, solve_for) * x[pivot])
+    return tuple(x)
+
+
+def _reference_conormal_pair(sampler, chart) -> tuple[tuple, tuple]:
+    # The rational pair: the reduced fiber basis (pinned to the reference
+    # fiber by its own test) combined with Fraction draws.
+    zprime = _reference_isotropic_vector(sampler, chart)
+    z = [0] * REP_DIM
+    for basis_vec in conormal_fiber_basis(zprime):
+        c = sampler.fraction()
+        z = [a + c * b for a, b in zip(z, basis_vec)]
+    return zprime, tuple(z)
+
+
+def _same_line(a, b) -> bool:
+    """b is a nonzero multiple of a, or both are 0."""
+    n = len(a)
+    return any(a) == any(b) and all(
+        a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i + 1, n)
+    )
+
+
+def test_integer_samplers_match_the_rational_reference_up_to_scale() -> None:
+    # Same seed, same stream: each integer z' and z is the reference's times
+    # a nonzero scalar, and z = 0 exactly where the reference's z is.
+    for seed in range(20):
+        sampler, reference = SmallRationalSampler(seed), SmallRationalSampler(seed)
+        for k in range(100):
+            zprime, z = sample_conormal_pair(sampler, k)
+            ref_zprime, ref_z = _reference_conormal_pair(reference, k)
+            assert _same_line(zprime, ref_zprime), (seed, k)
+            assert _same_line(z, ref_z), (seed, k)
+        assert sampler.ratio() == reference.ratio()
+
+
+def test_samplers_return_tuples_of_ints() -> None:
+    sampler = SmallRationalSampler(41)
+    for chart in range(6):
+        x = sample_isotropic_vector(sampler, chart)
+        zprime, z = sample_conormal_pair(sampler, chart)
+        for v in (x, zprime, z):
+            assert type(v) is tuple and len(v) == REP_DIM
+            assert all(type(c) is int for c in v)
+
+
 def test_conormal_fiber_is_annihilated() -> None:
     sampler = SmallRationalSampler(23)
     zprime = sample_isotropic_vector(sampler, 0)

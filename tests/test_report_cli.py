@@ -34,6 +34,7 @@ from g2verify.report_cli import (
     main,
     run_suite,
 )
+from g2verify.sampling import SmallRationalSampler
 
 from conftest import with_entry
 
@@ -578,6 +579,27 @@ def test_conormal_equivalence_makes_no_mul_vec_call(monkeypatch) -> None:
     assert calls == []
 
 
+def test_conormal_equivalence_draws_no_fraction_and_makes_no_kernel_basis_call(
+    monkeypatch,
+) -> None:
+    # Every point is drawn as (numerator, denominator) pairs and cleared to
+    # integers, and the sampled fibers come from integer null vectors: no
+    # Fraction is drawn and no reduced kernel is built.  The cached B, rho
+    # and term table are built first: solving B and f2 takes kernels.
+    def refused(name):
+        def call(*args):
+            raise AssertionError(f"{name} called")
+
+        return call
+
+    rep7._form_terms()
+    monkeypatch.setattr(SmallRationalSampler, "fraction", refused("fraction"))
+    monkeypatch.setattr(exact_linalg, "kernel_basis", refused("kernel_basis"))
+    monkeypatch.setattr(rep7, "kernel_basis", refused("kernel_basis"))
+    actual, _ = report_cli._run_conormal_equivalence(Config())
+    assert actual == "200/200 agree"
+
+
 def test_omega_prime_samples_run_eight_by_eight_eliminations(monkeypatch) -> None:
     # Each sample's rank is one elimination of an 8x8 integer block: no
     # 20x20 Gram is eliminated, and no sample's block holds a Fraction.
@@ -853,6 +875,14 @@ def test_cli_config_errors_exit_two(args) -> None:
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "configuration error" in result.stderr
+
+
+@pytest.mark.parametrize("option, what", [("--primes", "primes"), ("--suite", "suite")])
+def test_cli_empty_list_is_named_as_empty(option, what) -> None:
+    # The empty list is reported as such, not as a list of non-integers.
+    result = CliRunner().invoke(main, [option, " , "])
+    assert result.exit_code == 2
+    assert f"configuration error: empty {what} list: ' , '" in result.stderr
 
 
 def test_cli_help_states_the_config_defaults_and_limits() -> None:
