@@ -1,13 +1,13 @@
 """Exact scalar arithmetic and small dense linear algebra.
 
-Scalars are exact rationals: an entry is stored as an ``int`` when it is
-integral and as a ``fractions.Fraction`` only otherwise, so the package's
-integer matrices run on Python ints; inexact values are refused.  One
-fraction-free Bareiss elimination on integers serves rank, kernels and
-linear solving: the rank is its pivot count, and null-space bases and
-solutions come from its echelon form by integer back-substitution,
-equal entry for entry to those of the reduced row-echelon form.
-Floating point is never used anywhere in this package.
+Scalars are exact rationals, and inexact values are refused.  A
+`DenseMatrix` holds Python ints only: rationals are cleared before they
+reach one (`clear_denominators`), and its `scale` by a Fraction is an exact
+quotient.  One fraction-free Bareiss elimination on integers serves rank,
+kernels and linear solving: the rank is its pivot count, and null-space
+bases and solutions come from its echelon form by integer back-substitution,
+equal entry for entry to those of the reduced row-echelon form.  Floating
+point is never used anywhere in this package.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -48,59 +49,55 @@ def clear_denominators(values: Sequence) -> list[int]:
     return [x.numerator * (d // x.denominator) for x in exact]
 
 
+def _check_ints(values: Iterable) -> None:
+    """TypeError unless each of `values` is an int: not a bool, a float or a
+    Fraction, not even an integral one."""
+    if not {int}.issuperset(map(type, values)):
+        raise TypeError("a DenseMatrix holds and multiplies ints only")
+
+
 @dataclass(frozen=True)
 class DenseMatrix:
-    """An immutable dense matrix with exact rational entries (ints when
-    integral, Fractions otherwise)."""
+    """An immutable dense integer matrix: every entry is an int, whichever
+    way the matrix is built."""
 
     rows: int
     cols: int
-    entries: tuple  # tuple of row tuples
+    entries: tuple  # tuple of row tuples of ints
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
             raise DimensionMismatch("matrix dimensions must be positive")
-        if len(self.entries) != self.rows or any(
-            len(r) != self.cols for r in self.entries
-        ):
+        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise DimensionMismatch("entry grid does not match declared shape")
+        _check_ints(chain.from_iterable(self.entries))
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> DenseMatrix:
-        coerced = tuple(tuple(_exact(x) for x in row) for row in rows)
-        return cls(len(coerced), len(coerced[0]) if coerced else 0, coerced)
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> DenseMatrix:
+        entries = tuple(map(tuple, rows))
+        return cls(len(entries), len(entries[0]) if entries else 0, entries)
 
     @classmethod
     def identity(cls, n: int) -> DenseMatrix:
         return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def entry(self, i: int, j: int) -> int | Fraction:
+    def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
 
-    def row(self, i: int) -> Vector:
+    def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
-    def column(self, j: int) -> Vector:
+    def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
     def transpose(self) -> DenseMatrix:
-        return DenseMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.column(j) for j in range(self.cols)),
-        )
+        return DenseMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
 
     def __add__(self, other: DenseMatrix) -> DenseMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        return DenseMatrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(_exact(a + b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        rows = (tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries))
+        return DenseMatrix(self.rows, self.cols, tuple(rows))
 
     def __sub__(self, other: DenseMatrix) -> DenseMatrix:
         return self + (-other)
@@ -108,13 +105,18 @@ class DenseMatrix:
     def __neg__(self) -> DenseMatrix:
         return self.scale(-1)
 
-    def scale(self, s) -> DenseMatrix:
-        s = _exact(s)
-        return DenseMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(_exact(s * x) for x in row) for row in self.entries),
-        )
+    def scale(self, s: int | Fraction) -> DenseMatrix:
+        """`s` times the matrix, for an int or a Fraction `s`: an exact
+        quotient, so ArithmeticError if some product is not an integer."""
+        if type(s) not in (int, Fraction):
+            raise TypeError(f"not an exact rational: {s!r}")
+        n, d = s.numerator, s.denominator
+        entries = tuple(tuple(n * x for x in row) for row in self.entries)
+        if d != 1:
+            if any(x % d for row in entries for x in row):
+                raise ArithmeticError(f"{s} times the matrix is not an integer matrix")
+            entries = tuple(tuple(x // d for x in row) for row in entries)
+        return DenseMatrix(self.rows, self.cols, entries)
 
     @cached_property
     def _nonzeros(self) -> tuple:
@@ -131,28 +133,27 @@ class DenseMatrix:
             for k, a in row:
                 for j, b in other_rows[k]:
                     acc[j] += a * b
-            out.append(tuple(map(_exact, acc)))
+            out.append(tuple(acc))
         return DenseMatrix(self.rows, other.cols, tuple(out))
 
-    def mul_vec(self, v: Sequence) -> Vector:
+    def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise DimensionMismatch("matrix-vector shape mismatch")
-        vv = [_exact(x) for x in v]
-        return tuple(_exact(sum(a * vv[k] for k, a in row)) for row in self._nonzeros)
+        _check_ints(v)
+        return tuple(sum(a * v[k] for k, a in row) for row in self._nonzeros)
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.entries)
 
 
-def _bareiss(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free (Bareiss) row-echelon form of `rows`, each first scaled
-    to integers: a nonzero row factor changes neither the row space nor the
-    solutions of an augmented row.  Returns the nonzero integer echelon rows
+def _bareiss(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) row-echelon form of the integer `rows`, the
+    entries of a `DenseMatrix`.  Returns the nonzero integer echelon rows
     and their pivot columns.  Every row below a pivot is updated, zeros in
     the pivot column included, so every division by the previous pivot is
     exact.  Only the entries right of the pivot column are computed: those
     left of it are already 0 in these rows, and the pivot column's become 0."""
-    rows = [r for r in map(clear_denominators, rows) if any(r)]
+    rows = [list(r) for r in rows if any(r)]
     pivots: list[int] = []
     prev = 1
     for c in range(ncols):
@@ -199,12 +200,12 @@ def _divided(v: Sequence[int], d: int) -> Vector:
     return tuple(x // d if x % d == 0 else Fraction(x, d) for x in v)
 
 
-def integer_kernel(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], int]:
-    """The `kernel_basis` of the matrix with these rows and `ncols` columns,
-    each vector times d, and d: integer null vectors from one Bareiss
-    elimination, for callers that only need the kernel up to scale."""
-    echelon, pivots = _bareiss(rows, ncols)
-    vectors = [_null_vector(echelon, pivots, ncols, c) for c in range(ncols) if c not in pivots]
+def integer_kernel(m: DenseMatrix) -> tuple[list[list[int]], int]:
+    """The `kernel_basis` of `m`, each vector times d, and d: integer null
+    vectors from one Bareiss elimination, for callers that only need the
+    kernel up to scale."""
+    echelon, pivots = _bareiss(m.entries, m.cols)
+    vectors = [_null_vector(echelon, pivots, m.cols, c) for c in range(m.cols) if c not in pivots]
     return vectors, _last_pivot(echelon, pivots)
 
 
@@ -216,21 +217,20 @@ def rank(m: DenseMatrix) -> int:
 def kernel_basis(m: DenseMatrix) -> tuple[Vector, ...]:
     """An exact basis of the right null space of `m`: for each non-pivot
     column, the null vector that is 1 there and 0 at the other non-pivot
-    columns.  Returns ``cols - rank(m)`` vectors v with ``m.mul_vec(v) = 0``.
+    columns.  Returns ``cols - rank(m)`` vectors v with ``m v = 0``, their
+    entries ints where integral and Fractions otherwise.
     """
-    vectors, d = integer_kernel(m.entries, m.cols)
+    vectors, d = integer_kernel(m)
     return tuple(_divided(v, d) for v in vectors)
 
 
-def solve_linear(m: DenseMatrix, b: Sequence) -> Vector | None:
-    """One exact solution of ``m x = b``, with every free variable 0, or
-    None if the system is inconsistent."""
+def solve_linear(m: DenseMatrix, b: Sequence[int]) -> Vector | None:
+    """One exact solution of ``m x = b`` for an integer `b`, with every free
+    variable 0, or None if the system is inconsistent."""
     if len(b) != m.rows:
-        raise DimensionMismatch(
-            f"right-hand side has length {len(b)}, expected {m.rows}"
-        )
-    augmented = [list(row) + [x] for row, x in zip(m.entries, b)]
-    rows, pivots = _bareiss(augmented, m.cols + 1)
+        raise DimensionMismatch(f"right-hand side has length {len(b)}, expected {m.rows}")
+    augmented = DenseMatrix(m.rows, m.cols + 1, tuple((*row, x) for row, x in zip(m.entries, b)))
+    rows, pivots = _bareiss(augmented.entries, augmented.cols)
     if m.cols in pivots:
         return None
     # (x, -1) is a null vector of [m | b], so x is minus the one that is 1 at b.

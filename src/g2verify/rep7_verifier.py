@@ -47,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import permutations
 from math import isqrt
 from typing import Sequence
 
@@ -159,8 +160,9 @@ def invariant_form() -> DenseMatrix:
     the other eleven matrices as their brackets, and invariance under X
     and Y implies it under [X, Y]; verify_invariant_form tests all 14.
     The solution space must be one line (NoSolutionError if it is zero,
-    AmbiguousSolutionError if larger), and B is normalized by
-    <v, v~> = -2.  The result pairs
+    AmbiguousSolutionError if larger), spanned by an integer null vector v,
+    and B = -2 v / v_pivot is normalized by <v, v~> = -2, an exact integer
+    quotient.  The result pairs
     opposite weight lines (<v,v~> = <w,w~> = <t,t~> = -2, <u,u> = 4, all
     other basis pairings zero) and is proportional to the inverse of the
     q coefficient matrix.
@@ -178,7 +180,7 @@ def invariant_form() -> DenseMatrix:
                     coeffs[_sym_index(r, k)] += m.entry(k, c)
                 if any(coeffs):
                     rows.append(coeffs)
-    kern = kernel_basis(DenseMatrix.from_rows(rows))
+    kern, _ = integer_kernel(DenseMatrix.from_rows(rows))
     if len(kern) != 1:
         error = AmbiguousSolutionError if kern else NoSolutionError
         raise error(f"invariant-form solution space has dimension {len(kern)}")
@@ -186,12 +188,8 @@ def invariant_form() -> DenseMatrix:
     pivot = packed[_sym_index(_V, _VT)]
     if pivot == 0:
         raise NoSolutionError("invariant form does not pair v with v~")
-    scale = Fraction(-2) / pivot
-    entries = [
-        [packed[_sym_index(i, j)] * scale for j in range(REP_DIM)]
-        for i in range(REP_DIM)
-    ]
-    return DenseMatrix.from_rows(entries)
+    entries = [[packed[_sym_index(i, j)] for j in range(REP_DIM)] for i in range(REP_DIM)]
+    return DenseMatrix.from_rows(entries).scale(Fraction(-2, pivot))
 
 
 def quadric_value(x: Sequence) -> int | Fraction:
@@ -217,11 +215,6 @@ def _f3_matrix() -> DenseMatrix:
     return _sparse_matrix({(_W, _TT): 1, (_T, _WT): -1, (_U, _VT): -1, (_V, _U): -2})
 
 
-def _f2_matrix(c: Sequence) -> DenseMatrix:
-    # The weight-compatible unknown: v -> t, w -> u, t~ -> v~, u -> w~.
-    return _sparse_matrix(
-        {(_T, _V): c[0], (_U, _W): c[1], (_VT, _TT): c[2], (_WT, _U): c[3]}
-    )
 
 
 def _commutator(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -240,24 +233,28 @@ def _cartan_action(terms: Sequence) -> DenseMatrix:
     return _sparse_matrix({(i, i): diag[i] for i in range(REP_DIM) if diag[i]})
 
 
-def _f_and_e_matrices(c: Sequence) -> tuple[tuple, tuple]:
-    """rho(f1), rho(f2), rho(f3) with the f2 coefficients `c`, and
-    rho(e_i) = [rho(f_j), rho(f_k)]/2 for (i, j, k) cyclic."""
-    fs = (_f1_matrix(), _f2_matrix(c), _f3_matrix())
-    half = Fraction(1, 2)
-    es = tuple(_commutator(fs[j], fs[k]).scale(half) for j, k in ((1, 2), (2, 0), (0, 1)))
-    return fs, es
+#: (j, k) with (i, j, k) cyclic, for i = 0, 1, 2: rho(e_i) = [rho(f_j), rho(f_k)]/2.
+_CYCLIC = ((1, 2), (2, 0), (0, 1))
+
+
+def _f_matrices(c: Sequence) -> tuple:
+    """rho(f1), rho(f2), rho(f3), with rho(f2) the weight-compatible unknown
+    v -> t, w -> u, t~ -> v~, u -> w~ of coefficients `c`."""
+    f2 = _sparse_matrix({(_T, _V): c[0], (_U, _W): c[1], (_VT, _TT): c[2], (_WT, _U): c[3]})
+    return _f1_matrix(), f2, _f3_matrix()
 
 
 def _constraint_stack(c: Sequence) -> tuple:
-    """The three sl2-commutation residuals, flattened to one long vector.
-
-    Each residual [rho(e_i), rho(f_i)] - rho([e_i, f_i]) is affine in the
-    four unknown f2 coefficients.
-    """
-    fs, es = _f_and_e_matrices(c)
+    """Twice the three sl2-commutation residuals [rho(e_i), rho(f_i)] -
+    rho([e_i, f_i]), flattened to one vector.  With rho(e_i) =
+    [rho(f_j), rho(f_k)]/2, that is [[rho(f_j), rho(f_k)], rho(f_i)] -
+    2 rho([e_i, f_i]): integral for integer c, and affine in c."""
+    fs = _f_matrices(c)
     table = g2._bracket_table()  # e_i and f_i are the basis vectors b_i and b_(i+3)
-    residuals = [_commutator(es[i], fs[i]) - _cartan_action(table[i][i + 3]) for i in range(3)]
+    residuals = [
+        _commutator(_commutator(fs[j], fs[k]), fs[i]) - _cartan_action(table[i][i + 3]).scale(2)
+        for i, (j, k) in enumerate(_CYCLIC)
+    ]
     return tuple(x for r in residuals for row in r.entries for x in row)
 
 
@@ -289,25 +286,18 @@ def build_rep7() -> Rep7:
     rho(f1) and rho(f3) are fixed; rho(f2) is solved from the commutation
     constraints; everything else is generated by brackets:
     e1 = [f2,f3]/2, e2 = [f3,f1]/2, e3 = [f1,f2]/2, E_ij = -[e_i, f_j]/3,
-    h_a = [E12, E21], h_b = [E23, E32].  The full homomorphism check over
-    all 91 basis pairs is run afterwards (see verify_homomorphism).
+    h_a = [E12, E21], h_b = [E23, E32], each quotient exact (`scale` raises
+    ArithmeticError otherwise).  The full homomorphism check over all 91
+    basis pairs is run afterwards (see verify_homomorphism).
     """
     coeffs = _solve_f2_coefficients()
-    fs, es = _f_and_e_matrices(coeffs)
+    fs = _f_matrices(coeffs)
+    es = tuple(_commutator(fs[j], fs[k]).scale(Fraction(1, 2)) for j, k in _CYCLIC)
+    # E12, E13, E21, E23, E31, E32: the pairs i != j in basis order.
     third = Fraction(-1, 3)
-    e12 = _commutator(es[0], fs[1]).scale(third)
-    e13 = _commutator(es[0], fs[2]).scale(third)
-    e21 = _commutator(es[1], fs[0]).scale(third)
-    e23 = _commutator(es[1], fs[2]).scale(third)
-    e31 = _commutator(es[2], fs[0]).scale(third)
-    e32 = _commutator(es[2], fs[1]).scale(third)
-    h_a = _commutator(e12, e21)
-    h_b = _commutator(e23, e32)
-    matrices = es + fs + (
-        e12, e13, e21, e23, e31, e32,
-        h_a, h_b,
-    )
-    return Rep7(matrices=matrices, f2_coefficients=coeffs)
+    e_ij = tuple(_commutator(es[i], fs[j]).scale(third) for i, j in permutations(range(3), 2))
+    h_a, h_b = _commutator(e_ij[0], e_ij[2]), _commutator(e_ij[3], e_ij[5])
+    return Rep7(matrices=es + fs + e_ij + (h_a, h_b), f2_coefficients=coeffs)
 
 
 def verify_homomorphism() -> int:
@@ -588,11 +578,8 @@ def check_oracle_prime(p: int) -> None:
 
 
 def _matrix_mod_p(m: DenseMatrix, p: int) -> np.ndarray:
-    """Reduce an integer matrix mod p.  TypeError on any other entry: numpy
-    would truncate a Fraction, not invert its denominator."""
-    bad = [x for row in m.entries for x in row if type(x) is not int]
-    if bad:
-        raise TypeError(f"matrix entry {bad[0]!r} is not an int")
+    """Reduce an integer matrix mod p.  A DenseMatrix holds ints only, so no
+    Fraction reaches numpy, which would truncate it, not invert it."""
     return np.array(m.entries, dtype=np.int64) % p
 
 
@@ -806,7 +793,7 @@ def sample_conormal_pair(
     construction: z combines the fiber's integer null vectors (the reduced
     basis times the last Bareiss pivot) with drawn coefficients, cleared."""
     zprime = sample_isotropic_vector(sampler, chart)
-    vectors, _ = integer_kernel(_fiber_rows(zprime), REP_DIM)
+    vectors, _ = integer_kernel(DenseMatrix.from_rows(_fiber_rows(zprime)))
     coeffs = cleared([sampler.ratio() for _ in vectors])
     z = tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(REP_DIM))
     return zprime, z

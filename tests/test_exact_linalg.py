@@ -7,6 +7,12 @@ fraction-free Bareiss `rank`, `kernel_basis` and `solve_linear` are checked
 against the earlier rational reduced row-echelon elimination, kept here as
 the reference: same rank, and the same basis vectors and solutions, value
 for value and int or `Fraction` entry for entry.
+
+A `DenseMatrix` holds ints only, so the strategies draw rational rows,
+the references reduce those rows, and the package receives them cleared
+of denominators (`_integer`, `_integer_system`): a nonzero factor per
+row, or per augmented row [row | b] of a system, changes no rank, no
+kernel and no solution.
 """
 
 from fractions import Fraction
@@ -37,19 +43,43 @@ from g2verify.rep7_verifier import (
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
+#: A pair (n, d) stands for n/6 rounded down to a multiple of 1/d, which
+#: reaches every fraction in [-5, 5] with denominator at most 6, the values
+#: of `small_fractions`, with two integer draws and no nested strategy.
+small_pairs = st.tuples(st.integers(-30, 30), st.integers(1, 6))
+
 
 @st.composite
-def qq_matrices(draw, max_dim: int = 5) -> DenseMatrix:
+def qq_matrices(draw, max_dim: int = 5) -> list[list[Fraction]]:
+    """Rational rows: the shape first, then one flat list of small pairs."""
     nrows = draw(st.integers(min_value=1, max_value=max_dim))
     ncols = draw(st.integers(min_value=1, max_value=max_dim))
-    entries = draw(
-        st.lists(
-            st.lists(small_fractions, min_size=ncols, max_size=ncols),
-            min_size=nrows,
-            max_size=nrows,
-        )
-    )
-    return DenseMatrix.from_rows(entries)
+    pairs = draw(st.lists(small_pairs, min_size=nrows * ncols, max_size=nrows * ncols))
+    values = [Fraction(n * d // 6, d) for n, d in pairs]
+    return [values[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+
+
+def _integer(rows) -> DenseMatrix:
+    """The matrix of the rational `rows`, each cleared of denominators."""
+    return DenseMatrix.from_rows([clear_denominators(row) for row in rows])
+
+
+def _integer_system(rows, b) -> tuple[DenseMatrix, list[int]]:
+    """The system rows x = b with each augmented row [row | b_i] cleared of
+    denominators as a whole, as a matrix and an integer right-hand side."""
+    augmented = [clear_denominators([*row, x]) for row, x in zip(rows, b)]
+    return DenseMatrix.from_rows([r[:-1] for r in augmented]), [r[-1] for r in augmented]
+
+
+def _apply(rows, v) -> list:
+    """rows times the vector v, summed entry by entry in rationals."""
+    return [_exact(sum(x * y for x, y in zip(row, v))) for row in rows]
+
+
+def _product(a, b) -> list[list]:
+    """The rational product of the row lists a and b."""
+    columns = list(zip(*b))
+    return [_apply(columns, row) for row in a]
 
 
 def _echelon(rows: list, ncols: int) -> tuple[list, list[int]]:
@@ -82,18 +112,19 @@ def _echelon(rows: list, ncols: int) -> tuple[list, list[int]]:
     return rows, pivots
 
 
-def _reference_rank(m: DenseMatrix) -> int:
+def _reference_rank(rows) -> int:
     """The earlier rank: pivots of the rational reduced row-echelon form."""
-    _, pivots = _echelon([list(row) for row in m.entries], m.cols)
+    _, pivots = _echelon([list(row) for row in rows], len(rows[0]))
     return len(pivots)
 
 
-def _reference_kernel_basis(m: DenseMatrix) -> tuple:
+def _reference_kernel_basis(rows) -> tuple:
     """The earlier kernel: one RREF basis vector per non-pivot column."""
-    reduced, pivots = _echelon([list(row) for row in m.entries], m.cols)
+    ncols = len(rows[0])
+    reduced, pivots = _echelon([list(row) for row in rows], ncols)
     basis = []
-    for fc in (c for c in range(m.cols) if c not in pivots):
-        v = [0] * m.cols
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
         v[fc] = 1
         for r_i, pc in enumerate(pivots):
             v[pc] = _exact(-reduced[r_i][fc])
@@ -101,15 +132,16 @@ def _reference_kernel_basis(m: DenseMatrix) -> tuple:
     return tuple(basis)
 
 
-def _reference_solve_linear(m: DenseMatrix, b) -> tuple | None:
+def _reference_solve_linear(rows, b) -> tuple | None:
     """The earlier solver: the RREF solution with every free variable 0."""
-    work = [list(row) + [_exact(x)] for row, x in zip(m.entries, b)]
-    reduced, pivots = _echelon(work, m.cols + 1)
-    if m.cols in pivots:
+    ncols = len(rows[0])
+    work = [list(row) + [_exact(x)] for row, x in zip(rows, b)]
+    reduced, pivots = _echelon(work, ncols + 1)
+    if ncols in pivots:
         return None
-    x = [0] * m.cols
+    x = [0] * ncols
     for r_i, pc in enumerate(pivots):
-        x[pc] = _exact(reduced[r_i][m.cols])
+        x[pc] = _exact(reduced[r_i][ncols])
     return tuple(x)
 
 
@@ -125,41 +157,41 @@ tall_fractions = st.builds(
 
 
 @st.composite
-def rank_test_matrices(draw) -> DenseMatrix:
-    """Up to 8x8: dense, rank-deficient products, or zero; small or tall entries."""
+def rank_test_matrices(draw) -> list[list]:
+    """Rational rows, up to 8x8: dense, rank-deficient products, or zero;
+    small or tall entries."""
     nrows = draw(st.integers(min_value=1, max_value=8))
     ncols = draw(st.integers(min_value=1, max_value=8))
     entries = draw(st.sampled_from([small_fractions, tall_fractions]))
 
-    def grid(r: int, c: int) -> DenseMatrix:
-        return DenseMatrix.from_rows(
-            draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
-        )
+    def grid(r: int, c: int) -> list[list]:
+        return draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
 
     kind = draw(st.sampled_from(["dense", "product", "zero"]))
     if kind == "zero":
-        return DenseMatrix.from_rows([[0] * ncols for _ in range(nrows)])
+        return [[0] * ncols for _ in range(nrows)]
     if kind == "dense":
         return grid(nrows, ncols)
     inner = draw(st.integers(min_value=1, max_value=min(nrows, ncols)))
-    return grid(nrows, inner) @ grid(inner, ncols)
+    return _product(grid(nrows, inner), grid(inner, ncols))
 
 
 @given(rank_test_matrices())
 @settings(max_examples=200, deadline=None)
-def test_bareiss_rank_matches_reference_rank(m: DenseMatrix) -> None:
-    r = rank(m)
+def test_bareiss_rank_matches_reference_rank(rows) -> None:
+    r = rank(_integer(rows))
     assert type(r) is int
-    assert r == _reference_rank(m)
+    assert r == _reference_rank(rows)
 
 
 @given(rank_test_matrices(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_bareiss_kernel_and_solution_match_reference_rref(m: DenseMatrix, data) -> None:
-    kern, reference = kernel_basis(m), _reference_kernel_basis(m)
+def test_bareiss_kernel_and_solution_match_reference_rref(rows, data) -> None:
+    m = _integer(rows)
+    kern, reference = kernel_basis(m), _reference_kernel_basis(rows)
     assert list(map(_typed, kern)) == list(map(_typed, reference))
     # The integer kernel is the same basis before its division by d.
-    vectors, d = integer_kernel(m.entries, m.cols)
+    vectors, d = integer_kernel(m)
     assert type(d) is int and d != 0
     assert all(type(x) is int for v in vectors for x in v)
     assert [[Fraction(x, d) for x in v] for v in vectors] == [list(v) for v in reference]
@@ -167,10 +199,11 @@ def test_bareiss_kernel_and_solution_match_reference_rref(m: DenseMatrix, data) 
     # when m is rank-deficient, so the None branch is exercised too).
     if data.draw(st.booleans()):
         x = data.draw(st.lists(small_fractions, min_size=m.cols, max_size=m.cols))
-        b = m.mul_vec(x)
+        b = _apply(rows, x)
     else:
         b = data.draw(st.lists(small_fractions, min_size=m.rows, max_size=m.rows))
-    assert _typed(solve_linear(m, b)) == _typed(_reference_solve_linear(m, b))
+    solution = solve_linear(*_integer_system(rows, b))
+    assert _typed(solution) == _typed(_reference_solve_linear(rows, b))
 
 
 @pytest.mark.parametrize(
@@ -196,8 +229,7 @@ def test_bareiss_kernel_and_solution_match_reference_rref(m: DenseMatrix, data) 
     ],
 )
 def test_rank_edge_cases(rows, expected) -> None:
-    m = DenseMatrix.from_rows(rows)
-    assert rank(m) == _reference_rank(m) == expected
+    assert rank(_integer(rows)) == _reference_rank(rows) == expected
 
 
 def test_clear_denominators_returns_ints() -> None:
@@ -214,41 +246,44 @@ def test_clear_denominators_returns_ints() -> None:
 
 @given(qq_matrices())
 @settings(max_examples=60, deadline=None)
-def test_rank_nullity(m: DenseMatrix) -> None:
+def test_rank_nullity(rows) -> None:
+    m = _integer(rows)
     assert rank(m) + len(kernel_basis(m)) == m.cols
 
 
 @given(qq_matrices())
 @settings(max_examples=60, deadline=None)
-def test_kernel_vectors_annihilate_and_are_independent(m: DenseMatrix) -> None:
-    kern = kernel_basis(m)
+def test_kernel_vectors_annihilate_and_are_independent(rows) -> None:
+    kern = kernel_basis(_integer(rows))
     for v in kern:
-        assert not any(m.mul_vec(v))
+        assert not any(_apply(rows, v))
     if kern:
-        assert rank(DenseMatrix.from_rows(kern)) == len(kern)
+        assert rank(_integer(kern)) == len(kern)
 
 
 @given(qq_matrices(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_solve_recovers_consistent_systems(m: DenseMatrix, data) -> None:
+def test_solve_recovers_consistent_systems(rows, data) -> None:
     x = data.draw(
-        st.lists(small_fractions, min_size=m.cols, max_size=m.cols)
+        st.lists(small_fractions, min_size=len(rows[0]), max_size=len(rows[0]))
     )
-    b = m.mul_vec(x)
-    sol = solve_linear(m, b)
+    b = _apply(rows, x)
+    sol = solve_linear(*_integer_system(rows, b))
     assert sol is not None
-    assert m.mul_vec(sol) == b
+    assert _apply(rows, sol) == b
 
 
 @given(qq_matrices())
 @settings(max_examples=60, deadline=None)
-def test_rank_is_transpose_invariant(m: DenseMatrix) -> None:
-    assert rank(m) == rank(m.transpose())
+def test_rank_is_transpose_invariant(rows) -> None:
+    m = _integer(rows)
+    assert rank(m) == rank(m.transpose()) == rank(_integer(zip(*rows)))
 
 
 @given(qq_matrices(max_dim=4), qq_matrices(max_dim=4))
 @settings(max_examples=40, deadline=None)
-def test_product_transpose_law(a: DenseMatrix, b: DenseMatrix) -> None:
+def test_product_transpose_law(a_rows, b_rows) -> None:
+    a, b = _integer(a_rows), _integer(b_rows)
     if a.cols != b.rows:
         b = b.transpose()
         if a.cols != b.rows:
@@ -262,22 +297,24 @@ sparse_fractions = st.one_of(st.just(0), small_fractions)
 
 
 @st.composite
-def sparse_matrix_pairs(draw) -> tuple[DenseMatrix, DenseMatrix, list]:
-    """a (n x k), b (k x m) and a k-vector, with about half their entries 0."""
+def sparse_matrix_pairs(draw) -> tuple[DenseMatrix, DenseMatrix, list[int]]:
+    """a (n x k), b (k x m) and a k-vector, with about half their entries 0,
+    drawn rational and each row (and the vector) cleared of denominators."""
     n, k, m = (draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
 
     def grid(r: int, c: int) -> DenseMatrix:
         row = st.lists(sparse_fractions, min_size=c, max_size=c)
-        return DenseMatrix.from_rows(draw(st.lists(row, min_size=r, max_size=r)))
+        return _integer(draw(st.lists(row, min_size=r, max_size=r)))
 
-    return grid(n, k), grid(k, m), draw(st.lists(sparse_fractions, min_size=k, max_size=k))
+    v = draw(st.lists(sparse_fractions, min_size=k, max_size=k))
+    return grid(n, k), grid(k, m), clear_denominators(v)
 
 
 @given(sparse_matrix_pairs())
 @settings(max_examples=100, deadline=None)
 def test_sparse_products_match_dense_reference(operands) -> None:
     # The products walk only nonzero entries; every entry of the dense sums
-    # must come out equal in value and in int/Fraction type.
+    # must come out equal in value, and as an int.
     a, b, v = operands
     dense = [
         [_exact(sum(x * y for x, y in zip(row, b.column(j)))) for j in range(b.cols)]
@@ -377,14 +414,37 @@ def test_integral_entries_are_stored_as_ints() -> None:
     assert len(conormal) == 9 and all(map(all_int, conormal))
     assert all(all_int(ad_matrix(b)) for b in BASIS)
     assert all(type(e) is int for row in killing_gram() for e in row)
-    two = DenseMatrix.from_rows([[Fraction(4, 2)]]).entry(0, 0)
-    assert type(two) is int and two == 2
     assert type(G2Element((Fraction(4, 2),) + (0,) * 13).coords[0]) is int
-    # Arithmetic that lands on an integer stores it as an int as well.
-    half = DenseMatrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(3, 2)]])
-    for m in (half + half, half.scale(2), half @ DenseMatrix.from_rows([[2, 0], [0, 2]])):
-        assert all_int(m)
-    assert all(type(e) is int for e in half.mul_vec([2, 2]))
-    (v,) = kernel_basis(DenseMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)]]))
+    # An exact quotient lands on ints, and a kernel vector holds a Fraction
+    # only where its reduced row-echelon entry is not integral.
+    even = DenseMatrix.from_rows([[2, -6], [0, 4]])
+    assert even.scale(Fraction(1, 2)).entries == ((1, -3), (0, 2))
+    assert all_int(even.scale(Fraction(-3, 2))) and all_int(even.scale(Fraction(4, 2)))
+    (v,) = kernel_basis(_integer([[Fraction(1, 2), Fraction(1, 2)]]))
     assert v == (-1, 1) and all(type(e) is int for e in v)
-    assert type(half.entry(0, 0)) is Fraction
+    (w,) = kernel_basis(DenseMatrix.from_rows([[2, 1]]))
+    assert w == (Fraction(-1, 2), 1) and [type(e) for e in w] == [Fraction, int]
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4, 2), 1.0, True])
+def test_matrices_refuse_every_entry_but_an_int(bad) -> None:
+    # An integral Fraction is refused too: a DenseMatrix holds one scalar type.
+    with pytest.raises(TypeError):
+        DenseMatrix.from_rows([[1, bad], [0, 1]])
+    with pytest.raises(TypeError):
+        DenseMatrix(2, 2, ((1, bad), (0, 1)))
+    with pytest.raises(TypeError):
+        DenseMatrix.identity(2).mul_vec([1, bad])
+    with pytest.raises(TypeError):
+        solve_linear(DenseMatrix.identity(2), [1, bad])
+
+
+def test_scale_is_an_exact_quotient() -> None:
+    m = DenseMatrix.from_rows([[2, 3], [4, 6]])
+    with pytest.raises(ArithmeticError):
+        m.scale(Fraction(1, 2))  # 3/2 is not an integer
+    assert m.scale(Fraction(-4, 2)).entries == ((-4, -6), (-8, -12))
+    assert DenseMatrix.from_rows([[3, -6]]).scale(Fraction(2, 3)).entries == ((2, -4),)
+    for bad in (0.5, 2.0, True):
+        with pytest.raises(TypeError):
+            m.scale(bad)

@@ -10,6 +10,7 @@ here as references.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,7 +203,10 @@ def test_killing_associativity_on_random_elements(x, y, z) -> None:
 @given(elements, elements)
 @settings(max_examples=30, deadline=None)
 def test_ad_matrix_matches_bracket(x, y) -> None:
-    assert ad_matrix(x).mul_vec(y.coords) == bracket(x, y).coords
+    # ad is linear in x and the bracket in y, so with d and e the lcms of
+    # their denominators, the integer matrix ad(d x) takes e y to d e [x, y].
+    d, e = (lcm(*(Fraction(c).denominator for c in v.coords)) for v in (x, y))
+    assert ad_matrix(x.scale(d)).mul_vec(y.scale(e).coords) == bracket(x, y).scale(d * e).coords
 
 
 def test_root_vector_lookup() -> None:

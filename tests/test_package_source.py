@@ -18,10 +18,15 @@ Every public top-level function or class is used by the package itself,
 not only by its tests, and the top-level namespace re-exports exactly the
 names the README's Python API example imports, plus a few more.  Every
 parameter is read in its function's body.
+
+The test settings turn every warning into an error but one, so that a
+failing Hypothesis test is reported as a failure and the session goes on.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -248,3 +253,30 @@ def test_every_parameter_is_read_in_its_body() -> None:
                 if p not in read and p not in ("self", "cls")
             ]
     assert unread == []
+
+
+def test_a_failing_hypothesis_test_is_reported_as_a_failure(tmp_path) -> None:
+    # Hypothesis imports libcst to write a failing example's patch, and that
+    # import warns; under filterwarnings = error alone, the session ended
+    # with INTERNALERROR and never reported the failure.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    output = result.stdout + result.stderr
+    assert result.returncode == 1, output
+    assert "1 failed" in output
+    assert "INTERNALERROR" not in output

@@ -279,19 +279,25 @@ def test_moment_map_matches_conormal_on_random_pairs() -> None:
         assert conormal_conditions(zprime, z) == moment_zero_check(point)
 
 
+def _apply(m: DenseMatrix, x) -> list:
+    """m x for a rational x, summed entry by entry like `_bilinear`: an
+    integer matrix's `mul_vec` takes integer vectors only."""
+    return [sum(a * b for a, b in zip(row, x)) for row in m.entries]
+
+
 def _reference_conormal_conditions(zprime, z) -> bool:
     form = invariant_form()
     if _bilinear(form, zprime, zprime) != 0 or _bilinear(form, z, zprime) != 0:
         return False
     return all(
-        _bilinear(form, m.mul_vec(z), zprime) == _bilinear(form, z, m.mul_vec(zprime))
+        _bilinear(form, _apply(m, z), zprime) == _bilinear(form, z, _apply(m, zprime))
         for m in map(build_rep7().matrix, BOREL_G2_NAMES)
     )
 
 
 def _reference_moment_zero_check(point) -> bool:
     symp = build_symplectic14()
-    return all(_bilinear(symp.omega, point, a.mul_vec(point)) == 0 for a in symp.actions14)
+    return all(_bilinear(symp.omega, point, _apply(a, point)) == 0 for a in symp.actions14)
 
 
 def _reference_fiber_basis(zprime) -> tuple:
@@ -551,10 +557,10 @@ def test_unipotent_generator_powers_are_all_multiples(p: int) -> None:
 
 
 def test_matrix_mod_p_takes_integers_only() -> None:
-    # numpy would truncate Fraction(1, 2) to 0 instead of inverting the 2.
-    half = DenseMatrix.from_rows([[Fraction(1, 2), 3], [-1, 0]])
+    # numpy would truncate Fraction(1, 2) to 0 instead of inverting the 2;
+    # no DenseMatrix holds one, so none reaches the reduction.
     with pytest.raises(TypeError):
-        rep7._matrix_mod_p(half, 5)
+        DenseMatrix.from_rows([[Fraction(1, 2), 3], [-1, 0]])
     reduced = rep7._matrix_mod_p(DenseMatrix.from_rows([[7, -1], [0, 2]]), 5)
     assert reduced.tolist() == [[2, 4], [0, 2]]
 

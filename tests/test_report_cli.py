@@ -347,6 +347,34 @@ def _clear_table_caches() -> None:
     rep7.build_rep7.cache_clear()
 
 
+def test_default_run_builds_integer_matrices_only(monkeypatch) -> None:
+    # From cleared caches, the entries of every DenseMatrix a default run
+    # constructs, by any path, are recorded before the type's own check:
+    # each one is an int (not a bool, not an integral Fraction).
+    entry_types = Counter()
+    built = []
+    true_post_init = DenseMatrix.__post_init__
+
+    def recorded(self) -> None:
+        built.append((self.rows, self.cols))
+        entry_types.update(type(x) for row in self.entries for x in row)
+        true_post_init(self)
+
+    caches = (*_REP7_CACHES, g2._bracket_table, g2.killing_gram, sv.build_slice_data,
+              rep7.build_rep7)
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(DenseMatrix, "__post_init__", recorded)
+    try:
+        report = run_suite(Config())
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert report.summary["failed"] == 0
+    assert (14, 14) in built and (7, 7) in built and (8, 8) in built
+    assert set(entry_types) == {int}
+
+
 def test_algebra_suite_computes_each_basis_bracket_once(monkeypatch) -> None:
     # The structure constants are written once: from cleared caches, an
     # algebra run calls `bracket` on each of the 196 basis pairs exactly
