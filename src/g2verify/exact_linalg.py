@@ -1,13 +1,14 @@
 """Exact scalar arithmetic and small dense linear algebra.
 
 Scalars are exact rationals, and inexact values are refused.  A
-`DenseMatrix` holds Python ints only: rationals are cleared before they
-reach one (`clear_denominators`), and its `scale` by a Fraction is an exact
-quotient.  One fraction-free Bareiss elimination on integers serves rank,
-kernels and linear solving: the rank is its pivot count, and null-space
-bases and solutions come from its echelon form by integer back-substitution,
-equal entry for entry to those of the reduced row-echelon form.  Floating
-point is never used anywhere in this package.
+`DenseMatrix` holds Python ints only, and its `scale` by a Fraction is an
+exact quotient.  One fraction-free Bareiss elimination on integers serves
+rank, kernels and linear solving: the rank is its pivot count, and null
+vectors and solutions come from its echelon form by integer
+back-substitution.  A kernel basis is the reduced row-echelon basis times
+the least positive factor that makes it integral, so it is ints only; a
+solution is the reduced row-echelon one, with a Fraction where an entry is
+not integral.  Floating point is never used anywhere in this package.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -39,21 +40,11 @@ def _exact(x: int | Fraction) -> int | Fraction:
 Vector = tuple  # tuple of scalars: int when integral, Fraction otherwise
 
 
-def clear_denominators(values: Sequence) -> list[int]:
-    """`values` times the lcm of their denominators, as ints: a nonzero
-    factor that changes no rank and no zero of a homogeneous form."""
-    if all(type(x) is int for x in values):
-        return list(values)
-    exact = [_exact(x) for x in values]
-    d = lcm(*(x.denominator for x in exact if x))
-    return [x.numerator * (d // x.denominator) for x in exact]
-
-
 def _check_ints(values: Iterable) -> None:
     """TypeError unless each of `values` is an int: not a bool, a float or a
     Fraction, not even an integral one."""
     if not {int}.issuperset(map(type, values)):
-        raise TypeError("a DenseMatrix holds and multiplies ints only")
+        raise TypeError("expected ints only, not a bool, a float or a Fraction")
 
 
 @dataclass(frozen=True)
@@ -68,6 +59,8 @@ class DenseMatrix:
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
             raise DimensionMismatch("matrix dimensions must be positive")
+        if type(self.entries) is not tuple or any(type(r) is not tuple for r in self.entries):
+            raise TypeError("a DenseMatrix holds a tuple of row tuples")
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise DimensionMismatch("entry grid does not match declared shape")
         _check_ints(chain.from_iterable(self.entries))
@@ -200,28 +193,26 @@ def _divided(v: Sequence[int], d: int) -> Vector:
     return tuple(x // d if x % d == 0 else Fraction(x, d) for x in v)
 
 
-def integer_kernel(m: DenseMatrix) -> tuple[list[list[int]], int]:
-    """The `kernel_basis` of `m`, each vector times d, and d: integer null
-    vectors from one Bareiss elimination, for callers that only need the
-    kernel up to scale."""
-    echelon, pivots = _bareiss(m.entries, m.cols)
-    vectors = [_null_vector(echelon, pivots, m.cols, c) for c in range(m.cols) if c not in pivots]
-    return vectors, _last_pivot(echelon, pivots)
-
-
 def rank(m: DenseMatrix) -> int:
     """Rank of `m`: the pivot count of its Bareiss echelon form."""
     return len(_bareiss(m.entries, m.cols)[1])
 
 
-def kernel_basis(m: DenseMatrix) -> tuple[Vector, ...]:
-    """An exact basis of the right null space of `m`: for each non-pivot
+def kernel_basis(m: DenseMatrix) -> tuple[tuple[int, ...], ...]:
+    """An integer basis of the right null space of `m`: for each non-pivot
     column, the null vector that is 1 there and 0 at the other non-pivot
-    columns.  Returns ``cols - rank(m)`` vectors v with ``m v = 0``, their
-    entries ints where integral and Fractions otherwise.
+    columns (the reduced row-echelon basis), all times the least positive
+    L that makes every one integral.  Each vector reads L at its own
+    non-pivot column.  Returns ``cols - rank(m)`` vectors v with
+    ``m v = 0``; L is 1 when the reduced basis is integral.
     """
-    vectors, d = integer_kernel(m)
-    return tuple(_divided(v, d) for v in vectors)
+    echelon, pivots = _bareiss(m.entries, m.cols)
+    vectors = [_null_vector(echelon, pivots, m.cols, c) for c in range(m.cols) if c not in pivots]
+    # The vectors are d times the reduced basis, so L = |d| / g.
+    d = _last_pivot(echelon, pivots)
+    g = gcd(d, *chain.from_iterable(vectors))
+    g = g if d > 0 else -g
+    return tuple(tuple(x // g for x in v) for v in vectors)
 
 
 def solve_linear(m: DenseMatrix, b: Sequence[int]) -> Vector | None:

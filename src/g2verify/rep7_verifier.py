@@ -23,14 +23,15 @@ The linear side's quadratic forms are written once, as sparse integer
 monomial terms (`_form_terms`, the only cached record of them, built
 from B, rho and the symplectic doubling): <x, x> on C^7, and on C^14 = (z, z')
 the ten conormal polynomials (<z', z'> and the nine z^T f z') and the ten
-moment polynomials x^T omega A x.  The conormal and moment predicates
-evaluate them on integer vectors (`clear_denominators`), the conormal
-fiber's rows are read off the bilinear terms, the check that both sets
-span one space takes its coefficient rows from the same table, and so
-does the F_p oracle's quadric.  The sampled points are integral from the
-draw on: coordinates drawn as (numerator, denominator) pairs are cleared
-by their lcm, the cone's chart is solved by scaling instead of dividing,
-and a conormal pair's z combines the fiber's integer null vectors.
+moment polynomials x^T omega A x.  The quadric, conormal and moment
+predicates evaluate them on integer vectors and refuse any other, the
+conormal fiber is the integer `kernel_basis` of rows read off the
+bilinear terms, the check that both sets span one space takes its
+coefficient rows from the same table, and so does the F_p oracle's
+quadric.  Every point is integral from the draw on: coordinates drawn as
+(numerator, denominator) pairs are cleared by their lcm (`cleared`), the
+cone's chart is solved by scaling instead of dividing, and a conormal
+pair's z combines the fiber's basis vectors with cleared coefficients.
 
 The linear side counts Borel orbits on the quadric cone two ways: over
 characteristic zero via T-fixed isotropic lines with pairwise-distinct
@@ -54,8 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from . import g2_algebra as g2
-from .exact_linalg import DenseMatrix, DimensionMismatch, _exact, kernel_basis
-from .exact_linalg import clear_denominators, integer_kernel, rank
+from .exact_linalg import DenseMatrix, DimensionMismatch, _check_ints, kernel_basis, rank
 from .g2_algebra import BASIS_NAMES, BASIS_WEIGHTS, DIM
 from .sampling import SmallRationalSampler, cleared
 
@@ -160,9 +160,9 @@ def invariant_form() -> DenseMatrix:
     the other eleven matrices as their brackets, and invariance under X
     and Y implies it under [X, Y]; verify_invariant_form tests all 14.
     The solution space must be one line (NoSolutionError if it is zero,
-    AmbiguousSolutionError if larger), spanned by an integer null vector v,
-    and B = -2 v / v_pivot is normalized by <v, v~> = -2, an exact integer
-    quotient.  The result pairs
+    AmbiguousSolutionError if larger), spanned by an integer null vector v
+    of any scale, and B = -2 v / v_pivot is normalized by <v, v~> = -2, an
+    exact integer quotient.  The result pairs
     opposite weight lines (<v,v~> = <w,w~> = <t,t~> = -2, <u,u> = 4, all
     other basis pairings zero) and is proportional to the inverse of the
     q coefficient matrix.
@@ -180,7 +180,7 @@ def invariant_form() -> DenseMatrix:
                     coeffs[_sym_index(r, k)] += m.entry(k, c)
                 if any(coeffs):
                     rows.append(coeffs)
-    kern, _ = integer_kernel(DenseMatrix.from_rows(rows))
+    kern = kernel_basis(DenseMatrix.from_rows(rows))
     if len(kern) != 1:
         error = AmbiguousSolutionError if kern else NoSolutionError
         raise error(f"invariant-form solution space has dimension {len(kern)}")
@@ -192,10 +192,11 @@ def invariant_form() -> DenseMatrix:
     return DenseMatrix.from_rows(entries).scale(Fraction(-2, pivot))
 
 
-def quadric_value(x: Sequence) -> int | Fraction:
-    """The quadratic form <x, x> whose isotropic locus is the cone Q."""
-    x = [_exact(c) for c in _checked(x, REP_DIM)]
-    return _exact(sum(c * x[i] * x[j] for i, j, c in _form_terms().quadric))
+def quadric_value(x: Sequence[int]) -> int:
+    """The quadratic form <x, x> whose isotropic locus is the cone Q, at an
+    integer x."""
+    x = _checked(x, REP_DIM)
+    return sum(c * x[i] * x[j] for i, j, c in _form_terms().quadric)
 
 
 def _sparse_matrix(entries: dict) -> DenseMatrix:
@@ -213,8 +214,6 @@ def _f1_matrix() -> DenseMatrix:
 def _f3_matrix() -> DenseMatrix:
     # f3: t~ -> w, w~ -> -t, v~ -> -u, u -> -2 v.
     return _sparse_matrix({(_W, _TT): 1, (_T, _WT): -1, (_U, _VT): -1, (_V, _U): -2})
-
-
 
 
 def _commutator(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -259,7 +258,9 @@ def _constraint_stack(c: Sequence) -> tuple:
 
 
 def _solve_f2_coefficients() -> tuple:
-    """Solve the affine constraint system for the four f2 coefficients."""
+    """Solve the affine constraint system for the four f2 coefficients: its
+    null vector (c, 1) up to scale, divided by its last entry as an exact
+    quotient (ArithmeticError otherwise, as in `DenseMatrix.scale`)."""
     zero = (0, 0, 0, 0)
     base = _constraint_stack(zero)
     columns = []
@@ -273,7 +274,10 @@ def _solve_f2_coefficients() -> tuple:
         raise NoSolutionError("representation constraint system is inconsistent")
     if len(null) > 1:
         raise AmbiguousSolutionError("representation constraint system is underdetermined")
-    solution = null[0][:-1]
+    *v, last = null[0]
+    if any(x % last for x in v):
+        raise ArithmeticError("the f2 coefficients are not integers")
+    solution = tuple(x // last for x in v)
     if any(_constraint_stack(solution)):
         raise NoSolutionError("solved coefficients fail the constraint system")
     return solution
@@ -471,10 +475,12 @@ def _form_terms() -> _FormTerms:
     return _FormTerms(quadric=quadric, conormal=conormal, moment=moment)
 
 
-def _checked(x: Sequence, n: int) -> Sequence:
-    """`x` itself, once its length is n; DimensionMismatch otherwise."""
+def _checked(x: Sequence[int], n: int) -> Sequence[int]:
+    """`x` itself, once its length is n and each entry an int;
+    DimensionMismatch or TypeError otherwise."""
     if len(x) != n:
         raise DimensionMismatch(f"vector has length {len(x)}, expected {n}")
+    _check_ints(x)
     return x
 
 
@@ -500,29 +506,25 @@ def _form_span_ranks() -> tuple[int, ...]:
     return tuple(rank(DenseMatrix.from_rows(r)) for r in (rows[:k], rows[k:], rows))
 
 
-def conormal_conditions(zprime: Sequence, z: Sequence) -> bool:
-    """The three exact conormal conditions: (i) <z', z'> = 0, (ii) <z, z'> = 0,
-    (iii) <A z, z'> = <z, A z'>, i.e. z^T K_A z' = 0, for every g2-Borel
-    generator A.  Each is homogeneous in z and in z' apart, so the table's
-    conormal forms are evaluated on z, z' cleared of denominators."""
+def conormal_conditions(zprime: Sequence[int], z: Sequence[int]) -> bool:
+    """The three exact conormal conditions at integer z', z: (i) <z', z'> = 0,
+    (ii) <z, z'> = 0, (iii) <A z, z'> = <z, A z'>, i.e. z^T K_A z' = 0, for
+    every g2-Borel generator A, read off the table's conormal forms."""
     # (ii) never decides alone on a sampled point: on the cone (iii) implied
     # it, and off the cone (i) fails.  It stays because the conormal ideal
     # needs it: without it the conormal forms span 9 dimensions, not the
     # moment forms' 10, and `_form_span_ranks` tells them apart.
-    z, zprime = (clear_denominators(_checked(v, REP_DIM)) for v in (z, zprime))
-    return _vanish(_form_terms().conormal, z + zprime)
+    return _vanish(_form_terms().conormal, [*_checked(z, REP_DIM), *_checked(zprime, REP_DIM)])
 
 
-def moment_zero_check(point: Sequence) -> bool:
+def moment_zero_check(point: Sequence[int]) -> bool:
     """H_A(point) = omega(point, A point)/2 = 0 for all ten Borel generators,
-    tested on the point cleared of denominators (H_A is quadratic)."""
-    return _vanish(_form_terms().moment, clear_denominators(_checked(point, 2 * REP_DIM)))
+    at an integer point."""
+    return _vanish(_form_terms().moment, _checked(point, 2 * REP_DIM))
 
 
-def orbit_dimension(x: Sequence) -> int:
-    """Rank of the g2-Borel tangent map A -> rho(A) x at the point x.  The
-    map is linear in x, so x is cleared of denominators first."""
-    x = clear_denominators(x)
+def orbit_dimension(x: Sequence[int]) -> int:
+    """Rank of the g2-Borel tangent map A -> rho(A) x at the integer point x."""
     rows = [m.mul_vec(x) for m in map(build_rep7().matrix, BOREL_G2_NAMES)]
     return rank(DenseMatrix.from_rows(rows))
 
@@ -577,12 +579,6 @@ def check_oracle_prime(p: int) -> None:
         raise BadPrimeError(f"oracle intermediates overflow int32 at p = {p}")
 
 
-def _matrix_mod_p(m: DenseMatrix, p: int) -> np.ndarray:
-    """Reduce an integer matrix mod p.  A DenseMatrix holds ints only, so no
-    Fraction reaches numpy, which would truncate it, not invert it."""
-    return np.array(m.entries, dtype=np.int64) % p
-
-
 def _primitive_root(p: int) -> int:
     """The least generator of the multiplicative group of F_p."""
     return next(g for g in range(2, p) if len({pow(g, k, p) for k in range(p)}) == p - 1)
@@ -597,7 +593,7 @@ def _unipotent_generators(p: int) -> list[np.ndarray]:
     eye = np.eye(REP_DIM, dtype=np.int64)
     gens = []
     for name in BOREL_G2_NAMES[2:]:
-        n_mat = _matrix_mod_p(rep.matrix(name), p)
+        n_mat = np.array(rep.matrix(name).entries, dtype=np.int64) % p
         n2 = n_mat @ n_mat % p
         if np.any(n2 @ n_mat % p):
             raise ValueError(f"rho({name}) is not nilpotent of order <= 3")
@@ -778,22 +774,21 @@ def _fiber_rows(zprime: Sequence[int]) -> list[list[int]]:
     return rows
 
 
-def conormal_fiber_basis(zprime: Sequence) -> tuple:
-    """Basis of the space of z satisfying conditions (ii) and (iii) at z':
-    the reduced kernel of `_fiber_rows`.  Scaling z' scales every row alike
-    and leaves the reduced kernel as it is, so z' is cleared first."""
-    zprime = clear_denominators(_checked(zprime, REP_DIM))
-    return kernel_basis(DenseMatrix.from_rows(_fiber_rows(zprime)))
+def conormal_fiber_basis(zprime: Sequence[int]) -> tuple:
+    """Integer basis of the space of z satisfying conditions (ii) and (iii)
+    at an integer z': the `kernel_basis` of `_fiber_rows`, which scaling z'
+    leaves as it is."""
+    return kernel_basis(DenseMatrix.from_rows(_fiber_rows(_checked(zprime, REP_DIM))))
 
 
 def sample_conormal_pair(
     sampler: SmallRationalSampler, chart: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """An integer pair (z', z) satisfying all three conormal conditions by
-    construction: z combines the fiber's integer null vectors (the reduced
-    basis times the last Bareiss pivot) with drawn coefficients, cleared."""
+    construction: z combines the `conormal_fiber_basis` vectors with drawn
+    coefficients, cleared."""
     zprime = sample_isotropic_vector(sampler, chart)
-    vectors, _ = integer_kernel(DenseMatrix.from_rows(_fiber_rows(zprime)))
+    vectors = conormal_fiber_basis(zprime)
     coeffs = cleared([sampler.ratio() for _ in vectors])
     z = tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(REP_DIM))
     return zprime, z

@@ -274,7 +274,7 @@ def _run_relevant_total(count: sv.RelevantOrbitCount) -> tuple[str, dict | None]
 
 
 def _run_omega_prime_at_e() -> tuple[str, dict | None]:
-    r = sv.omega_prime_rank((0,) * 6)  # e is the slice point with zero coordinates
+    r = sv.omega_prime_rank((1, 0, 0, 0, 0, 0, 0))  # e: w_0 = 1, zero slice coordinates
     return ("not antisymmetric" if r is None else str(r)), None
 
 
@@ -356,7 +356,7 @@ def _run_conormal_equivalence(config: Config) -> tuple[str, dict | None]:
 
 
 def _scaling_invariant_samples(config: Config) -> int:
-    # orbit_dimension clears its point of denominators, so this compares the
+    # x and lam x are drawn as ratios and cleared, so this compares the
     # ranks of two nonzero multiples of one integer vector under a tangent
     # map linear in the point: they agree for any rho, so no fault in the
     # data reaches it.  It stays because deleting it would change the
@@ -364,10 +364,12 @@ def _scaling_invariant_samples(config: Config) -> int:
     sampler = SmallRationalSampler(_check_seed(config, 13))
     good = 0
     for _ in range(config.rank_samples):
-        x = [sampler.fraction() for _ in range(7)]
-        lam = sampler.nonzero_fraction()
-        scaled = [lam * c for c in x]
-        if rep7.orbit_dimension(scaled) == rep7.orbit_dimension(x):
+        x = [sampler.ratio() for _ in range(7)]
+        n, d = sampler.ratio()
+        while not n:  # lam = n/d != 0
+            n, d = sampler.ratio()
+        scaled = cleared([(n * a, d * b) for a, b in x])
+        if rep7.orbit_dimension(scaled) == rep7.orbit_dimension(cleared(x)):
             good += 1
     return good
 

@@ -3,8 +3,9 @@
 All pseudo-random data in the package flows through this module, seeded
 explicitly, so that reports and tests are bit-for-bit reproducible.
 Sampled rationals have numerator and denominator of height at most 10.
-A draw is also available as its (numerator, denominator) pair, and
-`cleared` turns a list of pairs into integers in the same proportions.
+The package takes each draw as its (numerator, denominator) pair, and
+`cleared` turns a list of pairs into integers in the same proportions,
+so no sampled point holds a Fraction.
 """
 
 from __future__ import annotations
@@ -28,12 +29,6 @@ class SmallRationalSampler:
 
     def fraction(self) -> Fraction:
         return Fraction(*self.ratio())
-
-    def nonzero_fraction(self) -> Fraction:
-        while True:
-            x = self.fraction()
-            if x:
-                return x
 
 
 def cleared(ratios: Sequence[tuple[int, int]]) -> list[int]:

@@ -22,8 +22,11 @@ involve non-basis elements.  Every question about basis vectors reads the
 cached tables of `g2_algebra`: the levels are the diagonal of ad H, a
 bracket of basis vectors lies in a span of basis vectors when its support
 in the structure-constant table does, and psi([b_i, b_j]) is the sum of
-t * psi(b_k) over the table entry (`_psi_bracket`).  A point of the slice
-E + ker ad F is its coordinate tuple over ker ad F; E is the zero tuple.
+t * psi(b_k) over the table entry (`_psi_bracket`).  The kernels (ker ad F,
+P and the m_l-perp basis) are integer `kernel_basis` bases, read as they
+are.  A point E + sum (w_j / w_0) k_j of the slice E + ker ad F is given
+by its integer homogeneous coordinates (w_0, w_1, ..., w_6), w_0 != 0;
+E is (1, 0, ..., 0).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from operator import mul
 from typing import Sequence
 
 from . import g2_algebra as g2
-from .exact_linalg import DenseMatrix, DimensionMismatch, clear_denominators, kernel_basis, rank
+from .exact_linalg import DenseMatrix, DimensionMismatch, kernel_basis, rank
 from .g2_algebra import (
     BASIS,
     BASIS_NAMES,
@@ -54,7 +57,7 @@ from .root_weyl import (
     all_polarizations,
     generate_weyl,
 )
-from .sampling import SmallRationalSampler
+from .sampling import SmallRationalSampler, cleared
 
 
 class StructureMismatchError(AssertionError):
@@ -176,7 +179,7 @@ def _omega_pieces(kappa_ker: Sequence) -> tuple:
 def _slice_data(levels, ker_ad_f, kappa_ker, pieces) -> SliceData:
     """SliceData with the pieces of omega' reduced by P, an integer basis of ker K^T."""
     k_t = DenseMatrix.from_rows(kappa_ker).transpose()
-    p = DenseMatrix.from_rows([clear_denominators(v) for v in kernel_basis(k_t)])
+    p = DenseMatrix.from_rows(kernel_basis(k_t))
     return SliceData(
         levels, ker_ad_f, kappa_ker, pieces,
         all(row == tuple(-x for x in col) for a in pieces for row, col in zip(a, zip(*a))),
@@ -284,10 +287,9 @@ def verify_ml_formula() -> bool:
 
     The 4 + 6 spanning vectors have rank 10, so the sum is direct; adding
     the 10 perp basis vectors keeps the rank at 10, so the sum is m_l-perp.
-    The kernel vectors are cleared of denominators, which changes no rank.
     """
-    kernel_span = [clear_denominators(v) for v in build_slice_data().ker_ad_f]
-    perp = [clear_denominators(v) for v in _m_l_perp_basis()]
+    kernel_span = list(build_slice_data().ker_ad_f)
+    perp = list(_m_l_perp_basis())
     ad_e = ad_matrix(E)
     sum_rows = [ad_e.column(i) for i in N_L] + kernel_span  # [e, n_l] + ker ad_f
     return (
@@ -388,34 +390,41 @@ def count_relevant_orbits() -> RelevantOrbitCount:
     return RelevantOrbitCount(base, comp, base + comp, tuple(records))
 
 
-def omega_prime_rank(coords: Sequence) -> int | None:
+def omega_prime_rank(point: Sequence[int]) -> int | None:
     """Rank of the 20x20 Gram of the two-form
 
         omega'((u1, v1), (u2, v2)) =
             -killing(x, [u1, u2]) - killing(u1, v2) + killing(u2, v1)
 
     on (algebra directions) + (slice directions) at the slice point
-    x = e1 + sum c_j k_j, c = `coords`; None if a piece is not antisymmetric.
-    The Gram is [[A, -K], [K^T, 0]] with A = A_0 + sum c_j A_j and
-    K = `kappa_ker`, and its rank is 2 rank K + rank(P^T A P) for any square
-    A, P spanning ker K^T: complete P to an invertible Q = [P R] and transform
-    by diag(Q, I); once K's dependent columns are dropped, S = R^T K is
-    invertible and clears P^T A R, R^T A R and R^T A P.  Scaling c by the
-    lcm d of its denominators keeps the rank: P^T A P times d is the
-    integer d B_0 + sum (d c_j) B_j.  DimensionMismatch unless len(c) = 6.
+    x = e1 + sum c_j k_j, given by integer homogeneous coordinates
+    `point` = (w_0, w_1, ..., w_6) with c_j = w_j / w_0; None if a piece is
+    not antisymmetric.  The Gram is [[A, -K], [K^T, 0]] with
+    A = A_0 + sum c_j A_j and K = `kappa_ker`, and its rank is
+    2 rank K + rank(P^T A P) for any square A, P spanning ker K^T: complete
+    P to an invertible Q = [P R] and transform by diag(Q, I); once K's
+    dependent columns are dropped, S = R^T K is invertible and clears
+    P^T A R, R^T A R and R^T A P.  w_0 times P^T A P is the integer block
+    sum w_j B_j, of the same rank.  DimensionMismatch unless len(point) = 7,
+    ValueError if w_0 = 0.
     """
     data = build_slice_data()
-    if len(coords) != len(data.ker_ad_f):
-        raise DimensionMismatch(f"{len(coords)} slice coordinates, expected 6")
+    if len(point) != 1 + len(data.ker_ad_f):
+        raise DimensionMismatch(f"{len(point)} homogeneous slice coordinates, expected 7")
+    if not point[0]:
+        raise ValueError("w_0 = 0 is not a slice point")
     if not data.omega_antisymmetric:
         return None
-    w = clear_denominators((1, *coords))
-    block = [[sum(map(mul, w, xs)) for xs in zip(*rows)] for rows in zip(*data.omega_blocks)]
+    block = [[sum(map(mul, point, xs)) for xs in zip(*rows)] for rows in zip(*data.omega_blocks)]
     return 2 * data.kappa_rank + rank(DenseMatrix.from_rows(block))
 
 
-def omega_prime_sample_points(seed: int, count: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Seeded rational slice points, as coordinates over the ker ad_f basis."""
+def omega_prime_sample_points(seed: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """Seeded slice points as integer homogeneous coordinates (w_0, ..., w_6),
+    w_0 > 0: rational coordinates c over the ker ad_f basis, drawn as
+    (numerator, denominator) pairs, and (1, c) cleared."""
     sampler = SmallRationalSampler(seed)
     dim = len(build_slice_data().ker_ad_f)
-    return tuple(tuple(sampler.fraction() for _ in range(dim)) for _ in range(count))
+    return tuple(
+        tuple(cleared([(1, 1), *(sampler.ratio() for _ in range(dim))])) for _ in range(count)
+    )

@@ -1,11 +1,27 @@
-"""Shared fault injections and references."""
+"""Shared fault injections, references and conversions."""
+
+from fractions import Fraction
 
 import pytest
 
 from g2verify import g2_algebra as g2
 from g2verify import slice_verifier as sv
-from g2verify.exact_linalg import DenseMatrix, clear_denominators
+from g2verify.exact_linalg import DenseMatrix
 from g2verify.g2_algebra import BASIS, DIM, G2Element, bracket, killing
+from g2verify.sampling import cleared
+
+
+def clear(values) -> list[int]:
+    """The rationals `values` times the lcm of their reduced denominators:
+    integers in the same proportions, the form every point and row takes
+    in the package."""
+    return cleared([(x.numerator, x.denominator) for x in map(Fraction, values)])
+
+
+def slice_coords(point) -> tuple:
+    """The rational slice coordinates c_j = w_j / w_0 of the homogeneous
+    point (w_0, ..., w_6) that `omega_prime_rank` takes."""
+    return tuple(Fraction(w, point[0]) for w in point[1:])
 
 
 def with_entry(m: DenseMatrix, i: int, j: int, value) -> DenseMatrix:
@@ -61,7 +77,7 @@ def _reference_omega_prime_gram(coeffs) -> DenseMatrix:
     denominators: an integer matrix with the Gram's rank, antisymmetric
     exactly when the Gram is, since one factor scales the whole grid."""
     rows = _reference_omega_prime_rows(coeffs)
-    flat = clear_denominators([x for row in rows for x in row])
+    flat = clear([x for row in rows for x in row])
     n = len(rows)
     return DenseMatrix.from_rows([flat[i : i + n] for i in range(0, n * n, n)])
 

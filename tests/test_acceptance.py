@@ -16,6 +16,8 @@ from g2verify import slice_verifier as sv
 from g2verify.report_cli import Config, emit, run_suite
 from g2verify.sampling import SmallRationalSampler
 
+from conftest import clear
+
 #: `verify --format json` with every option at its default.
 GOLDEN_DEFAULT_REPORT = Path(__file__).parent / "data" / "default_report.json"
 
@@ -43,11 +45,9 @@ def test_1_slice_side_count_is_six_plus_one() -> None:
 def test_2_linear_side_count_is_seven() -> None:
     lines = rep7.tfixed_isotropic_lines()
     assert len(lines) == 6
-    dims = [rep7.orbit_dimension(
-        tuple(Fraction(1) if k == i else Fraction(0) for k in range(7))
-    ) for i in lines]
+    dims = [rep7.orbit_dimension(tuple(int(k == i) for k in range(7))) for i in lines]
     assert len(set(dims)) == 6
-    origin = tuple(Fraction(0) for _ in range(7))
+    origin = (0,) * 7
     assert rep7.orbit_dimension(origin) == 0
     for p in (3, 5, 7):
         rep7.count_orbits_mod_p.cache_clear()
@@ -106,7 +106,7 @@ def test_6_symplectic_identifications() -> None:
     sv.build_slice_data()  # built before the clock starts
     with Stopwatch() as sw:
         assert rep7.phi_symplectomorphism_check()
-        assert sv.omega_prime_rank((0,) * 6) == 20  # None if not antisymmetric
+        assert sv.omega_prime_rank((1, 0, 0, 0, 0, 0, 0)) == 20  # None if not antisymmetric
         for coeffs in sv.omega_prime_sample_points(seed=42, count=10):
             assert sv.omega_prime_rank(coeffs) == 20
     assert sw.elapsed < 2.0
@@ -126,9 +126,9 @@ def test_7_conormal_moment_equivalence_on_samples() -> None:
             discrepancies += 1
         samples += 1
     for _ in range(100):
-        zprime = tuple(sampler.fraction() for _ in range(7))
-        z = tuple(sampler.fraction() for _ in range(7))
-        point = tuple(z) + tuple(zprime)
+        zprime = clear([sampler.fraction() for _ in range(7)])
+        z = clear([sampler.fraction() for _ in range(7)])
+        point = z + zprime
         if rep7.conormal_conditions(zprime, z) != rep7.moment_zero_check(point):
             discrepancies += 1
         samples += 1

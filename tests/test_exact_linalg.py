@@ -5,17 +5,22 @@ membership, solve correctness) that every later verification step leans
 on; small frozen cases guard the edge behavior and the error paths.  The
 fraction-free Bareiss `rank`, `kernel_basis` and `solve_linear` are checked
 against the earlier rational reduced row-echelon elimination, kept here as
-the reference: same rank, and the same basis vectors and solutions, value
-for value and int or `Fraction` entry for entry.
+the reference: same rank; the same solutions, value for value and int or
+`Fraction` entry for entry; and the same basis vectors times one least
+positive factor that makes them all integral.
 
 A `DenseMatrix` holds ints only, so the strategies draw rational rows,
 the references reduce those rows, and the package receives them cleared
 of denominators (`_integer`, `_integer_system`): a nonzero factor per
 row, or per augmented row [row | b] of a system, changes no rank, no
-kernel and no solution.
+kernel and no solution.  The strategies draw a shape first and then one
+flat list of (numerator, denominator) pairs, which Hypothesis generates
+far faster than nested lists of fractions.
 """
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +29,6 @@ from g2verify.exact_linalg import (
     DenseMatrix,
     DimensionMismatch,
     _exact,
-    clear_denominators,
-    integer_kernel,
     kernel_basis,
     rank,
     solve_linear,
@@ -40,13 +43,29 @@ from g2verify.rep7_verifier import (
     moment_zero_check,
     quadric_value,
 )
+from g2verify.sampling import cleared
 
-small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+from conftest import clear
 
 #: A pair (n, d) stands for n/6 rounded down to a multiple of 1/d, which
-#: reaches every fraction in [-5, 5] with denominator at most 6, the values
-#: of `small_fractions`, with two integer draws and no nested strategy.
+#: reaches every fraction in [-5, 5] with denominator at most 6 with two
+#: integer draws and no nested strategy.
 small_pairs = st.tuples(st.integers(-30, 30), st.integers(1, 6))
+
+
+def _small(pair: tuple[int, int]) -> Fraction:
+    n, d = pair
+    return Fraction(n * d // 6, d)
+
+
+def small_vectors(n: int):
+    """n small fractions, drawn as one flat list of pairs."""
+    return st.lists(small_pairs, min_size=n, max_size=n).map(lambda p: list(map(_small, p)))
+
+
+def _grid(values: list, nrows: int, ncols: int) -> list[list]:
+    """The flat `values` as `nrows` rows of `ncols`."""
+    return [values[i * ncols : (i + 1) * ncols] for i in range(nrows)]
 
 
 @st.composite
@@ -55,19 +74,18 @@ def qq_matrices(draw, max_dim: int = 5) -> list[list[Fraction]]:
     nrows = draw(st.integers(min_value=1, max_value=max_dim))
     ncols = draw(st.integers(min_value=1, max_value=max_dim))
     pairs = draw(st.lists(small_pairs, min_size=nrows * ncols, max_size=nrows * ncols))
-    values = [Fraction(n * d // 6, d) for n, d in pairs]
-    return [values[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+    return _grid(list(map(_small, pairs)), nrows, ncols)
 
 
 def _integer(rows) -> DenseMatrix:
     """The matrix of the rational `rows`, each cleared of denominators."""
-    return DenseMatrix.from_rows([clear_denominators(row) for row in rows])
+    return DenseMatrix.from_rows([clear(row) for row in rows])
 
 
 def _integer_system(rows, b) -> tuple[DenseMatrix, list[int]]:
     """The system rows x = b with each augmented row [row | b_i] cleared of
     denominators as a whole, as a matrix and an integer right-hand side."""
-    augmented = [clear_denominators([*row, x]) for row, x in zip(rows, b)]
+    augmented = [clear([*row, x]) for row, x in zip(rows, b)]
     return DenseMatrix.from_rows([r[:-1] for r in augmented]), [r[-1] for r in augmented]
 
 
@@ -151,21 +169,23 @@ def _typed(v) -> list | None:
     return None if v is None else [(type(x), x) for x in v]
 
 
-tall_fractions = st.builds(
-    Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)
-)
+#: Tall fractions n/d as (n, d) pairs, with numerator and denominator up to 10^40.
+tall_pairs = st.tuples(st.integers(-(10**40), 10**40), st.integers(1, 10**40))
 
 
 @st.composite
 def rank_test_matrices(draw) -> list[list]:
     """Rational rows, up to 8x8: dense, rank-deficient products, or zero;
-    small or tall entries."""
+    small or tall entries.  The shape first, then one flat list of pairs
+    per factor."""
     nrows = draw(st.integers(min_value=1, max_value=8))
     ncols = draw(st.integers(min_value=1, max_value=8))
-    entries = draw(st.sampled_from([small_fractions, tall_fractions]))
+    pairs, value = draw(
+        st.sampled_from([(small_pairs, _small), (tall_pairs, lambda p: Fraction(*p))])
+    )
 
     def grid(r: int, c: int) -> list[list]:
-        return draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+        return _grid(list(map(value, draw(st.lists(pairs, min_size=r * c, max_size=r * c)))), r, c)
 
     kind = draw(st.sampled_from(["dense", "product", "zero"]))
     if kind == "zero":
@@ -189,19 +209,25 @@ def test_bareiss_rank_matches_reference_rank(rows) -> None:
 def test_bareiss_kernel_and_solution_match_reference_rref(rows, data) -> None:
     m = _integer(rows)
     kern, reference = kernel_basis(m), _reference_kernel_basis(rows)
-    assert list(map(_typed, kern)) == list(map(_typed, reference))
-    # The integer kernel is the same basis before its division by d.
-    vectors, d = integer_kernel(m)
-    assert type(d) is int and d != 0
-    assert all(type(x) is int for v in vectors for x in v)
-    assert [[Fraction(x, d) for x in v] for v in vectors] == [list(v) for v in reference]
+    _, pivots = _echelon([list(row) for row in rows], m.cols)
+    free = [c for c in range(m.cols) if c not in pivots]
+    assert len(kern) == len(reference) == len(free)
+    assert all(type(x) is int for v in kern for x in v)
+    # The kernel is the RREF basis times one factor L, read at the free
+    # columns: equal and positive across the vectors, and least, so that
+    # no common divisor of L and the entries is left.
+    if kern:
+        (factor,) = {v[c] for v, c in zip(kern, free)}
+        assert factor > 0
+        assert kern == tuple(tuple(factor * x for x in v) for v in reference)
+        assert gcd(factor, *chain.from_iterable(kern)) == 1
     # A right-hand side in the image, or drawn freely (mostly inconsistent
     # when m is rank-deficient, so the None branch is exercised too).
     if data.draw(st.booleans()):
-        x = data.draw(st.lists(small_fractions, min_size=m.cols, max_size=m.cols))
+        x = data.draw(small_vectors(m.cols))
         b = _apply(rows, x)
     else:
-        b = data.draw(st.lists(small_fractions, min_size=m.rows, max_size=m.rows))
+        b = data.draw(small_vectors(m.rows))
     solution = solve_linear(*_integer_system(rows, b))
     assert _typed(solution) == _typed(_reference_solve_linear(rows, b))
 
@@ -232,16 +258,15 @@ def test_rank_edge_cases(rows, expected) -> None:
     assert rank(_integer(rows)) == _reference_rank(rows) == expected
 
 
-def test_clear_denominators_returns_ints() -> None:
-    values = [Fraction(1, 6), 0, Fraction(-3, 4), 5]
-    scaled = clear_denominators(values)
+def test_cleared_returns_ints() -> None:
+    # 1/6, 0, -3/4, 5 drawn as pairs: times lcm(6, 1, 4, 1) = 12.
+    scaled = cleared([(1, 6), (0, 1), (-3, 4), (5, 1)])
     assert scaled == [2, 0, -9, 60]
     assert all(type(x) is int for x in scaled)
-    assert clear_denominators([0, Fraction(0)]) == [0, 0]
-    assert all(type(x) is int for x in clear_denominators([Fraction(0), 0]))
-    for bad in (0.0, 0.5, True):
-        with pytest.raises(TypeError):
-            clear_denominators([1, bad])
+    # Unreduced pairs scale by the lcm of the denominators as drawn, zeros'
+    # included: 2/4 and 0/6 times 12.
+    assert cleared([(2, 4), (0, 6)]) == [6, 0]
+    assert cleared([(0, 3)]) == [0]
 
 
 @given(qq_matrices())
@@ -264,9 +289,7 @@ def test_kernel_vectors_annihilate_and_are_independent(rows) -> None:
 @given(qq_matrices(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_solve_recovers_consistent_systems(rows, data) -> None:
-    x = data.draw(
-        st.lists(small_fractions, min_size=len(rows[0]), max_size=len(rows[0]))
-    )
+    x = data.draw(small_vectors(len(rows[0])))
     b = _apply(rows, x)
     sol = solve_linear(*_integer_system(rows, b))
     assert sol is not None
@@ -293,21 +316,20 @@ def test_product_transpose_law(a_rows, b_rows) -> None:
     assert lhs.entries == rhs.entries
 
 
-sparse_fractions = st.one_of(st.just(0), small_fractions)
+#: A small pair or, about half the time, the pair (0, 1) of a zero entry.
+sparse_pairs = st.one_of(st.just((0, 1)), small_pairs)
 
 
 @st.composite
 def sparse_matrix_pairs(draw) -> tuple[DenseMatrix, DenseMatrix, list[int]]:
     """a (n x k), b (k x m) and a k-vector, with about half their entries 0,
-    drawn rational and each row (and the vector) cleared of denominators."""
+    drawn rational and each row (and the vector) cleared of denominators:
+    the shape first, then one flat list of pairs for all three."""
     n, k, m = (draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
-
-    def grid(r: int, c: int) -> DenseMatrix:
-        row = st.lists(sparse_fractions, min_size=c, max_size=c)
-        return _integer(draw(st.lists(row, min_size=r, max_size=r)))
-
-    v = draw(st.lists(sparse_fractions, min_size=k, max_size=k))
-    return grid(n, k), grid(k, m), clear_denominators(v)
+    size = n * k + k * m + k
+    values = list(map(_small, draw(st.lists(sparse_pairs, min_size=size, max_size=size))))
+    a, b, v = values[: n * k], values[n * k : -k], values[-k:]
+    return _integer(_grid(a, n, k)), _integer(_grid(b, k, m)), clear(v)
 
 
 @given(sparse_matrix_pairs())
@@ -415,15 +437,18 @@ def test_integral_entries_are_stored_as_ints() -> None:
     assert all(all_int(ad_matrix(b)) for b in BASIS)
     assert all(type(e) is int for row in killing_gram() for e in row)
     assert type(G2Element((Fraction(4, 2),) + (0,) * 13).coords[0]) is int
-    # An exact quotient lands on ints, and a kernel vector holds a Fraction
-    # only where its reduced row-echelon entry is not integral.
+    # An exact quotient lands on ints, and a kernel vector is the reduced
+    # row-echelon one where that is integral, and its least integral
+    # multiple where it is not: (-1/2, 1) becomes (-1, 2).
     even = DenseMatrix.from_rows([[2, -6], [0, 4]])
     assert even.scale(Fraction(1, 2)).entries == ((1, -3), (0, 2))
     assert all_int(even.scale(Fraction(-3, 2))) and all_int(even.scale(Fraction(4, 2)))
     (v,) = kernel_basis(_integer([[Fraction(1, 2), Fraction(1, 2)]]))
     assert v == (-1, 1) and all(type(e) is int for e in v)
     (w,) = kernel_basis(DenseMatrix.from_rows([[2, 1]]))
-    assert w == (Fraction(-1, 2), 1) and [type(e) for e in w] == [Fraction, int]
+    assert w == (-1, 2) and all(type(e) is int for e in w)
+    # One factor serves all vectors: (-1/2, 1, 0) and (-3/2, 0, 1), times 2.
+    assert kernel_basis(DenseMatrix.from_rows([[2, 1, 3]])) == ((-1, 2, 0), (-3, 0, 2))
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4, 2), 1.0, True])
@@ -437,6 +462,12 @@ def test_matrices_refuse_every_entry_but_an_int(bad) -> None:
         DenseMatrix.identity(2).mul_vec([1, bad])
     with pytest.raises(TypeError):
         solve_linear(DenseMatrix.identity(2), [1, bad])
+    # The rows must be tuples: a list row would compare unequal to the same
+    # ints in a tuple, and make the matrix unhashable.
+    with pytest.raises(TypeError):
+        DenseMatrix(1, 2, ([1, 2],))
+    with pytest.raises(TypeError):
+        DenseMatrix(1, 2, [(1, 2)])
 
 
 def test_scale_is_an_exact_quotient() -> None:

@@ -7,7 +7,8 @@ Arithmetic is exact: no float literal and no `float(...)` call appears
 in the package, so that no stray inexact value can enter the integer
 and rational code.  Integral entries are stored as ints, and `/` on two
 ints is a float, so every true division has a direct `Fraction(...)` call
-as one operand; floor division `//` is exact on ints and exempt.
+as one operand; floor division `//` is exact on ints and exempt.  The
+engine is integral, and only a fixed list of functions builds a Fraction.
 
 The package may import only itself, the standard library and the
 dependencies declared in pyproject.toml: a module that is merely
@@ -92,6 +93,53 @@ def test_every_division_has_a_fraction_operand() -> None:
             if not any(map(is_fraction_call, operands)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _fraction_builders(tree: ast.AST, prefix: str) -> set[str]:
+    """The qualified names of the functions in `tree` that call `Fraction`
+    directly; a call outside any function is named by `prefix` alone."""
+    found = set()
+
+    def visit(node: ast.AST, name: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and "Fraction" in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None),
+            ):
+                found.add(name)
+            visit(child, name)
+
+    visit(tree, prefix)
+    return found
+
+
+def test_only_the_listed_functions_build_a_fraction() -> None:
+    # Every matrix, kernel and sampled point is integral.  A Fraction is
+    # built only for an exact quotient (rho's brackets over 2 and 3, B's
+    # normalisation, a solution's entries, the Killing norms), for the
+    # report's rational constants, by the sampler's `fraction` draw and by
+    # `_exact`, the normaliser of G2Element's rational coordinates.  A new
+    # builder must join this list on purpose.
+    found = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        found |= _fraction_builders(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == {
+        "exact_linalg._exact",
+        "exact_linalg._divided",
+        "g2_algebra.killing_dual_norm",
+        "rep7_verifier.invariant_form",
+        "rep7_verifier.build_rep7",
+        "report_cli._run_linalg_selftest",
+        "report_cli._run_cartan_norms",
+        "sampling.SmallRationalSampler.fraction",
+    }
+    # The walk itself finds a call in a method, a nested function and a module.
+    probe = "class C:\n    def f(self):\n        def g():\n            return Fraction(1)\n"
+    probe += "X = Fraction(2)\n"
+    assert _fraction_builders(ast.parse(probe), "m") == {"m.C.f.g", "m"}
 
 
 def test_package_imports_only_declared_dependencies() -> None:

@@ -12,7 +12,9 @@ root vector.  The integer conormal, moment and fiber computations, read
 from one table of monomial terms, are checked against their earlier
 `Fraction` formulations through the tests' own bilinear form x^T m y,
 kept here as references, and the table against the matrices it is
-written from.
+written from.  The package takes integer points only, so a rational
+point drawn here reaches it cleared (`clear`), while the references
+read it as drawn.
 """
 
 import dataclasses
@@ -55,21 +57,29 @@ from g2verify.rep7_verifier import (
 )
 from g2verify.sampling import SmallRationalSampler
 
-from conftest import with_entry
+from conftest import clear, with_entry
 
 
 def unit(i: int) -> tuple:
-    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(REP_DIM))
+    return tuple(int(k == i) for k in range(REP_DIM))
 
 
 def _bilinear(m: DenseMatrix, x, y):
     """x^T m y, summed entry by entry: the tests' own reference, which
     shares no code with the package's evaluators."""
     assert (len(x), len(y)) == (m.rows, m.cols)
-    return sum(x[i] * m.entry(i, j) * y[j] for i in range(m.rows) for j in range(m.cols))
+    return sum(x[i] * e * y[j] for i, row in enumerate(m.entries) for j, e in enumerate(row) if e)
 
 
-ZERO = tuple(Fraction(0) for _ in range(REP_DIM))
+ZERO = (0,) * REP_DIM
+
+
+def _nonzero_fraction(sampler: SmallRationalSampler) -> Fraction:
+    """The next nonzero draw, redrawn while the numerator is 0."""
+    while True:
+        x = sampler.fraction()
+        if x:
+            return x
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +104,18 @@ def test_f2_coefficients_frozen(rep) -> None:
         Fraction(-1),
         Fraction(-2),
     )
+    assert all(type(c) is int for c in rep.f2_coefficients)
+
+
+def test_f2_null_vector_is_divided_by_its_last_entry_exactly(monkeypatch) -> None:
+    # The null vector (c, 1) of [M | base] may come at any scale: 2 (c, 1)
+    # still solves to c, and a last entry that does not divide the rest
+    # raises instead of rounding.
+    monkeypatch.setattr(rep7, "kernel_basis", lambda m: ((2, -2, -2, -4, 2),))
+    assert rep7._solve_f2_coefficients() == (1, -1, -1, -2)
+    monkeypatch.setattr(rep7, "kernel_basis", lambda m: ((1, -1, -1, -2, 2),))
+    with pytest.raises(ArithmeticError):
+        rep7._solve_f2_coefficients()
 
 
 def test_seed_matrix_entries(rep) -> None:
@@ -190,7 +212,7 @@ def test_quadratic_invariant_polynomial() -> None:
     c = quadric_element()
     sampler = SmallRationalSampler(5)
     for _ in range(20):
-        x = [sampler.fraction() for _ in range(REP_DIM)]
+        x = clear([sampler.fraction() for _ in range(REP_DIM)])
         v, w, tt, vt, wt, t, u = x
         q = u * u - 4 * v * vt - 4 * w * wt - 4 * t * tt
         xcx = sum(x[i] * c.entry(i, j) * x[j] for i in range(REP_DIM) for j in range(REP_DIM))
@@ -273,9 +295,9 @@ def test_conormal_sampler_produces_members() -> None:
 def test_moment_map_matches_conormal_on_random_pairs() -> None:
     sampler = SmallRationalSampler(9)
     for _ in range(25):
-        zprime = tuple(sampler.fraction() for _ in range(REP_DIM))
-        z = tuple(sampler.fraction() for _ in range(REP_DIM))
-        point = tuple(z) + tuple(zprime)
+        zprime = clear([sampler.fraction() for _ in range(REP_DIM)])
+        z = clear([sampler.fraction() for _ in range(REP_DIM)])
+        point = z + zprime
         assert conormal_conditions(zprime, z) == moment_zero_check(point)
 
 
@@ -311,10 +333,11 @@ def _reference_fiber_basis(zprime) -> tuple:
 
 
 def _assert_predicates_match_reference(zprime, z) -> bool:
+    # The references read the point as drawn, the package cleared.
     point = tuple(z) + tuple(zprime)
-    conormal = conormal_conditions(zprime, z)
+    conormal = conormal_conditions(clear(zprime), clear(z))
     assert conormal == _reference_conormal_conditions(zprime, z)
-    assert moment_zero_check(point) == _reference_moment_zero_check(point)
+    assert moment_zero_check(clear(z) + clear(zprime)) == _reference_moment_zero_check(point)
     return conormal
 
 
@@ -394,19 +417,19 @@ def _reference_isotropic_vector(sampler, chart) -> tuple:
     # as Fractions, and the isotropic coordinate solved by a division.
     solve_for, pivot = ((3, 0), (4, 1), (2, 5))[chart % 3]
     x = [sampler.fraction() for _ in range(REP_DIM)]
-    x[pivot] = sampler.nonzero_fraction()
+    x[pivot] = _nonzero_fraction(sampler)
     x[solve_for] = 0
-    residual = quadric_value(x)
+    residual = _bilinear(invariant_form(), x, x)
     x[solve_for] = Fraction(-residual) / (2 * invariant_form().entry(pivot, solve_for) * x[pivot])
     return tuple(x)
 
 
 def _reference_conormal_pair(sampler, chart) -> tuple[tuple, tuple]:
-    # The rational pair: the reduced fiber basis (pinned to the reference
-    # fiber by its own test) combined with Fraction draws.
+    # The rational pair: the fiber basis (pinned to the reference fiber by
+    # its own test) at z' cleared, combined with Fraction draws.
     zprime = _reference_isotropic_vector(sampler, chart)
     z = [0] * REP_DIM
-    for basis_vec in conormal_fiber_basis(zprime):
+    for basis_vec in conormal_fiber_basis(clear(zprime)):
         c = sampler.fraction()
         z = [a + c * b for a, b in zip(z, basis_vec)]
     return zprime, tuple(z)
@@ -469,8 +492,8 @@ def test_orbit_dimension_scale_invariant() -> None:
     sampler = SmallRationalSampler(29)
     for _ in range(10):
         x = [sampler.fraction() for _ in range(REP_DIM)]
-        lam = sampler.nonzero_fraction()
-        assert orbit_dimension([lam * c for c in x]) == orbit_dimension(x)
+        lam = _nonzero_fraction(sampler)
+        assert orbit_dimension(clear([lam * c for c in x])) == orbit_dimension(clear(x))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -554,15 +577,6 @@ def test_unipotent_generator_powers_are_all_multiples(p: int) -> None:
         for c in range(1, p):
             power = power @ gen % p
             assert np.array_equal(power, _exp_mod_p(n, c, p)), (name, c)
-
-
-def test_matrix_mod_p_takes_integers_only() -> None:
-    # numpy would truncate Fraction(1, 2) to 0 instead of inverting the 2;
-    # no DenseMatrix holds one, so none reaches the reduction.
-    with pytest.raises(TypeError):
-        DenseMatrix.from_rows([[Fraction(1, 2), 3], [-1, 0]])
-    reduced = rep7._matrix_mod_p(DenseMatrix.from_rows([[7, -1], [0, 2]]), 5)
-    assert reduced.tolist() == [[2, 4], [0, 2]]
 
 
 def test_torus_generators_refuse_a_non_diagonal_cartan_action(monkeypatch) -> None:

@@ -607,25 +607,32 @@ def test_conormal_equivalence_makes_no_mul_vec_call(monkeypatch) -> None:
     assert calls == []
 
 
-def test_conormal_equivalence_draws_no_fraction_and_makes_no_kernel_basis_call(
+def test_conormal_equivalence_draws_no_fraction_and_one_kernel_per_fiber(
     monkeypatch,
 ) -> None:
     # Every point is drawn as (numerator, denominator) pairs and cleared to
-    # integers, and the sampled fibers come from integer null vectors: no
-    # Fraction is drawn and no reduced kernel is built.  The cached B, rho
-    # and term table are built first: solving B and f2 takes kernels.
-    def refused(name):
-        def call(*args):
-            raise AssertionError(f"{name} called")
+    # integers, and each sampled fiber is one integer kernel_basis of its
+    # 9 x 7 rows: no Fraction is drawn, and no other kernel is built.  The
+    # cached B, rho and term table are built first: solving B and f2 takes
+    # kernels.
+    def refused(*args):
+        raise AssertionError("fraction called")
 
-        return call
+    shapes = []
+    true_kernel_basis = exact_linalg.kernel_basis
+
+    def recorded(m):
+        kernel = true_kernel_basis(m)
+        shapes.append((m.rows, m.cols, all(type(x) is int for v in kernel for x in v)))
+        return kernel
 
     rep7._form_terms()
-    monkeypatch.setattr(SmallRationalSampler, "fraction", refused("fraction"))
-    monkeypatch.setattr(exact_linalg, "kernel_basis", refused("kernel_basis"))
-    monkeypatch.setattr(rep7, "kernel_basis", refused("kernel_basis"))
+    monkeypatch.setattr(SmallRationalSampler, "fraction", refused)
+    monkeypatch.setattr(exact_linalg, "kernel_basis", recorded)
+    monkeypatch.setattr(rep7, "kernel_basis", recorded)
     actual, _ = report_cli._run_conormal_equivalence(Config())
     assert actual == "200/200 agree"
+    assert shapes == [(9, 7, True)] * Config().conormal_samples
 
 
 def test_omega_prime_samples_run_eight_by_eight_eliminations(monkeypatch) -> None:

@@ -20,6 +20,7 @@ from g2verify import slice_verifier as sv
 from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, rank
 from g2verify.g2_algebra import BASIS_WEIGHTS, DIM, G2Element, bracket
 from g2verify.root_weyl import ALPHA, GAMMA, Root
+from g2verify.sampling import SmallRationalSampler
 from g2verify.slice_verifier import (
     E,
     F,
@@ -35,6 +36,8 @@ from g2verify.slice_verifier import (
     verify_ml_formula,
     verify_psi_conditions,
 )
+
+from conftest import slice_coords
 
 f1 = G2Element.basis(3)
 
@@ -133,13 +136,13 @@ def test_opposite_cell_sizes() -> None:
     assert sizes == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
 
 
-E_COORDS = (0,) * 6  # e is the slice point with zero coordinates
+E_POINT = (1, 0, 0, 0, 0, 0, 0)  # e: w_0 = 1 and zero slice coordinates
 
 
 def test_omega_prime_at_base_point(data, reference_omega_prime_gram) -> None:
     assert data.omega_antisymmetric
-    assert omega_prime_rank(E_COORDS) == 20
-    gram = reference_omega_prime_gram(E_COORDS)
+    assert omega_prime_rank(E_POINT) == 20
+    gram = reference_omega_prime_gram(slice_coords(E_POINT))
     assert gram.rows == gram.cols == 20
     assert (gram + gram.transpose()).is_zero()
     assert rank(gram) == 20
@@ -148,10 +151,15 @@ def test_omega_prime_at_base_point(data, reference_omega_prime_gram) -> None:
 def test_omega_prime_at_seeded_points(reference_omega_prime_gram) -> None:
     points = omega_prime_sample_points(seed=42, count=10)
     assert len(points) == 10
-    for coeffs in points:
-        assert len(coeffs) == 6
-        assert omega_prime_rank(coeffs) == 20
-        gram = reference_omega_prime_gram(coeffs)
+    # Each point is (1, c) times a positive factor, c the six draws of the
+    # rational stream of the same seed.
+    reference = SmallRationalSampler(42)
+    for point in points:
+        assert len(point) == 7 and point[0] > 0
+        assert all(type(w) is int for w in point)
+        assert slice_coords(point) == tuple(reference.fraction() for _ in range(6))
+        assert omega_prime_rank(point) == 20
+        gram = reference_omega_prime_gram(slice_coords(point))
         assert (gram + gram.transpose()).is_zero()
         assert rank(gram) == 20
 
@@ -167,8 +175,9 @@ def _affine_block(data, coeffs) -> list:
 def test_omega_prime_gram_matches_reference(
     data, reference_omega_prime_rows, reference_omega_prime_gram
 ) -> None:
-    points = [E_COORDS] + list(omega_prime_sample_points(seed=3, count=20))
-    for coeffs in points:
+    points = [E_POINT] + list(omega_prime_sample_points(seed=3, count=20))
+    for point in points:
+        coeffs = slice_coords(point)
         rows = reference_omega_prime_rows(coeffs)
         block = _affine_block(data, coeffs)
         for i in range(DIM):
@@ -176,7 +185,7 @@ def test_omega_prime_gram_matches_reference(
             assert rows[i][DIM:] == [-x for x in data.kappa_ker[i]]
             assert [row[i] for row in rows[DIM:]] == list(data.kappa_ker[i])
         assert not any(any(rows[i][DIM:]) for i in range(DIM, DIM + 6))
-        assert omega_prime_rank(coeffs) == rank(reference_omega_prime_gram(coeffs)) == 20
+        assert omega_prime_rank(point) == rank(reference_omega_prime_gram(coeffs)) == 20
 
 
 def test_omega_prime_sampling_is_seed_deterministic() -> None:
@@ -188,10 +197,15 @@ def test_omega_prime_sampling_is_seed_deterministic() -> None:
 
 
 def test_omega_prime_gram_takes_six_slice_coordinates() -> None:
-    for length in (0, 5, 7, 14):
+    # Six slice coordinates c, as the integer homogeneous point (w_0, w_0 c).
+    for length in (0, 6, 8, 14):
         with pytest.raises(DimensionMismatch):
             omega_prime_rank((1,) * length)
-    assert omega_prime_rank((Fraction(3, 2), 0, 0, 0, 0, 0)) == 20
+    assert omega_prime_rank((2, 3, 0, 0, 0, 0, 0)) == 20  # c = (3/2, 0, ..., 0)
+    with pytest.raises(ValueError):
+        omega_prime_rank((0, 1, 0, 0, 0, 0, 0))
+    with pytest.raises(TypeError):
+        omega_prime_rank((1, Fraction(3, 2), 0, 0, 0, 0, 0))
 
 
 def test_omega_prime_reduction_is_stored_once(data) -> None:

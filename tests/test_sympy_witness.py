@@ -4,19 +4,21 @@ sympy is installed in the development environment but is no dependency
 of the package, so this module is skipped where it is missing.  Its
 `Matrix.nullspace` and `Matrix.rank` share no code with the package's
 Bareiss elimination: the null spaces of the conormal fiber systems drawn
-by a default run, and the ranks of the Killing Gram and of the omega'
-Gram at e (built entry by entry, and reduced by `omega_prime_rank`),
-must agree with it.  sympy's `RootSystem('G2')` witnesses the
+by a default run (sympy's reduced basis, which `kernel_basis` scales by
+one least factor to integers), and the ranks of the Killing Gram and of
+the omega' Gram at e (built entry by entry, and reduced by
+`omega_prime_rank`), must agree with it.  sympy's `RootSystem('G2')` witnesses the
 root system: its root count and Cartan matrix must match `root_weyl`.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from g2verify import report_cli
 from g2verify import slice_verifier as sv
-from g2verify.exact_linalg import DenseMatrix, clear_denominators, kernel_basis
+from g2verify.exact_linalg import DenseMatrix, kernel_basis
 from g2verify.g2_algebra import killing_gram
 from g2verify.rep7_verifier import (
     BOREL_G2_NAMES,
@@ -51,9 +53,11 @@ def test_nullspace_matches_kernel_basis_on_default_conormal_fibers() -> None:
     forms = [b] + [m.transpose() @ b - b @ m for m in map(build_rep7().matrix, BOREL_G2_NAMES)]
     for k in range(config.conormal_samples):
         zprime, _ = sample_conormal_pair(sampler, k)
-        scaled = clear_denominators(zprime)
-        m = DenseMatrix.from_rows([f.mul_vec(scaled) for f in forms])
-        expected = tuple(map(_as_fractions, _sympy_matrix(m).nullspace()))
+        m = DenseMatrix.from_rows([f.mul_vec(zprime) for f in forms])
+        reduced = tuple(map(_as_fractions, _sympy_matrix(m).nullspace()))
+        # The least positive factor that makes every reduced vector integral.
+        factor = lcm(*(x.denominator for v in reduced for x in v))
+        expected = tuple(tuple(factor * x for x in v) for v in reduced)
         assert kernel_basis(m) == expected
         assert conormal_fiber_basis(zprime) == expected
 
@@ -64,7 +68,7 @@ def test_killing_gram_has_sympy_rank_14() -> None:
 
 def test_omega_prime_gram_at_e_has_sympy_rank_20(reference_omega_prime_gram) -> None:
     gram = reference_omega_prime_gram((0,) * 6)
-    assert _sympy_matrix(gram).rank() == sv.omega_prime_rank((0,) * 6) == 20
+    assert _sympy_matrix(gram).rank() == sv.omega_prime_rank((1, 0, 0, 0, 0, 0, 0)) == 20
 
 
 def test_root_system_g2_matches_root_weyl() -> None:
