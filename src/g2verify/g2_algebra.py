@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import Sequence
 
 from .exact_linalg import DenseMatrix, _exact, solve_linear
 
@@ -262,16 +261,6 @@ def killing(x: G2Element, y: G2Element) -> int | Fraction:
                 if b:
                     total += a * row[j] * b
     return total
-
-
-def root_vector(w: Sequence[int]) -> G2Element:
-    """The basis root vector of nonzero weight `w`."""
-    target = (w[0], w[1])
-    if target == (0, 0):
-        raise ValueError("weight zero is not a root")
-    if target not in BASIS_WEIGHTS:
-        raise ValueError(f"{target} is not a root of g2")
-    return BASIS[BASIS_WEIGHTS.index(target)]
 
 
 def verify_antisymmetry() -> int:

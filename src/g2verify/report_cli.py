@@ -176,7 +176,7 @@ def _run_linalg_selftest() -> tuple[str, dict | None]:
     if len(kern) != 1 or kern[0][0] + 2 * kern[0][1] != 0:
         return "kernel failure", None
     sol = solve_linear(DenseMatrix.from_rows([[1, 1], [0, 1]]), [3, 2])
-    if sol != (Fraction(1), Fraction(2)):
+    if sol != (1, 2):
         return "solve failure", None
     return "ok", None
 

@@ -1,21 +1,21 @@
 """Slice-side verification: sl2-triple, grading, nilpotent subalgebras,
 the character psi, structural lemmas, and the relevant-orbit count.
 
-The distinguished nilpotent is E = e1 (a short root vector).  With
-F = -f1 and H = 3*E11 - Id = 2*h_a + h_b, the triple (E, F, H) satisfies
-the sl2 relations, and ad H grades g2 with dimension vector
-(2, 1, 2, 4, 2, 1, 2) over levels -3..3.  The isotropic line L = <e2>
-inside g_(-1) gives rise to the chain of nilpotent subalgebras
-N_L = <E21, E31, f1, e2> inside U5 = N_L + <E23> inside U6 = U5 + <f3>,
-with S = <E23, E22 - E33> acting on N_L and T_PRIME = <E22 - E33> a torus
-line; these constants hold basis indices, and R_U5 the torus weights of U5.
-The character psi = killing(E, .) restricted to these subalgebras drives
-the relevancy count: 6 relevant base orbits plus 1 relevant complementary
-orbit, 7 in total.  `build_slice_data` verifies all of this and returns
-the computed pieces: the ad-H level of each basis vector, ker ad F, the
-Killing pairing of the basis with ker ad F, and the affine pieces of omega'
-with their 8 x 8 reductions.  Every verifier below calls it first, so a failed
-identity raises from each.
+Only the sl2-triple and the line l are typed: E = e1 (a short root
+vector), F = -f1 and H = 3*E11 - Id = 2*h_a + h_b satisfy the sl2
+relations, and l = <e2> is an isotropic line of g_(-1).  The rest is
+derived: ad H grades g2 with dimension vector (2, 1, 2, 4, 2, 1, 2) over
+levels -3..3, and the levels, l, psi = killing(E, .) and gamma give the
+nilpotent n_l = l + g_(-2) + g_(-3) = <e2, f1, E21, E31> inside u5 =
+n_l + [s, s] = n_l + <E23> inside u6 = u5 + g_gamma = u5 + <f3>, where
+s = <E23, h_b> stabilises l and psi on n_l in g_0 and t' = <h_b> is its
+zero-weight part.  psi on these drives the relevancy count: 6 relevant
+base orbits plus 1 relevant complementary orbit, 7 in total.
+`build_slice_data` verifies all of this once and returns the computed
+pieces: the ad-H level of each basis vector, ker ad F, the Killing pairing
+of the basis with ker ad F, the affine pieces of omega' with their 8 x 8
+reductions, and the subspaces as basis indices.  Every verifier below
+calls it first, so a failed identity raises from each.
 
 Only the sl2 relations and the point [x, y + E] of `verify_lemma_incl`
 involve non-basis elements.  Every question about basis vectors reads the
@@ -31,7 +31,7 @@ E is (1, 0, ..., 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from operator import mul
@@ -68,26 +68,14 @@ class InconsistentCriteriaError(AssertionError):
     """The two independent base-relevancy criteria disagreed."""
 
 
-def _indices(*names: str) -> tuple[int, ...]:
-    return tuple(BASIS_NAMES.index(n) for n in names)
-
-
 #: The sl2-triple (e, f, h) = (e1, -f1, 2*h_a + h_b); e is the basis vector b_0.
 E = g2.e1
 F = -g2.f1
 H = g2.h_a.scale(2) + g2.h_b
 _E = BASIS.index(E)
 
-#: Basis indices of the slice-side subspaces.
-L = _indices("e2")
-N_L = _indices("E21", "E31", "f1", "e2")  # m_l = n_l on this slice
-U5 = N_L + _indices("E23")
-U6 = U5 + _indices("f3")
-S = _indices("E23", "h_b")
-T_PRIME = _indices("h_b")
-
-#: Torus weights of u5: the five roots whose vectors span u5, sorted.
-R_U5: tuple[Root, ...] = tuple(sorted(Root(*BASIS_WEIGHTS[i]) for i in U5))
+#: The isotropic line l = <e2> of g_(-1), as basis indices.
+L = (BASIS_NAMES.index("e2"),)
 
 
 def psi(x: G2Element) -> int | Fraction:
@@ -97,7 +85,7 @@ def psi(x: G2Element) -> int | Fraction:
 
 @dataclass(frozen=True)
 class SliceData:
-    """What `build_slice_data` computes rather than fixes."""
+    """What `build_slice_data` computes rather than fixes; subspaces are basis indices."""
 
     levels: tuple[int, ...]  # the ad-h eigenvalue of each basis vector
     ker_ad_f: tuple  # tuple of 14-coordinate kernel vectors
@@ -107,6 +95,11 @@ class SliceData:
     kappa_rank: int  # r = rank K, K = kappa_ker
     omega_kernel: tuple  # P: integer rows spanning ker K^T
     omega_blocks: tuple  # the 8x8 reduced blocks B_j = P^T A_j P
+    n_l: tuple[int, ...] = ()  # l + g_(-2) + g_(-3), which is m_l on this slice
+    s: tuple[int, ...] = ()  # the stabiliser of l and of psi on n_l in g_0
+    t_prime: tuple[int, ...] = ()  # the zero-weight part of s
+    u5: tuple[int, ...] = ()  # n_l + [s, s]
+    u6: tuple[int, ...] = ()  # u5 + g_gamma
 
     def dims(self) -> tuple[int, ...]:
         """Dimensions of the ad-h eigenspaces, by increasing level."""
@@ -140,9 +133,7 @@ def _check_brackets_in(a: Sequence[int], b: Sequence[int], what: str) -> None:
     for i in a:
         for j in b:
             if any(k not in b for k, _ in c[i][j]):
-                raise StructureMismatchError(
-                    f"{what} at ({BASIS_NAMES[i]}, {BASIS_NAMES[j]})"
-                )
+                raise StructureMismatchError(f"{what} at ({BASIS_NAMES[i]}, {BASIS_NAMES[j]})")
 
 
 def _check_nilpotent_span(indices: Sequence[int], name: str) -> None:
@@ -188,10 +179,28 @@ def _slice_data(levels, ker_ad_f, kappa_ker, pieces) -> SliceData:
     )
 
 
+def _subspaces(levels: Sequence[int]) -> dict:
+    """n_l, s, t', u5 and u6 as basis indices, read off l, the grading `levels`, psi and gamma."""
+    c = g2._bracket_table()
+    n_l = tuple(i for i, lv in enumerate(levels) if i in L or lv < -1)  # l + g_(-2) + g_(-3)
+    # s = {x in g_0 : [x, l] in l, psi([x, n_l]) = 0}, one kernel over g_0's coordinates.
+    g0 = [j for j, lv in enumerate(levels) if lv == 0]
+    rows = [[dict(c[j][i]).get(k, 0) for j in g0] for i in L for k in range(DIM) if k not in L]
+    rows += [[_psi_bracket(j, i) for j in g0] for i in n_l]
+    kernel = kernel_basis(DenseMatrix.from_rows(rows))
+    if any(sum(map(bool, v)) != 1 for v in kernel):
+        raise StructureMismatchError("s is not spanned by basis vectors")
+    s = tuple(j for j, *column in zip(g0, *kernel) if any(column))
+    u5 = n_l + tuple(sorted({k for i in s for j in s for k, _ in c[i][j]} - set(n_l)))
+    gamma = tuple(i for i, w in enumerate(BASIS_WEIGHTS) if w == GAMMA.coords)
+    t_prime = tuple(i for i in s if BASIS_WEIGHTS[i] == (0, 0))
+    return dict(n_l=n_l, s=s, t_prime=t_prime, u5=u5, u6=u5 + gamma)
+
+
 @cache
 def build_slice_data() -> SliceData:
     """Verify the sl2-triple, grading, subalgebras and l; return the grading
-    levels, ker ad f and the pieces of omega'.
+    levels, ker ad f, the pieces of omega' and the derived subspaces.
 
     Raises StructureMismatchError naming the first failing identity.
     """
@@ -214,22 +223,24 @@ def build_slice_data() -> SliceData:
     kappa_ker = tuple(tuple(sum(map(mul, row, k)) for k in ker_ad_f) for row in gram)
     data = _slice_data(levels, ker_ad_f, kappa_ker, _omega_pieces(kappa_ker))
     if data.dims() != (2, 1, 2, 4, 2, 1, 2):
-        raise StructureMismatchError(
-            f"grading dimensions {data.dims()} != (2, 1, 2, 4, 2, 1, 2)"
-        )
+        raise StructureMismatchError(f"grading dimensions {data.dims()} != (2, 1, 2, 4, 2, 1, 2)")
     if len(data.ker_ad_f) != 6:
         raise StructureMismatchError(f"dim ker ad_f = {len(data.ker_ad_f)} != 6")
 
+    data = replace(data, **_subspaces(levels))
+
     # Subalgebra closure, [s, n_l] inside n_l, and nilpotency.
     for name, a, b in (
-        ("n_l is not bracket-closed", N_L, N_L),
-        ("u5 is not bracket-closed", U5, U5),
-        ("u6 is not bracket-closed", U6, U6),
-        ("s is not bracket-closed", S, S),
-        ("[s, n_l] escapes n_l", S, N_L),
+        ("n_l is not bracket-closed", data.n_l, data.n_l),
+        ("u5 is not bracket-closed", data.u5, data.u5),
+        ("u6 is not bracket-closed", data.u6, data.u6),
+        # s is the whole stabiliser of l and psi|n_l in g_0, a subalgebra that keeps
+        # each level once Jacobi holds, so these two cannot fail; they state the lemma.
+        ("s is not bracket-closed", data.s, data.s),
+        ("[s, n_l] escapes n_l", data.s, data.n_l),
     ):
         _check_brackets_in(a, b, name)
-    _check_nilpotent_span(N_L, "n_l")
+    _check_nilpotent_span(data.n_l, "n_l")
 
     # l sits in g_(-1) and is isotropic for omega_{-1}.
     if any(levels[i] != -1 for i in L):
@@ -247,11 +258,12 @@ def verify_psi_conditions() -> bool:
     and the third certifies the invariant extension to the semidirect
     product at the Lie level.
     """
-    build_slice_data()
-    ext = T_PRIME + U5
+    data = build_slice_data()
+    ext = data.t_prime + data.u5
+    # s is derived from psi([s, n_l]) = 0, so the second family cannot fail; it states the lemma.
     return not any(
         _psi_bracket(i, j)
-        for family_a, family_b in ((N_L, N_L), (S, N_L), (ext, ext))
+        for family_a, family_b in ((data.n_l, data.n_l), (data.s, data.n_l), (ext, ext))
         for i in family_a
         for j in family_b
     )
@@ -264,14 +276,14 @@ def verify_lemma_incl() -> bool:
     x in n_l, y in ker ad_f together with y = 0, and z in m_l = n_l.
     """
     data = build_slice_data()
-    if any(any(data.kappa_ker[i]) for i in N_L):
+    if any(any(data.kappa_ker[i]) for i in data.n_l):
         return False
     gram = g2.killing_gram()
-    for i in N_L:
+    for i in data.n_l:
         ad_x = ad_matrix(BASIS[i])
         for y in data.ker_ad_f + (G2Element.zero().coords,):
             img = ad_x.mul_vec((G2Element(y) + E).coords)  # [x, y + e]
-            if any(sum(c * gram[k][z] for k, c in enumerate(img)) for z in N_L):
+            if any(sum(c * gram[k][z] for k, c in enumerate(img)) for z in data.n_l):
                 return False
     return True
 
@@ -279,7 +291,7 @@ def verify_lemma_incl() -> bool:
 def _m_l_perp_basis() -> tuple:
     """Basis of the Killing-orthogonal complement of m_l = n_l."""
     gram = g2.killing_gram()
-    return kernel_basis(DenseMatrix.from_rows([gram[i] for i in N_L]))
+    return kernel_basis(DenseMatrix.from_rows([gram[i] for i in build_slice_data().n_l]))
 
 
 def verify_ml_formula() -> bool:
@@ -288,10 +300,10 @@ def verify_ml_formula() -> bool:
     The 4 + 6 spanning vectors have rank 10, so the sum is direct; adding
     the 10 perp basis vectors keeps the rank at 10, so the sum is m_l-perp.
     """
-    kernel_span = list(build_slice_data().ker_ad_f)
+    data = build_slice_data()
     perp = list(_m_l_perp_basis())
     ad_e = ad_matrix(E)
-    sum_rows = [ad_e.column(i) for i in N_L] + kernel_span  # [e, n_l] + ker ad_f
+    sum_rows = [ad_e.column(i) for i in data.n_l] + list(data.ker_ad_f)  # [e, n_l] + ker ad_f
     return (
         len(perp) == len(sum_rows) == 10
         and rank(DenseMatrix.from_rows(sum_rows)) == 10
@@ -349,19 +361,18 @@ def count_relevant_orbits() -> RelevantOrbitCount:
     """Count relevant base and complementary orbits over the 12 Weyl elements.
 
     For each w: S_w = w(base positive system); the opposite-cell weights
-    are R(U5) intersected with S_w.  A base orbit is relevant iff psi
-    vanishes on that span, which is also computed combinatorially as
-    -alpha not in S_w; the two criteria must agree.  A complementary orbit
+    are the weights of u5's basis vectors in S_w.  A base orbit is relevant
+    iff psi vanishes on their span, which is also computed combinatorially
+    as -alpha not in S_w; the two criteria must agree.  A complementary orbit
     exists iff gamma is not in S_w, and is relevant iff the base orbit is
     and psi kills all higher ad(f3)-corrections coefficient-wise.
     """
-    build_slice_data()
+    u5 = sorted((Root(*BASIS_WEIGHTS[i]), i) for i in build_slice_data().u5)
     neg_alpha = Root(-1, 0)
     records = []
     for w, s_w in zip(generate_weyl(), all_polarizations()):
-        ubar_weights = tuple(r for r in R_U5 if r in s_w)
-        ubar_vectors = [g2.root_vector(r.coords) for r in ubar_weights]
-        psi_vanishes = all(psi(x) == 0 for x in ubar_vectors)
+        ubar = [(r, BASIS[i]) for r, i in u5 if r in s_w]
+        psi_vanishes = all(psi(x) == 0 for _, x in ubar)
         combinatorial = neg_alpha not in s_w
         if psi_vanishes != combinatorial:
             raise InconsistentCriteriaError(
@@ -373,13 +384,13 @@ def count_relevant_orbits() -> RelevantOrbitCount:
         complementary_relevant = (
             complementary_exists
             and base_relevant
-            and all(_psi_ad_powers_vanish(x.coords) for x in ubar_vectors)
+            and all(_psi_ad_powers_vanish(x.coords) for _, x in ubar)
         )
         records.append(
             RelevancyRecord(
                 w=w,
                 s_w=s_w,
-                ubar_weights=ubar_weights,
+                ubar_weights=tuple(r for r, _ in ubar),
                 base_relevant=base_relevant,
                 complementary_exists=complementary_exists,
                 complementary_relevant=complementary_relevant,

@@ -28,7 +28,6 @@ from g2verify.g2_algebra import (
     killing,
     killing_dual_norm,
     killing_gram,
-    root_vector,
     verify_antisymmetry,
     verify_jacobi,
     verify_killing_invariance,
@@ -207,12 +206,3 @@ def test_ad_matrix_matches_bracket(x, y) -> None:
     # their denominators, the integer matrix ad(d x) takes e y to d e [x, y].
     d, e = (lcm(*(Fraction(c).denominator for c in v.coords)) for v in (x, y))
     assert ad_matrix(x.scale(d)).mul_vec(y.scale(e).coords) == bracket(x, y).scale(d * e).coords
-
-
-def test_root_vector_lookup() -> None:
-    assert root_vector((1, 0)) == e1
-    assert root_vector((-1, 0)) == f1
-    with pytest.raises(ValueError):
-        root_vector((0, 0))
-    with pytest.raises(ValueError):
-        root_vector((5, 5))

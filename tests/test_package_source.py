@@ -132,7 +132,6 @@ def test_only_the_listed_functions_build_a_fraction() -> None:
         "g2_algebra.killing_dual_norm",
         "rep7_verifier.invariant_form",
         "rep7_verifier.build_rep7",
-        "report_cli._run_linalg_selftest",
         "report_cli._run_cartan_norms",
         "sampling.SmallRationalSampler.fraction",
     }
@@ -140,6 +139,20 @@ def test_only_the_listed_functions_build_a_fraction() -> None:
     probe = "class C:\n    def f(self):\n        def g():\n            return Fraction(1)\n"
     probe += "X = Fraction(2)\n"
     assert _fraction_builders(ast.parse(probe), "m") == {"m.C.f.g", "m"}
+
+
+def test_slice_side_types_only_the_triple_and_l() -> None:
+    # The sl2-triple and the line l are the slice side's data; n_l, s, t',
+    # u5 and u6 are derived in `build_slice_data`, so no subspace is typed.
+    tree = ast.parse((PACKAGE_DIR / "slice_verifier.py").read_text(encoding="utf-8"))
+    assigned = [
+        node.id
+        for statement in tree.body
+        if isinstance(statement, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    ]
+    assert assigned == ["E", "F", "H", "_E", "L"]
 
 
 def test_package_imports_only_declared_dependencies() -> None:

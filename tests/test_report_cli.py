@@ -23,6 +23,7 @@ from g2verify import exact_linalg
 from g2verify import g2_algebra as g2
 from g2verify import rep7_verifier as rep7
 from g2verify import report_cli
+from g2verify import root_weyl as rw
 from g2verify import slice_verifier as sv
 from g2verify.exact_linalg import DenseMatrix
 from g2verify.report_cli import (
@@ -416,6 +417,9 @@ def test_algebra_suite_computes_each_basis_bracket_once(monkeypatch) -> None:
         # [E21, e2] = 0: an extra e2 term keeps n_l closed, but ad E21
         # then fixes e2, so the lower central series never ends.
         ("E21", "e2", "e2", "n_l is not nilpotent"),
+        # [E23, e2] = 0: an extra e3 term ties E23 to E32 in the conditions
+        # that define s, whose kernel is then not spanned by basis vectors.
+        ("E23", "e2", "e3", "s is not spanned by basis vectors"),
     ],
 )
 def test_perturbed_table_entry_fails_slice_build(monkeypatch, x, y, extra, message) -> None:
@@ -454,6 +458,30 @@ def _slice_checks_with(monkeypatch, name: str, fault) -> dict:
         sv.build_slice_data.cache_clear()
     assert report.summary["failed"] == 1
     return {c.name: c for c in report.checks}
+
+
+@pytest.mark.parametrize("line", [n for n in g2.BASIS_NAMES if n != "e2"])
+def test_every_other_basis_line_as_l_fails_slice_build(monkeypatch, line) -> None:
+    # n_l, s, u5 and u6 are derived from l, so a wrong line reaches their
+    # closure checks.  <e3> is the other isotropic line of g_(-1): it passes
+    # every test of l alone, and u6 = u5 + <f3> is not closed with it.
+    by_name = _slice_checks_with(monkeypatch, "L", lambda _: (g2.BASIS_NAMES.index(line),))
+    build = by_name["slice.build"]
+    assert build.status == "fail"
+    assert build.actual.startswith("error: StructureMismatchError: ")
+    if line == "e3":
+        assert build.actual.endswith("u6 is not bracket-closed at (e3, f3)")
+    others = [c for name, c in by_name.items() if name != "slice.build"]
+    assert len(others) == 11 and all(c.status == "skipped" for c in others)
+
+
+@pytest.mark.parametrize("root", [r for r in rw.enumerate_roots() if r != rw.GAMMA], ids=repr)
+def test_every_other_root_as_gamma_fails_a_slice_check(monkeypatch, root) -> None:
+    # gamma picks u6's last root vector and the complementary orbits, so a
+    # wrong root breaks u6's closure or the complementary count.
+    by_name = _slice_checks_with(monkeypatch, "GAMMA", lambda _: root)
+    (failed,) = [name for name, c in by_name.items() if c.status == "fail"]
+    assert failed in ("slice.build", "slice.count_relevant_orbits.complementary")
 
 
 def test_zeroed_kappa_column_fails_omega_prime_rank(monkeypatch) -> None:

@@ -18,7 +18,7 @@ import pytest
 from g2verify import root_weyl as rw
 from g2verify import slice_verifier as sv
 from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, rank
-from g2verify.g2_algebra import BASIS_WEIGHTS, DIM, G2Element, bracket
+from g2verify.g2_algebra import BASIS_NAMES, BASIS_WEIGHTS, DIM, G2Element, bracket
 from g2verify.root_weyl import ALPHA, GAMMA, Root
 from g2verify.sampling import SmallRationalSampler
 from g2verify.slice_verifier import (
@@ -83,21 +83,34 @@ def test_structural_lemmas() -> None:
     assert omega_minus1_check()
 
 
-def test_subspace_dimensions() -> None:
-    assert len(sv.U5) == 5
-    assert len(sv.U6) == 6
+def test_subspaces_are_derived_into_the_record(data) -> None:
+    # n_l, s, t', u5 and u6 are read off l and the grading into the record.
+    index = {name: i for i, name in enumerate(BASIS_NAMES)}
+    assert set(data.n_l) == {index[n] for n in ("e2", "f1", "E21", "E31")}
+    assert data.s == (index["E23"], index["h_b"])
+    assert data.t_prime == (index["h_b"],)
+    assert data.u5 == data.n_l + (index["E23"],)
+    assert data.u6 == data.u5 + (index["f3"],)
 
 
-def test_u6_weights_are_the_base_positive_system() -> None:
+def test_subspace_dimensions(data) -> None:
+    assert len(data.u5) == 5
+    assert len(data.u6) == 6
+
+
+def test_u6_weights_are_the_base_positive_system(data) -> None:
     # The slice's u6 and the combinatorics suite's base polarization are
-    # written down separately; they must name the same six roots.
-    assert {Root(*BASIS_WEIGHTS[i]) for i in sv.U6} == rw.base_positive_system().roots
+    # reached separately; they must name the same six roots.
+    assert {Root(*BASIS_WEIGHTS[i]) for i in data.u6} == rw.base_positive_system().roots
 
 
-def test_u5_weights_in_record_order() -> None:
-    # The order of R_U5 fixes the order of every record's ubar_weights.
-    expected = ((-3, -1), (-1, 0), (0, 1), (1, 1), (3, 2))
-    assert sv.R_U5 == tuple(Root(*r) for r in expected)
+def test_u5_weights_in_record_order(data) -> None:
+    # The order of u5's sorted weights fixes the order of every record's
+    # ubar_weights.
+    expected = tuple(Root(*r) for r in ((-3, -1), (-1, 0), (0, 1), (1, 1), (3, 2)))
+    assert tuple(sorted(Root(*BASIS_WEIGHTS[i]) for i in data.u5)) == expected
+    records = count_relevant_orbits().records
+    assert max((r.ubar_weights for r in records), key=len) == expected
 
 
 def test_relevant_orbit_count() -> None:
