@@ -1,14 +1,13 @@
-"""Exact scalar arithmetic and small dense linear algebra.
+"""Small dense integer linear algebra.
 
-Scalars are exact rationals, and inexact values are refused.  A
-`DenseMatrix` holds Python ints only, and its `scale` by a Fraction is an
-exact quotient.  One fraction-free Bareiss elimination on integers serves
-rank, kernels and linear solving: the rank is its pivot count, and null
-vectors and solutions come from its echelon form by integer
-back-substitution.  A kernel basis is the reduced row-echelon basis times
-the least positive factor that makes it integral, so it is ints only; a
-solution is the reduced row-echelon one, with a Fraction where an entry is
-not integral.  Floating point is never used anywhere in this package.
+A `DenseMatrix` holds Python ints only, and its `scale` by a Fraction is
+an exact quotient.  One fraction-free Bareiss elimination on integers
+serves `rank` and `kernel_basis`: the rank is its pivot count, and null
+vectors come from its echelon form by integer back-substitution.  A
+kernel basis is the reduced row-echelon basis times the least positive
+factor that makes it integral, so it is ints only.  A linear solve is a
+null vector of the augmented matrix, read by its caller.  Floating point
+is never used anywhere in this package.
 """
 
 from __future__ import annotations
@@ -23,21 +22,6 @@ from typing import Iterable, Sequence
 
 class DimensionMismatch(ValueError):
     """A vector or matrix operand has incompatible dimensions."""
-
-
-def _exact(x: int | Fraction) -> int | Fraction:
-    """`x` as an int when integral, else as a Fraction; TypeError for an
-    inexact scalar (float, bool, ...)."""
-    if type(x) is int:
-        return x
-    if type(x) is Fraction:
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise TypeError(f"not an exact rational: {x!r}")
-    return _exact(Fraction(x))
-
-
-Vector = tuple  # tuple of scalars: int when integral, Fraction otherwise
 
 
 def _check_ints(values: Iterable) -> None:
@@ -166,31 +150,21 @@ def _bareiss(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]]
     return rows[: len(pivots)], pivots
 
 
-def _last_pivot(rows: list[list[int]], pivots: list[int]) -> int:
-    """The last Bareiss pivot d of the echelon `rows` (1 without pivots): the
-    determinant of their minor on the pivot columns."""
-    return rows[-1][pivots[-1]] if rows else 1
-
-
-def _null_vector(rows: list[list[int]], pivots: list[int], ncols: int, free: int) -> list[int]:
+def _null_vector(rows: list[list[int]], pivots: list[int], ncols: int, free: int, d: int) -> list:
     """d times the null vector of the echelon `rows` that is 1 at the
-    non-pivot column `free` and 0 at every other one, d = `_last_pivot`.
-    The vector is unique, so it is the reduced row-echelon basis vector, and
-    by Cramer's rule d times it is integral: it is back-substituted in
-    integers, each division exact."""
+    non-pivot column `free` and 0 at every other one, for d their last
+    pivot.  The vector is unique, so it is the reduced row-echelon basis
+    vector, and d is the determinant of the rows' minor on the pivot
+    columns, so by Cramer's rule d times the vector is integral: it is
+    back-substituted in integers, each division exact."""
     v = [0] * ncols
-    v[free] = _last_pivot(rows, pivots)
+    v[free] = d
     for row, pc in zip(reversed(rows), reversed(pivots)):
         acc = sum(row[j] * v[j] for j in range(pc + 1, ncols) if v[j])
         v[pc], remainder = divmod(-acc, row[pc])
         if remainder:
             raise ArithmeticError("Bareiss back-substitution left a remainder")
     return v
-
-
-def _divided(v: Sequence[int], d: int) -> Vector:
-    """The integer vector `v` divided by d, entries as ints where integral."""
-    return tuple(x // d if x % d == 0 else Fraction(x, d) for x in v)
 
 
 def rank(m: DenseMatrix) -> int:
@@ -207,23 +181,11 @@ def kernel_basis(m: DenseMatrix) -> tuple[tuple[int, ...], ...]:
     ``m v = 0``; L is 1 when the reduced basis is integral.
     """
     echelon, pivots = _bareiss(m.entries, m.cols)
-    vectors = [_null_vector(echelon, pivots, m.cols, c) for c in range(m.cols) if c not in pivots]
+    d = echelon[-1][pivots[-1]] if echelon else 1  # the last pivot
+    free = (c for c in range(m.cols) if c not in pivots)
+    vectors = [_null_vector(echelon, pivots, m.cols, c, d) for c in free]
     # The vectors are d times the reduced basis, so L = |d| / g.
-    d = _last_pivot(echelon, pivots)
     g = gcd(d, *chain.from_iterable(vectors))
     g = g if d > 0 else -g
     return tuple(tuple(x // g for x in v) for v in vectors)
 
-
-def solve_linear(m: DenseMatrix, b: Sequence[int]) -> Vector | None:
-    """One exact solution of ``m x = b`` for an integer `b`, with every free
-    variable 0, or None if the system is inconsistent."""
-    if len(b) != m.rows:
-        raise DimensionMismatch(f"right-hand side has length {len(b)}, expected {m.rows}")
-    augmented = DenseMatrix(m.rows, m.cols + 1, tuple((*row, x) for row, x in zip(m.entries, b)))
-    rows, pivots = _bareiss(augmented.entries, augmented.cols)
-    if m.cols in pivots:
-        return None
-    # (x, -1) is a null vector of [m | b], so x is minus the one that is 1 at b.
-    v = _null_vector(rows, pivots, m.cols + 1, m.cols)
-    return _divided([-x for x in v[:-1]], _last_pivot(rows, pivots))

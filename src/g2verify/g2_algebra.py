@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from .exact_linalg import DenseMatrix, _exact, solve_linear
+from .exact_linalg import DenseMatrix, _check_ints, kernel_basis
 
 #: Names of the 14 basis elements, in the fixed order used everywhere.
 BASIS_NAMES: tuple[str, ...] = (
@@ -61,15 +61,17 @@ BASIS_WEIGHTS: tuple[tuple[int, int], ...] = (
 
 @dataclass(frozen=True)
 class G2Element:
-    """An element of g2: 14 exact coefficients in the fixed basis order,
-    stored as ints when integral; inexact coefficients raise TypeError."""
+    """An element of g2: 14 integer coefficients in the fixed basis order.
+    Any other coefficient raises TypeError: a Fraction (even an integral
+    one), a float or a bool."""
 
     coords: tuple
 
     def __post_init__(self) -> None:
         if len(self.coords) != DIM:
             raise ValueError(f"g2 elements have {DIM} coordinates")
-        object.__setattr__(self, "coords", tuple(map(_exact, self.coords)))
+        object.__setattr__(self, "coords", tuple(self.coords))
+        _check_ints(self.coords)
 
     @classmethod
     def zero(cls) -> G2Element:
@@ -88,7 +90,7 @@ class G2Element:
     def __neg__(self) -> G2Element:
         return G2Element(tuple(-a for a in self.coords))
 
-    def scale(self, s) -> G2Element:
+    def scale(self, s: int) -> G2Element:
         return G2Element(tuple(s * a for a in self.coords))
 
     def is_zero(self) -> bool:
@@ -250,7 +252,7 @@ def killing_gram() -> tuple:
     return tuple(tuple(trace(i, j) for j in range(DIM)) for i in range(DIM))
 
 
-def killing(x: G2Element, y: G2Element) -> int | Fraction:
+def killing(x: G2Element, y: G2Element) -> int:
     """The Killing form trace(ad x . ad y), via the cached basis Gram matrix."""
     gram = killing_gram()
     total = 0
@@ -300,17 +302,18 @@ def verify_killing_invariance() -> int:
     )
 
 
-def killing_dual_norm(value_on_h_a, value_on_h_b) -> Fraction:
-    """kappa-norm squared of the Cartan functional with the given values.
+def killing_dual_norm(value_on_h_a: int, value_on_h_b: int) -> Fraction:
+    """kappa-norm squared of the Cartan functional v with the given values.
 
-    The functional's Killing dual t solves the 2x2 Gram system; the norm
-    squared kappa(t, t) equals the functional evaluated at t.
+    Its Killing dual t solves G t = v for the 2x2 Cartan Gram G, so the
+    one null vector (x, y, z) of the integer matrix [G | v] gives
+    t = -(x, y)/z, and the norm squared kappa(t, t) = v(t) is
+    -(v_0 x + v_1 y)/z.  ValueError unless that kernel is one line with z != 0.
     """
     gram = killing_gram()
-    g = DenseMatrix.from_rows(
-        [[gram[12][12], gram[12][13]], [gram[13][12], gram[13][13]]]
-    )
-    sol = solve_linear(g, [value_on_h_a, value_on_h_b])
-    if sol is None:
+    rows = [[gram[i][12], gram[i][13], v] for i, v in ((12, value_on_h_a), (13, value_on_h_b))]
+    kernel = kernel_basis(DenseMatrix.from_rows(rows))
+    if len(kernel) != 1 or not kernel[0][2]:
         raise ValueError("Killing form is degenerate on the Cartan")
-    return Fraction(value_on_h_a) * sol[0] + Fraction(value_on_h_b) * sol[1]
+    ((x, y, z),) = kernel
+    return Fraction(-(value_on_h_a * x + value_on_h_b * y), z)

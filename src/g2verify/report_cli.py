@@ -21,7 +21,7 @@ from . import g2_algebra as g2
 from . import rep7_verifier as rep7
 from . import root_weyl as rw
 from . import slice_verifier as sv
-from .exact_linalg import DenseMatrix, kernel_basis, rank, solve_linear
+from .exact_linalg import DenseMatrix, kernel_basis, rank
 from .sampling import SmallRationalSampler, cleared
 
 SUITE_ORDER: tuple[str, ...] = ("algebra", "combinatorics", "slice", "linear")
@@ -175,9 +175,6 @@ def _run_linalg_selftest() -> tuple[str, dict | None]:
     kern = kernel_basis(DenseMatrix.from_rows([[1, 2], [2, 4]]))
     if len(kern) != 1 or kern[0][0] + 2 * kern[0][1] != 0:
         return "kernel failure", None
-    sol = solve_linear(DenseMatrix.from_rows([[1, 1], [0, 1]]), [3, 2])
-    if sol != (1, 2):
-        return "solve failure", None
     return "ok", None
 
 

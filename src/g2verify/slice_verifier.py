@@ -32,7 +32,6 @@ E is (1, 0, ..., 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cache
 from operator import mul
 from typing import Sequence
@@ -55,6 +54,7 @@ from .root_weyl import (
     Root,
     WeylElement,
     all_polarizations,
+    apply_weyl,
     generate_weyl,
 )
 from .sampling import SmallRationalSampler, cleared
@@ -65,7 +65,8 @@ class StructureMismatchError(AssertionError):
 
 
 class InconsistentCriteriaError(AssertionError):
-    """The two independent base-relevancy criteria disagreed."""
+    """Two readings of the relevancy data disagreed: the two independent
+    base-relevancy criteria, or a polarization S_w and w(u6's weights)."""
 
 
 #: The sl2-triple (e, f, h) = (e1, -f1, 2*h_a + h_b); e is the basis vector b_0.
@@ -78,9 +79,14 @@ _E = BASIS.index(E)
 L = (BASIS_NAMES.index("e2"),)
 
 
-def psi(x: G2Element) -> int | Fraction:
+def psi(x: G2Element) -> int:
     """The character psi = killing(e, x)."""
     return killing(E, x)
+
+
+def _psi_row() -> tuple[int, ...]:
+    """psi's coefficients on the basis: the Killing Gram's row of e."""
+    return g2.killing_gram()[_E]
 
 
 @dataclass(frozen=True)
@@ -148,9 +154,9 @@ def _check_nilpotent_span(indices: Sequence[int], name: str) -> None:
     raise StructureMismatchError(f"{name} is not nilpotent")
 
 
-def _psi_bracket(i: int, j: int) -> int | Fraction:
+def _psi_bracket(i: int, j: int) -> int:
     """psi([b_i, b_j]): the sum of t * psi(b_k) over the table entry c[i][j]."""
-    psi_row = g2.killing_gram()[_E]
+    psi_row = _psi_row()
     return sum(t * psi_row[k] for k, t in g2._bracket_table()[i][j])
 
 
@@ -163,7 +169,7 @@ def _omega_pieces(kappa_ker: Sequence) -> tuple:
             tuple(-sum(t * w[k] for k, t in table[i][l]) for l in range(DIM))
             for i in range(DIM)
         )
-        for w in (g2.killing_gram()[_E], *zip(*kappa_ker))
+        for w in (_psi_row(), *zip(*kappa_ker))
     )
 
 
@@ -342,12 +348,12 @@ def omega_minus1_check() -> bool:
     return L[0] in idx and BASIS_WEIGHTS[L[0]] != (0, 0)
 
 
-def _psi_ad_powers_vanish(v: Sequence) -> bool:
-    """True iff psi(ad(f3)^k x) = 0 for every k >= 1, x with coordinates v:
-    up to the factors 1/k! != 0, the coefficients of psi(exp(t ad f3) x) -
-    psi(x) as a polynomial in t.  ad(f3) is nilpotent, so they are finitely many."""
-    a = ad_matrix(g2.f3)
-    psi_row = g2.killing_gram()[_E]
+def _psi_ad_powers_vanish(a: DenseMatrix, v: Sequence[int]) -> bool:
+    """True iff psi(a^k x) = 0 for every k >= 1, x with coordinates v, for
+    a = ad of gamma's root vector: up to the factors 1/k! != 0, the
+    coefficients of psi(exp(t a) x) - psi(x) as a polynomial in t.  a is
+    nilpotent, so they are finitely many."""
+    psi_row = _psi_row()
     for _ in range(DIM):
         v = a.mul_vec(v)
         if not any(v):
@@ -360,17 +366,24 @@ def _psi_ad_powers_vanish(v: Sequence) -> bool:
 def count_relevant_orbits() -> RelevantOrbitCount:
     """Count relevant base and complementary orbits over the 12 Weyl elements.
 
-    For each w: S_w = w(base positive system); the opposite-cell weights
-    are the weights of u5's basis vectors in S_w.  A base orbit is relevant
-    iff psi vanishes on their span, which is also computed combinatorially
-    as -alpha not in S_w; the two criteria must agree.  A complementary orbit
-    exists iff gamma is not in S_w, and is relevant iff the base orbit is
-    and psi kills all higher ad(f3)-corrections coefficient-wise.
+    For each w: S_w = w(base positive system), which must equal w applied
+    to u6's weights; the opposite-cell weights are the weights of u5's basis
+    vectors in S_w.  A base orbit is relevant iff psi vanishes on their
+    span, which is also computed combinatorially as -alpha not in S_w; the
+    two criteria must agree.  A complementary orbit exists iff gamma is not
+    in S_w, and is relevant iff the base orbit is and psi kills all higher
+    corrections by ad of u6's gamma line coefficient-wise.
     """
-    u5 = sorted((Root(*BASIS_WEIGHTS[i]), i) for i in build_slice_data().u5)
+    data = build_slice_data()
+    u5 = sorted((Root(*BASIS_WEIGHTS[i]), i) for i in data.u5)
+    u6 = Polarization(frozenset(Root(*BASIS_WEIGHTS[i]) for i in data.u6))
+    (gamma,) = data.u6[len(data.u5) :]  # u6 = u5 + g_gamma
+    ad_gamma = ad_matrix(BASIS[gamma])
     neg_alpha = Root(-1, 0)
     records = []
     for w, s_w in zip(generate_weyl(), all_polarizations()):
+        if s_w != apply_weyl(w, u6):
+            raise InconsistentCriteriaError(f"S_w at w = {w!r} is not w(u6's weights)")
         ubar = [(r, BASIS[i]) for r, i in u5 if r in s_w]
         psi_vanishes = all(psi(x) == 0 for _, x in ubar)
         combinatorial = neg_alpha not in s_w
@@ -384,7 +397,7 @@ def count_relevant_orbits() -> RelevantOrbitCount:
         complementary_relevant = (
             complementary_exists
             and base_relevant
-            and all(_psi_ad_powers_vanish(x.coords) for _, x in ubar)
+            and all(_psi_ad_powers_vanish(ad_gamma, x.coords) for _, x in ubar)
         )
         records.append(
             RelevancyRecord(

@@ -53,14 +53,18 @@ def bracket_with_extra_h_a(monkeypatch):
     sv.build_slice_data.cache_clear()
 
 
-def _reference_omega_prime_rows(coeffs) -> list[list]:
-    """The 20x20 Gram of omega' at the slice point e + sum c_j k_j, entry by
-    entry through `killing` and `bracket`: the algebra directions first,
-    then the six slice directions; rational where `coeffs` are."""
+def _reference_omega_prime_rows(point) -> list[list[int]]:
+    """The 20x20 Gram of omega' entry by entry through `killing` and
+    `bracket`, at the integer point x = w_0 e + sum w_j k_j of the
+    homogeneous slice point (w_0, ..., w_6) that `omega_prime_rank` takes:
+    the algebra directions first, then the six slice directions.  With A
+    and K the rational Gram's blocks at c_j = w_j / w_0, this is
+    [[w_0 A, -K], [K^T, 0]] = diag(w_0 I, I) . Gram . diag(I, I / w_0),
+    of the Gram's rank, and antisymmetric exactly when the Gram is."""
     kernel = [G2Element(v) for v in sv.build_slice_data().ker_ad_f]
-    x = sv.E
-    for c, kv in zip(coeffs, kernel):
-        x = x + kv.scale(c)
+    x = sv.E.scale(point[0])
+    for w, kv in zip(point[1:], kernel):
+        x = x + kv.scale(w)
     n = DIM + len(kernel)
     rows = [[0] * n for _ in range(n)]
     for i in range(DIM):
@@ -72,24 +76,14 @@ def _reference_omega_prime_rows(coeffs) -> list[list]:
     return rows
 
 
-def _reference_omega_prime_gram(coeffs) -> DenseMatrix:
-    """d times the reference Gram, d the lcm of all its entries'
-    denominators: an integer matrix with the Gram's rank, antisymmetric
-    exactly when the Gram is, since one factor scales the whole grid."""
-    rows = _reference_omega_prime_rows(coeffs)
-    flat = clear([x for row in rows for x in row])
-    n = len(rows)
-    return DenseMatrix.from_rows([flat[i : i + n] for i in range(0, n * n, n)])
-
-
 @pytest.fixture
 def reference_omega_prime_rows():
-    """The entry-by-entry omega' Gram, as rational rows."""
+    """The entry-by-entry omega' Gram at a homogeneous slice point, as rows."""
     return _reference_omega_prime_rows
 
 
 @pytest.fixture
 def reference_omega_prime_gram():
-    """The entry-by-entry omega' Gram cleared to integers, the witness for
-    `omega_prime_rank`."""
-    return _reference_omega_prime_gram
+    """The entry-by-entry omega' Gram at a homogeneous slice point, as a
+    matrix: the witness for `omega_prime_rank`."""
+    return lambda point: DenseMatrix.from_rows(_reference_omega_prime_rows(point))

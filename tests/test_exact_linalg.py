@@ -1,21 +1,19 @@
-"""Exact linear-algebra kernel: ranks, kernels, solving.
+"""Exact linear-algebra kernel: ranks and kernels.
 
 Property-based checks pin down the algebraic laws (rank--nullity, kernel
-membership, solve correctness) that every later verification step leans
-on; small frozen cases guard the edge behavior and the error paths.  The
-fraction-free Bareiss `rank`, `kernel_basis` and `solve_linear` are checked
-against the earlier rational reduced row-echelon elimination, kept here as
-the reference: same rank; the same solutions, value for value and int or
-`Fraction` entry for entry; and the same basis vectors times one least
-positive factor that makes them all integral.
+membership) that every later verification step leans on; small frozen
+cases guard the edge behavior and the error paths.  The fraction-free
+Bareiss `rank` and `kernel_basis` are checked against the earlier
+rational reduced row-echelon elimination, kept here as the reference:
+same rank, and the same basis vectors times one least positive factor
+that makes them all integral.
 
 A `DenseMatrix` holds ints only, so the strategies draw rational rows,
 the references reduce those rows, and the package receives them cleared
-of denominators (`_integer`, `_integer_system`): a nonzero factor per
-row, or per augmented row [row | b] of a system, changes no rank, no
-kernel and no solution.  The strategies draw a shape first and then one
-flat list of (numerator, denominator) pairs, which Hypothesis generates
-far faster than nested lists of fractions.
+of denominators (`_integer`): a nonzero factor per row changes no rank
+and no kernel.  The strategies draw a shape first and then one flat list
+of (numerator, denominator) pairs, which Hypothesis generates far faster
+than nested lists of fractions.
 """
 
 from fractions import Fraction
@@ -25,14 +23,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2verify.exact_linalg import (
-    DenseMatrix,
-    DimensionMismatch,
-    _exact,
-    kernel_basis,
-    rank,
-    solve_linear,
-)
+from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, kernel_basis, rank
 from g2verify.g2_algebra import BASIS, G2Element, ad_matrix, bracket, killing, killing_gram
 from g2verify.rep7_verifier import (
     BOREL_G2_NAMES,
@@ -58,11 +49,6 @@ def _small(pair: tuple[int, int]) -> Fraction:
     return Fraction(n * d // 6, d)
 
 
-def small_vectors(n: int):
-    """n small fractions, drawn as one flat list of pairs."""
-    return st.lists(small_pairs, min_size=n, max_size=n).map(lambda p: list(map(_small, p)))
-
-
 def _grid(values: list, nrows: int, ncols: int) -> list[list]:
     """The flat `values` as `nrows` rows of `ncols`."""
     return [values[i * ncols : (i + 1) * ncols] for i in range(nrows)]
@@ -82,16 +68,16 @@ def _integer(rows) -> DenseMatrix:
     return DenseMatrix.from_rows([clear(row) for row in rows])
 
 
-def _integer_system(rows, b) -> tuple[DenseMatrix, list[int]]:
-    """The system rows x = b with each augmented row [row | b_i] cleared of
-    denominators as a whole, as a matrix and an integer right-hand side."""
-    augmented = [clear([*row, x]) for row, x in zip(rows, b)]
-    return DenseMatrix.from_rows([r[:-1] for r in augmented]), [r[-1] for r in augmented]
+def _normal(x):
+    """The rational `x` as an int when integral, else as a Fraction: the
+    form of a reference value, whose type `_typed` compares too."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _apply(rows, v) -> list:
     """rows times the vector v, summed entry by entry in rationals."""
-    return [_exact(sum(x * y for x, y in zip(row, v))) for row in rows]
+    return [_normal(sum(x * y for x, y in zip(row, v))) for row in rows]
 
 
 def _product(a, b) -> list[list]:
@@ -145,28 +131,15 @@ def _reference_kernel_basis(rows) -> tuple:
         v = [0] * ncols
         v[fc] = 1
         for r_i, pc in enumerate(pivots):
-            v[pc] = _exact(-reduced[r_i][fc])
+            v[pc] = _normal(-reduced[r_i][fc])
         basis.append(tuple(v))
     return tuple(basis)
 
 
-def _reference_solve_linear(rows, b) -> tuple | None:
-    """The earlier solver: the RREF solution with every free variable 0."""
-    ncols = len(rows[0])
-    work = [list(row) + [_exact(x)] for row, x in zip(rows, b)]
-    reduced, pivots = _echelon(work, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r_i, pc in enumerate(pivots):
-        x[pc] = _exact(reduced[r_i][ncols])
-    return tuple(x)
-
-
-def _typed(v) -> list | None:
+def _typed(v) -> list:
     """The entries of `v` with their types: an int and an integral
     Fraction compare equal, and the kernel must store the int."""
-    return None if v is None else [(type(x), x) for x in v]
+    return [(type(x), x) for x in v]
 
 
 #: Tall fractions n/d as (n, d) pairs, with numerator and denominator up to 10^40.
@@ -204,9 +177,9 @@ def test_bareiss_rank_matches_reference_rank(rows) -> None:
     assert r == _reference_rank(rows)
 
 
-@given(rank_test_matrices(), st.data())
+@given(rank_test_matrices())
 @settings(max_examples=200, deadline=None)
-def test_bareiss_kernel_and_solution_match_reference_rref(rows, data) -> None:
+def test_bareiss_kernel_matches_reference_rref(rows) -> None:
     m = _integer(rows)
     kern, reference = kernel_basis(m), _reference_kernel_basis(rows)
     _, pivots = _echelon([list(row) for row in rows], m.cols)
@@ -221,15 +194,6 @@ def test_bareiss_kernel_and_solution_match_reference_rref(rows, data) -> None:
         assert factor > 0
         assert kern == tuple(tuple(factor * x for x in v) for v in reference)
         assert gcd(factor, *chain.from_iterable(kern)) == 1
-    # A right-hand side in the image, or drawn freely (mostly inconsistent
-    # when m is rank-deficient, so the None branch is exercised too).
-    if data.draw(st.booleans()):
-        x = data.draw(small_vectors(m.cols))
-        b = _apply(rows, x)
-    else:
-        b = data.draw(small_vectors(m.rows))
-    solution = solve_linear(*_integer_system(rows, b))
-    assert _typed(solution) == _typed(_reference_solve_linear(rows, b))
 
 
 @pytest.mark.parametrize(
@@ -286,16 +250,6 @@ def test_kernel_vectors_annihilate_and_are_independent(rows) -> None:
         assert rank(_integer(kern)) == len(kern)
 
 
-@given(qq_matrices(), st.data())
-@settings(max_examples=60, deadline=None)
-def test_solve_recovers_consistent_systems(rows, data) -> None:
-    x = data.draw(small_vectors(len(rows[0])))
-    b = _apply(rows, x)
-    sol = solve_linear(*_integer_system(rows, b))
-    assert sol is not None
-    assert _apply(rows, sol) == b
-
-
 @given(qq_matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_is_transpose_invariant(rows) -> None:
@@ -339,17 +293,12 @@ def test_sparse_products_match_dense_reference(operands) -> None:
     # must come out equal in value, and as an int.
     a, b, v = operands
     dense = [
-        [_exact(sum(x * y for x, y in zip(row, b.column(j)))) for j in range(b.cols)]
+        [_normal(sum(x * y for x, y in zip(row, b.column(j)))) for j in range(b.cols)]
         for row in a.entries
     ]
     assert [_typed(row) for row in (a @ b).entries] == [_typed(row) for row in dense]
-    dense_vec = [_exact(sum(x * y for x, y in zip(row, v))) for row in a.entries]
+    dense_vec = [_normal(sum(x * y for x, y in zip(row, v))) for row in a.entries]
     assert _typed(a.mul_vec(v)) == _typed(dense_vec)
-
-
-def test_solve_inconsistent_returns_none() -> None:
-    m = DenseMatrix.from_rows([[1], [1]])
-    assert solve_linear(m, [0, 1]) is None
 
 
 def test_identity_is_neutral() -> None:
@@ -406,8 +355,6 @@ def test_dimension_mismatches_raise() -> None:
         DenseMatrix(2, 2, ((Fraction(1),),))
     with pytest.raises(DimensionMismatch):
         DenseMatrix.from_rows([])
-    with pytest.raises(DimensionMismatch):
-        solve_linear(m, [1, 2, 3])
     # The quadratic forms check the length of every vector, short or long.
     exact = [1, 0, 0, 0, 0, 0, 0]
     for bad in ([1, 2], [0, 0, 0, 1, 0, 0, 0, 0, 0]):
@@ -436,7 +383,6 @@ def test_integral_entries_are_stored_as_ints() -> None:
     assert len(conormal) == 9 and all(map(all_int, conormal))
     assert all(all_int(ad_matrix(b)) for b in BASIS)
     assert all(type(e) is int for row in killing_gram() for e in row)
-    assert type(G2Element((Fraction(4, 2),) + (0,) * 13).coords[0]) is int
     # An exact quotient lands on ints, and a kernel vector is the reduced
     # row-echelon one where that is integral, and its least integral
     # multiple where it is not: (-1/2, 1) becomes (-1, 2).
@@ -460,8 +406,9 @@ def test_matrices_refuse_every_entry_but_an_int(bad) -> None:
         DenseMatrix(2, 2, ((1, bad), (0, 1)))
     with pytest.raises(TypeError):
         DenseMatrix.identity(2).mul_vec([1, bad])
+    # A g2 element holds ints only, as a matrix does.
     with pytest.raises(TypeError):
-        solve_linear(DenseMatrix.identity(2), [1, bad])
+        G2Element((bad,) + (0,) * 13)
     # The rows must be tuples: a list row would compare unequal to the same
     # ints in a tuple, and make the matrix unhashable.
     with pytest.raises(TypeError):

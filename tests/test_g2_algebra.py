@@ -7,10 +7,14 @@ and the dual Cartan norms |a_i|^2 = 1/12, |a_i - a_j|^2 = 1/4.  The
 integer Jacobi, invariance and Gram computations are checked against the
 earlier formulations through `bracket`, `killing` and `ad_matrix`, kept
 here as references.
+
+A `G2Element` holds ints only, so the random elements are small
+rationals cleared of denominators (`conftest.clear`).  The identities
+tested on them are homogeneous and multilinear, so each holds at a
+rational point exactly when it holds at that point's cleared multiple.
 """
 
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +37,8 @@ from g2verify.g2_algebra import (
     verify_killing_invariance,
 )
 
+from conftest import clear
+
 e1 = G2Element.basis(0)
 f1 = G2Element.basis(3)
 h_a = G2Element.basis(12)
@@ -40,7 +46,7 @@ h_b = G2Element.basis(13)
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 elements = st.lists(small_fractions, min_size=DIM, max_size=DIM).map(
-    lambda coords: G2Element(tuple(coords))
+    lambda coords: G2Element(tuple(clear(coords)))
 )
 
 
@@ -141,6 +147,19 @@ def test_dual_cartan_norms() -> None:
             assert killing_dual_norm(*diff) == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("values", [(1, 0), (2, -1)])
+def test_dual_norm_refuses_a_degenerate_cartan(monkeypatch, values) -> None:
+    # With kappa(h_b, h_b) = 4 the Cartan Gram [[16, -8], [-8, 4]] is
+    # singular.  (1, 0) is outside its image, so [G | v] has one null line
+    # with z = 0; (2, -1) is 1/8 of its first column, so the kernel is a
+    # plane.  Either way the functional has no Killing dual.
+    gram = [list(row) for row in killing_gram()]
+    gram[13][13] = 4
+    monkeypatch.setattr(g2, "killing_gram", lambda: tuple(map(tuple, gram)))
+    with pytest.raises(ValueError, match="degenerate"):
+        killing_dual_norm(*values)
+
+
 def test_a_functionals_sum_to_zero() -> None:
     assert tuple(sum(v[k] for v in A_VALUES) for k in (0, 1)) == (0, 0)
 
@@ -202,7 +221,4 @@ def test_killing_associativity_on_random_elements(x, y, z) -> None:
 @given(elements, elements)
 @settings(max_examples=30, deadline=None)
 def test_ad_matrix_matches_bracket(x, y) -> None:
-    # ad is linear in x and the bracket in y, so with d and e the lcms of
-    # their denominators, the integer matrix ad(d x) takes e y to d e [x, y].
-    d, e = (lcm(*(Fraction(c).denominator for c in v.coords)) for v in (x, y))
-    assert ad_matrix(x.scale(d)).mul_vec(y.scale(e).coords) == bracket(x, y).scale(d * e).coords
+    assert ad_matrix(x).mul_vec(y.coords) == bracket(x, y).coords

@@ -117,18 +117,15 @@ def _fraction_builders(tree: ast.AST, prefix: str) -> set[str]:
 
 
 def test_only_the_listed_functions_build_a_fraction() -> None:
-    # Every matrix, kernel and sampled point is integral.  A Fraction is
-    # built only for an exact quotient (rho's brackets over 2 and 3, B's
-    # normalisation, a solution's entries, the Killing norms), for the
-    # report's rational constants, by the sampler's `fraction` draw and by
-    # `_exact`, the normaliser of G2Element's rational coordinates.  A new
+    # Every matrix, kernel, g2 element and sampled point is integral.  A
+    # Fraction is built only for an exact quotient (rho's brackets over 2
+    # and 3, B's normalisation, the Killing norms), for the report's
+    # rational constants and by the sampler's `fraction` draw.  A new
     # builder must join this list on purpose.
     found = set()
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         found |= _fraction_builders(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == {
-        "exact_linalg._exact",
-        "exact_linalg._divided",
         "g2_algebra.killing_dual_norm",
         "rep7_verifier.invariant_form",
         "rep7_verifier.build_rep7",

@@ -477,11 +477,31 @@ def test_every_other_basis_line_as_l_fails_slice_build(monkeypatch, line) -> Non
 
 @pytest.mark.parametrize("root", [r for r in rw.enumerate_roots() if r != rw.GAMMA], ids=repr)
 def test_every_other_root_as_gamma_fails_a_slice_check(monkeypatch, root) -> None:
-    # gamma picks u6's last root vector and the complementary orbits, so a
-    # wrong root breaks u6's closure or the complementary count.
+    # gamma picks u6's last root vector, so a wrong root breaks u6's
+    # closure, or moves u6's weights off the base positive system whose
+    # Weyl images are the polarizations S_w.
     by_name = _slice_checks_with(monkeypatch, "GAMMA", lambda _: root)
     (failed,) = [name for name, c in by_name.items() if c.status == "fail"]
-    assert failed in ("slice.build", "slice.count_relevant_orbits.complementary")
+    assert failed in ("slice.build", "slice.relevancy_criteria_agreement")
+
+
+@pytest.mark.parametrize("typed, mutant", [((-3, -1), (3, 1)), ((2, 1), (-2, -1))], ids=repr)
+def test_base_system_mutants_fail_relevancy_agreement(monkeypatch, typed, mutant) -> None:
+    # Each mutant is another valid chamber, so the polarization checks
+    # pass; the S_w are then no longer the Weyl images of u6's weights.
+    base = rw.base_positive_system().roots
+    roots = base - {rw.Root(*typed)} | {rw.Root(*mutant)}
+    monkeypatch.setattr(rw, "base_positive_system", lambda: rw.Polarization(roots))
+    rw.all_polarizations.cache_clear()
+    try:
+        report = run_suite(Config(suites=("combinatorics", "slice")))
+    finally:
+        rw.all_polarizations.cache_clear()
+    (failed,) = [c for c in report.checks if c.status == "fail"]
+    assert failed.name == "slice.relevancy_criteria_agreement"
+    assert failed.actual.startswith("error: InconsistentCriteriaError: S_w at w = ")
+    # Only the three counts that read the records skip.
+    assert report.summary == {"total": 18, "passed": 14, "failed": 1, "skipped": 3}
 
 
 def test_zeroed_kappa_column_fails_omega_prime_rank(monkeypatch) -> None:

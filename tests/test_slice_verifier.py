@@ -18,7 +18,15 @@ import pytest
 from g2verify import root_weyl as rw
 from g2verify import slice_verifier as sv
 from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, rank
-from g2verify.g2_algebra import BASIS_NAMES, BASIS_WEIGHTS, DIM, G2Element, bracket
+from g2verify.g2_algebra import (
+    BASIS,
+    BASIS_NAMES,
+    BASIS_WEIGHTS,
+    DIM,
+    G2Element,
+    ad_matrix,
+    bracket,
+)
 from g2verify.root_weyl import ALPHA, GAMMA, Root
 from g2verify.sampling import SmallRationalSampler
 from g2verify.slice_verifier import (
@@ -144,6 +152,35 @@ def test_combinatorial_criterion_matches_psi() -> None:
             assert r in rec.s_w
 
 
+def test_corrections_apply_ad_of_u6s_gamma_line(monkeypatch) -> None:
+    # gamma = -(2a + b), e3's weight, with the base chamber that trades
+    # 2a + b for it: S_w = w(u6) still holds, so the count runs through,
+    # and the complementary corrections apply ad(e3), read from u6's gamma
+    # line, not a typed ad(f3).
+    root = Root(-2, -1)
+    base = rw.base_positive_system().roots - {GAMMA} | {root}
+    true_vanish = sv._psi_ad_powers_vanish
+    operators = []
+
+    def recorded(a, v):
+        operators.append(a)
+        return true_vanish(a, v)
+
+    monkeypatch.setattr(sv, "GAMMA", root)
+    monkeypatch.setattr(rw, "base_positive_system", lambda: rw.Polarization(base))
+    monkeypatch.setattr(sv, "_psi_ad_powers_vanish", recorded)
+    sv.build_slice_data.cache_clear()
+    rw.all_polarizations.cache_clear()
+    try:
+        count_relevant_orbits()
+        gamma_line = build_slice_data().u6[-1]
+    finally:
+        sv.build_slice_data.cache_clear()
+        rw.all_polarizations.cache_clear()
+    assert BASIS_NAMES[gamma_line] == "e3"
+    assert operators and all(a == ad_matrix(BASIS[gamma_line]) for a in operators)
+
+
 def test_opposite_cell_sizes() -> None:
     sizes = sorted(len(r.ubar_weights) for r in count_relevant_orbits().records)
     assert sizes == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
@@ -155,7 +192,7 @@ E_POINT = (1, 0, 0, 0, 0, 0, 0)  # e: w_0 = 1 and zero slice coordinates
 def test_omega_prime_at_base_point(data, reference_omega_prime_gram) -> None:
     assert data.omega_antisymmetric
     assert omega_prime_rank(E_POINT) == 20
-    gram = reference_omega_prime_gram(slice_coords(E_POINT))
+    gram = reference_omega_prime_gram(E_POINT)
     assert gram.rows == gram.cols == 20
     assert (gram + gram.transpose()).is_zero()
     assert rank(gram) == 20
@@ -172,15 +209,16 @@ def test_omega_prime_at_seeded_points(reference_omega_prime_gram) -> None:
         assert all(type(w) is int for w in point)
         assert slice_coords(point) == tuple(reference.fraction() for _ in range(6))
         assert omega_prime_rank(point) == 20
-        gram = reference_omega_prime_gram(slice_coords(point))
+        gram = reference_omega_prime_gram(point)
         assert (gram + gram.transpose()).is_zero()
         assert rank(gram) == 20
 
 
-def _affine_block(data, coeffs) -> list:
-    """A_0 + sum c_j A_j, the algebra block of omega' at `coeffs`."""
+def _affine_block(data, point) -> list:
+    """sum w_j A_j = w_0 (A_0 + sum c_j A_j), w_0 times the algebra block of
+    omega' at the homogeneous slice point `point`."""
     return [
-        [sum(w * a[i][j] for w, a in zip((1, *coeffs), data.omega_pieces)) for j in range(DIM)]
+        [sum(w * a[i][j] for w, a in zip(point, data.omega_pieces)) for j in range(DIM)]
         for i in range(DIM)
     ]
 
@@ -190,15 +228,14 @@ def test_omega_prime_gram_matches_reference(
 ) -> None:
     points = [E_POINT] + list(omega_prime_sample_points(seed=3, count=20))
     for point in points:
-        coeffs = slice_coords(point)
-        rows = reference_omega_prime_rows(coeffs)
-        block = _affine_block(data, coeffs)
+        rows = reference_omega_prime_rows(point)
+        block = _affine_block(data, point)
         for i in range(DIM):
             assert rows[i][:DIM] == block[i]
             assert rows[i][DIM:] == [-x for x in data.kappa_ker[i]]
             assert [row[i] for row in rows[DIM:]] == list(data.kappa_ker[i])
         assert not any(any(rows[i][DIM:]) for i in range(DIM, DIM + 6))
-        assert omega_prime_rank(point) == rank(reference_omega_prime_gram(coeffs)) == 20
+        assert omega_prime_rank(point) == rank(reference_omega_prime_gram(point)) == 20
 
 
 def test_omega_prime_sampling_is_seed_deterministic() -> None:

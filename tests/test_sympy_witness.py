@@ -67,7 +67,7 @@ def test_killing_gram_has_sympy_rank_14() -> None:
 
 
 def test_omega_prime_gram_at_e_has_sympy_rank_20(reference_omega_prime_gram) -> None:
-    gram = reference_omega_prime_gram((0,) * 6)
+    gram = reference_omega_prime_gram((1,) + (0,) * 6)
     assert _sympy_matrix(gram).rank() == sv.omega_prime_rank((1, 0, 0, 0, 0, 0, 0)) == 20
 
 
