@@ -77,7 +77,10 @@ class DenseMatrix:
         return DenseMatrix(self.rows, self.cols, tuple(rows))
 
     def __sub__(self, other: DenseMatrix) -> DenseMatrix:
-        return self + (-other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch("matrix subtraction shape mismatch")
+        rows = (tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries))
+        return DenseMatrix(self.rows, self.cols, tuple(rows))
 
     def __neg__(self) -> DenseMatrix:
         return self.scale(-1)

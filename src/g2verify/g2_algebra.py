@@ -91,6 +91,7 @@ class G2Element:
         return G2Element(tuple(-a for a in self.coords))
 
     def scale(self, s: int) -> G2Element:
+        _check_ints((s,))
         return G2Element(tuple(s * a for a in self.coords))
 
     def is_zero(self) -> bool:
@@ -161,18 +162,16 @@ def _cross(a, b):
 
 
 def _mat_vec(m, v):
-    return tuple(sum(m[i][k] * v[k] for k in range(3)) for i in range(3))
+    return tuple(r[0] * v[0] + r[1] * v[1] + r[2] * v[2] for r in m)
 
 
 def _vec_mat(phi, m):
-    return tuple(sum(phi[k] * m[k][j] for k in range(3)) for j in range(3))
+    return tuple(phi[0] * a + phi[1] * b + phi[2] * c for a, b, c in zip(*m))
 
 
 def _mat_mat(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(r[0] * c[0] + r[1] * c[1] + r[2] * c[2] for c in cols) for r in a)
 
 
 def bracket(x: G2Element, y: G2Element) -> G2Element:
@@ -181,22 +180,17 @@ def bracket(x: G2Element, y: G2Element) -> G2Element:
     v2, m2, p2 = _decompose(y)
 
     # V component: [m1, v2] + [v1, m2] + [p1, p2].
-    v_out = tuple(
-        _mat_vec(m1, v2)[i] - _mat_vec(m2, v1)[i] + 2 * _cross(p1, p2)[i]
-        for i in range(3)
-    )
+    mv1, mv2, cr = _mat_vec(m1, v2), _mat_vec(m2, v1), _cross(p1, p2)
+    v_out = tuple(a - b + 2 * c for a, b, c in zip(mv1, mv2, cr))
 
     # V^t component: [m1, p2] + [p1, m2] + [v1, v2].
-    vm1 = _vec_mat(p2, m1)
-    vm2 = _vec_mat(p1, m2)
-    cr = _cross(v1, v2)
-    p_out = tuple(-vm1[j] + vm2[j] + 2 * cr[j] for j in range(3))
+    vm1, vm2, cr = _vec_mat(p2, m1), _vec_mat(p1, m2), _cross(v1, v2)
+    p_out = tuple(-a + b + 2 * c for a, b, c in zip(vm1, vm2, cr))
 
     # sl3 component: [m1, m2] + [v1, p2] + [p1, v2].
-    comm = _mat_mat(m1, m2)
-    comm2 = _mat_mat(m2, m1)
-    dot12 = sum(p2[k] * v1[k] for k in range(3))
-    dot21 = sum(p1[k] * v2[k] for k in range(3))
+    comm, comm2 = _mat_mat(m1, m2), _mat_mat(m2, m1)
+    dot12 = p2[0] * v1[0] + p2[1] * v1[1] + p2[2] * v1[2]
+    dot21 = p1[0] * v2[0] + p1[1] * v2[1] + p1[2] * v2[2]
     m_out = tuple(
         tuple(
             comm[i][j]
@@ -214,7 +208,8 @@ def bracket(x: G2Element, y: G2Element) -> G2Element:
 @cache
 def _bracket_table() -> tuple:
     """The structure constants: c[i][j] is the tuple of nonzero (k, c_ij^k)
-    of [b_i, b_j], built from `bracket` once per process.  Every question
+    of [b_i, b_j], built once per process by one `bracket` call per basis
+    pair, 196 calls in all.  Every question
     about brackets of basis vectors reads this one table: the algebra
     checks, `ad_matrix`, `killing_gram`, the slice checks and the rho
     homomorphism and f2 constraints.  So a test that patches `bracket`
@@ -291,15 +286,31 @@ def verify_jacobi() -> int:
     return good
 
 
+def _combination(terms, vectors) -> list:
+    """sum s * vectors[m] over the sparse terms (m, s)."""
+    total = [0] * DIM
+    for m, s in terms:
+        for l, g in enumerate(vectors[m]):
+            total[l] += s * g
+    return total
+
+
 def verify_killing_invariance() -> int:
     """Number of ordered basis triples satisfying the invariance identity
-    kappa([x, y], z) + kappa(y, [x, z]) = 0 (2744 = all)."""
+    kappa([x, y], z) + kappa(y, [x, z]) = 0 (2744 = all): the zero entries
+    of ad(x)^T G + G ad(x), whose rows, per x, are summed once from Gram
+    rows and whose columns from Gram columns, over the table's terms."""
     c = _bracket_table()
     gram = killing_gram()
-    return sum(
-        sum(s * gram[m][k] for m, s in c[i][j]) + sum(s * gram[j][m] for m, s in c[i][k]) == 0
-        for i, j, k in product(range(DIM), repeat=3)
-    )
+    columns = tuple(zip(*gram))
+    good = 0
+    for row in c:
+        left = [_combination(terms, gram) for terms in row]
+        right = [_combination(terms, columns) for terms in row]
+        good += sum(
+            left[j][k] + right[k][j] == 0 for j in range(DIM) for k in range(DIM)
+        )
+    return good
 
 
 def killing_dual_norm(value_on_h_a: int, value_on_h_b: int) -> Fraction:

@@ -104,11 +104,11 @@ class Rep7:
     def act(self, terms: Sequence) -> DenseMatrix:
         """The matrix of sum c b_k acting on the representation, for the
         sparse terms (k, c) of a bracket-table entry."""
-        terms = [(c, self.matrices[k].entries) for k, c in terms]
-        rows = [
-            [sum(c * e[i][j] for c, e in terms) for j in range(REP_DIM)]
-            for i in range(REP_DIM)
-        ]
+        rows = [[0] * REP_DIM for _ in range(REP_DIM)]
+        for k, c in terms:
+            for acc, nonzeros in zip(rows, self.matrices[k]._nonzeros):
+                for j, x in nonzeros:
+                    acc[j] += c * x
         return DenseMatrix.from_rows(rows)
 
 

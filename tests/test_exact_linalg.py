@@ -301,6 +301,21 @@ def test_sparse_products_match_dense_reference(operands) -> None:
     assert _typed(a.mul_vec(v)) == _typed(dense_vec)
 
 
+@st.composite
+def same_shape_pairs(draw) -> tuple[DenseMatrix, DenseMatrix]:
+    """Two integer matrices of one drawn shape."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.lists(st.integers(-30, 30), min_size=n * m, max_size=n * m)
+    return tuple(DenseMatrix.from_rows(_grid(draw(entries), n, m)) for _ in range(2))
+
+
+@given(same_shape_pairs())
+@settings(max_examples=60, deadline=None)
+def test_difference_is_the_sum_with_the_negation(operands) -> None:
+    a, b = operands
+    assert a - b == a + (-b)
+
+
 def test_identity_is_neutral() -> None:
     m = DenseMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
     assert (DenseMatrix.identity(3) @ m).entries == m.entries
@@ -351,6 +366,11 @@ def test_dimension_mismatches_raise() -> None:
         m.mul_vec([1, 2, 3])
     with pytest.raises(DimensionMismatch):
         m @ DenseMatrix.from_rows([[1, 2, 3]])
+    for other in (DenseMatrix.from_rows([[1, 2, 3]]), DenseMatrix.from_rows([[1, 2]])):
+        with pytest.raises(DimensionMismatch):
+            m - other
+        with pytest.raises(DimensionMismatch):
+            m + other
     with pytest.raises(DimensionMismatch):
         DenseMatrix(2, 2, ((Fraction(1),),))
     with pytest.raises(DimensionMismatch):
@@ -406,9 +426,12 @@ def test_matrices_refuse_every_entry_but_an_int(bad) -> None:
         DenseMatrix(2, 2, ((1, bad), (0, 1)))
     with pytest.raises(TypeError):
         DenseMatrix.identity(2).mul_vec([1, bad])
-    # A g2 element holds ints only, as a matrix does.
+    # A g2 element holds ints only, as a matrix does, and `scale` checks its
+    # factor itself: True times an int coordinate is an int.
     with pytest.raises(TypeError):
         G2Element((bad,) + (0,) * 13)
+    with pytest.raises(TypeError):
+        G2Element.basis(0).scale(bad)
     # The rows must be tuples: a list row would compare unequal to the same
     # ints in a tuple, and make the matrix unhashable.
     with pytest.raises(TypeError):

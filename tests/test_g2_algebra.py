@@ -6,7 +6,9 @@ values kappa(h_a, h_a) = 16, kappa(h_a, h_b) = -8, kappa(e1, f1) = -24,
 and the dual Cartan norms |a_i|^2 = 1/12, |a_i - a_j|^2 = 1/4.  The
 integer Jacobi, invariance and Gram computations are checked against the
 earlier formulations through `bracket`, `killing` and `ad_matrix`, kept
-here as references.
+here as references.  So are `bracket` itself, against its earlier
+per-entry generator sums, and the Gram-row invariance sweep, against
+its earlier two sums per triple, on true and perturbed tables and Grams.
 
 A `G2Element` holds ints only, so the random elements are small
 rationals cleared of denominators (`conftest.clear`).  The identities
@@ -15,6 +17,7 @@ rational point exactly when it holds at that point's cleared multiple.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,6 +96,33 @@ def _reference_killing_invariance() -> int:
                 if killing(g2.bracket(x, y), z) + killing(y, g2.bracket(x, z)) == 0:
                     good += 1
     return good
+
+
+def _reference_invariance_sweep() -> int:
+    """The earlier `verify_killing_invariance`: two sparse sums per triple."""
+    c = g2._bracket_table()
+    gram = g2.killing_gram()
+    return sum(
+        sum(s * gram[m][k] for m, s in c[i][j]) + sum(s * gram[j][m] for m, s in c[i][k]) == 0
+        for i, j, k in product(range(DIM), repeat=3)
+    )
+
+
+@pytest.mark.parametrize("fault", ["none", "table", "gram"])
+def test_invariance_sweep_matches_the_triple_loop(monkeypatch, fault) -> None:
+    # Each entry of ad(x)^T G + G ad(x) is the same sum as the triple loop's,
+    # so the counts agree for any table and any Gram, symmetric or not.
+    table = [list(row) for row in g2._bracket_table()]
+    gram = [list(row) for row in killing_gram()]
+    if fault == "table":
+        table[0][3] = table[0][3] + ((0, 1),)  # [e1, f1] gains an e1 term
+    if fault == "gram":
+        gram[0][12] += 1  # kappa(e1, h_a) only, not kappa(h_a, e1)
+    monkeypatch.setattr(g2, "_bracket_table", lambda: tuple(map(tuple, table)))
+    monkeypatch.setattr(g2, "killing_gram", lambda: tuple(map(tuple, gram)))
+    count = verify_killing_invariance()
+    assert count == _reference_invariance_sweep()
+    assert (count < 2744) == (fault != "none")
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -222,3 +252,117 @@ def test_killing_associativity_on_random_elements(x, y, z) -> None:
 @settings(max_examples=30, deadline=None)
 def test_ad_matrix_matches_bracket(x, y) -> None:
     assert ad_matrix(x).mul_vec(y.coords) == bracket(x, y).coords
+
+
+# The reference: `bracket` and its helpers as they were before each product
+# became an explicit three-term sum computed once per bracket, verbatim.
+
+
+def _decompose(x: G2Element):
+    """Split an element into its (V, sl3, V^t) parts.
+
+    Returns (v, m, phi): a column 3-vector, a 3x3 traceless matrix (as a
+    tuple of row tuples), and a row 3-vector.
+    """
+    c = x.coords
+    v = (c[0], c[1], c[2])
+    phi = (c[3], c[4], c[5])
+    m = (
+        (c[12], c[6], c[7]),
+        (c[8], c[13] - c[12], c[9]),
+        (c[10], c[11], -c[13]),
+    )
+    return v, m, phi
+
+
+def _recompose(v, m, phi) -> G2Element:
+    """Inverse of _decompose; `m` must be traceless."""
+    return G2Element(
+        (
+            v[0], v[1], v[2],
+            phi[0], phi[1], phi[2],
+            m[0][1], m[0][2], m[1][0], m[1][2], m[2][0], m[2][1],
+            m[0][0], m[0][0] + m[1][1],
+        )
+    )
+
+
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _mat_vec(m, v):
+    return tuple(sum(m[i][k] * v[k] for k in range(3)) for i in range(3))
+
+
+def _vec_mat(phi, m):
+    return tuple(sum(phi[k] * m[k][j] for k in range(3)) for j in range(3))
+
+
+def _mat_mat(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
+        for i in range(3)
+    )
+
+
+def _reference_bracket(x: G2Element, y: G2Element) -> G2Element:
+    """The Lie bracket of g2, assembled from the six case formulas."""
+    v1, m1, p1 = _decompose(x)
+    v2, m2, p2 = _decompose(y)
+
+    # V component: [m1, v2] + [v1, m2] + [p1, p2].
+    v_out = tuple(
+        _mat_vec(m1, v2)[i] - _mat_vec(m2, v1)[i] + 2 * _cross(p1, p2)[i]
+        for i in range(3)
+    )
+
+    # V^t component: [m1, p2] + [p1, m2] + [v1, v2].
+    vm1 = _vec_mat(p2, m1)
+    vm2 = _vec_mat(p1, m2)
+    cr = _cross(v1, v2)
+    p_out = tuple(-vm1[j] + vm2[j] + 2 * cr[j] for j in range(3))
+
+    # sl3 component: [m1, m2] + [v1, p2] + [p1, v2].
+    comm = _mat_mat(m1, m2)
+    comm2 = _mat_mat(m2, m1)
+    dot12 = sum(p2[k] * v1[k] for k in range(3))
+    dot21 = sum(p1[k] * v2[k] for k in range(3))
+    m_out = tuple(
+        tuple(
+            comm[i][j]
+            - comm2[i][j]
+            - 3 * v1[i] * p2[j]
+            + 3 * v2[i] * p1[j]
+            + ((dot12 - dot21) if i == j else 0)
+            for j in range(3)
+        )
+        for i in range(3)
+    )
+    return _recompose(v_out, m_out, p_out)
+
+
+integer_elements = st.lists(st.integers(-99, 99), min_size=DIM, max_size=DIM).map(
+    lambda coords: G2Element(tuple(coords))
+)
+
+
+@given(integer_elements, integer_elements)
+@settings(max_examples=60, deadline=None)
+def test_bracket_matches_its_reference(x, y) -> None:
+    assert bracket(x, y) == _reference_bracket(x, y)
+
+
+def test_bracket_table_matches_the_reference_table() -> None:
+    expected = tuple(
+        tuple(
+            tuple((k, t) for k, t in enumerate(_reference_bracket(x, y).coords) if t)
+            for y in BASIS
+        )
+        for x in BASIS
+    )
+    assert g2._bracket_table() == expected

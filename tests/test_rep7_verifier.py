@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2verify import rep7_verifier as rep7
 from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, kernel_basis, rank
@@ -135,6 +136,19 @@ def test_seed_matrix_entries(rep) -> None:
 
 def test_homomorphism_all_pairs() -> None:
     assert verify_homomorphism() == 91
+
+
+@given(st.lists(st.tuples(st.integers(0, 13), st.integers(-9, 9)), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_action_matches_a_dense_reference(terms) -> None:
+    # Repeated and zero terms included: the action sums c * rho(b_k) over
+    # the nonzero entries, which must equal the entry-by-entry dense sum.
+    matrices = build_rep7().matrices
+    dense = [
+        [sum(c * matrices[k].entry(i, j) for k, c in terms) for j in range(REP_DIM)]
+        for i in range(REP_DIM)
+    ]
+    assert build_rep7().act(terms) == DenseMatrix.from_rows(dense)
 
 
 def test_weight_compatibility() -> None:
