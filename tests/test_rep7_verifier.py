@@ -14,7 +14,8 @@ from one table of monomial terms, are checked against their earlier
 kept here as references, and the table against the matrices it is
 written from.  The package takes integer points only, so a rational
 point drawn here reaches it cleared (`clear`), while the references
-read it as drawn.
+read it as drawn.  The identity sweeps, which sum into plain grids, are
+checked against their matrix-product formulations, kept here too.
 """
 
 import dataclasses
@@ -25,8 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from g2verify import g2_algebra as g2
 from g2verify import rep7_verifier as rep7
 from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, kernel_basis, rank
 from g2verify.rep7_verifier import (
@@ -148,7 +150,94 @@ def test_action_matches_a_dense_reference(terms) -> None:
         [sum(c * matrices[k].entry(i, j) for k, c in terms) for j in range(REP_DIM)]
         for i in range(REP_DIM)
     ]
-    assert build_rep7().act(terms) == DenseMatrix.from_rows(dense)
+    assert build_rep7().act(terms) == dense
+
+
+# The homomorphism sweep as the package wrote it before its sweeps summed
+# into one grid, through validated DenseMatrix products: the reference the
+# grid sweep is checked against.
+def _reference_act(rep, terms) -> DenseMatrix:
+    """The matrix of sum c b_k acting on the representation, for the
+    sparse terms (k, c) of a bracket-table entry."""
+    rows = [[0] * REP_DIM for _ in range(REP_DIM)]
+    for k, c in terms:
+        for acc, nonzeros in zip(rows, rep.matrices[k]._nonzeros):
+            for j, x in nonzeros:
+                acc[j] += c * x
+    return DenseMatrix.from_rows(rows)
+
+
+def _reference_commutator(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    return a @ b - b @ a
+
+
+def _reference_homomorphism() -> int:
+    """Number of basis pairs (i < j) satisfying the homomorphism identity
+    rho([b_i, b_j]) = [rho(b_i), rho(b_j)]; 91 means all pass."""
+    rep = rep7.build_rep7()
+    table = g2._bracket_table()
+    good = 0
+    for i in range(g2.DIM):
+        for j in range(i + 1, g2.DIM):
+            if _reference_act(rep, table[i][j]) == _reference_commutator(rep.matrices[i], rep.matrices[j]):
+                good += 1
+    return good
+
+
+def test_homomorphism_count_matches_the_reference(monkeypatch) -> None:
+    assert verify_homomorphism() == _reference_homomorphism() == 91
+    rep = build_rep7()
+    for k, m in enumerate(rep.matrices):
+        # One entry of rho(b_k) moved by 1, a different place for each k.
+        i, j = k % REP_DIM, (3 * k + 1) % REP_DIM
+        bad_m = with_entry(m, i, j, m.entry(i, j) + 1)
+        bad = dataclasses.replace(rep, matrices=rep.matrices[:k] + (bad_m,) + rep.matrices[k + 1:])
+        monkeypatch.setattr(rep7, "build_rep7", lambda: bad)
+        count = verify_homomorphism()
+        assert count == _reference_homomorphism() < 91, (k, count)
+        monkeypatch.undo()
+
+
+_SMALL_ENTRY = st.sampled_from((0, 0, 0, 1, -1, 2))
+
+
+@st.composite
+def _square_pair(draw) -> tuple:
+    n = draw(st.integers(1, 4))
+    grid = st.lists(st.lists(_SMALL_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+    return DenseMatrix.from_rows(draw(grid)), DenseMatrix.from_rows(draw(grid))
+
+
+# An antisymmetric b that the diagonal m leaves invariant, and a b that is
+# neither symmetric nor antisymmetric, which it does not.
+@example((DenseMatrix.from_rows([[1, 0], [0, -1]]), DenseMatrix.from_rows([[0, 1], [-1, 0]])))
+@example((DenseMatrix.from_rows([[1, 0], [0, -1]]), DenseMatrix.from_rows([[1, 2], [0, 1]])))
+@given(_square_pair())
+@settings(max_examples=200, deadline=None)
+def test_is_invariant_matches_the_matrix_formulation(pair) -> None:
+    m, b = pair
+    assert rep7._is_invariant(m, b) == (m.transpose() @ b + b @ m).is_zero()
+
+
+def test_identity_sweeps_build_no_matrix(monkeypatch) -> None:
+    # With every cache warm, a sweep sums its products into plain grids:
+    # only verify_quadric_element builds matrices, C (quadric_element is
+    # not cached) and the transposes rho(x)^T it reads C's invariance off.
+    sweeps = (verify_homomorphism, verify_invariant_form, verify_symplectic_invariance,
+              verify_quadric_element)
+    for sweep in sweeps:
+        sweep()
+    built = Counter()
+    true_post_init = DenseMatrix.__post_init__
+
+    def counting_post_init(self) -> None:
+        built[sweep.__name__] += 1
+        true_post_init(self)
+
+    monkeypatch.setattr(DenseMatrix, "__post_init__", counting_post_init)
+    for sweep in sweeps:
+        sweep()
+    assert built == Counter(verify_quadric_element=1 + len(build_rep7().matrices))
 
 
 def test_weight_compatibility() -> None:
