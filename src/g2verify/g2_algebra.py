@@ -209,15 +209,12 @@ def bracket(x: G2Element, y: G2Element) -> G2Element:
 def _bracket_table() -> tuple:
     """The structure constants: c[i][j] is the tuple of nonzero (k, c_ij^k)
     of [b_i, b_j], built once per process by one `bracket` call per basis
-    pair, 196 calls in all.  Every question
-    about brackets of basis vectors reads this one table: the algebra
-    checks, `ad_matrix`, `killing_gram`, the slice checks and the rho
-    homomorphism and f2 constraints.  So a test that patches `bracket`
-    clears it (`_bracket_table.cache_clear()`) after patching and again on
-    teardown.  The caches filled from the table keep the table of their
-    first call: `killing_gram`, `slice_verifier.build_slice_data` and
-    `rep7_verifier.build_rep7` (and the rep7 caches built on it).  A test
-    that fills them from a patched table clears them on teardown too."""
+    pair, 196 calls in all.  Every question about brackets of basis vectors
+    reads this one table: the algebra checks, `ad_matrix`, `killing_gram`,
+    the slice checks and the rho homomorphism and f2 constraints.  The
+    caches filled from the table keep the table of their first call:
+    `killing_gram`, `slice_verifier.build_slice_data` and
+    `rep7_verifier.build_rep7` (and the rep7 caches built on it)."""
     return tuple(
         tuple(tuple((k, t) for k, t in enumerate(bracket(x, y).coords) if t) for y in BASIS)
         for x in BASIS

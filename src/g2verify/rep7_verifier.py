@@ -492,9 +492,7 @@ def _form_terms() -> _FormTerms:
     build_symplectic14().  Conditions (ii) and (iii) make z orthogonal to
     B z' and to K_m z', K_m = m^T B - B m, for each g2-Borel generator m,
     read from rho; the moment map's H_A is x^T omega A x / 2 for each Borel
-    generator A.  A test that patches one of the three builders clears this
-    cache before and after (and count_orbits_mod_p's when it counts over
-    F_p); a test that changes one form patches _form_terms itself."""
+    generator A.  It keeps the builders' results of its first call."""
     b, rep, symp = invariant_form(), build_rep7(), build_symplectic14()
     quadric = _quadratic_terms(b)
     n = REP_DIM

@@ -37,6 +37,7 @@ from operator import mul
 from typing import Sequence
 
 from . import g2_algebra as g2
+from . import root_weyl as rw
 from .exact_linalg import DenseMatrix, DimensionMismatch, kernel_basis, rank
 from .g2_algebra import (
     BASIS,
@@ -49,7 +50,6 @@ from .g2_algebra import (
     killing,
 )
 from .root_weyl import (
-    GAMMA,
     Polarization,
     Root,
     WeylElement,
@@ -73,20 +73,20 @@ class InconsistentCriteriaError(AssertionError):
 E = g2.e1
 F = -g2.f1
 H = g2.h_a.scale(2) + g2.h_b
-_E = BASIS.index(E)
 
 #: The isotropic line l = <e2> of g_(-1), as basis indices.
 L = (BASIS_NAMES.index("e2"),)
 
 
-def psi(x: G2Element) -> int:
-    """The character psi = killing(e, x)."""
-    return killing(E, x)
-
-
 def _psi_row() -> tuple[int, ...]:
-    """psi's coefficients on the basis: the Killing Gram's row of e."""
-    return g2.killing_gram()[_E]
+    """psi's coefficients psi(b_k) = killing(e, b_k), read from E at each
+    call; a caller reads them once and passes them on."""
+    return tuple(killing(E, b) for b in BASIS)
+
+
+def psi(x: G2Element) -> int:
+    """The character psi = killing(e, x): psi's row times x's coordinates."""
+    return sum(map(mul, _psi_row(), x.coords))
 
 
 @dataclass(frozen=True)
@@ -154,9 +154,9 @@ def _check_nilpotent_span(indices: Sequence[int], name: str) -> None:
     raise StructureMismatchError(f"{name} is not nilpotent")
 
 
-def _psi_bracket(i: int, j: int) -> int:
-    """psi([b_i, b_j]): the sum of t * psi(b_k) over the table entry c[i][j]."""
-    psi_row = _psi_row()
+def _psi_bracket(psi_row: Sequence[int], i: int, j: int) -> int:
+    """psi([b_i, b_j]): the sum of t * psi(b_k) over the table entry c[i][j],
+    for psi's coefficients `psi_row`."""
     return sum(t * psi_row[k] for k, t in g2._bracket_table()[i][j])
 
 
@@ -192,13 +192,14 @@ def _subspaces(levels: Sequence[int]) -> dict:
     # s = {x in g_0 : [x, l] in l, psi([x, n_l]) = 0}, one kernel over g_0's coordinates.
     g0 = [j for j, lv in enumerate(levels) if lv == 0]
     rows = [[dict(c[j][i]).get(k, 0) for j in g0] for i in L for k in range(DIM) if k not in L]
-    rows += [[_psi_bracket(j, i) for j in g0] for i in n_l]
+    psi_row = _psi_row()
+    rows += [[_psi_bracket(psi_row, j, i) for j in g0] for i in n_l]
     kernel = kernel_basis(DenseMatrix.from_rows(rows))
     if any(sum(map(bool, v)) != 1 for v in kernel):
         raise StructureMismatchError("s is not spanned by basis vectors")
     s = tuple(j for j, *column in zip(g0, *kernel) if any(column))
     u5 = n_l + tuple(sorted({k for i in s for j in s for k, _ in c[i][j]} - set(n_l)))
-    gamma = tuple(i for i, w in enumerate(BASIS_WEIGHTS) if w == GAMMA.coords)
+    gamma = tuple(i for i, w in enumerate(BASIS_WEIGHTS) if w == rw.GAMMA.coords)
     t_prime = tuple(i for i in s if BASIS_WEIGHTS[i] == (0, 0))
     return dict(n_l=n_l, s=s, t_prime=t_prime, u5=u5, u6=u5 + gamma)
 
@@ -251,7 +252,7 @@ def build_slice_data() -> SliceData:
     # l sits in g_(-1) and is isotropic for omega_{-1}.
     if any(levels[i] != -1 for i in L):
         raise StructureMismatchError("l is not inside g_(-1)")
-    if _psi_bracket(L[0], L[0]) != 0:
+    if _psi_bracket(_psi_row(), L[0], L[0]) != 0:
         raise StructureMismatchError("l is not isotropic for omega_{-1}")
 
     return data
@@ -266,9 +267,10 @@ def verify_psi_conditions() -> bool:
     """
     data = build_slice_data()
     ext = data.t_prime + data.u5
+    psi_row = _psi_row()
     # s is derived from psi([s, n_l]) = 0, so the second family cannot fail; it states the lemma.
     return not any(
-        _psi_bracket(i, j)
+        _psi_bracket(psi_row, i, j)
         for family_a, family_b in ((data.n_l, data.n_l), (data.s, data.n_l), (ext, ext))
         for i in family_a
         for j in family_b
@@ -340,7 +342,8 @@ def omega_minus1_check() -> bool:
     if len(idx) != 2:
         return False
     # omega_{-1}(u, v) = killing([u, v], e) = psi([u, v]).
-    (xx, xy), (yx, yy) = [[_psi_bracket(u, v) for v in idx] for u in idx]
+    psi_row = _psi_row()
+    (xx, xy), (yx, yy) = [[_psi_bracket(psi_row, u, v) for v in idx] for u in idx]
     if xx or yy or xy + yx or not xy:
         return False
     # A basis line is a single torus-weight line by construction; confirm
@@ -348,12 +351,11 @@ def omega_minus1_check() -> bool:
     return L[0] in idx and BASIS_WEIGHTS[L[0]] != (0, 0)
 
 
-def _psi_ad_powers_vanish(a: DenseMatrix, v: Sequence[int]) -> bool:
+def _psi_ad_powers_vanish(psi_row: Sequence[int], a: DenseMatrix, v: Sequence[int]) -> bool:
     """True iff psi(a^k x) = 0 for every k >= 1, x with coordinates v, for
-    a = ad of gamma's root vector: up to the factors 1/k! != 0, the
-    coefficients of psi(exp(t a) x) - psi(x) as a polynomial in t.  a is
-    nilpotent, so they are finitely many."""
-    psi_row = _psi_row()
+    psi's coefficients `psi_row` and a = ad of gamma's root vector: up to
+    the factors 1/k! != 0, the coefficients of psi(exp(t a) x) - psi(x) as
+    a polynomial in t.  a is nilpotent, so they are finitely many."""
     for _ in range(DIM):
         v = a.mul_vec(v)
         if not any(v):
@@ -379,13 +381,14 @@ def count_relevant_orbits() -> RelevantOrbitCount:
     u6 = Polarization(frozenset(Root(*BASIS_WEIGHTS[i]) for i in data.u6))
     (gamma,) = data.u6[len(data.u5) :]  # u6 = u5 + g_gamma
     ad_gamma = ad_matrix(BASIS[gamma])
-    neg_alpha = Root(-1, 0)
+    neg_alpha = -rw.ALPHA
+    psi_row = _psi_row()
     records = []
     for w, s_w in zip(generate_weyl(), all_polarizations()):
         if s_w != apply_weyl(w, u6):
             raise InconsistentCriteriaError(f"S_w at w = {w!r} is not w(u6's weights)")
         ubar = [(r, BASIS[i]) for r, i in u5 if r in s_w]
-        psi_vanishes = all(psi(x) == 0 for _, x in ubar)
+        psi_vanishes = not any(sum(map(mul, psi_row, x.coords)) for _, x in ubar)
         combinatorial = neg_alpha not in s_w
         if psi_vanishes != combinatorial:
             raise InconsistentCriteriaError(
@@ -393,11 +396,11 @@ def count_relevant_orbits() -> RelevantOrbitCount:
                 f"psi-vanishing {psi_vanishes}, -alpha test {combinatorial}"
             )
         base_relevant = psi_vanishes
-        complementary_exists = GAMMA not in s_w
+        complementary_exists = rw.GAMMA not in s_w
         complementary_relevant = (
             complementary_exists
             and base_relevant
-            and all(_psi_ad_powers_vanish(ad_gamma, x.coords) for _, x in ubar)
+            and all(_psi_ad_powers_vanish(psi_row, ad_gamma, x.coords) for _, x in ubar)
         )
         records.append(
             RelevancyRecord(

@@ -1,14 +1,66 @@
-"""Shared fault injections, references and conversions."""
+"""Shared fault injections, references and conversions, and the one reset
+of the package's caches."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import g2verify
 from g2verify import g2_algebra as g2
 from g2verify import slice_verifier as sv
 from g2verify.exact_linalg import DenseMatrix
 from g2verify.g2_algebra import BASIS, DIM, G2Element, bracket, killing
+from g2verify.report_cli import run_suite
 from g2verify.sampling import cleared
+
+
+def _package_caches() -> dict:
+    """Every cache a g2verify module defines, by "module.name": the module
+    attributes with a `cache_clear`, found by walking the package."""
+    found = {}
+    for info in pkgutil.iter_modules(g2verify.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"{g2verify.__name__}.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                found[f"{info.name}.{value.__name__}"] = value
+    return found
+
+
+#: Found once, so that a test which patches a cached function away still
+#: clears the true one.
+_CACHES = _package_caches()
+
+
+def clear_caches() -> tuple[str, ...]:
+    """Empty every package cache; the names of the caches emptied.  This is
+    the only place the tests clear a cache: a cache filled while a datum
+    was patched keeps what it read, so every reset empties them all."""
+    for cached in _CACHES.values():
+        cached.cache_clear()
+    return tuple(_CACHES)
+
+
+def run_faulted(monkeypatch, config, patches, fill, probes):
+    """run_suite(config) under `patches`, (module, attribute, make) each:
+    the attribute becomes make(its true value).  The caches are emptied
+    first, those in `fill` are filled from the true data, and they are
+    emptied again once the patches are undone.  Returns the report and the
+    value of each probe, called under the patches before the run."""
+    clear_caches()
+    for cached in fill:
+        cached()
+    try:
+        for module, name, make in patches:
+            monkeypatch.setattr(module, name, make(getattr(module, name)))
+        values = tuple(probe() for probe in probes)
+        return run_suite(config), values
+    finally:
+        monkeypatch.undo()
+        clear_caches()
 
 
 def clear(values) -> list[int]:
@@ -36,9 +88,10 @@ def bracket_with_extra_h_a(monkeypatch):
     """Patch g2.bracket by the antisymmetric bilinear term
     (x_e1 y_f1 - x_f1 y_e1) h_a: +1 on the h_a coefficient of [e1, f1] and
     -1 on that of [f1, e1].  Antisymmetry still holds; Jacobi does not.
-    The cached bracket table is cleared after patching and on teardown, and
-    so is any slice data built from the perturbed table."""
-    g2.killing_gram()  # cache the true Gram before the bracket changes
+    The structure-constant table is the patched bracket's, and the Gram the
+    true one, filled before; every cache is emptied on teardown."""
+    clear_caches()
+    g2.killing_gram()
     true_bracket = g2.bracket
 
     def bad_bracket(x, y):
@@ -47,10 +100,10 @@ def bracket_with_extra_h_a(monkeypatch):
         return g2.G2Element(tuple(coords))
 
     monkeypatch.setattr(g2, "bracket", bad_bracket)
-    g2._bracket_table.cache_clear()
+    table = g2._bracket_table.__wrapped__()  # built through the patched bracket, uncached
+    monkeypatch.setattr(g2, "_bracket_table", lambda: table)
     yield
-    g2._bracket_table.cache_clear()
-    sv.build_slice_data.cache_clear()
+    clear_caches()
 
 
 def _reference_omega_prime_rows(point) -> list[list[int]]:

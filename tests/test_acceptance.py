@@ -16,7 +16,7 @@ from g2verify import slice_verifier as sv
 from g2verify.report_cli import Config, emit, run_suite
 from g2verify.sampling import SmallRationalSampler
 
-from conftest import clear
+from conftest import clear, clear_caches
 
 #: `verify --format json` with every option at its default.
 GOLDEN_DEFAULT_REPORT = Path(__file__).parent / "data" / "default_report.json"
@@ -33,7 +33,7 @@ class Stopwatch:
 
 
 def test_1_slice_side_count_is_six_plus_one() -> None:
-    sv.build_slice_data.cache_clear()
+    clear_caches()
     with Stopwatch() as sw:
         result = sv.count_relevant_orbits()
     assert result.base == 6
@@ -49,8 +49,8 @@ def test_2_linear_side_count_is_seven() -> None:
     assert len(set(dims)) == 6
     origin = (0,) * 7
     assert rep7.orbit_dimension(origin) == 0
+    clear_caches()
     for p in (3, 5, 7):
-        rep7.count_orbits_mod_p.cache_clear()
         with Stopwatch() as sw:
             result = rep7.count_orbits_mod_p(p)
         assert result.orbit_count == 7
@@ -70,8 +70,7 @@ def test_3_algebra_integrity() -> None:
 
 
 def test_4_representation_integrity() -> None:
-    rep7.build_rep7.cache_clear()
-    rep7.invariant_form.cache_clear()
+    clear_caches()
     with Stopwatch() as sw:
         rep = rep7.build_rep7()
         assert rep7.verify_homomorphism() == 91

@@ -149,7 +149,7 @@ def test_slice_side_types_only_the_triple_and_l() -> None:
         for node in ast.walk(statement)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
     ]
-    assert assigned == ["E", "F", "H", "_E", "L"]
+    assert assigned == ["E", "F", "H", "L"]
 
 
 def test_package_imports_only_declared_dependencies() -> None:

@@ -60,7 +60,7 @@ from g2verify.rep7_verifier import (
 )
 from g2verify.sampling import SmallRationalSampler
 
-from conftest import clear, with_entry
+from conftest import clear, clear_caches, with_entry
 
 
 def unit(i: int) -> tuple:
@@ -360,15 +360,12 @@ def test_phi_check_fails_on_a_perturbed_omega_or_block(monkeypatch) -> None:
         dataclasses.replace(symp, actions14=(bad_block,) + symp.actions14[1:]),
     )
     for bad in faults:
-        rep7._form_terms.cache_clear()
         monkeypatch.setattr(rep7, "build_symplectic14", lambda: bad)
         try:
             assert not phi_symplectomorphism_check()
         finally:
-            # Drop anything built from the fault, then restore the true
-            # build_symplectic14.
-            rep7._form_terms.cache_clear()
             monkeypatch.undo()
+            clear_caches()  # anything built from the fault
     assert phi_symplectomorphism_check()
 
 
@@ -777,8 +774,8 @@ def test_orbit_labels_are_least_points_after_several_rounds(build) -> None:
 def test_oracle_memory_peak_at_p7() -> None:
     # numpy reports its buffers to tracemalloc, so the peak counts every
     # array the count allocates; the cached form table and rho are built first.
+    clear_caches()
     rep7._form_terms()
-    count_orbits_mod_p.cache_clear()
     tracemalloc.start()
     try:
         count_orbits_mod_p(7)

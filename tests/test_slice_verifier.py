@@ -26,6 +26,7 @@ from g2verify.g2_algebra import (
     G2Element,
     ad_matrix,
     bracket,
+    killing_gram,
 )
 from g2verify.root_weyl import ALPHA, GAMMA, Root
 from g2verify.sampling import SmallRationalSampler
@@ -45,7 +46,7 @@ from g2verify.slice_verifier import (
     verify_psi_conditions,
 )
 
-from conftest import slice_coords
+from conftest import clear_caches, slice_coords
 
 f1 = G2Element.basis(3)
 
@@ -81,6 +82,16 @@ def test_kernel_of_ad_f(data) -> None:
 def test_psi_frozen_value() -> None:
     assert psi(f1) == -24
     assert psi(E) == 0
+
+
+def test_psi_and_its_row_read_a_patched_e(monkeypatch) -> None:
+    # psi's basis row is derived from E when it is read, so with e = e2 both
+    # it and psi give e2's Killing pairings: -24 at f2, not at f1.
+    monkeypatch.setattr(sv, "E", sv.g2.e2)
+    row = killing_gram()[BASIS_NAMES.index("e2")]
+    assert sv._psi_row() == row
+    assert tuple(psi(b) for b in BASIS) == row
+    assert psi(sv.g2.f2) == -24 and psi(f1) == 0
 
 
 def test_structural_lemmas() -> None:
@@ -162,21 +173,19 @@ def test_corrections_apply_ad_of_u6s_gamma_line(monkeypatch) -> None:
     true_vanish = sv._psi_ad_powers_vanish
     operators = []
 
-    def recorded(a, v):
+    def recorded(psi_row, a, v):
         operators.append(a)
-        return true_vanish(a, v)
+        return true_vanish(psi_row, a, v)
 
-    monkeypatch.setattr(sv, "GAMMA", root)
+    monkeypatch.setattr(rw, "GAMMA", root)
     monkeypatch.setattr(rw, "base_positive_system", lambda: rw.Polarization(base))
     monkeypatch.setattr(sv, "_psi_ad_powers_vanish", recorded)
-    sv.build_slice_data.cache_clear()
-    rw.all_polarizations.cache_clear()
+    clear_caches()
     try:
         count_relevant_orbits()
         gamma_line = build_slice_data().u6[-1]
     finally:
-        sv.build_slice_data.cache_clear()
-        rw.all_polarizations.cache_clear()
+        clear_caches()
     assert BASIS_NAMES[gamma_line] == "e3"
     assert operators and all(a == ad_matrix(BASIS[gamma_line]) for a in operators)
 
