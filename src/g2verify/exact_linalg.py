@@ -1,13 +1,13 @@
 """Small dense integer linear algebra.
 
 A `DenseMatrix` holds Python ints only, and its `scale` by a Fraction is
-an exact quotient.  One fraction-free Bareiss elimination on integers
-serves `rank` and `kernel_basis`: the rank is its pivot count, and null
-vectors come from its echelon form by integer back-substitution.  A
-kernel basis is the reduced row-echelon basis times the least positive
-factor that makes it integral, so it is ints only.  A linear solve is a
-null vector of the augmented matrix, read by its caller.  Floating point
-is never used anywhere in this package.
+an exact quotient.  One fraction-free echelon on integers serves `rank`
+(its pivot count) and `kernel_basis`; it touches only the rows with a
+nonzero in the pivot column, and keeps them primitive.  A kernel basis is
+the reduced row-echelon basis times the least positive factor that makes
+it integral, so it is ints only.  A linear solve is a null vector of the
+augmented matrix, read by its caller.  Floating point is never used
+anywhere in this package.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -126,69 +127,68 @@ class DenseMatrix:
         return not any(any(row) for row in self.entries)
 
 
-def _bareiss(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free (Bareiss) row-echelon form of the integer `rows`, the
-    entries of a `DenseMatrix`.  Returns the nonzero integer echelon rows
-    and their pivot columns.  Every row below a pivot is updated, zeros in
-    the pivot column included, so every division by the previous pivot is
-    exact.  Only the entries right of the pivot column are computed: those
-    left of it are already 0 in these rows, and the pivot column's become 0."""
-    rows = [list(r) for r in rows if any(r)]
+def _echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list, list[int]]:
+    """Fraction-free row-echelon form of the integer `rows`, the entries of
+    a `DenseMatrix`: the nonzero echelon rows and their pivot columns.
+    Under a pivot, a row with f != 0 in its column becomes a row - b top,
+    a/b being the pivot over f in lowest terms, divided by its content (the
+    gcd of its entries).  A row with a 0 there, as most rows of a sparse
+    matrix have, is left as it is."""
+    rows = [r for r in rows if any(r)]
     pivots: list[int] = []
-    prev = 1
     for c in range(ncols):
         r = len(pivots)
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv, top = rows[r][c], rows[r][c + 1 :]
+        top = rows[pivot_row]
+        rows[pivot_row], rows[r] = rows[r], top
+        piv = top[c]
         for i in range(r + 1, len(rows)):
-            row = rows[i]
-            f = row[c]
-            row[c] = 0
-            row[c + 1 :] = [(piv * x - f * y) // prev for x, y in zip(row[c + 1 :], top)]
-        prev = piv
+            f = rows[i][c]
+            if f:
+                g = gcd(piv, f)
+                row = [piv // g * x - f // g * y for x, y in zip(rows[i], top)]
+                content = gcd(*row) or 1  # a row that became 0 stays 0
+                rows[i] = [x // content for x in row]
         pivots.append(c)
     return rows[: len(pivots)], pivots
 
 
-def _null_vector(rows: list[list[int]], pivots: list[int], ncols: int, free: int, d: int) -> list:
-    """d times the null vector of the echelon `rows` that is 1 at the
-    non-pivot column `free` and 0 at every other one, for d their last
-    pivot.  The vector is unique, so it is the reduced row-echelon basis
-    vector, and d is the determinant of the rows' minor on the pivot
-    columns, so by Cramer's rule d times the vector is integral: it is
-    back-substituted in integers, each division exact."""
+def _null_vector(rows: list, pivots: list[int], ncols: int, free: int) -> list[int]:
+    """The reduced row-echelon basis vector of the non-pivot column `free`
+    times the least positive integer that makes it integral: the primitive
+    null vector of the echelon `rows` that is positive at `free` and 0 at
+    the other non-pivot columns.  It is back-substituted from e_free, last
+    pivot row first; where the pivot p does not divide the row's sum s over
+    the entries set so far, the vector is first scaled by |p| / gcd(s, p),
+    which keeps it primitive."""
     v = [0] * ncols
-    v[free] = d
+    v[free] = 1
     for row, pc in zip(reversed(rows), reversed(pivots)):
-        acc = sum(row[j] * v[j] for j in range(pc + 1, ncols) if v[j])
-        v[pc], remainder = divmod(-acc, row[pc])
-        if remainder:
-            raise ArithmeticError("Bareiss back-substitution left a remainder")
+        s, p = sum(map(mul, row, v)), row[pc]
+        scale = abs(p) // gcd(s, p)
+        if scale != 1:
+            v = [scale * x for x in v]
+            s *= scale
+        v[pc] = -s // p
     return v
 
 
 def rank(m: DenseMatrix) -> int:
-    """Rank of `m`: the pivot count of its Bareiss echelon form."""
-    return len(_bareiss(m.entries, m.cols)[1])
+    """Rank of `m`: the pivot count of its echelon form."""
+    return len(_echelon(m.entries, m.cols)[1])
 
 
 def kernel_basis(m: DenseMatrix) -> tuple[tuple[int, ...], ...]:
-    """An integer basis of the right null space of `m`: for each non-pivot
-    column, the null vector that is 1 there and 0 at the other non-pivot
-    columns (the reduced row-echelon basis), all times the least positive
-    L that makes every one integral.  Each vector reads L at its own
-    non-pivot column.  Returns ``cols - rank(m)`` vectors v with
-    ``m v = 0``; L is 1 when the reduced basis is integral.
-    """
-    echelon, pivots = _bareiss(m.entries, m.cols)
-    d = echelon[-1][pivots[-1]] if echelon else 1  # the last pivot
-    free = (c for c in range(m.cols) if c not in pivots)
-    vectors = [_null_vector(echelon, pivots, m.cols, c, d) for c in free]
-    # The vectors are d times the reduced basis, so L = |d| / g.
-    g = gcd(d, *chain.from_iterable(vectors))
-    g = g if d > 0 else -g
-    return tuple(tuple(x // g for x in v) for v in vectors)
-
+    """An integer basis of the right null space of `m`: ``cols - rank(m)``
+    vectors v with ``m v = 0``.  For each non-pivot column, the null vector
+    that is 1 there and 0 at the other non-pivot columns (the reduced
+    row-echelon basis), all times the least positive L that makes every one
+    integral, so each reads L at its own non-pivot column."""
+    echelon, pivots = _echelon(m.entries, m.cols)
+    free = [c for c in range(m.cols) if c not in pivots]
+    vectors = [_null_vector(echelon, pivots, m.cols, c) for c in free]
+    # Each vector is the reduced one times its entry k at its free column.
+    factor = lcm(*(v[c] for v, c in zip(vectors, free)))
+    return tuple(tuple(factor // v[c] * x for x in v) for v, c in zip(vectors, free))

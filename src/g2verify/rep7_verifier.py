@@ -45,12 +45,19 @@ unipotent map per positive root, and s^rho(h) for h_a, h_b.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
 from math import isqrt
 from typing import Sequence
+
+# The oracle's numpy work is integer only and never calls BLAS.  OpenBLAS
+# starts its worker threads when numpy is imported, and they busy-wait for
+# jobs that never come, billing a varying share of a core to whatever runs
+# next; one thread starts none.  An explicit setting by the caller wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -355,11 +362,11 @@ def zero_weight_space() -> tuple:
     return kernel_basis(DenseMatrix.from_rows(stacked))
 
 
-def _is_invariant(m: DenseMatrix, b: DenseMatrix) -> bool:
-    """Whether m^T b + b m = 0, for square m and b of one size, b not
-    necessarily symmetric: both products are summed off the sparse rows
-    into one grid, which is tested for zero."""
-    m_rows, b_rows = m._nonzeros, b._nonzeros
+def _is_invariant(m_rows: Sequence, b: DenseMatrix) -> bool:
+    """Whether m^T b + b m = 0, for square m and b of one size, m given by
+    its `_nonzeros` rows and b not necessarily symmetric: both products are
+    summed off the sparse rows into one grid, which is tested for zero."""
+    b_rows = b._nonzeros
     grid = [[0] * b.cols for _ in range(b.rows)]
     # (m^T b)[i][j] = sum_k m[k][i] b[k][j].
     for m_row, b_row in zip(m_rows, b_rows):
@@ -371,20 +378,30 @@ def _is_invariant(m: DenseMatrix, b: DenseMatrix) -> bool:
     return not any(map(any, grid))
 
 
+def _column_nonzeros(m: DenseMatrix) -> list:
+    """Per column of m, the (row, entry) pairs of its nonzero entries: the
+    `_nonzeros` rows of m^T, read without building it."""
+    columns = [[] for _ in range(m.cols)]
+    for i, row in enumerate(m._nonzeros):
+        for j, x in row:
+            columns[j].append((i, x))
+    return columns
+
+
 def verify_invariant_form() -> int:
     """Number of basis x whose action leaves the bilinear form invariant,
     rho(x)^T B + B rho(x) = 0 (`_is_invariant`); 14 means all pass."""
     b = invariant_form()
-    return sum(_is_invariant(m, b) for m in build_rep7().matrices)
+    return sum(_is_invariant(m._nonzeros, b) for m in build_rep7().matrices)
 
 
 def verify_quadric_element() -> int:
     """Number of basis x whose action leaves the symmetric-square element q
     invariant, rho(x) C + C rho(x)^T = 0, where C is the typed coefficient
-    matrix of q = u^2 - 4vv~ - 4ww~ - 4tt~: `_is_invariant` of rho(x)^T
-    and C; 14 means all pass."""
+    matrix of q = u^2 - 4vv~ - 4ww~ - 4tt~: `_is_invariant` of rho(x)^T,
+    read off rho(x)'s columns, and C; 14 means all pass."""
     c = quadric_element()
-    return sum(_is_invariant(m.transpose(), c) for m in build_rep7().matrices)
+    return sum(_is_invariant(_column_nonzeros(m), c) for m in build_rep7().matrices)
 
 
 #: The linear-side Borel: Cartan pair plus the six positive-root vectors of
@@ -429,7 +446,7 @@ def verify_symplectic_invariance() -> bool:
     symp = build_symplectic14()
     if rank(symp.omega) != 2 * REP_DIM:
         return False
-    return all(_is_invariant(a, symp.omega) for a in symp.actions14)
+    return all(_is_invariant(a._nonzeros, symp.omega) for a in symp.actions14)
 
 
 def _block_rows(blocks: Sequence) -> tuple:
@@ -745,7 +762,15 @@ def count_orbits_mod_p(p: int) -> OrbitCountResult:
     for gen in _unipotent_generators(p) + _torus_generators(p):
         perm = lookup[_image_keys(gen, points, keys, p, image, y)]
         if perm.min() < 0:
-            raise AssertionError("generator does not preserve the quadric")
+            # An image outside the cone's keys: the generator is at fault if
+            # some such image is off the quadric mod p, else the enumeration.
+            missed = np.unique(image[perm < 0])
+            x = _key_points(missed, p).astype(np.int64)
+            if np.any(sum(c * x[i] * x[j] for i, j, c in _form_terms().quadric) % p):
+                raise AssertionError("generator does not preserve the quadric")
+            raise AssertionError(
+                f"the cone enumeration missed {len(missed)} of the quadric's points"
+            )
         perms.append(perm)
     del keys, points, lookup, image, y  # the labelling needs only the permutations
 

@@ -112,7 +112,9 @@ def reflection(delta: Root) -> WeylElement:
 def generate_weyl() -> tuple[WeylElement, ...]:
     """The Weyl group of G2: closure of the two simple reflections.
 
-    Returns exactly 12 distinct elements in a fixed sorted order.
+    Returns exactly 12 distinct elements in a fixed sorted order.  Two
+    reflections that are not G2's simple ones may generate an infinite
+    group, so the closure raises ValueError once it passes 12 elements.
     """
     gens = (reflection(ALPHA), reflection(BETA))
     seen = {WeylElement.identity()}
@@ -125,6 +127,8 @@ def generate_weyl() -> tuple[WeylElement, ...]:
                 if c not in seen:
                     seen.add(c)
                     nxt.append(c)
+        if len(seen) > 12:
+            raise ValueError("the Weyl closure exceeds 12 elements")
         frontier = nxt
     return tuple(sorted(seen))
 

@@ -24,8 +24,17 @@ class SmallRationalSampler:
 
     def ratio(self) -> tuple[int, int]:
         """The next draw as (numerator, denominator), unreduced, denominator
-        positive: callers that clear denominators take it without a Fraction."""
-        return self._rng.randint(-10, 10), self._rng.randint(1, 10)
+        positive: callers that clear denominators take it without a Fraction.
+        The two are drawn as `randint(-10, 10)` and `randint(1, 10)` draw,
+        by rejection on 5 and 4 random bits, so the stream is theirs."""
+        bits = self._rng.getrandbits
+        n = bits(5)
+        while n >= 21:
+            n = bits(5)
+        d = bits(4)
+        while d >= 10:
+            d = bits(4)
+        return n - 10, d + 1
 
     def fraction(self) -> Fraction:
         return Fraction(*self.ratio())

@@ -3,10 +3,13 @@
 Property-based checks pin down the algebraic laws (rank--nullity, kernel
 membership) that every later verification step leans on; small frozen
 cases guard the edge behavior and the error paths.  The fraction-free
-Bareiss `rank` and `kernel_basis` are checked against the earlier
-rational reduced row-echelon elimination, kept here as the reference:
-same rank, and the same basis vectors times one least positive factor
-that makes them all integral.
+`rank` and `kernel_basis`, whose echelon updates only the rows with a
+nonzero in the pivot column and keeps them primitive, are checked
+against two earlier eliminations kept here as references.  The rational
+reduced row-echelon one takes dense and sparse drawn matrices: same
+rank, and the same basis vectors times one least positive factor that
+makes them all integral.  The dense integer Bareiss one, which the
+package ran before, takes every rank and kernel of three whole runs.
 
 A `DenseMatrix` holds ints only, so the strategies draw rational rows,
 the references reduce those rows, and the package receives them cleared
@@ -16,6 +19,7 @@ of (numerator, denominator) pairs, which Hypothesis generates far faster
 than nested lists of fractions.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -23,6 +27,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2verify import exact_linalg, report_cli
+from g2verify import g2_algebra as g2
+from g2verify import rep7_verifier as rep7
+from g2verify import slice_verifier as sv
 from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, kernel_basis, rank
 from g2verify.g2_algebra import BASIS, G2Element, ad_matrix, bracket, killing, killing_gram
 from g2verify.rep7_verifier import (
@@ -34,9 +42,10 @@ from g2verify.rep7_verifier import (
     moment_zero_check,
     quadric_value,
 )
+from g2verify.report_cli import Config, run_suite
 from g2verify.sampling import cleared
 
-from conftest import clear
+from conftest import clear, clear_caches
 
 #: A pair (n, d) stands for n/6 rounded down to a multiple of 1/d, which
 #: reaches every fraction in [-5, 5] with denominator at most 6 with two
@@ -169,7 +178,30 @@ def rank_test_matrices(draw) -> list[list]:
     return _product(grid(nrows, inner), grid(inner, ncols))
 
 
-@given(rank_test_matrices())
+#: A nonzero entry of a sparse matrix: a small fraction, or a tall integer.
+nonzero_entries = st.one_of(
+    st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 6)),
+    st.integers(-(10**12), 10**12).filter(bool),
+)
+
+
+@st.composite
+def sparse_rank_matrices(draw) -> list[list]:
+    """Rational rows up to 12 x 16 with 50-90% zeros, the package's own
+    shapes and sparsity: the shape, then the places of the nonzero entries
+    and their values."""
+    nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 16))
+    size = nrows * ncols
+    count = draw(st.integers(size // 10, size // 2))
+    places = draw(st.lists(st.integers(0, size - 1), min_size=count, max_size=count, unique=True))
+    nonzeros = draw(st.lists(nonzero_entries, min_size=count, max_size=count))
+    values = [0] * size
+    for place, value in zip(places, nonzeros):
+        values[place] = value
+    return _grid(values, nrows, ncols)
+
+
+@given(st.one_of(rank_test_matrices(), sparse_rank_matrices()))
 @settings(max_examples=200, deadline=None)
 def test_bareiss_rank_matches_reference_rank(rows) -> None:
     r = rank(_integer(rows))
@@ -177,7 +209,7 @@ def test_bareiss_rank_matches_reference_rank(rows) -> None:
     assert r == _reference_rank(rows)
 
 
-@given(rank_test_matrices())
+@given(st.one_of(rank_test_matrices(), sparse_rank_matrices()))
 @settings(max_examples=200, deadline=None)
 def test_bareiss_kernel_matches_reference_rref(rows) -> None:
     m = _integer(rows)
@@ -194,6 +226,107 @@ def test_bareiss_kernel_matches_reference_rref(rows) -> None:
         assert factor > 0
         assert kern == tuple(tuple(factor * x for x in v) for v in reference)
         assert gcd(factor, *chain.from_iterable(kern)) == 1
+
+
+# The elimination as the package wrote it before its echelon skipped the
+# rows with a zero in the pivot column: dense fraction-free Bareiss, and
+# back-substitution times the last pivot d.
+def _bareiss(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) row-echelon form of the integer `rows`, the
+    entries of a `DenseMatrix`.  Returns the nonzero integer echelon rows
+    and their pivot columns.  Every row below a pivot is updated, zeros in
+    the pivot column included, so every division by the previous pivot is
+    exact.  Only the entries right of the pivot column are computed: those
+    left of it are already 0 in these rows, and the pivot column's become 0."""
+    rows = [list(r) for r in rows if any(r)]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        piv, top = rows[r][c], rows[r][c + 1 :]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
+            f = row[c]
+            row[c] = 0
+            row[c + 1 :] = [(piv * x - f * y) // prev for x, y in zip(row[c + 1 :], top)]
+        prev = piv
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def _bareiss_null_vector(rows, pivots, ncols: int, free: int, d: int) -> list:
+    """d times the null vector of the echelon `rows` that is 1 at the
+    non-pivot column `free` and 0 at every other one, for d their last
+    pivot.  The vector is unique, so it is the reduced row-echelon basis
+    vector, and d is the determinant of the rows' minor on the pivot
+    columns, so by Cramer's rule d times the vector is integral: it is
+    back-substituted in integers, each division exact."""
+    v = [0] * ncols
+    v[free] = d
+    for row, pc in zip(reversed(rows), reversed(pivots)):
+        acc = sum(row[j] * v[j] for j in range(pc + 1, ncols) if v[j])
+        v[pc], remainder = divmod(-acc, row[pc])
+        if remainder:
+            raise ArithmeticError("Bareiss back-substitution left a remainder")
+    return v
+
+
+def _bareiss_rank(m: DenseMatrix) -> int:
+    return len(_bareiss(m.entries, m.cols)[1])
+
+
+def _bareiss_kernel_basis(m: DenseMatrix) -> tuple:
+    """The reduced row-echelon basis times the least positive L that makes
+    every vector integral."""
+    echelon, pivots = _bareiss(m.entries, m.cols)
+    d = echelon[-1][pivots[-1]] if echelon else 1  # the last pivot
+    free = (c for c in range(m.cols) if c not in pivots)
+    vectors = [_bareiss_null_vector(echelon, pivots, m.cols, c, d) for c in free]
+    # The vectors are d times the reduced basis, so L = |d| / g.
+    g = gcd(d, *chain.from_iterable(vectors))
+    g = g if d > 0 else -g
+    return tuple(tuple(x // g for x in v) for v in vectors)
+
+
+#: The benchmark's workloads, with the calls of one cold run of each.
+RUNS = {
+    "default": (Config(), {"rank": 48, "kernel_basis": 122}),
+    "oracle": (Config(suites=("linear",), samples=1), {"rank": 15, "kernel_basis": 11}),
+    "exact": (Config(suites=("algebra", "slice"), samples=40), {"rank": 45, "kernel_basis": 12}),
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_every_elimination_of_a_run_matches_the_bareiss_reference(monkeypatch, run) -> None:
+    # Every rank and kernel_basis call of a cold run, wherever the package
+    # imported the function, returns what the Bareiss reference returns.
+    config, expected_calls = RUNS[run]
+    calls, mismatches = Counter(), []
+    for name, reference in (("rank", _bareiss_rank), ("kernel_basis", _bareiss_kernel_basis)):
+        true = getattr(exact_linalg, name)
+
+        def checked(m, name=name, true=true, reference=reference):
+            calls[name] += 1
+            value = true(m)
+            if value != reference(m):
+                mismatches.append((name, m))
+            return value
+
+        for module in (exact_linalg, g2, rep7, report_cli, sv):
+            if getattr(module, name, None) is true:
+                monkeypatch.setattr(module, name, checked)
+    clear_caches()
+    try:
+        report = run_suite(config)
+    finally:
+        clear_caches()  # nothing a wrapped call filled outlives the test
+    assert report.summary["failed"] == 0
+    assert mismatches == []
+    assert calls == expected_calls
 
 
 @pytest.mark.parametrize(

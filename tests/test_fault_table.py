@@ -137,6 +137,7 @@ SLICE_BUILD = "error: StructureMismatchError: "
 NO_FORM = "error: NoSolutionError: invariant-form solution space has dimension 0"
 SIZES_DIFFER = "7 (orbit sizes do not match the T-fixed line dimensions)"
 OFF_QUADRIC = "error: AssertionError: generator does not preserve the quadric"
+CONE_MISSED_ONE = "error: AssertionError: the cone enumeration missed 1 of the quadric's points"
 NOT_W_U6 = "error: InconsistentCriteriaError: S_w at w = [[-2,3],[-1,1]] is not w(u6's weights)"
 #: What a wrong matrix of rho breaks besides its own checks.
 ONE_RHO_MATRIX = {
@@ -378,7 +379,7 @@ REPORT_CLI_FAULTS = [
     Fault(
         "test_oracle_fails_on_a_cone_missing_one_point", None, LINEAR_FAST,
         ((rep7, "_cone_keys", lambda true: lambda p: true(p)[:-1]),),
-        {"linear.count_orbits_mod_p.p3": OFF_QUADRIC}, CONSISTENCY,
+        {"linear.count_orbits_mod_p.p3": CONE_MISSED_ONE}, CONSISTENCY,
     ),
 ]
 
@@ -419,14 +420,24 @@ TABLE_FAULTS = [
         RECORD_READERS, (sv.build_slice_data,),
     ),
     # alpha read as -alpha once the chambers are built from the true alpha
-    # (a patched alpha before that sends the Weyl closure on without end):
-    # the -alpha criterion of the relevancy count then disagrees with psi.
+    # (a patched alpha before that stops the Weyl closure, as in the next
+    # row): the -alpha criterion of the relevancy count then disagrees with psi.
     Fault(
         "test_fault", "alpha_as_minus_alpha_after_the_chambers", SLICE,
         ((rw, "ALPHA", returning(rw.Root(-1, 0))),),
         {"slice.relevancy_criteria_agreement": "error: InconsistentCriteriaError: relevancy "
          "criteria disagree at w = [[-2,3],[-1,1]]: psi-vanishing True, -alpha test False"},
         RECORD_READERS, (rw.all_polarizations, g2.killing_gram),
+    ),
+    # alpha = a + b before the chambers: s_(a+b) and s_b generate an
+    # infinite group, and the closure stops once it passes 12 elements.
+    Fault(
+        "test_fault", "alpha_as_a_plus_b", Config(suites=("combinatorics", "slice")),
+        ((rw, "ALPHA", returning(rw.Root(1, 1))),),
+        {"combinatorics.weyl.order": "error: ValueError: the Weyl closure exceeds 12 elements"},
+        ("combinatorics.polarizations.count", "combinatorics.polarizations.valid",
+         "combinatorics.polarizations.alpha_partition", "slice.relevancy_criteria_agreement",
+         *RECORD_READERS),
     ),
     Fault(  # Every complementary orbit beside a relevant base orbit counts.
         "test_fault", "corrections_ignored", SLICE,
@@ -488,7 +499,8 @@ TABLE_FAULTS = [
         "test_fault", "cone_missing_one_point_at_5_and_7",
         Config(suites=("linear",), primes=(5, 7), samples=1),
         ((rep7, "_cone_keys", lambda true: lambda p: true(p)[:-1]),),
-        {"linear.count_orbits_mod_p.p5": OFF_QUADRIC, "linear.count_orbits_mod_p.p7": OFF_QUADRIC},
+        {"linear.count_orbits_mod_p.p5": CONE_MISSED_ONE,
+         "linear.count_orbits_mod_p.p7": CONE_MISSED_ONE},
         CONSISTENCY,
     ),
 ]

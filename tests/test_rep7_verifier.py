@@ -20,6 +20,10 @@ checked against their matrix-product formulations, kept here too.
 
 import dataclasses
 import itertools
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -216,13 +220,15 @@ def _square_pair(draw) -> tuple:
 @settings(max_examples=200, deadline=None)
 def test_is_invariant_matches_the_matrix_formulation(pair) -> None:
     m, b = pair
-    assert rep7._is_invariant(m, b) == (m.transpose() @ b + b @ m).is_zero()
+    assert rep7._is_invariant(m._nonzeros, b) == (m.transpose() @ b + b @ m).is_zero()
+    # Read off m's columns, the rows are those of m^T.
+    assert rep7._is_invariant(rep7._column_nonzeros(m), b) == (m @ b + b @ m.transpose()).is_zero()
 
 
 def test_identity_sweeps_build_no_matrix(monkeypatch) -> None:
     # With every cache warm, a sweep sums its products into plain grids:
-    # only verify_quadric_element builds matrices, C (quadric_element is
-    # not cached) and the transposes rho(x)^T it reads C's invariance off.
+    # only verify_quadric_element builds a matrix, C (quadric_element is
+    # not cached); it reads rho(x)^T off rho(x)'s columns.
     sweeps = (verify_homomorphism, verify_invariant_form, verify_symplectic_invariance,
               verify_quadric_element)
     for sweep in sweeps:
@@ -237,7 +243,7 @@ def test_identity_sweeps_build_no_matrix(monkeypatch) -> None:
     monkeypatch.setattr(DenseMatrix, "__post_init__", counting_post_init)
     for sweep in sweeps:
         sweep()
-    assert built == Counter(verify_quadric_element=1 + len(build_rep7().matrices))
+    assert built == Counter(verify_quadric_element=1)
 
 
 def test_weight_compatibility() -> None:
@@ -566,6 +572,16 @@ def test_samplers_return_tuples_of_ints() -> None:
             assert all(type(c) is int for c in v)
 
 
+def test_ratio_draws_the_randint_stream() -> None:
+    # ratio() draws by rejection on getrandbits, as randint(-10, 10) and
+    # randint(1, 10) do, so the two streams agree draw for draw.
+    for seed in (*range(20), 7007, 2**64 - 1):
+        sampler, reference = SmallRationalSampler(seed), random.Random(seed)
+        draws = [sampler.ratio() for _ in range(10_000)]
+        expected = [(reference.randint(-10, 10), reference.randint(1, 10)) for _ in draws]
+        assert draws == expected, seed
+
+
 def test_conormal_fiber_is_annihilated() -> None:
     sampler = SmallRationalSampler(23)
     zprime = sample_isotropic_vector(sampler, 0)
@@ -825,3 +841,27 @@ def test_int32_headroom_at_the_largest_admitted_prime(monkeypatch) -> None:
 def test_orbit_count_rejects_bad_moduli(bad: int) -> None:
     with pytest.raises(BadPrimeError):
         count_orbits_mod_p(bad)
+
+
+_THREADS_AFTER_IMPORT = (
+    "import os, g2verify; "
+    "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads through /proc")
+@pytest.mark.parametrize("setting, expected", [(None, "1"), ("2", "2")])
+def test_numpy_import_starts_no_blas_threads(setting, expected) -> None:
+    # The oracle never calls BLAS, so importing the package leaves the
+    # process single-threaded; a caller's own OpenBLAS setting is kept.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out = subprocess.run(
+        [sys.executable, "-c", _THREADS_AFTER_IMPORT],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert out[0] == expected
+    if setting is None:
+        assert out[1] == "1"

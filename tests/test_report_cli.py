@@ -324,14 +324,14 @@ def test_omega_prime_samples_run_eight_by_eight_eliminations(monkeypatch) -> Non
     # Each sample's rank is one elimination of an 8x8 integer block: no
     # 20x20 Gram is eliminated, and no sample's block holds a Fraction.
     shapes = []
-    true_bareiss = exact_linalg._bareiss
+    true_echelon = exact_linalg._echelon
 
     def recorded(rows, ncols):
         shapes.append((len(rows), ncols, all(type(x) is int for r in rows for x in r)))
-        return true_bareiss(rows, ncols)
+        return true_echelon(rows, ncols)
 
     sv.build_slice_data()
-    monkeypatch.setattr(exact_linalg, "_bareiss", recorded)
+    monkeypatch.setattr(exact_linalg, "_echelon", recorded)
     config = Config(suites=("slice",), samples=40)
     assert report_cli._omega_prime_full_rank_samples(config) == 40
     assert shapes == [(8, 8, True)] * 40

@@ -3,7 +3,7 @@
 sympy is installed in the development environment but is no dependency
 of the package, so this module is skipped where it is missing.  Its
 `Matrix.nullspace` and `Matrix.rank` share no code with the package's
-Bareiss elimination: the null spaces of the conormal fiber systems drawn
+fraction-free echelon: the null spaces of the conormal fiber systems drawn
 by a default run (sympy's reduced basis, which `kernel_basis` scales by
 one least factor to integers), and the ranks of the Killing Gram and of
 the omega' Gram at e (built entry by entry, and reduced by
