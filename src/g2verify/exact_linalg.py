@@ -2,12 +2,13 @@
 
 A `DenseMatrix` holds Python ints only, and its `scale` by a Fraction is
 an exact quotient.  One fraction-free echelon on integers serves `rank`
-(its pivot count) and `kernel_basis`; it touches only the rows with a
-nonzero in the pivot column, and keeps them primitive.  A kernel basis is
-the reduced row-echelon basis times the least positive factor that makes
-it integral, so it is ints only.  A linear solve is a null vector of the
-augmented matrix, read by its caller.  Floating point is never used
-anywhere in this package.
+(its pivot count) and `kernel_basis`: it pivots on a sparsest row, touches
+only the rows with a nonzero in the pivot column, and keeps every row
+primitive.  Any echelon with the same pivot columns back-substitutes to
+one kernel basis: the reduced row-echelon basis times the least positive
+factor that makes it integral, so ints only.  A linear solve is a null
+vector of the augmented matrix, read by its caller.  Floating point is
+never used anywhere in this package.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -127,32 +128,43 @@ class DenseMatrix:
         return not any(any(row) for row in self.entries)
 
 
+def _primitive_rows(rows: Iterable[Sequence[int]]) -> Iterator[Sequence[int]]:
+    """The nonzero `rows`, each divided by its content (its entries' gcd) unless that is 1."""
+    for row in rows:
+        content = gcd(*row)
+        if content:
+            yield row if content == 1 else [x // content for x in row]
+
+
 def _echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list, list[int]]:
     """Fraction-free row-echelon form of the integer `rows`, the entries of
-    a `DenseMatrix`: the nonzero echelon rows and their pivot columns.
-    Under a pivot, a row with f != 0 in its column becomes a row - b top,
-    a/b being the pivot over f in lowest terms, divided by its content (the
-    gcd of its entries).  A row with a 0 there, as most rows of a sparse
-    matrix have, is left as it is."""
-    rows = [r for r in rows if any(r)]
-    pivots: list[int] = []
+    a `DenseMatrix`: the echelon rows, nonzero and primitive, and their pivot
+    columns.  Each column's pivot is, of the rows left with a nonzero there,
+    one with the fewest nonzeros (Markowitz's rule); each other such row
+    becomes a row - b top, a/b the pivot over its entry in lowest terms, made
+    primitive.  A row that becomes 0 is dropped; the sweep ends once none is left."""
+    rows = list(_primitive_rows(rows))
+    echelon, pivots = [], []
     for c in range(ncols):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
+        if not rows:
+            break
+        hits = [r for r in rows if r[c]]
+        if not hits:
             continue
-        top = rows[pivot_row]
-        rows[pivot_row], rows[r] = rows[r], top
+        rows = [r for r in rows if not r[c]]
+        top = max(hits, key=lambda r: r.count(0)) if len(hits) > 1 else hits[0]
+        hits.remove(top)
         piv = top[c]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                g = gcd(piv, f)
-                row = [piv // g * x - f // g * y for x, y in zip(rows[i], top)]
-                content = gcd(*row) or 1  # a row that became 0 stays 0
-                rows[i] = [x // content for x in row]
+        for row in hits:
+            g = gcd(piv, row[c])
+            a, b = piv // g, row[c] // g
+            row = [a * x - b * y for x, y in zip(row, top)]
+            content = gcd(*row)
+            if content:
+                rows.append(row if content == 1 else [x // content for x in row])
+        echelon.append(top)
         pivots.append(c)
-    return rows[: len(pivots)], pivots
+    return echelon, pivots
 
 
 def _null_vector(rows: list, pivots: list[int], ncols: int, free: int) -> list[int]:

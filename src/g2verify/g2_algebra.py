@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import chain, product
 
 from .exact_linalg import DenseMatrix, _check_ints, kernel_basis
 
@@ -269,17 +269,22 @@ def verify_antisymmetry() -> int:
 
 def verify_jacobi() -> int:
     """Number of ordered basis triples satisfying the Jacobi identity
-    [x, [y, z]] + [y, [z, x]] + [z, [x, y]] = 0 (2744 = all)."""
+    [x, [y, z]] + [y, [z, x]] + [z, [x, y]] = 0 (2744 = all).  Under any
+    table the sum is one for (i, j, k), (j, k, i) and (k, i, j), so it is
+    taken once per rotation class, at its member with i least: (i, i, i), a
+    class of 1, and (i, i, k), k > i, or (i, j, k), j, k > i, of 3."""
     c = _bracket_table()
     good = 0
-    for i, j, k in product(range(DIM), repeat=3):
-        total = [0] * DIM
-        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, s in c[b][d]:
-                for l, t in c[a][m]:
-                    total[l] += s * t
-        if not any(total):
-            good += 1
+    for i in range(DIM):
+        later = range(i + 1, DIM)
+        for j, k in chain([(i, i)], ((i, k) for k in later), product(later, repeat=2)):
+            total = [0] * DIM
+            for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, s in c[b][d]:
+                    for l, t in c[a][m]:
+                        total[l] += s * t
+            if not any(total):
+                good += 1 if j == k == i else 3
     return good
 
 

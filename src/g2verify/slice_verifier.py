@@ -100,7 +100,7 @@ class SliceData:
     omega_antisymmetric: bool  # whether every piece is
     kappa_rank: int  # r = rank K, K = kappa_ker
     omega_kernel: tuple  # P: integer rows spanning ker K^T
-    omega_blocks: tuple  # the 8x8 reduced blocks B_j = P^T A_j P
+    omega_entries: tuple  # 8x8 blocks B_j = P^T A_j P: per (r, c), the (j, B_j[r][c]) != 0
     n_l: tuple[int, ...] = ()  # l + g_(-2) + g_(-3), which is m_l on this slice
     s: tuple[int, ...] = ()  # the stabiliser of l and of psi on n_l in g_0
     t_prime: tuple[int, ...] = ()  # the zero-weight part of s
@@ -174,14 +174,17 @@ def _omega_pieces(kappa_ker: Sequence) -> tuple:
 
 
 def _slice_data(levels, ker_ad_f, kappa_ker, pieces) -> SliceData:
-    """SliceData with the pieces of omega' reduced by P, an integer basis of ker K^T."""
+    """SliceData with the pieces of omega' reduced by P, an integer basis of
+    ker K^T, and stored by their nonzero entries."""
     k_t = DenseMatrix.from_rows(kappa_ker).transpose()
     p = DenseMatrix.from_rows(kernel_basis(k_t))
+    blocks = [(p @ DenseMatrix.from_rows(a) @ p.transpose()).entries for a in pieces]
     return SliceData(
         levels, ker_ad_f, kappa_ker, pieces,
         all(row == tuple(-x for x in col) for a in pieces for row, col in zip(a, zip(*a))),
         DIM - p.rows, p.entries,
-        tuple((p @ DenseMatrix.from_rows(a) @ p.transpose()).entries for a in pieces),
+        tuple(tuple(tuple((j, x) for j, x in enumerate(xs) if x) for xs in zip(*rows))
+              for rows in zip(*blocks)),
     )
 
 
@@ -286,12 +289,16 @@ def verify_lemma_incl() -> bool:
     data = build_slice_data()
     if any(any(data.kappa_ker[i]) for i in data.n_l):
         return False
-    gram = g2.killing_gram()
-    for i in data.n_l:
-        ad_x = ad_matrix(BASIS[i])
-        for y in data.ker_ad_f + (G2Element.zero().coords,):
-            img = ad_x.mul_vec((G2Element(y) + E).coords)  # [x, y + e]
-            if any(sum(c * gram[k][z] for k, c in enumerate(img)) for z in data.n_l):
+    c = g2._bracket_table()
+    columns = [col for z, col in enumerate(zip(*g2.killing_gram())) if z in data.n_l]  # of m_l
+    for y in data.ker_ad_f + (G2Element.zero().coords,):
+        terms = [(m, a) for m, a in enumerate((G2Element(y) + E).coords) if a]  # y + e
+        for i in data.n_l:
+            img = [0] * DIM  # [b_i, y + e], read off the table
+            for m, a in terms:
+                for k, t in c[i][m]:
+                    img[k] += a * t
+            if any(sum(map(mul, img, column)) for column in columns):
                 return False
     return True
 
@@ -442,7 +449,8 @@ def omega_prime_rank(point: Sequence[int]) -> int | None:
         raise ValueError("w_0 = 0 is not a slice point")
     if not data.omega_antisymmetric:
         return None
-    block = [[sum(map(mul, point, xs)) for xs in zip(*rows)] for rows in zip(*data.omega_blocks)]
+    block = [[sum([point[j] * x for j, x in terms]) if terms else 0 for terms in row]
+             for row in data.omega_entries]
     return 2 * data.kappa_rank + rank(DenseMatrix.from_rows(block))
 
 

@@ -203,7 +203,7 @@ def sparse_rank_matrices(draw) -> list[list]:
 
 @given(st.one_of(rank_test_matrices(), sparse_rank_matrices()))
 @settings(max_examples=200, deadline=None)
-def test_bareiss_rank_matches_reference_rank(rows) -> None:
+def test_echelon_rank_matches_reference_rank(rows) -> None:
     r = rank(_integer(rows))
     assert type(r) is int
     assert r == _reference_rank(rows)
@@ -211,7 +211,7 @@ def test_bareiss_rank_matches_reference_rank(rows) -> None:
 
 @given(st.one_of(rank_test_matrices(), sparse_rank_matrices()))
 @settings(max_examples=200, deadline=None)
-def test_bareiss_kernel_matches_reference_rref(rows) -> None:
+def test_echelon_kernel_matches_reference_rref(rows) -> None:
     m = _integer(rows)
     kern, reference = kernel_basis(m), _reference_kernel_basis(rows)
     _, pivots = _echelon([list(row) for row in rows], m.cols)
@@ -226,6 +226,20 @@ def test_bareiss_kernel_matches_reference_rref(rows) -> None:
         assert factor > 0
         assert kern == tuple(tuple(factor * x for x in v) for v in reference)
         assert gcd(factor, *chain.from_iterable(kern)) == 1
+
+
+@given(st.one_of(rank_test_matrices(), sparse_rank_matrices()))
+@settings(max_examples=200, deadline=None)
+def test_echelon_rows_are_primitive(rows) -> None:
+    # Every echelon row is nonzero and primitive, pivot rows drawn as they
+    # are and updated rows alike, and it is 0 left of its nonzero pivot entry.
+    m = _integer(rows)
+    echelon, pivots = exact_linalg._echelon(m.entries, m.cols)
+    assert len(echelon) == len(pivots) == _reference_rank(rows)
+    assert pivots == sorted(set(pivots))
+    for row, c in zip(echelon, pivots):
+        assert gcd(*row) == 1
+        assert row[c] and not any(row[:c])
 
 
 # The elimination as the package wrote it before its echelon skipped the
@@ -508,6 +522,10 @@ def test_dimension_mismatches_raise() -> None:
         DenseMatrix(2, 2, ((Fraction(1),),))
     with pytest.raises(DimensionMismatch):
         DenseMatrix.from_rows([])
+    # A shape with 0 rows or 0 columns, and fewer full rows than declared.
+    for shape in ((0, 2, ()), (2, 0, ((), ())), (3, 2, ((1, 2), (3, 4)))):
+        with pytest.raises(DimensionMismatch):
+            DenseMatrix(*shape)
     # The quadratic forms check the length of every vector, short or long.
     exact = [1, 0, 0, 0, 0, 0, 0]
     for bad in ([1, 2], [0, 0, 0, 1, 0, 0, 0, 0, 0]):

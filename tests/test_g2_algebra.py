@@ -125,6 +125,35 @@ def test_invariance_sweep_matches_the_triple_loop(monkeypatch, fault) -> None:
     assert (count < 2744) == (fault != "none")
 
 
+def _reference_jacobi_sweep() -> int:
+    """The earlier `verify_jacobi`: all 2744 ordered triples, three table sums each."""
+    c = g2._bracket_table()
+    good = 0
+    for i, j, k in product(range(DIM), repeat=3):
+        total = [0] * DIM
+        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, s in c[b][d]:
+                for l, t in c[a][m]:
+                    total[l] += s * t
+        good += not any(total)
+    return good
+
+
+@pytest.mark.parametrize("fault", ["none", "table", "extra_h_a"])
+def test_jacobi_by_rotation_class_matches_the_triple_sweep(request, monkeypatch, fault) -> None:
+    # A rotation of (i, j, k) permutes the three terms of one sum, so the
+    # counts agree for any table, antisymmetric or not.
+    if fault == "table":
+        table = [list(row) for row in g2._bracket_table()]
+        table[0][3] = table[0][3] + ((0, 1),)  # [e1, f1] gains an e1 term, [f1, e1] does not
+        monkeypatch.setattr(g2, "_bracket_table", lambda: tuple(map(tuple, table)))
+    if fault == "extra_h_a":
+        request.getfixturevalue("bracket_with_extra_h_a")
+    count = verify_jacobi()
+    assert count == _reference_jacobi_sweep()
+    assert (count < 2744) == (fault != "none")
+
+
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_integer_identities_match_reference_counts(request, perturbed) -> None:
     if perturbed:

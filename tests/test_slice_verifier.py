@@ -267,17 +267,27 @@ def test_omega_prime_gram_takes_six_slice_coordinates() -> None:
         omega_prime_rank((1, Fraction(3, 2), 0, 0, 0, 0, 0))
 
 
+def _block(data, j: int) -> DenseMatrix:
+    """The block B_j, read back from the nonzero (j, B_j[r][c]) stored per position."""
+    rows = [[dict(pairs).get(j, 0) for pairs in row] for row in data.omega_entries]
+    return DenseMatrix.from_rows(rows)
+
+
 def test_omega_prime_reduction_is_stored_once(data) -> None:
     # Seven 14x14 pieces, K of rank 6, and P spanning ker K^T in integers.
-    assert len(data.omega_pieces) == len(data.omega_blocks) == 7
+    assert len(data.omega_pieces) == 7
     assert all(len(a) == len(a[0]) == DIM for a in data.omega_pieces)
     assert data.kappa_rank == 6
     p = DenseMatrix.from_rows(data.omega_kernel)
     assert p.rows == DIM - 6 and rank(p) == p.rows
     assert all(type(x) is int for row in p.entries for x in row)
     assert (p @ DenseMatrix.from_rows(data.kappa_ker)).is_zero()
-    for a, b in zip(data.omega_pieces, data.omega_blocks):
-        assert DenseMatrix.from_rows(b) == p @ DenseMatrix.from_rows(a) @ p.transpose()
+    for j, a in enumerate(data.omega_pieces):
+        assert _block(data, j) == p @ DenseMatrix.from_rows(a) @ p.transpose()
+    # Only nonzero entries are stored, at 18 of the 64 positions.
+    entries = [entry for row in data.omega_entries for entry in row]
+    assert all(x for entry in entries for _, x in entry)
+    assert sum(map(bool, entries)) == 18
 
 
 def _random_matrix(rng, rows: int, cols: int) -> DenseMatrix:
@@ -318,7 +328,6 @@ def test_omega_prime_reduction_lemma(antisymmetric, singular) -> None:
             reduced = sv._slice_data((), (), k.entries, (a.entries,))
             assert reduced.kappa_rank == r
             assert reduced.omega_antisymmetric is antisymmetric
-            b = DenseMatrix.from_rows(reduced.omega_blocks[0])
-            assert 2 * r + rank(b) == rank(DenseMatrix.from_rows(full))
+            assert 2 * r + rank(_block(reduced, 0)) == rank(DenseMatrix.from_rows(full))
             if singular:
                 assert rank(a) < DIM
