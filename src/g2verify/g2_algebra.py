@@ -10,7 +10,8 @@ sl3 the traceless 3x3 matrices.  The bracket is defined case by case:
 * [v^t, w^t] = 2 v x w                    for v^t, w^t in V^t,
 * [v, w^t] = -3 v w^t + (w^t v) Id        for v in V, w^t in V^t.
 
-The fixed ordered basis is e1, e2, e3 (columns), f1, f2, f3 (rows),
+`bracket` sums these over the nonzero entries of each part only, and
+`_bracket_table` holds its values on the 196 basis pairs.  The fixed ordered basis is e1, e2, e3 (columns), f1, f2, f3 (rows),
 E12, E13, E21, E23, E31, E32 (off-diagonal matrix units), and the Cartan
 pair h_a = E11 - E22, h_b = E22 - E33.  Every basis element is a weight
 vector; weights are recorded in simple-root coordinates (m1, m2) for the
@@ -153,55 +154,43 @@ def _recompose(v, m, phi) -> G2Element:
     )
 
 
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _mat_vec(m, v):
-    return tuple(r[0] * v[0] + r[1] * v[1] + r[2] * v[2] for r in m)
-
-
-def _vec_mat(phi, m):
-    return tuple(phi[0] * a + phi[1] * b + phi[2] * c for a, b, c in zip(*m))
-
-
-def _mat_mat(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(r[0] * c[0] + r[1] * c[1] + r[2] * c[2] for c in cols) for r in a)
+def _cross(total: list, s: int, a: list, b: list) -> None:
+    """total += s (a x b), for 3-vectors a and b by their nonzero (index, value):
+    e_i x e_j is e_k, k the third index, when (i, j, k) is cyclic, else -e_k."""
+    for i, x in a:
+        for j, y in b:
+            if i != j:
+                total[3 - i - j] += s * x * y if j - i in (1, -2) else -s * x * y
 
 
 def bracket(x: G2Element, y: G2Element) -> G2Element:
-    """The Lie bracket of g2, assembled from the six case formulas."""
-    v1, m1, p1 = _decompose(x)
-    v2, m2, p2 = _decompose(y)
-
-    # V component: [m1, v2] + [v1, m2] + [p1, p2].
-    mv1, mv2, cr = _mat_vec(m1, v2), _mat_vec(m2, v1), _cross(p1, p2)
-    v_out = tuple(a - b + 2 * c for a, b, c in zip(mv1, mv2, cr))
-
-    # V^t component: [m1, p2] + [p1, m2] + [v1, v2].
-    vm1, vm2, cr = _vec_mat(p2, m1), _vec_mat(p1, m2), _cross(v1, v2)
-    p_out = tuple(-a + b + 2 * c for a, b, c in zip(vm1, vm2, cr))
-
-    # sl3 component: [m1, m2] + [v1, p2] + [p1, v2].
-    comm, comm2 = _mat_mat(m1, m2), _mat_mat(m2, m1)
-    dot12 = p2[0] * v1[0] + p2[1] * v1[1] + p2[2] * v1[2]
-    dot21 = p1[0] * v2[0] + p1[1] * v2[1] + p1[2] * v2[2]
-    m_out = tuple(
-        tuple(
-            comm[i][j]
-            - comm2[i][j]
-            - 3 * v1[i] * p2[j]
-            + 3 * v2[i] * p1[j]
-            + ((dot12 - dot21) if i == j else 0)
-            for j in range(3)
-        )
-        for i in range(3)
-    )
+    """The Lie bracket of g2, assembled from the six case formulas over the
+    nonzero entries of each part, the products as in Gustavson's sparse
+    scheme.  Each formula is h(x, y) - h(y, x), with h's V, sl3 and V^t parts
+    m_x v_y + phi_x x phi_y, m_x m_y - 3 v_x phi_y + (phi_y v_x) Id and
+    -phi_y m_x + v_x x v_y, so one pass per order of the arguments fills it."""
+    parts = []
+    for v, m, phi in (_decompose(x), _decompose(y)):
+        parts.append((v, [(i, a) for i, a in enumerate(v) if a],
+                      [(i, k, a) for i, row in enumerate(m) for k, a in enumerate(row) if a],
+                      phi, [(j, a) for j, a in enumerate(phi) if a]))
+    v_out, p_out, m_out, trace = [0] * 3, [0] * 3, [[0] * 3 for _ in range(3)], 0
+    # s = 1 adds h(x, y) and s = -1 takes off h(y, x); v1, m1, p1 are nonzero entries.
+    for s, (_, v1, m1, _, p1), (v2, v2_nz, m2, p2, p2_nz) in ((1, *parts), (-1, *parts[::-1])):
+        for i, k, a in m1:
+            v_out[i] += s * a * v2[k]  # m_x v_y
+            p_out[k] -= s * p2[i] * a  # -phi_y m_x
+            for l, j, b in m2:  # m_x m_y
+                if l == k:
+                    m_out[i][j] += s * a * b
+        for i, a in v1:
+            for j, b in p2_nz:  # -3 v_x phi_y
+                m_out[i][j] -= 3 * s * a * b
+            trace += s * a * p2[i]  # (phi_y v_x) Id
+        _cross(v_out, s, p1, p2_nz)  # phi_x x phi_y
+        _cross(p_out, s, v1, v2_nz)  # v_x x v_y
+    for i in range(3):
+        m_out[i][i] += trace
     return _recompose(v_out, m_out, p_out)
 
 

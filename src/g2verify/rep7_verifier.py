@@ -712,8 +712,12 @@ def _image_keys(
             for j, c in enumerate(row):
                 if c:
                     y += np.int32(c) * points[j]
-            # Each y is within the row bound, so mode="clip" never clips.
-            np.subtract(residues.take(y, out=y, mode="clip"), points[i], out=y)
+            # Each y is within the row bound, so mode="clip" never clips; chunks
+            # of 2^14 keep take's intp copy of the int32 indices that short.
+            for s in range(0, len(y), 2**14):
+                part = y[s : s + 2**14]
+                residues.take(part, out=part, mode="clip")
+            np.subtract(y, points[i], out=y)
             image += np.multiply(y, p**i, out=y)
     return image
 

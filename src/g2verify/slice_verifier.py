@@ -143,12 +143,21 @@ def _check_brackets_in(a: Sequence[int], b: Sequence[int], what: str) -> None:
 
 
 def _check_nilpotent_span(indices: Sequence[int], name: str) -> None:
-    """Lower-central-series termination for the span of basis `indices`."""
-    ads = [ad_matrix(BASIS[i]) for i in indices]
-    current = [BASIS[i].coords for i in indices]
+    """Lower-central-series termination for the span of basis `indices`:
+    each [b_i, v] is read off the table over v's nonzero (m, a)."""
+    c = g2._bracket_table()
+    current = [((i, 1),) for i in indices]
     for _ in range(DIM):
-        images = (a.mul_vec(v) for a in ads for v in current)
-        current = [w for w in images if any(w)]
+        images = []
+        for i in indices:
+            for terms in current:
+                img = [0] * DIM
+                for m, a in terms:
+                    for k, t in c[i][m]:
+                        img[k] += a * t
+                if any(img):
+                    images.append(tuple((k, a) for k, a in enumerate(img) if a))
+        current = images
         if not current:
             return
     raise StructureMismatchError(f"{name} is not nilpotent")
@@ -162,15 +171,17 @@ def _psi_bracket(psi_row: Sequence[int], i: int, j: int) -> int:
 
 def _omega_pieces(kappa_ker: Sequence) -> tuple:
     """The pieces A_0, ..., A_6 of the algebra block of omega': A_j(b_i, b_l) =
-    -w_j([b_i, b_l]) for w_0 = psi and w_j the j-th column of `kappa_ker`."""
-    table = g2._bracket_table()
-    return tuple(
-        tuple(
-            tuple(-sum(t * w[k] for k, t in table[i][l]) for l in range(DIM))
-            for i in range(DIM)
-        )
-        for w in (_psi_row(), *zip(*kappa_ker))
-    )
+    -w_j([b_i, b_l]) for w_0 = psi and w_j the j-th column of `kappa_ker`,
+    filled in one pass over the table's nonzeros: each (k, t) of c[i][l]
+    takes t * w_j[k] off every A_j[i][l]."""
+    ws = (_psi_row(), *zip(*kappa_ker))
+    pieces = [[[0] * DIM for _ in range(DIM)] for _ in ws]
+    for i, row in enumerate(g2._bracket_table()):
+        for l, terms in enumerate(row):
+            for k, t in terms:
+                for a, w in zip(pieces, ws):
+                    a[i][l] -= t * w[k]
+    return tuple(tuple(map(tuple, a)) for a in pieces)
 
 
 def _slice_data(levels, ker_ad_f, kappa_ker, pieces) -> SliceData:

@@ -380,8 +380,26 @@ integer_elements = st.lists(st.integers(-99, 99), min_size=DIM, max_size=DIM).ma
 )
 
 
-@given(integer_elements, integer_elements)
-@settings(max_examples=60, deadline=None)
+@st.composite
+def sparse_elements(draw) -> G2Element:
+    """An element with 1-3 nonzero coordinates, all in the parts among V,
+    sl3 and V^t drawn to be nonzero, so a part is often zero."""
+    parts = draw(st.lists(st.sampled_from((range(3), range(6, DIM), range(3, 6))),
+                          min_size=1, max_size=3, unique=True))
+    support = draw(st.lists(st.sampled_from([k for part in parts for k in part]),
+                            min_size=1, max_size=3, unique=True))
+    coords = [0] * DIM
+    for k in support:
+        coords[k] = draw(st.integers(-99, 99).filter(bool))
+    return G2Element(tuple(coords))
+
+
+# Dense draws almost never meet a zero part; sparse ones mostly do.
+any_elements = st.one_of(integer_elements, sparse_elements())
+
+
+@given(any_elements, any_elements)
+@settings(max_examples=200, deadline=None)
 def test_bracket_matches_its_reference(x, y) -> None:
     assert bracket(x, y) == _reference_bracket(x, y)
 

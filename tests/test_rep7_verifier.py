@@ -794,11 +794,17 @@ def test_oracle_memory_peak_at_p7() -> None:
     rep7._form_terms()
     tracemalloc.start()
     try:
-        count_orbits_mod_p(7)
+        points = count_orbits_mod_p(7).point_count
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 11 * 2**20
+    # At its peak the count holds the int32 lookup over all 7^7 keys and, per
+    # cone point, its int32 key, image and row sum, its 7 uint8 digits and 8
+    # int32 arrays of the generators: the permutations so far and the one being
+    # formed.  A quarter MiB covers numpy's buffers and take's intp chunks;
+    # an intp copy of a whole row sum (8 bytes per point) does not fit.
+    held = 4 * 7**7 + (3 * 4 + 7 + 8 * 4) * points
+    assert peak <= held + 2**18
 
 
 def test_oracle_keeps_its_cache() -> None:

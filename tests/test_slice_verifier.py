@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from g2verify import g2_algebra as g2
 from g2verify import root_weyl as rw
 from g2verify import slice_verifier as sv
 from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, rank
@@ -34,6 +35,7 @@ from g2verify.slice_verifier import (
     E,
     F,
     H,
+    StructureMismatchError,
     build_slice_data,
     count_relevant_orbits,
     omega_minus1_check,
@@ -331,3 +333,48 @@ def test_omega_prime_reduction_lemma(antisymmetric, singular) -> None:
             assert 2 * r + rank(_block(reduced, 0)) == rank(DenseMatrix.from_rows(full))
             if singular:
                 assert rank(a) < DIM
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_omega_pieces_match_the_per_piece_sums(request, perturbed) -> None:
+    # The pieces as seven per-entry sums over the table, under the true
+    # table and under one with an extra h_a term in [e1, f1] and [f1, e1].
+    kappa_ker = build_slice_data().kappa_ker
+    true_pieces = sv._omega_pieces(kappa_ker)
+    if perturbed:
+        request.getfixturevalue("bracket_with_extra_h_a")
+    table = g2._bracket_table()
+    expected = tuple(
+        tuple(
+            tuple(-sum(t * w[k] for k, t in table[i][l]) for l in range(DIM))
+            for i in range(DIM)
+        )
+        for w in (sv._psi_row(), *zip(*kappa_ker))
+    )
+    assert sv._omega_pieces(kappa_ker) == expected
+    assert (expected != true_pieces) == perturbed
+
+
+def _lower_central_series_ends(indices) -> bool:
+    """Whether the series of span(b_i : i in `indices`) reaches 0 within DIM
+    steps, by one ad_matrix per vector, each applied to every vector."""
+    ads = [ad_matrix(BASIS[i]) for i in indices]
+    current = [BASIS[i].coords for i in indices]
+    for _ in range(DIM):
+        current = [w for w in (a.mul_vec(v) for a in ads for v in current) if any(w)]
+        if not current:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("span", ["n_l", "u5", "s"])
+def test_nilpotent_span_check_matches_the_ad_matrix_series(data, span) -> None:
+    # s holds h_b, which moves E23, so its series never ends.
+    indices = getattr(data, span)
+    nilpotent = _lower_central_series_ends(indices)
+    assert nilpotent == (span != "s")
+    if nilpotent:
+        sv._check_nilpotent_span(indices, span)
+    else:
+        with pytest.raises(StructureMismatchError, match=f"^{span} is not nilpotent$"):
+            sv._check_nilpotent_span(indices, span)
