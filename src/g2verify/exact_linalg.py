@@ -26,7 +26,7 @@ class DimensionMismatch(ValueError):
     """A vector or matrix operand has incompatible dimensions."""
 
 
-def _check_ints(values: Iterable) -> None:
+def check_ints(values: Iterable) -> None:
     """TypeError unless each of `values` is an int: not a bool, a float or a
     Fraction, not even an integral one."""
     if not {int}.issuperset(map(type, values)):
@@ -49,7 +49,7 @@ class DenseMatrix:
             raise TypeError("a DenseMatrix holds a tuple of row tuples")
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise DimensionMismatch("entry grid does not match declared shape")
-        _check_ints(chain.from_iterable(self.entries))
+        check_ints(chain.from_iterable(self.entries))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> DenseMatrix:
@@ -121,7 +121,7 @@ class DenseMatrix:
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise DimensionMismatch("matrix-vector shape mismatch")
-        _check_ints(v)
+        check_ints(v)
         return tuple(sum(a * v[k] for k, a in row) for row in self._nonzeros)
 
     def is_zero(self) -> bool:

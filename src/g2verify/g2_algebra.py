@@ -10,8 +10,10 @@ sl3 the traceless 3x3 matrices.  The bracket is defined case by case:
 * [v^t, w^t] = 2 v x w                    for v^t, w^t in V^t,
 * [v, w^t] = -3 v w^t + (w^t v) Id        for v in V, w^t in V^t.
 
-`bracket` sums these over the nonzero entries of each part only, and
-`_bracket_table` holds its values on the 196 basis pairs.  The fixed ordered basis is e1, e2, e3 (columns), f1, f2, f3 (rows),
+`bracket` sums these over the nonzero entries of each part only,
+`bracket_table` holds its values on the 196 basis pairs, and
+`table_bracket` reads [x, y] off that table for sparse x and y.  The
+fixed ordered basis is e1, e2, e3 (columns), f1, f2, f3 (rows),
 E12, E13, E21, E23, E31, E32 (off-diagonal matrix units), and the Cartan
 pair h_a = E11 - E22, h_b = E22 - E33.  Every basis element is a weight
 vector; weights are recorded in simple-root coordinates (m1, m2) for the
@@ -25,8 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, product
+from typing import Sequence
 
-from .exact_linalg import DenseMatrix, _check_ints, kernel_basis
+from .exact_linalg import DenseMatrix, check_ints, kernel_basis
 
 #: Names of the 14 basis elements, in the fixed order used everywhere.
 BASIS_NAMES: tuple[str, ...] = (
@@ -72,7 +75,7 @@ class G2Element:
         if len(self.coords) != DIM:
             raise ValueError(f"g2 elements have {DIM} coordinates")
         object.__setattr__(self, "coords", tuple(self.coords))
-        _check_ints(self.coords)
+        check_ints(self.coords)
 
     @classmethod
     def zero(cls) -> G2Element:
@@ -92,7 +95,7 @@ class G2Element:
         return G2Element(tuple(-a for a in self.coords))
 
     def scale(self, s: int) -> G2Element:
-        _check_ints((s,))
+        check_ints((s,))
         return G2Element(tuple(s * a for a in self.coords))
 
     def is_zero(self) -> bool:
@@ -195,7 +198,7 @@ def bracket(x: G2Element, y: G2Element) -> G2Element:
 
 
 @cache
-def _bracket_table() -> tuple:
+def bracket_table() -> tuple:
     """The structure constants: c[i][j] is the tuple of nonzero (k, c_ij^k)
     of [b_i, b_j], built once per process by one `bracket` call per basis
     pair, 196 calls in all.  Every question about brackets of basis vectors
@@ -210,23 +213,31 @@ def _bracket_table() -> tuple:
     )
 
 
+def table_bracket(x: Sequence, y: Sequence) -> list[int]:
+    """The coordinates of [x, y] read off the structure-constant table, for x
+    and y given by their nonzero (index, coefficient) terms: each (k, t) of
+    c[i][m] adds a * b * t to coordinate k, for (i, a) in x and (m, b) in y."""
+    c = bracket_table()
+    total = [0] * DIM
+    for i, a in x:
+        for m, b in y:
+            for k, t in c[i][m]:
+                total[k] += a * b * t
+    return total
+
+
 def ad_matrix(x: G2Element) -> DenseMatrix:
-    """The 14x14 matrix of y -> [x, y] in the fixed basis."""
-    c = _bracket_table()
-    rows = [[0] * DIM for _ in range(DIM)]
-    for i, s in enumerate(x.coords):
-        if s:
-            for j in range(DIM):
-                for k, t in c[i][j]:
-                    rows[k][j] += s * t
-    return DenseMatrix.from_rows(rows)
+    """The 14x14 matrix of y -> [x, y] in the fixed basis: column j is
+    [x, b_j], read off the table."""
+    terms = [(i, s) for i, s in enumerate(x.coords) if s]
+    return DenseMatrix.from_rows(zip(*(table_bracket(terms, ((j, 1),)) for j in range(DIM))))
 
 
 @cache
 def killing_gram() -> tuple:
     """Gram matrix K[i][j] = trace(ad b_i . ad b_j) = sum c_il^k c_jk^l over
     the fixed basis, where c_ij^k is the b_k coefficient of [b_i, b_j]."""
-    c = _bracket_table()
+    c = bracket_table()
     trace = lambda i, j: sum(
         s * t for l in range(DIM) for k, s in c[i][l] for m, t in c[j][k] if m == l
     )
@@ -248,7 +259,7 @@ def killing(x: G2Element, y: G2Element) -> int:
 
 def verify_antisymmetry() -> int:
     """Number of ordered basis pairs with [x, y] + [y, x] = 0 (196 = all)."""
-    c = _bracket_table()
+    c = bracket_table()
     return sum(
         c[i][j] == tuple((k, -t) for k, t in c[j][i])
         for i in range(DIM)
@@ -262,7 +273,7 @@ def verify_jacobi() -> int:
     table the sum is one for (i, j, k), (j, k, i) and (k, i, j), so it is
     taken once per rotation class, at its member with i least: (i, i, i), a
     class of 1, and (i, i, k), k > i, or (i, j, k), j, k > i, of 3."""
-    c = _bracket_table()
+    c = bracket_table()
     good = 0
     for i in range(DIM):
         later = range(i + 1, DIM)
@@ -291,7 +302,7 @@ def verify_killing_invariance() -> int:
     kappa([x, y], z) + kappa(y, [x, z]) = 0 (2744 = all): the zero entries
     of ad(x)^T G + G ad(x), whose rows, per x, are summed once from Gram
     rows and whose columns from Gram columns, over the table's terms."""
-    c = _bracket_table()
+    c = bracket_table()
     gram = killing_gram()
     columns = tuple(zip(*gram))
     good = 0

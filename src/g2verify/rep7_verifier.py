@@ -62,7 +62,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import g2_algebra as g2
-from .exact_linalg import DenseMatrix, DimensionMismatch, _check_ints, kernel_basis, rank
+from .exact_linalg import DenseMatrix, DimensionMismatch, check_ints, kernel_basis, rank
 from .g2_algebra import BASIS_NAMES, BASIS_WEIGHTS, DIM
 from .sampling import SmallRationalSampler, cleared
 
@@ -256,7 +256,7 @@ def _constraint_stack(c: Sequence) -> tuple:
     [rho(f_j), rho(f_k)]/2, that is [[rho(f_j), rho(f_k)], rho(f_i)] -
     2 rho([e_i, f_i]): integral for integer c, and affine in c."""
     fs = _f_matrices(c)
-    table = g2._bracket_table()  # e_i and f_i are the basis vectors b_i and b_(i+3)
+    table = g2.bracket_table()  # e_i and f_i are the basis vectors b_i and b_(i+3)
     residuals = [
         _commutator(_commutator(fs[j], fs[k]), fs[i]) - _cartan_action(table[i][i + 3]).scale(2)
         for i, (j, k) in enumerate(_CYCLIC)
@@ -326,7 +326,7 @@ def verify_homomorphism() -> int:
     rho([b_i, b_j]) - rho_i rho_j + rho_j rho_i is summed into one grid
     off the sparse rows and tested for zero: no matrix is built."""
     rep = build_rep7()
-    table = g2._bracket_table()
+    table = g2.bracket_table()
     rows = [m._nonzeros for m in rep.matrices]
     good = 0
     for i in range(DIM):
@@ -527,7 +527,7 @@ def _checked(x: Sequence[int], n: int) -> Sequence[int]:
     DimensionMismatch or TypeError otherwise."""
     if len(x) != n:
         raise DimensionMismatch(f"vector has length {len(x)}, expected {n}")
-    _check_ints(x)
+    check_ints(x)
     return x
 
 
@@ -536,7 +536,7 @@ def _vanish(forms: Sequence, x: Sequence) -> bool:
     return not any(sum(c * x[i] * x[j] for i, j, c in terms) for terms in forms)
 
 
-def _form_span_ranks() -> tuple[int, ...]:
+def form_span_ranks() -> tuple[int, ...]:
     """Ranks of the conormal forms, the moment forms and their union, as
     quadratic forms on C^14 = z + z' (coefficient rows over the monomials
     some form uses); equal ranks: one span, so one zero set."""
@@ -560,7 +560,7 @@ def conormal_conditions(zprime: Sequence[int], z: Sequence[int]) -> bool:
     # (ii) never decides alone on a sampled point: on the cone (iii) implied
     # it, and off the cone (i) fails.  It stays because the conormal ideal
     # needs it: without it the conormal forms span 9 dimensions, not the
-    # moment forms' 10, and `_form_span_ranks` tells them apart.
+    # moment forms' 10, and `form_span_ranks` tells them apart.
     return _vanish(_form_terms().conormal, [*_checked(z, REP_DIM), *_checked(zprime, REP_DIM)])
 
 
@@ -594,16 +594,18 @@ def tfixed_isotropic_lines() -> tuple[int, ...]:
 #: Upper bound on p**REP_DIM, the size of the oracle's key range: it admits
 #: p = 3, 5, 7 (823,543 keys) and refuses p = 11.  At p = 7 the oracle holds
 #: a p**7-entry int32 lookup (3.3 MB) and per cone point (p**6 = 117,649): an
-#: int32 key, 7 uint8 digits, 2 int32 image buffers and 8 int32 permutation
-#: entries (0.47 MB per int32 array); all but the permutations are freed
-#: before labelling, which adds 2 int32 label arrays (traced peak 9.8 MiB).
+#: int32 key, 7 uint8 digits, 2 int32 image buffers, a uint8 row plane and 8
+#: int32 permutation entries (0.47 MB per int32 array); all but the
+#: permutations are freed before labelling, which adds 2 int32 label arrays
+#: (traced peak 9.05 MiB).
 MAX_ORACLE_POINTS = 2_000_000
 
 
 def _int32_intermediates(p: int) -> tuple[int, int, int]:
     """Worst cases of the oracle's int32 intermediates for coordinates in
     [0, p): the largest key p**7 - 1, a quadric value (at most 28 terms
-    c x_i x_j with c reduced mod p) and an image row sum_j g_ij x_j."""
+    c x_i x_j with c reduced mod p) and an image row sum_j g_ij x_j, which
+    also sizes the unsigned plane `_image_keys` sums that row in."""
     terms = REP_DIM * (REP_DIM + 1) // 2
     return p**REP_DIM - 1, terms * (p - 1) ** 3, REP_DIM * (p - 1) ** 2
 
@@ -687,37 +689,62 @@ def _cone_keys(p: int) -> np.ndarray:
 
 def _key_points(keys: np.ndarray, p: int) -> np.ndarray:
     """The points with the given keys, one C-contiguous uint8 row of digits
-    (each below p) per coordinate."""
+    (each below p) per coordinate.  With q_i = key // p^i, taken by
+    floor_divide (np.divmod on int32 is several times slower), digit i is
+    q_i - p q_(i+1): it is below p, so uint8 arithmetic, which wraps mod
+    256, gives it exactly from the low bytes of q_i and q_(i+1)."""
     points = np.empty((REP_DIM, len(keys)), dtype=np.uint8)
     rest = keys.copy()
     for i in range(REP_DIM):
-        np.divmod(rest, p, out=(rest, points[i]), casting="unsafe")
+        np.copyto(points[i], rest, casting="unsafe")  # the low byte of q_i
+        np.floor_divide(rest, p, out=rest)
+        if i:
+            points[i - 1] -= points[i] * np.uint8(p)
     return points
 
 
+def _image_buffers(p: int, n: int) -> tuple:
+    """The buffers `_image_keys` fills for n points, allocated once per
+    count: the int32 `image` and `y`, and the unsigned `plane` of the
+    narrowest dtype that holds `_int32_intermediates`' row bound, uint8 up
+    to p = 7 and uint16 from p = 11 on."""
+    plane = np.empty(n, dtype=np.min_scalar_type(_int32_intermediates(p)[2]))
+    return np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32), plane
+
+
 def _image_keys(
-    gen: np.ndarray, points: np.ndarray, keys: np.ndarray, p: int, image: np.ndarray, y: np.ndarray
+    gen: np.ndarray,
+    points: np.ndarray,
+    keys: np.ndarray,
+    p: int,
+    image: np.ndarray,
+    y: np.ndarray,
+    plane: np.ndarray,
 ) -> np.ndarray:
-    """The keys of gen @ points mod p, built in the int32 buffers `image`
-    (returned) and `y`.  A row of gen equal to the identity's leaves its
-    coordinate, and so its place in the key, as it is; every other row i
-    moves the key by p^i (y_i - x_i), where y_i, that row's image coordinate,
-    is summed over the row's nonzero entries and reduced mod p by a take from
-    a table of residues up to `_int32_intermediates`' row bound."""
-    residues = np.arange(_int32_intermediates(p)[2] + 1, dtype=np.int32) % p
+    """The keys of gen @ points mod p, built in `_image_buffers`' int32
+    `image` (returned) and `y` and unsigned `plane`.  A row of gen equal to
+    the identity's leaves its coordinate, and so its place in the key, as it
+    is; every other row i moves the key by p^i (y_i - x_i), where y_i, that
+    row's image coordinate, is summed in `plane` over the row's nonzero
+    entries and reduced mod p there as y_i - p (y_i // p)."""
+    # y is free until the key moves, so its leading bytes hold the plane's
+    # products and quotients.
+    part = y.view(plane.dtype)[: len(y)]
+    # As numpy scalars, p and c keep plane's arithmetic in plane's dtype.
+    modulus = plane.dtype.type(p)
+    signed = np.dtype(f"i{plane.itemsize}")
     np.copyto(image, keys)
     for i, row in enumerate(gen.tolist()):
         if any(c != (i == j) for j, c in enumerate(row)):
-            y.fill(0)
+            plane.fill(0)
             for j, c in enumerate(row):
                 if c:
-                    y += np.int32(c) * points[j]
-            # Each y is within the row bound, so mode="clip" never clips; chunks
-            # of 2^14 keep take's intp copy of the int32 indices that short.
-            for s in range(0, len(y), 2**14):
-                part = y[s : s + 2**14]
-                residues.take(part, out=part, mode="clip")
-            np.subtract(y, points[i], out=y)
+                    plane += np.multiply(points[j], plane.dtype.type(c), out=part)
+            np.floor_divide(plane, modulus, out=part)
+            plane -= np.multiply(part, modulus, out=part)
+            # y_i - x_i wraps in the unsigned plane; |y_i - x_i| < p, so read
+            # as the signed type of its width it is exact.
+            np.copyto(y, np.subtract(plane, points[i], out=plane).view(signed))
             image += np.multiply(y, p**i, out=y)
     return image
 
@@ -751,7 +778,8 @@ def count_orbits_mod_p(p: int) -> OrbitCountResult:
     exp(rho(x_delta)) for the six positive roots and the two torus
     scalings s^rho(h_a), s^rho(h_b) by a primitive root s.  All arithmetic
     is exact integer arithmetic mod p, in int32 within the bounds
-    check_oracle_prime sets.
+    check_oracle_prime sets, and the image rows in the narrowest unsigned
+    dtype that holds their bound.
     """
     check_oracle_prime(p)
     keys = _cone_keys(p)
@@ -761,10 +789,10 @@ def count_orbits_mod_p(p: int) -> OrbitCountResult:
     points = _key_points(keys, p)
     lookup = np.full(p**REP_DIM, -1, dtype=np.int32)
     lookup[keys] = np.arange(npoints, dtype=np.int32)
-    image, y = np.empty_like(keys), np.empty_like(keys)
+    image, y, plane = _image_buffers(p, npoints)
     perms = []
     for gen in _unipotent_generators(p) + _torus_generators(p):
-        perm = lookup[_image_keys(gen, points, keys, p, image, y)]
+        perm = lookup[_image_keys(gen, points, keys, p, image, y, plane)]
         if perm.min() < 0:
             # An image outside the cone's keys: the generator is at fault if
             # some such image is off the quadric mod p, else the enumeration.
@@ -776,7 +804,7 @@ def count_orbits_mod_p(p: int) -> OrbitCountResult:
                 f"the cone enumeration missed {len(missed)} of the quadric's points"
             )
         perms.append(perm)
-    del keys, points, lookup, image, y  # the labelling needs only the permutations
+    del keys, points, lookup, image, y, plane  # the labelling needs only the permutations
 
     label = _orbit_labels(perms)
     counts = np.bincount(label)

@@ -347,7 +347,7 @@ def _run_conormal_equivalence(config: Config) -> tuple[str, dict | None]:
         if rep7.conormal_conditions(zprime, z) == rep7.moment_zero_check(z + zprime):
             agree += 1
     details = {"membership_samples": n, "random_samples": n}
-    ranks = rep7._form_span_ranks()  # one span proves the zero sets equal
+    ranks = rep7.form_span_ranks()  # one span proves the zero sets equal
     span = "" if len(set(ranks)) == 1 else f"; form span ranks {ranks}"
     return f"{agree}/{2 * n} agree{span}", details
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -48,6 +49,7 @@ from .g2_algebra import (
     ad_matrix,
     bracket,
     killing,
+    table_bracket,
 )
 from .root_weyl import (
     Polarization,
@@ -135,29 +137,43 @@ class RelevantOrbitCount:
 def _check_brackets_in(a: Sequence[int], b: Sequence[int], what: str) -> None:
     """Brackets of the basis vectors `a` with those of `b` stay in span(b):
     every basis index in the support of c[i][j] lies in `b`."""
-    c = g2._bracket_table()
+    c = g2.bracket_table()
     for i in a:
         for j in b:
             if any(k not in b for k, _ in c[i][j]):
                 raise StructureMismatchError(f"{what} at ({BASIS_NAMES[i]}, {BASIS_NAMES[j]})")
 
 
+def _span_basis(vectors: Sequence) -> list:
+    """A basis of the span of the integer `vectors`: each is reduced,
+    fraction-free, by the basis so far at its pivots (the first nonzero of
+    each basis vector, which is 0 in every later one) and kept, made
+    primitive, if anything is left."""
+    basis = []
+    for v in vectors:
+        for k, w in basis:
+            if v[k]:
+                v = [w[k] * a - v[k] * b for a, b in zip(v, w)]
+        if any(v):
+            content = gcd(*v)
+            basis.append((next(k for k, a in enumerate(v) if a), [a // content for a in v]))
+    return [w for _, w in basis]
+
+
 def _check_nilpotent_span(indices: Sequence[int], name: str) -> None:
     """Lower-central-series termination for the span of basis `indices`:
-    each [b_i, v] is read off the table over v's nonzero (m, a)."""
-    c = g2._bracket_table()
+    each round brackets every b_i with the last round's vectors, read off the
+    table (`table_bracket`), and keeps the nonzero images, reduced to a basis
+    of their span when they outnumber DIM, so a round never holds more."""
     current = [((i, 1),) for i in indices]
     for _ in range(DIM):
-        images = []
-        for i in indices:
-            for terms in current:
-                img = [0] * DIM
-                for m, a in terms:
-                    for k, t in c[i][m]:
-                        img[k] += a * t
-                if any(img):
-                    images.append(tuple((k, a) for k, a in enumerate(img) if a))
-        current = images
+        images = [
+            img for i in indices for terms in current
+            if any(img := table_bracket(((i, 1),), terms))
+        ]
+        if len(images) > DIM:
+            images = _span_basis(images)
+        current = [tuple((k, a) for k, a in enumerate(img) if a) for img in images]
         if not current:
             return
     raise StructureMismatchError(f"{name} is not nilpotent")
@@ -166,7 +182,7 @@ def _check_nilpotent_span(indices: Sequence[int], name: str) -> None:
 def _psi_bracket(psi_row: Sequence[int], i: int, j: int) -> int:
     """psi([b_i, b_j]): the sum of t * psi(b_k) over the table entry c[i][j],
     for psi's coefficients `psi_row`."""
-    return sum(t * psi_row[k] for k, t in g2._bracket_table()[i][j])
+    return sum(t * psi_row[k] for k, t in g2.bracket_table()[i][j])
 
 
 def _omega_pieces(kappa_ker: Sequence) -> tuple:
@@ -176,7 +192,7 @@ def _omega_pieces(kappa_ker: Sequence) -> tuple:
     takes t * w_j[k] off every A_j[i][l]."""
     ws = (_psi_row(), *zip(*kappa_ker))
     pieces = [[[0] * DIM for _ in range(DIM)] for _ in ws]
-    for i, row in enumerate(g2._bracket_table()):
+    for i, row in enumerate(g2.bracket_table()):
         for l, terms in enumerate(row):
             for k, t in terms:
                 for a, w in zip(pieces, ws):
@@ -201,7 +217,7 @@ def _slice_data(levels, ker_ad_f, kappa_ker, pieces) -> SliceData:
 
 def _subspaces(levels: Sequence[int]) -> dict:
     """n_l, s, t', u5 and u6 as basis indices, read off l, the grading `levels`, psi and gamma."""
-    c = g2._bracket_table()
+    c = g2.bracket_table()
     n_l = tuple(i for i, lv in enumerate(levels) if i in L or lv < -1)  # l + g_(-2) + g_(-3)
     # s = {x in g_0 : [x, l] in l, psi([x, n_l]) = 0}, one kernel over g_0's coordinates.
     g0 = [j for j, lv in enumerate(levels) if lv == 0]
@@ -300,15 +316,11 @@ def verify_lemma_incl() -> bool:
     data = build_slice_data()
     if any(any(data.kappa_ker[i]) for i in data.n_l):
         return False
-    c = g2._bracket_table()
     columns = [col for z, col in enumerate(zip(*g2.killing_gram())) if z in data.n_l]  # of m_l
     for y in data.ker_ad_f + (G2Element.zero().coords,):
         terms = [(m, a) for m, a in enumerate((G2Element(y) + E).coords) if a]  # y + e
         for i in data.n_l:
-            img = [0] * DIM  # [b_i, y + e], read off the table
-            for m, a in terms:
-                for k, t in c[i][m]:
-                    img[k] += a * t
+            img = table_bracket(((i, 1),), terms)  # [b_i, y + e]
             if any(sum(map(mul, img, column)) for column in columns):
                 return False
     return True

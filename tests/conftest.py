@@ -100,8 +100,8 @@ def bracket_with_extra_h_a(monkeypatch):
         return g2.G2Element(tuple(coords))
 
     monkeypatch.setattr(g2, "bracket", bad_bracket)
-    table = g2._bracket_table.__wrapped__()  # built through the patched bracket, uncached
-    monkeypatch.setattr(g2, "_bracket_table", lambda: table)
+    table = g2.bracket_table.__wrapped__()  # built through the patched bracket, uncached
+    monkeypatch.setattr(g2, "bracket_table", lambda: table)
     yield
     clear_caches()
 

@@ -100,7 +100,7 @@ def _reference_killing_invariance() -> int:
 
 def _reference_invariance_sweep() -> int:
     """The earlier `verify_killing_invariance`: two sparse sums per triple."""
-    c = g2._bracket_table()
+    c = g2.bracket_table()
     gram = g2.killing_gram()
     return sum(
         sum(s * gram[m][k] for m, s in c[i][j]) + sum(s * gram[j][m] for m, s in c[i][k]) == 0
@@ -112,13 +112,13 @@ def _reference_invariance_sweep() -> int:
 def test_invariance_sweep_matches_the_triple_loop(monkeypatch, fault) -> None:
     # Each entry of ad(x)^T G + G ad(x) is the same sum as the triple loop's,
     # so the counts agree for any table and any Gram, symmetric or not.
-    table = [list(row) for row in g2._bracket_table()]
+    table = [list(row) for row in g2.bracket_table()]
     gram = [list(row) for row in killing_gram()]
     if fault == "table":
         table[0][3] = table[0][3] + ((0, 1),)  # [e1, f1] gains an e1 term
     if fault == "gram":
         gram[0][12] += 1  # kappa(e1, h_a) only, not kappa(h_a, e1)
-    monkeypatch.setattr(g2, "_bracket_table", lambda: tuple(map(tuple, table)))
+    monkeypatch.setattr(g2, "bracket_table", lambda: tuple(map(tuple, table)))
     monkeypatch.setattr(g2, "killing_gram", lambda: tuple(map(tuple, gram)))
     count = verify_killing_invariance()
     assert count == _reference_invariance_sweep()
@@ -127,7 +127,7 @@ def test_invariance_sweep_matches_the_triple_loop(monkeypatch, fault) -> None:
 
 def _reference_jacobi_sweep() -> int:
     """The earlier `verify_jacobi`: all 2744 ordered triples, three table sums each."""
-    c = g2._bracket_table()
+    c = g2.bracket_table()
     good = 0
     for i, j, k in product(range(DIM), repeat=3):
         total = [0] * DIM
@@ -144,9 +144,9 @@ def test_jacobi_by_rotation_class_matches_the_triple_sweep(request, monkeypatch,
     # A rotation of (i, j, k) permutes the three terms of one sum, so the
     # counts agree for any table, antisymmetric or not.
     if fault == "table":
-        table = [list(row) for row in g2._bracket_table()]
+        table = [list(row) for row in g2.bracket_table()]
         table[0][3] = table[0][3] + ((0, 1),)  # [e1, f1] gains an e1 term, [f1, e1] does not
-        monkeypatch.setattr(g2, "_bracket_table", lambda: tuple(map(tuple, table)))
+        monkeypatch.setattr(g2, "bracket_table", lambda: tuple(map(tuple, table)))
     if fault == "extra_h_a":
         request.getfixturevalue("bracket_with_extra_h_a")
     count = verify_jacobi()
@@ -283,6 +283,16 @@ def test_ad_matrix_matches_bracket(x, y) -> None:
     assert ad_matrix(x).mul_vec(y.coords) == bracket(x, y).coords
 
 
+def _terms(x: G2Element) -> list:
+    return [(i, a) for i, a in enumerate(x.coords) if a]
+
+
+@given(elements, elements)
+@settings(max_examples=30, deadline=None)
+def test_table_bracket_matches_bracket(x, y) -> None:
+    assert g2.table_bracket(_terms(x), _terms(y)) == list(bracket(x, y).coords)
+
+
 # The reference: `bracket` and its helpers as they were before each product
 # became an explicit three-term sum computed once per bracket, verbatim.
 
@@ -412,4 +422,4 @@ def test_bracket_table_matches_the_reference_table() -> None:
         )
         for x in BASIS
     )
-    assert g2._bracket_table() == expected
+    assert g2.bracket_table() == expected

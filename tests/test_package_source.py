@@ -18,7 +18,8 @@ install.
 Every public top-level function or class is used by the package itself,
 not only by its tests, and the top-level namespace re-exports exactly the
 names the README's Python API example imports, plus a few more.  Every
-parameter is read in its function's body.
+parameter is read in its function's body.  No module reads another's
+private name: what one module uses of another is public.
 
 The test settings turn every warning into an error but one, so that a
 failing Hypothesis test is reported as a failure and the session goes on.
@@ -168,6 +169,43 @@ def test_package_imports_only_declared_dependencies() -> None:
                 imported.add(node.module.split(".")[0])
     assert imported, sources
     assert sorted(imported - allowed) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _foreign_private_reads(tree: ast.Module) -> list[str]:
+    """The private names `tree` imports from a sibling module, or reads off
+    one through the name it imports the module as."""
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            found += [f"{node.module}.{a.name}" for a in node.names if _private(a.name)]
+        elif (
+            isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and _private(node.attr)
+        ):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_name() -> None:
+    found = {
+        path.name: reads
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (reads := _foreign_private_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
+    # The walk itself finds both kinds of read, and leaves public names and dunders.
+    probe = "from . import m as a\nfrom .n import _x, y, __version__\na._z\na.w\na.__doc__\n"
+    assert _foreign_private_reads(ast.parse(probe)) == ["n._x", "a._z"]
 
 
 def test_every_public_definition_is_used_by_the_package() -> None:

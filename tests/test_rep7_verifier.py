@@ -179,7 +179,7 @@ def _reference_homomorphism() -> int:
     """Number of basis pairs (i < j) satisfying the homomorphism identity
     rho([b_i, b_j]) = [rho(b_i), rho(b_j)]; 91 means all pass."""
     rep = rep7.build_rep7()
-    table = g2._bracket_table()
+    table = g2.bracket_table()
     good = 0
     for i in range(g2.DIM):
         for j in range(i + 1, g2.DIM):
@@ -729,6 +729,47 @@ def test_cone_keys_refuse_a_quadric_mixing_u_with_another_coordinate(monkeypatch
         rep7._cone_keys(3)
 
 
+def _reference_image_keys(gen: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
+    """The keys of gen @ points mod p, in int64 throughout."""
+    images = gen.astype(np.int64) @ points.astype(np.int64) % p
+    return p ** np.arange(REP_DIM, dtype=np.int64) @ images
+
+
+def _borel_generators(p: int) -> list:
+    return rep7._unipotent_generators(p) + rep7._torus_generators(p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_image_keys_match_an_int64_reference(p: int) -> None:
+    keys = rep7._cone_keys(p)
+    points = rep7._key_points(keys, p)
+    buffers = rep7._image_buffers(p, len(keys))
+    assert buffers[2].dtype == np.uint8
+    for gen in _borel_generators(p):
+        image = rep7._image_keys(gen, points, keys, p, *buffers)
+        assert image is buffers[0]
+        assert np.array_equal(image, _reference_image_keys(gen, points, p))
+
+
+@pytest.mark.parametrize("p", [11, 19])
+def test_image_keys_in_a_uint16_plane_match_the_reference(monkeypatch, p: int) -> None:
+    # Drawn points of F_p^7, on the cone or not, and the point of all p - 1:
+    # the images do not read the quadric.  At 19 a product c x_j (up to 324)
+    # passes uint8, so the plane's dtype must carry the products too.
+    monkeypatch.setattr(rep7, "MAX_ORACLE_POINTS", p**REP_DIM)
+    rep7.check_oracle_prime(p)
+    rng = np.random.default_rng(p)
+    points = rng.integers(0, p, size=(REP_DIM, 3000), dtype=np.uint8)
+    points[:, -1] = p - 1
+    keys = (p ** np.arange(REP_DIM, dtype=np.int64) @ points.astype(np.int64)).astype(np.int32)
+    assert np.array_equal(rep7._key_points(keys, p), points)
+    buffers = rep7._image_buffers(p, len(keys))
+    assert buffers[2].dtype == np.uint16
+    for gen in _borel_generators(p):
+        image = rep7._image_keys(gen, points, keys, p, *buffers)
+        assert np.array_equal(image, _reference_image_keys(gen, points, p))
+
+
 class _CountedPasses(list):
     """A list of permutations that counts the passes made over it."""
 
@@ -801,7 +842,7 @@ def test_oracle_memory_peak_at_p7() -> None:
     # At its peak the count holds the int32 lookup over all 7^7 keys and, per
     # cone point, its int32 key, image and row sum, its 7 uint8 digits and 8
     # int32 arrays of the generators: the permutations so far and the one being
-    # formed.  A quarter MiB covers numpy's buffers and take's intp chunks;
+    # formed.  A quarter MiB covers numpy's buffers and the uint8 row plane;
     # an intp copy of a whole row sum (8 bytes per point) does not fit.
     held = 4 * 7**7 + (3 * 4 + 7 + 8 * 4) * points
     assert peak <= held + 2**18
@@ -833,11 +874,16 @@ def test_int32_headroom_at_the_largest_admitted_prime(monkeypatch) -> None:
     bounds = (p**7 - 1, 28 * (p - 1) ** 3, 7 * (p - 1) ** 2)
     assert rep7._int32_intermediates(p) == bounds
     assert max(bounds) <= int32_max
+    # The image rows are summed in the narrowest plane that holds the row
+    # bound: 7 * 6^2 = 252 fits uint8, and 7 * 10^2 = 700 at 11 does not.
+    assert rep7._image_buffers(p, 1)[2].dtype == np.uint8
+    assert rep7._image_buffers(11, 1)[2].dtype == np.uint16
     # Without the size cap the guard admits 13 and 19 but refuses 23,
     # whose largest key 23^7 - 1 overflows int32.
     monkeypatch.setattr(rep7, "MAX_ORACLE_POINTS", 10**12)
     for ok in (11, 13, 19):
         rep7.check_oracle_prime(ok)
+        assert rep7._image_buffers(ok, 1)[2].dtype == np.uint16
     assert 23**7 - 1 > int32_max
     with pytest.raises(BadPrimeError, match="int32"):
         rep7.check_oracle_prime(23)

@@ -343,7 +343,7 @@ def test_omega_pieces_match_the_per_piece_sums(request, perturbed) -> None:
     true_pieces = sv._omega_pieces(kappa_ker)
     if perturbed:
         request.getfixturevalue("bracket_with_extra_h_a")
-    table = g2._bracket_table()
+    table = g2.bracket_table()
     expected = tuple(
         tuple(
             tuple(-sum(t * w[k] for k, t in table[i][l]) for l in range(DIM))
@@ -378,3 +378,54 @@ def test_nilpotent_span_check_matches_the_ad_matrix_series(data, span) -> None:
     else:
         with pytest.raises(StructureMismatchError, match=f"^{span} is not nilpotent$"):
             sv._check_nilpotent_span(indices, span)
+
+
+@pytest.mark.parametrize(
+    "gains", [("E21",), ("E21", "f1"), ("E21", "f1", "E31")], ids=lambda g: "-".join(g)
+)
+def test_nilpotent_span_check_stays_bounded_on_tables_fixing_e2(monkeypatch, data, gains) -> None:
+    # [x, e2] gains e2 for each x in `gains`, so each ad x fixes e2.  Kept
+    # whole, the images of a round would number about k^r for k such x;
+    # reduced to a basis once they outnumber DIM, no round brackets more
+    # than len(n_l) * DIM pairs, and the check fails within DIM rounds.
+    table = [[dict(entry) for entry in row] for row in g2.bracket_table()]
+    e2 = BASIS_NAMES.index("e2")
+    for x in gains:
+        table[BASIS_NAMES.index(x)][e2][e2] = table[BASIS_NAMES.index(x)][e2].get(e2, 0) + 1
+    frozen = tuple(tuple(tuple(sorted(e.items())) for e in row) for row in table)
+    monkeypatch.setattr(g2, "bracket_table", lambda: frozen)
+    calls = []
+
+    def counted(x, y):
+        # Stops a series that outgrows the bound before it exhausts memory.
+        calls.append(y)
+        if len(calls) > DIM * len(data.n_l) * DIM:
+            raise RuntimeError("more brackets than DIM rounds of a basis need")
+        return g2.table_bracket(x, y)
+
+    monkeypatch.setattr(sv, "table_bracket", counted)
+    with pytest.raises(StructureMismatchError, match="^n_l is not nilpotent$"):
+        sv._check_nilpotent_span(data.n_l, "n_l")
+
+
+def test_span_basis_is_a_basis_of_the_span() -> None:
+    # Seeded integer vectors of low rank, with repeats and zero rows.
+    rng = random.Random(33)
+    for _ in range(50):
+        gens = [[rng.randint(-3, 3) for _ in range(DIM)] for _ in range(rng.randint(1, 4))]
+        vectors = [
+            [sum(rng.randint(-2, 2) * g[k] for g in gens) for k in range(DIM)]
+            for _ in range(rng.randint(1, 20))
+        ]
+        basis = sv._span_basis(vectors)
+        assert len(basis) == rank(DenseMatrix.from_rows(vectors))
+        if basis:  # independent, and spanning every vector
+            assert rank(DenseMatrix.from_rows(basis + vectors)) == len(basis)
+
+
+def test_true_n_l_series_needs_no_reduction(monkeypatch, data) -> None:
+    # n_l's series is 4 -> 2 -> 0 vectors: [e2, f1] and [f1, e2], then nothing.
+    reduced = []
+    monkeypatch.setattr(sv, "_span_basis", lambda vectors: reduced.append(vectors) or vectors)
+    sv._check_nilpotent_span(data.n_l, "n_l")
+    assert reduced == []
