@@ -136,7 +136,7 @@ def _primitive_rows(rows: Iterable[Sequence[int]]) -> Iterator[Sequence[int]]:
             yield row if content == 1 else [x // content for x in row]
 
 
-def _echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list, list[int]]:
+def echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list, list[int]]:
     """Fraction-free row-echelon form of the integer `rows`, the entries of
     a `DenseMatrix`: the echelon rows, nonzero and primitive, and their pivot
     columns.  Each column's pivot is, of the rows left with a nonzero there,
@@ -189,7 +189,7 @@ def _null_vector(rows: list, pivots: list[int], ncols: int, free: int) -> list[i
 
 def rank(m: DenseMatrix) -> int:
     """Rank of `m`: the pivot count of its echelon form."""
-    return len(_echelon(m.entries, m.cols)[1])
+    return len(echelon(m.entries, m.cols)[1])
 
 
 def kernel_basis(m: DenseMatrix) -> tuple[tuple[int, ...], ...]:
@@ -198,9 +198,9 @@ def kernel_basis(m: DenseMatrix) -> tuple[tuple[int, ...], ...]:
     that is 1 there and 0 at the other non-pivot columns (the reduced
     row-echelon basis), all times the least positive L that makes every one
     integral, so each reads L at its own non-pivot column."""
-    echelon, pivots = _echelon(m.entries, m.cols)
+    rows, pivots = echelon(m.entries, m.cols)
     free = [c for c in range(m.cols) if c not in pivots]
-    vectors = [_null_vector(echelon, pivots, m.cols, c) for c in free]
+    vectors = [_null_vector(rows, pivots, m.cols, c) for c in free]
     # Each vector is the reduced one times its entry k at its free column.
     factor = lcm(*(v[c] for v, c in zip(vectors, free)))
     return tuple(tuple(factor // v[c] * x for x in v) for v, c in zip(vectors, free))

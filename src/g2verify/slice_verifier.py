@@ -33,13 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
-from math import gcd
 from operator import mul
 from typing import Sequence
 
 from . import g2_algebra as g2
 from . import root_weyl as rw
-from .exact_linalg import DenseMatrix, DimensionMismatch, kernel_basis, rank
+from .exact_linalg import DenseMatrix, DimensionMismatch, echelon, kernel_basis, rank
 from .g2_algebra import (
     BASIS,
     BASIS_NAMES,
@@ -144,27 +143,12 @@ def _check_brackets_in(a: Sequence[int], b: Sequence[int], what: str) -> None:
                 raise StructureMismatchError(f"{what} at ({BASIS_NAMES[i]}, {BASIS_NAMES[j]})")
 
 
-def _span_basis(vectors: Sequence) -> list:
-    """A basis of the span of the integer `vectors`: each is reduced,
-    fraction-free, by the basis so far at its pivots (the first nonzero of
-    each basis vector, which is 0 in every later one) and kept, made
-    primitive, if anything is left."""
-    basis = []
-    for v in vectors:
-        for k, w in basis:
-            if v[k]:
-                v = [w[k] * a - v[k] * b for a, b in zip(v, w)]
-        if any(v):
-            content = gcd(*v)
-            basis.append((next(k for k, a in enumerate(v) if a), [a // content for a in v]))
-    return [w for _, w in basis]
-
-
 def _check_nilpotent_span(indices: Sequence[int], name: str) -> None:
     """Lower-central-series termination for the span of basis `indices`:
     each round brackets every b_i with the last round's vectors, read off the
-    table (`table_bracket`), and keeps the nonzero images, reduced to a basis
-    of their span when they outnumber DIM, so a round never holds more."""
+    table (`table_bracket`), and keeps the nonzero images, reduced to the
+    echelon rows of their span when they outnumber DIM, so a round never
+    holds more."""
     current = [((i, 1),) for i in indices]
     for _ in range(DIM):
         images = [
@@ -172,7 +156,7 @@ def _check_nilpotent_span(indices: Sequence[int], name: str) -> None:
             if any(img := table_bracket(((i, 1),), terms))
         ]
         if len(images) > DIM:
-            images = _span_basis(images)
+            images = echelon(images, DIM)[0]
         current = [tuple((k, a) for k, a in enumerate(img) if a) for img in images]
         if not current:
             return

@@ -234,10 +234,10 @@ def test_echelon_rows_are_primitive(rows) -> None:
     # Every echelon row is nonzero and primitive, pivot rows drawn as they
     # are and updated rows alike, and it is 0 left of its nonzero pivot entry.
     m = _integer(rows)
-    echelon, pivots = exact_linalg._echelon(m.entries, m.cols)
-    assert len(echelon) == len(pivots) == _reference_rank(rows)
+    reduced, pivots = exact_linalg.echelon(m.entries, m.cols)
+    assert len(reduced) == len(pivots) == _reference_rank(rows)
     assert pivots == sorted(set(pivots))
-    for row, c in zip(echelon, pivots):
+    for row, c in zip(reduced, pivots):
         assert gcd(*row) == 1
         assert row[c] and not any(row[:c])
 

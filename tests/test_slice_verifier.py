@@ -408,24 +408,9 @@ def test_nilpotent_span_check_stays_bounded_on_tables_fixing_e2(monkeypatch, dat
         sv._check_nilpotent_span(data.n_l, "n_l")
 
 
-def test_span_basis_is_a_basis_of_the_span() -> None:
-    # Seeded integer vectors of low rank, with repeats and zero rows.
-    rng = random.Random(33)
-    for _ in range(50):
-        gens = [[rng.randint(-3, 3) for _ in range(DIM)] for _ in range(rng.randint(1, 4))]
-        vectors = [
-            [sum(rng.randint(-2, 2) * g[k] for g in gens) for k in range(DIM)]
-            for _ in range(rng.randint(1, 20))
-        ]
-        basis = sv._span_basis(vectors)
-        assert len(basis) == rank(DenseMatrix.from_rows(vectors))
-        if basis:  # independent, and spanning every vector
-            assert rank(DenseMatrix.from_rows(basis + vectors)) == len(basis)
-
-
 def test_true_n_l_series_needs_no_reduction(monkeypatch, data) -> None:
     # n_l's series is 4 -> 2 -> 0 vectors: [e2, f1] and [f1, e2], then nothing.
     reduced = []
-    monkeypatch.setattr(sv, "_span_basis", lambda vectors: reduced.append(vectors) or vectors)
+    monkeypatch.setattr(sv, "echelon", lambda rows, ncols: reduced.append(rows) or (rows, []))
     sv._check_nilpotent_span(data.n_l, "n_l")
     assert reduced == []
