@@ -12,7 +12,7 @@ sl3 the traceless 3x3 matrices.  The bracket is defined case by case:
 
 `bracket` sums these over the nonzero entries of each part only,
 `bracket_table` holds its values on the 196 basis pairs, and
-`table_bracket` reads [x, y] off that table for sparse x and y.  The
+`table_bracket` reads [b_i, v] off that table for sparse v.  The
 fixed ordered basis is e1, e2, e3 (columns), f1, f2, f3 (rows),
 E12, E13, E21, E23, E31, E32 (off-diagonal matrix units), and the Cartan
 pair h_a = E11 - E22, h_b = E22 - E33.  Every basis element is a weight
@@ -213,24 +213,28 @@ def bracket_table() -> tuple:
     )
 
 
-def table_bracket(x: Sequence, y: Sequence) -> list[int]:
-    """The coordinates of [x, y] read off the structure-constant table, for x
-    and y given by their nonzero (index, coefficient) terms: each (k, t) of
-    c[i][m] adds a * b * t to coordinate k, for (i, a) in x and (m, b) in y."""
-    c = bracket_table()
-    total = [0] * DIM
-    for i, a in x:
-        for m, b in y:
-            for k, t in c[i][m]:
-                total[k] += a * b * t
-    return total
+def table_bracket(i: int, terms: Sequence) -> list[int]:
+    """The coordinates of [b_i, v] read off the structure-constant table, for
+    v given by its nonzero (m, a) `terms`: each (k, t) of c[i][m] adds a * t
+    to coordinate k."""
+    row = bracket_table()[i]
+    img = [0] * DIM
+    for m, a in terms:
+        for k, t in row[m]:
+            img[k] += a * t
+    return img
 
 
 def ad_matrix(x: G2Element) -> DenseMatrix:
-    """The 14x14 matrix of y -> [x, y] in the fixed basis: column j is
-    [x, b_j], read off the table."""
-    terms = [(i, s) for i, s in enumerate(x.coords) if s]
-    return DenseMatrix.from_rows(zip(*(table_bracket(terms, ((j, 1),)) for j in range(DIM))))
+    """The 14x14 matrix of y -> [x, y] in the fixed basis."""
+    c = bracket_table()
+    rows = [[0] * DIM for _ in range(DIM)]
+    for i, s in enumerate(x.coords):
+        if s:
+            for j in range(DIM):
+                for k, t in c[i][j]:
+                    rows[k][j] += s * t
+    return DenseMatrix.from_rows(rows)
 
 
 @cache

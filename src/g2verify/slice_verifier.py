@@ -153,7 +153,7 @@ def _check_nilpotent_span(indices: Sequence[int], name: str) -> None:
     for _ in range(DIM):
         images = [
             img for i in indices for terms in current
-            if any(img := table_bracket(((i, 1),), terms))
+            if any(img := table_bracket(i, terms))
         ]
         if len(images) > DIM:
             images = echelon(images, DIM)[0]
@@ -304,7 +304,7 @@ def verify_lemma_incl() -> bool:
     for y in data.ker_ad_f + (G2Element.zero().coords,):
         terms = [(m, a) for m, a in enumerate((G2Element(y) + E).coords) if a]  # y + e
         for i in data.n_l:
-            img = table_bracket(((i, 1),), terms)  # [b_i, y + e]
+            img = table_bracket(i, terms)  # [b_i, y + e]
             if any(sum(map(mul, img, column)) for column in columns):
                 return False
     return True

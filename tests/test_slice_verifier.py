@@ -396,12 +396,12 @@ def test_nilpotent_span_check_stays_bounded_on_tables_fixing_e2(monkeypatch, dat
     monkeypatch.setattr(g2, "bracket_table", lambda: frozen)
     calls = []
 
-    def counted(x, y):
+    def counted(i, terms):
         # Stops a series that outgrows the bound before it exhausts memory.
-        calls.append(y)
+        calls.append(terms)
         if len(calls) > DIM * len(data.n_l) * DIM:
             raise RuntimeError("more brackets than DIM rounds of a basis need")
-        return g2.table_bracket(x, y)
+        return g2.table_bracket(i, terms)
 
     monkeypatch.setattr(sv, "table_bracket", counted)
     with pytest.raises(StructureMismatchError, match="^n_l is not nilpotent$"):
