@@ -1,14 +1,20 @@
-"""Small dense integer linear algebra.
+"""Small integer linear algebra, stored dense and multiplied sparse.
 
-A `DenseMatrix` holds Python ints only, and its `scale` by a Fraction is
-an exact quotient.  One fraction-free echelon on integers serves `rank`
-(its pivot count) and `kernel_basis`: it pivots on a sparsest row, touches
-only the rows with a nonzero in the pivot column, and keeps every row
-primitive.  Any echelon with the same pivot columns back-substitutes to
-one kernel basis: the reduced row-echelon basis times the least positive
-factor that makes it integral, so ints only.  A linear solve is a null
-vector of the augmented matrix, read by its caller.  Floating point is
-never used anywhere in this package.
+A `DenseMatrix` stores its dense `entries`, Python ints only, and its
+`scale` by a Fraction is an exact quotient.  Two cached views list its
+nonzero entries: `nonzeros` by row and `nonzero_columns` by column (the
+rows of the transpose).  `add_product` adds sign a b into a grid off such
+rows; it is the package's one sparse product, which `@` and every sweep
+that sums products call.  The echelon reads the dense rows instead.
+
+One fraction-free echelon on integers serves `rank` (its pivot count) and
+`kernel_basis`: it pivots on a sparsest row, touches only the rows with a
+nonzero in the pivot column, and keeps every row primitive.  Any echelon
+with the same pivot columns back-substitutes to one kernel basis: the
+reduced row-echelon basis times the least positive factor that makes it
+integral, so ints only.  A linear solve is a null vector of the augmented
+matrix, read by its caller.  Floating point is never used anywhere in this
+package.
 """
 
 from __future__ import annotations
@@ -35,8 +41,10 @@ def check_ints(values: Iterable) -> None:
 
 @dataclass(frozen=True)
 class DenseMatrix:
-    """An immutable dense integer matrix: every entry is an int, whichever
-    way the matrix is built."""
+    """An immutable integer matrix: every entry is an int, whichever way
+    the matrix is built.  It stores the dense `entries`; `nonzeros` and
+    `nonzero_columns` are cached sparse views of them, the rows that
+    `add_product` multiplies, while `echelon` reads the dense rows."""
 
     rows: int
     cols: int
@@ -101,31 +109,46 @@ class DenseMatrix:
         return DenseMatrix(self.rows, self.cols, entries)
 
     @cached_property
-    def _nonzeros(self) -> tuple:
+    def nonzeros(self) -> tuple:
         """Per row, the (column, entry) pairs of its nonzero entries."""
         return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.entries)
+
+    @cached_property
+    def nonzero_columns(self) -> tuple:
+        """Per column, the (row, entry) pairs of its nonzero entries: the
+        `nonzeros` of the transpose, read without building it."""
+        columns = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzeros):
+            for j, x in row:
+                columns[j].append((i, x))
+        return tuple(map(tuple, columns))
 
     def __matmul__(self, other: DenseMatrix) -> DenseMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
-        other_rows = other._nonzeros
-        out = []
-        for row in self._nonzeros:
-            acc = [0] * other.cols
-            for k, a in row:
-                for j, b in other_rows[k]:
-                    acc[j] += a * b
-            out.append(tuple(acc))
-        return DenseMatrix(self.rows, other.cols, tuple(out))
+        grid = [[0] * other.cols for _ in range(self.rows)]
+        add_product(grid, self.nonzeros, other.nonzeros, 1)
+        return DenseMatrix(self.rows, other.cols, tuple(map(tuple, grid)))
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise DimensionMismatch("matrix-vector shape mismatch")
         check_ints(v)
-        return tuple(sum(a * v[k] for k, a in row) for row in self._nonzeros)
+        return tuple(sum(a * v[k] for k, a in row) for row in self.nonzeros)
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.entries)
+
+
+def add_product(grid: list, a: Sequence, b: Sequence, sign: int) -> None:
+    """grid += sign a b, for a and b given by their sparse rows, such as
+    `nonzeros` or `nonzero_columns`: each (k, x) of a's row i adds
+    sign x times b's row k to the grid's row i."""
+    for acc, row in zip(grid, a):
+        for k, x in row:
+            x *= sign
+            for j, y in b[k]:
+                acc[j] += x * y
 
 
 def _primitive_rows(rows: Iterable[Sequence[int]]) -> Iterator[Sequence[int]]:

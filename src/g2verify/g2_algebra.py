@@ -29,7 +29,7 @@ from functools import cache
 from itertools import chain, product
 from typing import Sequence
 
-from .exact_linalg import DenseMatrix, check_ints, kernel_basis
+from .exact_linalg import DenseMatrix, add_product, check_ints, kernel_basis
 
 #: Names of the 14 basis elements, in the fixed order used everywhere.
 BASIS_NAMES: tuple[str, ...] = (
@@ -215,13 +215,11 @@ def bracket_table() -> tuple:
 
 def table_bracket(i: int, terms: Sequence) -> list[int]:
     """The coordinates of [b_i, v] read off the structure-constant table, for
-    v given by its nonzero (m, a) `terms`: each (k, t) of c[i][m] adds a * t
-    to coordinate k."""
-    row = bracket_table()[i]
+    v given by its nonzero (m, a) `terms`: the one-row `add_product` of the
+    terms and the table's row c[i], whose entry c[i][m] holds the (k, t)
+    that add a * t to coordinate k."""
     img = [0] * DIM
-    for m, a in terms:
-        for k, t in row[m]:
-            img[k] += a * t
+    add_product((img,), (terms,), bracket_table()[i], 1)
     return img
 
 

@@ -62,7 +62,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import g2_algebra as g2
-from .exact_linalg import DenseMatrix, DimensionMismatch, check_ints, kernel_basis, rank
+from .exact_linalg import (
+    DenseMatrix, DimensionMismatch, add_product, check_ints, kernel_basis, rank,
+)
 from .g2_algebra import BASIS_NAMES, BASIS_WEIGHTS, DIM
 from .sampling import SmallRationalSampler, cleared
 
@@ -113,7 +115,7 @@ class Rep7:
         the sparse terms (k, c) of a bracket-table entry."""
         rows = [[0] * REP_DIM for _ in range(REP_DIM)]
         for k, c in terms:
-            for acc, nonzeros in zip(rows, self.matrices[k]._nonzeros):
+            for acc, nonzeros in zip(rows, self.matrices[k].nonzeros):
                 for j, x in nonzeros:
                     acc[j] += c * x
         return rows
@@ -311,15 +313,6 @@ def build_rep7() -> Rep7:
     return Rep7(matrices=es + fs + e_ij + (h_a, h_b), f2_coefficients=coeffs)
 
 
-def _add_product(grid: list, a: tuple, b: tuple, sign: int) -> None:
-    """grid += sign a b, for a and b given by their `_nonzeros` rows."""
-    for acc, row in zip(grid, a):
-        for k, x in row:
-            x *= sign
-            for j, y in b[k]:
-                acc[j] += x * y
-
-
 def verify_homomorphism() -> int:
     """Number of basis pairs (i < j) satisfying the homomorphism identity
     rho([b_i, b_j]) = [rho(b_i), rho(b_j)]; 91 means all pass.  Per pair,
@@ -327,13 +320,13 @@ def verify_homomorphism() -> int:
     off the sparse rows and tested for zero: no matrix is built."""
     rep = build_rep7()
     table = g2.bracket_table()
-    rows = [m._nonzeros for m in rep.matrices]
+    rows = [m.nonzeros for m in rep.matrices]
     good = 0
     for i in range(DIM):
         for j in range(i + 1, DIM):
             grid = rep.act(table[i][j])
-            _add_product(grid, rows[i], rows[j], -1)
-            _add_product(grid, rows[j], rows[i], 1)
+            add_product(grid, rows[i], rows[j], -1)
+            add_product(grid, rows[j], rows[i], 1)
             good += not any(map(any, grid))
     return good
 
@@ -341,15 +334,13 @@ def verify_homomorphism() -> int:
 def verify_weight_compatibility() -> bool:
     """Each basis element maps every weight line into the line shifted by
     its weight: root vectors move the lines, and h_a, h_b (weight (0, 0))
-    are diagonal."""
-    for b_idx, m in enumerate(build_rep7().matrices):
-        delta = BASIS_WEIGHTS[b_idx]
-        for j in range(REP_DIM):
-            target = (REP_WEIGHTS[j][0] + delta[0], REP_WEIGHTS[j][1] + delta[1])
-            for i in range(REP_DIM):
-                if m.entry(i, j) and REP_WEIGHTS[i] != target:
-                    return False
-    return True
+    are diagonal: each nonzero entry (i, j) has weight i = weight j + delta."""
+    return all(
+        REP_WEIGHTS[i] == (REP_WEIGHTS[j][0] + d1, REP_WEIGHTS[j][1] + d2)
+        for m, (d1, d2) in zip(build_rep7().matrices, BASIS_WEIGHTS)
+        for i, row in enumerate(m.nonzeros)
+        for j, _ in row
+    )
 
 
 def zero_weight_space() -> tuple:
@@ -362,46 +353,31 @@ def zero_weight_space() -> tuple:
     return kernel_basis(DenseMatrix.from_rows(stacked))
 
 
-def _is_invariant(m_rows: Sequence, b: DenseMatrix) -> bool:
+def _is_invariant(m_rows: Sequence, m_columns: Sequence, b: DenseMatrix) -> bool:
     """Whether m^T b + b m = 0, for square m and b of one size, m given by
-    its `_nonzeros` rows and b not necessarily symmetric: both products are
-    summed off the sparse rows into one grid, which is tested for zero."""
-    b_rows = b._nonzeros
+    its sparse rows and columns and b not necessarily symmetric: m^T b (the
+    rows of m^T are m's columns) and b m are summed into one grid, which is
+    tested for zero."""
     grid = [[0] * b.cols for _ in range(b.rows)]
-    # (m^T b)[i][j] = sum_k m[k][i] b[k][j].
-    for m_row, b_row in zip(m_rows, b_rows):
-        for i, x in m_row:
-            acc = grid[i]
-            for j, y in b_row:
-                acc[j] += x * y
-    _add_product(grid, b_rows, m_rows, 1)
+    add_product(grid, m_columns, b.nonzeros, 1)
+    add_product(grid, b.nonzeros, m_rows, 1)
     return not any(map(any, grid))
-
-
-def _column_nonzeros(m: DenseMatrix) -> list:
-    """Per column of m, the (row, entry) pairs of its nonzero entries: the
-    `_nonzeros` rows of m^T, read without building it."""
-    columns = [[] for _ in range(m.cols)]
-    for i, row in enumerate(m._nonzeros):
-        for j, x in row:
-            columns[j].append((i, x))
-    return columns
 
 
 def verify_invariant_form() -> int:
     """Number of basis x whose action leaves the bilinear form invariant,
     rho(x)^T B + B rho(x) = 0 (`_is_invariant`); 14 means all pass."""
     b = invariant_form()
-    return sum(_is_invariant(m._nonzeros, b) for m in build_rep7().matrices)
+    return sum(_is_invariant(m.nonzeros, m.nonzero_columns, b) for m in build_rep7().matrices)
 
 
 def verify_quadric_element() -> int:
     """Number of basis x whose action leaves the symmetric-square element q
     invariant, rho(x) C + C rho(x)^T = 0, where C is the typed coefficient
     matrix of q = u^2 - 4vv~ - 4ww~ - 4tt~: `_is_invariant` of rho(x)^T,
-    read off rho(x)'s columns, and C; 14 means all pass."""
+    whose rows are rho(x)'s columns, and C; 14 means all pass."""
     c = quadric_element()
-    return sum(_is_invariant(_column_nonzeros(m), c) for m in build_rep7().matrices)
+    return sum(_is_invariant(m.nonzero_columns, m.nonzeros, c) for m in build_rep7().matrices)
 
 
 #: The linear-side Borel: Cartan pair plus the six positive-root vectors of
@@ -446,7 +422,7 @@ def verify_symplectic_invariance() -> bool:
     symp = build_symplectic14()
     if rank(symp.omega) != 2 * REP_DIM:
         return False
-    return all(_is_invariant(a._nonzeros, symp.omega) for a in symp.actions14)
+    return all(_is_invariant(a.nonzeros, a.nonzero_columns, symp.omega) for a in symp.actions14)
 
 
 def _block_rows(blocks: Sequence) -> tuple:
@@ -515,7 +491,7 @@ def _form_terms() -> _FormTerms:
     n = REP_DIM
     fs = (b,) + tuple(m.transpose() @ b - b @ m for m in map(rep.matrix, BOREL_G2_NAMES))
     conormal = (tuple((i + n, j + n, c) for i, j, c in quadric),) + tuple(
-        tuple((i, j + n, c) for i, row in enumerate(f.entries) for j, c in enumerate(row) if c)
+        tuple((i, j + n, c) for i, row in enumerate(f.nonzeros) for j, c in row)
         for f in fs
     )
     moment = tuple(_quadratic_terms(symp.omega @ a) for a in symp.actions14)
@@ -656,10 +632,10 @@ def _torus_generators(p: int) -> list[np.ndarray]:
     rep, s = build_rep7(), _primitive_root(p)
     gens = []
     for name in BOREL_G2_NAMES[:2]:
-        h = rep.matrix(name).entries
-        if any(c for i, row in enumerate(h) for j, c in enumerate(row) if i != j):
+        h = rep.matrix(name)
+        if any(j != i for i, row in enumerate(h.nonzeros) for j, _ in row):
             raise ValueError(f"rho({name}) is not diagonal")
-        gens.append(np.diag([pow(s, h[i][i] % (p - 1), p) for i in range(REP_DIM)]))
+        gens.append(np.diag([pow(s, h.entry(i, i) % (p - 1), p) for i in range(REP_DIM)]))
     return gens
 
 

@@ -31,7 +31,7 @@ from g2verify import exact_linalg, report_cli
 from g2verify import g2_algebra as g2
 from g2verify import rep7_verifier as rep7
 from g2verify import slice_verifier as sv
-from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, kernel_basis, rank
+from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, add_product, kernel_basis, rank
 from g2verify.g2_algebra import BASIS, G2Element, ad_matrix, bracket, killing, killing_gram
 from g2verify.rep7_verifier import (
     BOREL_G2_NAMES,
@@ -446,6 +446,13 @@ def test_sparse_products_match_dense_reference(operands) -> None:
     assert [_typed(row) for row in (a @ b).entries] == [_typed(row) for row in dense]
     dense_vec = [_normal(sum(x * y for x, y in zip(row, v))) for row in a.entries]
     assert _typed(a.mul_vec(v)) == _typed(dense_vec)
+    # add_product with sign -1 subtracts a b from a grid that is not zero.
+    start = [[i - 2 * j + 1 for j in range(b.cols)] for i in range(a.rows)]
+    grid = [row.copy() for row in start]
+    add_product(grid, a.nonzeros, b.nonzeros, -1)
+    expected = [[s - d for s, d in zip(*rows)] for rows in zip(start, dense)]
+    assert [_typed(row) for row in grid] == [_typed(row) for row in expected]
+    assert a.nonzero_columns == a.transpose().nonzeros
 
 
 @st.composite

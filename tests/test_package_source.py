@@ -176,23 +176,33 @@ def _private(name: str) -> bool:
 
 
 def _foreign_private_reads(tree: ast.Module) -> list[str]:
-    """The private names `tree` imports from a sibling module, or reads off
-    one through the name it imports the module as."""
+    """The private names `tree` imports from a sibling module, reads off
+    one through the name it imports the module as, or reads off any other
+    object without defining that name itself (by a def, a class or an
+    assignment to a name or an attribute)."""
     modules = {
         alias.asname or alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
         for alias in node.names
     }
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
             found += [f"{node.module}.{a.name}" for a in node.names if _private(a.name)]
-        elif (
-            isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id in modules and _private(node.attr)
-        ):
-            found.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Attribute) and _private(node.attr):
+            of_module = isinstance(node.value, ast.Name) and node.value.id in modules
+            undefined = isinstance(node.ctx, ast.Load) and node.attr not in defined
+            if of_module or undefined:
+                found.append(ast.unparse(node))
     return found
 
 
@@ -203,9 +213,13 @@ def test_no_module_reads_another_modules_private_name() -> None:
         if (reads := _foreign_private_reads(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert found == {}
-    # The walk itself finds both kinds of read, and leaves public names and dunders.
-    probe = "from . import m as a\nfrom .n import _x, y, __version__\na._z\na.w\na.__doc__\n"
-    assert _foreign_private_reads(ast.parse(probe)) == ["n._x", "a._z"]
+    # The walk itself finds every kind of read, and leaves public names,
+    # dunders and the private names a module defines.
+    probe = (
+        "from . import m as a\nfrom .n import _x, y, __version__\na._z\na.w\na.__doc__\n"
+        "def _f(): pass\nk._f\nk._v = 1\nk._v\nk.w[0]._u\n"
+    )
+    assert _foreign_private_reads(ast.parse(probe)) == ["n._x", "a._z", "k.w[0]._u"]
 
 
 def test_every_public_definition_is_used_by_the_package() -> None:

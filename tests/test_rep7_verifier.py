@@ -165,7 +165,7 @@ def _reference_act(rep, terms) -> DenseMatrix:
     sparse terms (k, c) of a bracket-table entry."""
     rows = [[0] * REP_DIM for _ in range(REP_DIM)]
     for k, c in terms:
-        for acc, nonzeros in zip(rows, rep.matrices[k]._nonzeros):
+        for acc, nonzeros in zip(rows, rep.matrices[k].nonzeros):
             for j, x in nonzeros:
                 acc[j] += c * x
     return DenseMatrix.from_rows(rows)
@@ -220,9 +220,13 @@ def _square_pair(draw) -> tuple:
 @settings(max_examples=200, deadline=None)
 def test_is_invariant_matches_the_matrix_formulation(pair) -> None:
     m, b = pair
-    assert rep7._is_invariant(m._nonzeros, b) == (m.transpose() @ b + b @ m).is_zero()
-    # Read off m's columns, the rows are those of m^T.
-    assert rep7._is_invariant(rep7._column_nonzeros(m), b) == (m @ b + b @ m.transpose()).is_zero()
+    assert rep7._is_invariant(m.nonzeros, m.nonzero_columns, b) == (
+        m.transpose() @ b + b @ m
+    ).is_zero()
+    # With m's rows and columns swapped, the test is that of m^T.
+    assert rep7._is_invariant(m.nonzero_columns, m.nonzeros, b) == (
+        m @ b + b @ m.transpose()
+    ).is_zero()
 
 
 def test_identity_sweeps_build_no_matrix(monkeypatch) -> None:
