@@ -92,9 +92,6 @@ class DenseMatrix:
         rows = (tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries))
         return DenseMatrix(self.rows, self.cols, tuple(rows))
 
-    def __neg__(self) -> DenseMatrix:
-        return self.scale(-1)
-
     def scale(self, s: int | Fraction) -> DenseMatrix:
         """`s` times the matrix, for an int or a Fraction `s`: an exact
         quotient, so ArithmeticError if some product is not an integer."""
@@ -135,9 +132,6 @@ class DenseMatrix:
             raise DimensionMismatch("matrix-vector shape mismatch")
         check_ints(v)
         return tuple(sum(a * v[k] for k, a in row) for row in self.nonzeros)
-
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
 
 
 def add_product(grid: list, a: Sequence, b: Sequence, sign: int) -> None:

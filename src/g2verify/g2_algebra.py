@@ -98,9 +98,6 @@ class G2Element:
         check_ints((s,))
         return G2Element(tuple(s * a for a in self.coords))
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def __repr__(self) -> str:
         terms = []
         for c, name in zip(self.coords, BASIS_NAMES):

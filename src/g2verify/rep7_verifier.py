@@ -4,9 +4,10 @@ two independent linear-side orbit counts.
 
 The representation space has ordered basis (v, w, t~, v~, w~, t, u) with
 weights (in a-coordinates) -a3, a2, -a1, a3, -a2, a1, 0.  The actions of
-f1 and f3 are fixed explicitly; the four unknown coefficients of f2 are
-determined by linear constraint solving against the sl2-commutation
-identities, and the other eleven matrices are generated by brackets.
+f1 and f3 are fixed explicitly, by the eight entries of `SEED_ENTRIES`; the
+four unknown coefficients of f2 are determined by linear constraint solving
+against the sl2-commutation identities, and the other eleven matrices are
+generated by brackets.
 
 Two invariant quadratic objects appear and are kept distinct.  The
 element q = u^2 - 4 v v~ - 4 w w~ - 4 t t~ of the symmetric square of
@@ -86,6 +87,19 @@ REP_WEIGHTS: tuple[tuple[int, int], ...] = (
 )
 
 _V, _W, _TT, _VT, _WT, _T, _U = range(REP_DIM)
+
+#: rho's seed, the eight fixed entries of rho(f1) and rho(f3) as
+#: (matrix name, row, col, value); the others are zero.
+SEED_ENTRIES: tuple[tuple[str, int, int, int], ...] = (
+    ("f1", _W, _V, 1),     # f1 . v = w
+    ("f1", _TT, _U, 2),    # f1 . u = 2 t~
+    ("f1", _U, _T, 1),     # f1 . t = u
+    ("f1", _VT, _WT, -1),  # f1 . w~ = -v~
+    ("f3", _W, _TT, 1),    # f3 . t~ = w
+    ("f3", _T, _WT, -1),   # f3 . w~ = -t
+    ("f3", _U, _VT, -1),   # f3 . v~ = -u
+    ("f3", _V, _U, -2),    # f3 . u = -2 v
+)
 
 
 class NoSolutionError(ValueError):
@@ -215,14 +229,9 @@ def _sparse_matrix(entries: dict) -> DenseMatrix:
     return DenseMatrix.from_rows(rows)
 
 
-def _f1_matrix() -> DenseMatrix:
-    # f1: v -> w, u -> 2 t~, t -> u, w~ -> -v~.
-    return _sparse_matrix({(_W, _V): 1, (_TT, _U): 2, (_U, _T): 1, (_VT, _WT): -1})
-
-
-def _f3_matrix() -> DenseMatrix:
-    # f3: t~ -> w, w~ -> -t, v~ -> -u, u -> -2 v.
-    return _sparse_matrix({(_W, _TT): 1, (_T, _WT): -1, (_U, _VT): -1, (_V, _U): -2})
+def _seed_matrix(name: str) -> DenseMatrix:
+    """rho(`name`), for f1 or f3, from its entries in `SEED_ENTRIES`."""
+    return _sparse_matrix({(i, j): val for n, i, j, val in SEED_ENTRIES if n == name})
 
 
 def _commutator(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -249,7 +258,7 @@ def _f_matrices(c: Sequence) -> tuple:
     """rho(f1), rho(f2), rho(f3), with rho(f2) the weight-compatible unknown
     v -> t, w -> u, t~ -> v~, u -> w~ of coefficients `c`."""
     f2 = _sparse_matrix({(_T, _V): c[0], (_U, _W): c[1], (_VT, _TT): c[2], (_WT, _U): c[3]})
-    return _f1_matrix(), f2, _f3_matrix()
+    return _seed_matrix("f1"), f2, _seed_matrix("f3")
 
 
 def _constraint_stack(c: Sequence) -> tuple:
@@ -296,8 +305,8 @@ def _solve_f2_coefficients() -> tuple:
 def build_rep7() -> Rep7:
     """Construct all fourteen representation matrices.
 
-    rho(f1) and rho(f3) are fixed; rho(f2) is solved from the commutation
-    constraints; everything else is generated by brackets:
+    rho(f1) and rho(f3) are fixed by `SEED_ENTRIES`; rho(f2) is solved from
+    the commutation constraints; everything else is generated by brackets:
     e1 = [f2,f3]/2, e2 = [f3,f1]/2, e3 = [f1,f2]/2, E_ij = -[e_i, f_j]/3,
     h_a = [E12, E21], h_b = [E23, E32], each quotient exact (`scale` raises
     ArithmeticError otherwise).  The full homomorphism check over all 91

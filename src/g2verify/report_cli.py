@@ -291,24 +291,11 @@ def _run_rep_build() -> tuple[str, dict | None]:
     return "unique solution", details
 
 
-_SEED_ENTRIES = (
-    # (matrix name, row, col, value): the eight fixed transition entries.
-    ("f1", 1, 0, 1),   # f1 . v = w
-    ("f1", 2, 6, 2),   # f1 . u = 2 t~
-    ("f1", 6, 5, 1),   # f1 . t = u
-    ("f1", 3, 4, -1),  # f1 . w~ = -v~
-    ("f3", 1, 2, 1),   # f3 . t~ = w
-    ("f3", 5, 4, -1),  # f3 . w~ = -t
-    ("f3", 6, 3, -1),  # f3 . v~ = -u
-    ("f3", 0, 6, -2),  # f3 . u = -2 v
-)
-
-
 def _seed_entries_held() -> int:
     rep = rep7.build_rep7()
     return sum(
         1
-        for name, i, j, val in _SEED_ENTRIES
+        for name, i, j, val in rep7.SEED_ENTRIES
         if rep.matrix(name).entry(i, j) == val
     )
 
@@ -558,7 +545,7 @@ def _registry(config: Config) -> tuple[_CheckSpec, ...]:
             _run_rep_build,
         ),
         _tally(
-            "linear.rep7.seed_entries", ("linear.rep7.build",), len(_SEED_ENTRIES),
+            "linear.rep7.seed_entries", ("linear.rep7.build",), len(rep7.SEED_ENTRIES),
             _seed_entries_held,
         ),
         _tally(

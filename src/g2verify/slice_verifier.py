@@ -13,9 +13,10 @@ zero-weight part.  psi on these drives the relevancy count: 6 relevant
 base orbits plus 1 relevant complementary orbit, 7 in total.
 `build_slice_data` verifies all of this once and returns the computed
 pieces: the ad-H level of each basis vector, ker ad F, the Killing pairing
-of the basis with ker ad F, the affine pieces of omega' with their 8 x 8
-reductions, and the subspaces as basis indices.  Every verifier below
-calls it first, so a failed identity raises from each.
+of the basis with ker ad F, omega' reduced to what its rank needs (whether
+its affine pieces are antisymmetric, r = rank K and their 8 x 8 reductions),
+and the subspaces as basis indices.  Every verifier below calls it first,
+so a failed identity raises from each.
 
 Only the sl2 relations and the point [x, y + E] of `verify_lemma_incl`
 involve non-basis elements.  Every question about basis vectors reads the
@@ -31,7 +32,7 @@ E is (1, 0, ..., 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from operator import mul
 from typing import Sequence
@@ -97,20 +98,24 @@ class SliceData:
     levels: tuple[int, ...]  # the ad-h eigenvalue of each basis vector
     ker_ad_f: tuple  # tuple of 14-coordinate kernel vectors
     kappa_ker: tuple  # kappa(b_i, k_j): 14 rows, one column per kernel vector
-    omega_pieces: tuple  # 14x14 A_0, ..., A_6: omega' at c has block A_0 + sum c_j A_j
-    omega_antisymmetric: bool  # whether every piece is
+    # omega' at c has block A_0 + sum c_j A_j, for 14x14 pieces A_j; P spans ker K^T.
+    omega_antisymmetric: bool  # whether every piece A_j is
     kappa_rank: int  # r = rank K, K = kappa_ker
-    omega_kernel: tuple  # P: integer rows spanning ker K^T
     omega_entries: tuple  # 8x8 blocks B_j = P^T A_j P: per (r, c), the (j, B_j[r][c]) != 0
-    n_l: tuple[int, ...] = ()  # l + g_(-2) + g_(-3), which is m_l on this slice
-    s: tuple[int, ...] = ()  # the stabiliser of l and of psi on n_l in g_0
-    t_prime: tuple[int, ...] = ()  # the zero-weight part of s
-    u5: tuple[int, ...] = ()  # n_l + [s, s]
-    u6: tuple[int, ...] = ()  # u5 + g_gamma
+    n_l: tuple[int, ...]  # l + g_(-2) + g_(-3), which is m_l on this slice
+    s: tuple[int, ...]  # the stabiliser of l and of psi on n_l in g_0
+    t_prime: tuple[int, ...]  # the zero-weight part of s
+    u5: tuple[int, ...]  # n_l + [s, s]
+    u6: tuple[int, ...]  # u5 + g_gamma
 
     def dims(self) -> tuple[int, ...]:
         """Dimensions of the ad-h eigenspaces, by increasing level."""
-        return tuple(self.levels.count(lv) for lv in sorted(set(self.levels)))
+        return _grading_dims(self.levels)
+
+
+def _grading_dims(levels: Sequence[int]) -> tuple[int, ...]:
+    """How many basis vectors lie at each grading level, by increasing level."""
+    return tuple(levels.count(lv) for lv in sorted(set(levels)))
 
 
 @dataclass(frozen=True)
@@ -184,22 +189,22 @@ def _omega_pieces(kappa_ker: Sequence) -> tuple:
     return tuple(tuple(map(tuple, a)) for a in pieces)
 
 
-def _slice_data(levels, ker_ad_f, kappa_ker, pieces) -> SliceData:
-    """SliceData with the pieces of omega' reduced by P, an integer basis of
-    ker K^T, and stored by their nonzero entries."""
+def _omega_reduction(kappa_ker: Sequence, pieces: Sequence) -> tuple:
+    """(whether every piece of omega' is antisymmetric, r = rank K, the
+    pieces reduced by P, an integer basis of ker K^T, and stored by their
+    nonzero entries), for K = `kappa_ker`."""
     k_t = DenseMatrix.from_rows(kappa_ker).transpose()
     p = DenseMatrix.from_rows(kernel_basis(k_t))
     blocks = [(p @ DenseMatrix.from_rows(a) @ p.transpose()).entries for a in pieces]
-    return SliceData(
-        levels, ker_ad_f, kappa_ker, pieces,
+    return (
         all(row == tuple(-x for x in col) for a in pieces for row, col in zip(a, zip(*a))),
-        DIM - p.rows, p.entries,
+        DIM - p.rows,
         tuple(tuple(tuple((j, x) for j, x in enumerate(xs) if x) for xs in zip(*rows))
               for rows in zip(*blocks)),
     )
 
 
-def _subspaces(levels: Sequence[int]) -> dict:
+def _subspaces(levels: Sequence[int]) -> tuple:
     """n_l, s, t', u5 and u6 as basis indices, read off l, the grading `levels`, psi and gamma."""
     c = g2.bracket_table()
     n_l = tuple(i for i, lv in enumerate(levels) if i in L or lv < -1)  # l + g_(-2) + g_(-3)
@@ -215,13 +220,13 @@ def _subspaces(levels: Sequence[int]) -> dict:
     u5 = n_l + tuple(sorted({k for i in s for j in s for k, _ in c[i][j]} - set(n_l)))
     gamma = tuple(i for i, w in enumerate(BASIS_WEIGHTS) if w == rw.GAMMA.coords)
     t_prime = tuple(i for i in s if BASIS_WEIGHTS[i] == (0, 0))
-    return dict(n_l=n_l, s=s, t_prime=t_prime, u5=u5, u6=u5 + gamma)
+    return n_l, s, t_prime, u5, u5 + gamma
 
 
 @cache
 def build_slice_data() -> SliceData:
     """Verify the sl2-triple, grading, subalgebras and l; return the grading
-    levels, ker ad f, the pieces of omega' and the derived subspaces.
+    levels, ker ad f, omega' reduced for its rank and the derived subspaces.
 
     Raises StructureMismatchError naming the first failing identity.
     """
@@ -242,26 +247,27 @@ def build_slice_data() -> SliceData:
     ker_ad_f = kernel_basis(ad_matrix(F))
     gram = g2.killing_gram()
     kappa_ker = tuple(tuple(sum(map(mul, row, k)) for k in ker_ad_f) for row in gram)
-    data = _slice_data(levels, ker_ad_f, kappa_ker, _omega_pieces(kappa_ker))
-    if data.dims() != (2, 1, 2, 4, 2, 1, 2):
-        raise StructureMismatchError(f"grading dimensions {data.dims()} != (2, 1, 2, 4, 2, 1, 2)")
-    if len(data.ker_ad_f) != 6:
-        raise StructureMismatchError(f"dim ker ad_f = {len(data.ker_ad_f)} != 6")
+    antisymmetric, kappa_rank, omega_entries = _omega_reduction(kappa_ker, _omega_pieces(kappa_ker))
+    dims = _grading_dims(levels)
+    if dims != (2, 1, 2, 4, 2, 1, 2):
+        raise StructureMismatchError(f"grading dimensions {dims} != (2, 1, 2, 4, 2, 1, 2)")
+    if len(ker_ad_f) != 6:
+        raise StructureMismatchError(f"dim ker ad_f = {len(ker_ad_f)} != 6")
 
-    data = replace(data, **_subspaces(levels))
+    n_l, s, t_prime, u5, u6 = _subspaces(levels)
 
     # Subalgebra closure, [s, n_l] inside n_l, and nilpotency.
     for name, a, b in (
-        ("n_l is not bracket-closed", data.n_l, data.n_l),
-        ("u5 is not bracket-closed", data.u5, data.u5),
-        ("u6 is not bracket-closed", data.u6, data.u6),
+        ("n_l is not bracket-closed", n_l, n_l),
+        ("u5 is not bracket-closed", u5, u5),
+        ("u6 is not bracket-closed", u6, u6),
         # s is the whole stabiliser of l and psi|n_l in g_0, a subalgebra that keeps
         # each level once Jacobi holds, so these two cannot fail; they state the lemma.
-        ("s is not bracket-closed", data.s, data.s),
-        ("[s, n_l] escapes n_l", data.s, data.n_l),
+        ("s is not bracket-closed", s, s),
+        ("[s, n_l] escapes n_l", s, n_l),
     ):
         _check_brackets_in(a, b, name)
-    _check_nilpotent_span(data.n_l, "n_l")
+    _check_nilpotent_span(n_l, "n_l")
 
     # l sits in g_(-1) and is isotropic for omega_{-1}.
     if any(levels[i] != -1 for i in L):
@@ -269,7 +275,10 @@ def build_slice_data() -> SliceData:
     if _psi_bracket(_psi_row(), L[0], L[0]) != 0:
         raise StructureMismatchError("l is not isotropic for omega_{-1}")
 
-    return data
+    return SliceData(
+        levels, ker_ad_f, kappa_ker, antisymmetric, kappa_rank, omega_entries,
+        n_l, s, t_prime, u5, u6,
+    )
 
 
 def verify_psi_conditions() -> bool:

@@ -76,6 +76,11 @@ def slice_coords(point) -> tuple:
     return tuple(Fraction(w, point[0]) for w in point[1:])
 
 
+def is_zero(m: DenseMatrix) -> bool:
+    """Whether every entry of `m` is zero."""
+    return not any(map(any, m.entries))
+
+
 def with_entry(m: DenseMatrix, i: int, j: int, value) -> DenseMatrix:
     """`m` with entry (i, j) set to `value`."""
     rows = [list(row) for row in m.entries]

@@ -16,7 +16,7 @@ from g2verify import slice_verifier as sv
 from g2verify.report_cli import Config, emit, run_suite
 from g2verify.sampling import SmallRationalSampler
 
-from conftest import clear, clear_caches
+from conftest import clear, clear_caches, is_zero
 
 #: `verify --format json` with every option at its default.
 GOLDEN_DEFAULT_REPORT = Path(__file__).parent / "data" / "default_report.json"
@@ -85,7 +85,7 @@ def test_4_representation_integrity() -> None:
         assert rho_f3.entry(0, 6) == -2  # f3 . u = -2 v
         b = rep7.invariant_form()
         for m in rep.matrices:
-            assert ((m.transpose() @ b) + (b @ m)).is_zero()
+            assert is_zero((m.transpose() @ b) + (b @ m))
         assert len(rep7.zero_weight_space()) == 1
     assert sw.elapsed < 1.0
 

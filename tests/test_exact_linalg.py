@@ -467,7 +467,7 @@ def same_shape_pairs(draw) -> tuple[DenseMatrix, DenseMatrix]:
 @settings(max_examples=60, deadline=None)
 def test_difference_is_the_sum_with_the_negation(operands) -> None:
     a, b = operands
-    assert a - b == a + (-b)
+    assert a - b == a + b.scale(-1)
 
 
 def test_identity_is_neutral() -> None:

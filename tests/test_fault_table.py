@@ -99,12 +99,12 @@ def _psi_bracket_one_at(x: str, y: str):
     return lambda true: lambda row, i, j: 1 if (i, j) == pair else true(row, i, j)
 
 
-def _zeroed_kappa_column(true_slice_data):
-    def slice_data(levels, ker_ad_f, kappa_ker, pieces):
+def _zeroed_kappa_column(true_reduction):
+    def reduction(kappa_ker, pieces):
         kappa_ker = tuple((0,) + row[1:] for row in kappa_ker)
-        return true_slice_data(levels, ker_ad_f, kappa_ker, sv._omega_pieces(kappa_ker))
+        return true_reduction(kappa_ker, sv._omega_pieces(kappa_ker))
 
-    return slice_data
+    return reduction
 
 
 def _non_antisymmetric_piece(true_pieces):
@@ -275,7 +275,7 @@ REPORT_CLI_FAULTS = [
     # rank 5, and omega' at e has a zero row, so its even rank is at most 18.
     Fault(
         "test_zeroed_kappa_column_fails_omega_prime_rank", None, SLICE,
-        ((sv, "_slice_data", _zeroed_kappa_column),),
+        ((sv, "_omega_reduction", _zeroed_kappa_column),),
         {"slice.omega_prime.rank_at_e": "18"}, ("slice.omega_prime.rank_at_samples",),
     ),
     Fault(  # One entry of A_0 (psi's piece) moves by 1, off its transpose's negative.
@@ -330,7 +330,10 @@ REPORT_CLI_FAULTS = [
     ),
     Fault(  # f1 . v = 2 w instead of w: no representation extends the seed.
         "test_perturbed_rho_seed_entry_fails_and_skips_dependents", None, LINEAR_FAST,
-        ((rep7, "_f1_matrix", fixed(lambda true: with_entry(true(), 1, 0, 2))),),
+        ((rep7, "SEED_ENTRIES", lambda true: tuple(
+            (name, i, j, 2 if (name, i, j) == ("f1", 1, 0) else val)
+            for name, i, j, val in true
+        )),),
         {"linear.rep7.build":
              "error: NoSolutionError: representation constraint system is inconsistent"},
         REST,

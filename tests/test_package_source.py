@@ -16,10 +16,13 @@ installed here (scipy, sympy) would pass every test and break a clean
 install.
 
 Every public top-level function or class is used by the package itself,
-not only by its tests, and the top-level namespace re-exports exactly the
-names the README's Python API example imports, plus a few more.  Every
-parameter is read in its function's body.  No module reads another's
-private name: what one module uses of another is public.
+not only by its tests, and so is every public method, property and field
+of a package class; the top-level namespace re-exports exactly the names
+the README's Python API example imports, plus a few more.  Every
+parameter is read in its function's body, and every default, of a
+parameter or of a dataclass field, is overridden by some caller.  No
+module reads another's private name: what one module uses of another is
+public.
 
 The test settings turn every warning into an error but one, so that a
 failing Hypothesis test is reported as a failure and the session goes on.
@@ -247,6 +250,46 @@ def test_every_public_definition_is_used_by_the_package() -> None:
         and f"{module}.{node.name}" not in entry_points
     ]
     assert unused == []
+    # `fraction` is read only by the tests and by the benchmark's span
+    # recorder, which wraps it by name to count the draws that still build
+    # a Fraction; it leaves with that count.
+    assert _unread_members(trees) == ["sampling.SmallRationalSampler.fraction"]
+    # The walk itself finds unread methods, properties and fields, and takes
+    # an attribute load or a keyword argument as a read, but not a store.
+    probe = (
+        "class C:\n    x: int\n    y: int\n    z: int = 0\n    def f(self): pass\n"
+        "    @property\n    def g(self): pass\n    def _h(self): pass\n"
+        "    def __len__(self): pass\nc.x\nC(y=1)\nc.f = 1\n"
+    )
+    assert _unread_members({"m": ast.parse(probe)}) == ["m.C.z", "m.C.f", "m.C.g"]
+
+
+def _unread_members(trees: dict) -> list[str]:
+    """`module.Class.member` for each public method, property or annotated
+    field of a class in `trees` (module name -> tree) that no attribute load
+    and no keyword argument in `trees` reads."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.keyword):
+                read.add(node.arg)
+    found = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not name.startswith("_") and name not in read:
+                    found.append(f"{module}.{cls.name}.{name}")
+    return found
 
 
 def _readme_api_example() -> str:
@@ -279,9 +322,18 @@ def test_readme_api_example_runs() -> None:
     exec(compile(_readme_api_example(), str(README), "exec"), {})
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        "dataclass" in (getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None))
+        for d in cls.decorator_list
+    )
+
+
 def _unset_defaults(trees: list) -> list[str]:
     """`function(param=...)` for each defaulted parameter in `trees` that no
-    call in `trees` sets, by keyword, by position or through * or **."""
+    call in `trees` sets, by keyword, by position or through * or **.  A
+    dataclass field with a default is a parameter of its class, set by a
+    call of the class's name."""
     methods = {
         id(node)
         for tree in trees
@@ -294,7 +346,15 @@ def _unset_defaults(trees: list) -> list[str]:
     defaulted = []  # (function, parameter, positional index or None)
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields = [
+                    f for f in node.body
+                    if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                ]
+                defaulted += [
+                    (node.name, f.target.id, i) for i, f in enumerate(fields) if f.value
+                ]
+            elif isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 calls.setdefault(name, []).append(node)
             elif isinstance(node, ast.FunctionDef):
@@ -332,6 +392,9 @@ def test_every_defaulted_parameter_is_set_by_some_caller() -> None:
     definition = "def f(x, y=1, *, z=2):\n    return x + y + z\n"
     assert _unset_defaults([ast.parse(definition)]) == ["f(y=...)", "f(z=...)"]
     assert _unset_defaults([ast.parse(definition + "f(0, 1, z=3)\n")]) == []
+    fields = "@dataclass\nclass D:\n    a: int\n    b: int = 1\n    c: int = 2\n"
+    assert _unset_defaults([ast.parse(fields + "D(0, c=3)\nreplace(d, b=4)\n")]) == ["D(b=...)"]
+    assert _unset_defaults([ast.parse(fields + "D(0, 4, c=3)\n")]) == []
     trees = [
         ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE_DIR.glob("*.py"))
     ]

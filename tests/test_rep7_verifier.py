@@ -64,7 +64,7 @@ from g2verify.rep7_verifier import (
 )
 from g2verify.sampling import SmallRationalSampler
 
-from conftest import clear, clear_caches, with_entry
+from conftest import clear, clear_caches, is_zero, with_entry
 
 
 def unit(i: int) -> tuple:
@@ -220,13 +220,13 @@ def _square_pair(draw) -> tuple:
 @settings(max_examples=200, deadline=None)
 def test_is_invariant_matches_the_matrix_formulation(pair) -> None:
     m, b = pair
-    assert rep7._is_invariant(m.nonzeros, m.nonzero_columns, b) == (
+    assert rep7._is_invariant(m.nonzeros, m.nonzero_columns, b) == is_zero(
         m.transpose() @ b + b @ m
-    ).is_zero()
+    )
     # With m's rows and columns swapped, the test is that of m^T.
-    assert rep7._is_invariant(m.nonzero_columns, m.nonzeros, b) == (
+    assert rep7._is_invariant(m.nonzero_columns, m.nonzeros, b) == is_zero(
         m @ b + b @ m.transpose()
-    ).is_zero()
+    )
 
 
 def test_identity_sweeps_build_no_matrix(monkeypatch) -> None:
@@ -276,7 +276,7 @@ def test_invariant_form_entries() -> None:
         if b.entry(i, j)
     }
     assert actual == expected
-    assert (b - b.transpose()).is_zero()
+    assert is_zero(b - b.transpose())
     assert rank(b) == 7
 
 
@@ -339,7 +339,7 @@ def test_quadratic_invariant_polynomial() -> None:
 def test_symplectic_doubling() -> None:
     symp = build_symplectic14()
     assert symp.omega.rows == symp.omega.cols == 14
-    assert (symp.omega + symp.omega.transpose()).is_zero()
+    assert is_zero(symp.omega + symp.omega.transpose())
     assert rank(symp.omega) == 14
     assert len(symp.actions14) == 10
     assert verify_symplectic_invariance()

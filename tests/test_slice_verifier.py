@@ -18,7 +18,7 @@ import pytest
 from g2verify import g2_algebra as g2
 from g2verify import root_weyl as rw
 from g2verify import slice_verifier as sv
-from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, rank
+from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, kernel_basis, rank
 from g2verify.g2_algebra import (
     BASIS,
     BASIS_NAMES,
@@ -48,7 +48,7 @@ from g2verify.slice_verifier import (
     verify_psi_conditions,
 )
 
-from conftest import clear_caches, slice_coords
+from conftest import clear_caches, is_zero, slice_coords
 
 f1 = G2Element.basis(3)
 
@@ -77,7 +77,7 @@ def test_kernel_of_ad_f(data) -> None:
     assert rank(DenseMatrix.from_rows(list(kernel))) == 6
     # ad f annihilates every kernel vector, including f itself.
     for v in kernel:
-        assert bracket(F, G2Element(v)).is_zero()
+        assert not any(bracket(F, G2Element(v)).coords)
     assert rank(DenseMatrix.from_rows(list(kernel) + [F.coords])) == 6
 
 
@@ -205,7 +205,7 @@ def test_omega_prime_at_base_point(data, reference_omega_prime_gram) -> None:
     assert omega_prime_rank(E_POINT) == 20
     gram = reference_omega_prime_gram(E_POINT)
     assert gram.rows == gram.cols == 20
-    assert (gram + gram.transpose()).is_zero()
+    assert is_zero(gram + gram.transpose())
     assert rank(gram) == 20
 
 
@@ -221,15 +221,15 @@ def test_omega_prime_at_seeded_points(reference_omega_prime_gram) -> None:
         assert slice_coords(point) == tuple(reference.fraction() for _ in range(6))
         assert omega_prime_rank(point) == 20
         gram = reference_omega_prime_gram(point)
-        assert (gram + gram.transpose()).is_zero()
+        assert is_zero(gram + gram.transpose())
         assert rank(gram) == 20
 
 
-def _affine_block(data, point) -> list:
+def _affine_block(pieces, point) -> list:
     """sum w_j A_j = w_0 (A_0 + sum c_j A_j), w_0 times the algebra block of
-    omega' at the homogeneous slice point `point`."""
+    omega' at the homogeneous slice point `point`, for the pieces A_j."""
     return [
-        [sum(w * a[i][j] for w, a in zip(point, data.omega_pieces)) for j in range(DIM)]
+        [sum(w * a[i][j] for w, a in zip(point, pieces)) for j in range(DIM)]
         for i in range(DIM)
     ]
 
@@ -238,9 +238,10 @@ def test_omega_prime_gram_matches_reference(
     data, reference_omega_prime_rows, reference_omega_prime_gram
 ) -> None:
     points = [E_POINT] + list(omega_prime_sample_points(seed=3, count=20))
+    pieces = sv._omega_pieces(data.kappa_ker)
     for point in points:
         rows = reference_omega_prime_rows(point)
-        block = _affine_block(data, point)
+        block = _affine_block(pieces, point)
         for i in range(DIM):
             assert rows[i][:DIM] == block[i]
             assert rows[i][DIM:] == [-x for x in data.kappa_ker[i]]
@@ -269,23 +270,24 @@ def test_omega_prime_gram_takes_six_slice_coordinates() -> None:
         omega_prime_rank((1, Fraction(3, 2), 0, 0, 0, 0, 0))
 
 
-def _block(data, j: int) -> DenseMatrix:
+def _block(omega_entries, j: int) -> DenseMatrix:
     """The block B_j, read back from the nonzero (j, B_j[r][c]) stored per position."""
-    rows = [[dict(pairs).get(j, 0) for pairs in row] for row in data.omega_entries]
+    rows = [[dict(pairs).get(j, 0) for pairs in row] for row in omega_entries]
     return DenseMatrix.from_rows(rows)
 
 
 def test_omega_prime_reduction_is_stored_once(data) -> None:
     # Seven 14x14 pieces, K of rank 6, and P spanning ker K^T in integers.
-    assert len(data.omega_pieces) == 7
-    assert all(len(a) == len(a[0]) == DIM for a in data.omega_pieces)
+    pieces = sv._omega_pieces(data.kappa_ker)
+    assert len(pieces) == 7
+    assert all(len(a) == len(a[0]) == DIM for a in pieces)
     assert data.kappa_rank == 6
-    p = DenseMatrix.from_rows(data.omega_kernel)
+    p = DenseMatrix.from_rows(kernel_basis(DenseMatrix.from_rows(data.kappa_ker).transpose()))
     assert p.rows == DIM - 6 and rank(p) == p.rows
     assert all(type(x) is int for row in p.entries for x in row)
-    assert (p @ DenseMatrix.from_rows(data.kappa_ker)).is_zero()
-    for j, a in enumerate(data.omega_pieces):
-        assert _block(data, j) == p @ DenseMatrix.from_rows(a) @ p.transpose()
+    assert is_zero(p @ DenseMatrix.from_rows(data.kappa_ker))
+    for j, a in enumerate(pieces):
+        assert _block(data.omega_entries, j) == p @ DenseMatrix.from_rows(a) @ p.transpose()
     # Only nonzero entries are stored, at 18 of the 64 positions.
     entries = [entry for row in data.omega_entries for entry in row]
     assert all(x for entry in entries for _, x in entry)
@@ -327,10 +329,10 @@ def test_omega_prime_reduction_lemma(antisymmetric, singular) -> None:
             a, k = _square(rng, antisymmetric, singular), _of_rank(rng, r)
             full = [list(a.row(i)) + [-x for x in k.row(i)] for i in range(DIM)]
             full += [list(k.column(j)) + [0] * 6 for j in range(6)]
-            reduced = sv._slice_data((), (), k.entries, (a.entries,))
-            assert reduced.kappa_rank == r
-            assert reduced.omega_antisymmetric is antisymmetric
-            assert 2 * r + rank(_block(reduced, 0)) == rank(DenseMatrix.from_rows(full))
+            is_antisymmetric, kappa_rank, entries = sv._omega_reduction(k.entries, (a.entries,))
+            assert kappa_rank == r
+            assert is_antisymmetric is antisymmetric
+            assert 2 * r + rank(_block(entries, 0)) == rank(DenseMatrix.from_rows(full))
             if singular:
                 assert rank(a) < DIM
 
