@@ -26,10 +26,11 @@ from B, rho and the symplectic doubling): <x, x> on C^7, and on C^14 = (z, z')
 the ten conormal polynomials (<z', z'> and the nine z^T f z') and the ten
 moment polynomials x^T omega A x.  The quadric, conormal and moment
 predicates evaluate them on integer vectors and refuse any other, the
-conormal fiber is the integer `kernel_basis` of rows read off the
-bilinear terms, the check that both sets span one space takes its
-coefficient rows from the same table, and so does the F_p oracle's
-quadric.  Every point is integral from the draw on: coordinates drawn as
+conormal fiber at z' is the line through z' where z' annihilates the
+rows read off the bilinear terms and a 6 x 6 minor of them has rank 6
+(their integer `kernel_basis` elsewhere), the check that both sets span
+one space takes its coefficient rows from the same table, and so does
+the F_p oracle's quadric.  Every point is integral from the draw on: coordinates drawn as
 (numerator, denominator) pairs are cleared by their lcm (`cleared`), the
 cone's chart is solved by scaling instead of dividing, and a conormal
 pair's z combines the fiber's basis vectors with cleared coefficients.
@@ -51,7 +52,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import isqrt
+from math import gcd, isqrt
+from operator import mul
 from typing import Sequence
 
 # The oracle's numpy work is integer only and never calls BLAS.  OpenBLAS
@@ -846,11 +848,51 @@ def _fiber_rows(zprime: Sequence[int]) -> list[list[int]]:
     return rows
 
 
+#: The g2-Borel generators whose condition-(iii) fiber rows, on every
+#: column but v~, form the 6 x 6 minor that `_certified_line` ranks: the
+#: tangent map's minor on the rows h_b, e1, e2, f3, E13, E23 and every
+#: column but v's, carried through B, which swaps v and v~.  On sampled
+#: cone points its determinant has been 8192 v~'^6.
+_FIBER_MINOR_ROWS: tuple[str, ...] = ("h_b", "e1", "e2", "f3", "E13", "E23")
+
+
+def _certified_line(rows: list[list[int]], zprime: Sequence[int]) -> tuple | None:
+    """The primitive z' whose last nonzero entry is positive, if every fiber
+    row vanishes at z' and the `_FIBER_MINOR_ROWS` minor has rank 6, so
+    that the fiber is the line through z'; None otherwise.  v~' = 0 is
+    refused unranked, as the minor's determinant suggests, and so are rows
+    that are not (ii) then (iii) per BOREL_G2_NAMES and a minor naming an
+    absent generator."""
+    if (
+        not zprime[_VT]
+        or len(rows) != 1 + len(BOREL_G2_NAMES)
+        or not set(_FIBER_MINOR_ROWS) <= set(BOREL_G2_NAMES)
+        or any(sum(map(mul, row, zprime)) for row in rows)
+    ):
+        return None
+    minor = [rows[1 + BOREL_G2_NAMES.index(name)] for name in _FIBER_MINOR_ROWS]
+    if rank(DenseMatrix.from_rows([r[:_VT] + r[_VT + 1:] for r in minor])) != REP_DIM - 1:
+        return None
+    content = gcd(*zprime)
+    if next(x for x in reversed(zprime) if x) < 0:
+        content = -content
+    return tuple(x // content for x in zprime)
+
+
 def conormal_fiber_basis(zprime: Sequence[int]) -> tuple:
     """Integer basis of the space of z satisfying conditions (ii) and (iii)
-    at an integer z': the `kernel_basis` of `_fiber_rows`, which scaling z'
-    leaves as it is."""
-    return kernel_basis(DenseMatrix.from_rows(_fiber_rows(_checked(zprime, REP_DIM))))
+    at an integer z', which scaling z' leaves as it is.
+
+    z' itself is in it wherever <z', z'> = 0: the rows are B z' and K_m z',
+    and z'^T K_m z' = 0 because B is symmetric.  So the rank is at most 6,
+    and where `_certified_line` finds every row zero at z' and a 6 x 6 minor
+    of rank 6, the fiber is the line through z', returned as `kernel_basis`
+    would: primitive, positive at its last nonzero entry, the one non-pivot
+    column.  Anywhere else it is the `kernel_basis` of `_fiber_rows`."""
+    zprime = _checked(zprime, REP_DIM)
+    rows = _fiber_rows(zprime)
+    line = _certified_line(rows, zprime)
+    return (line,) if line else kernel_basis(DenseMatrix.from_rows(rows))
 
 
 def sample_conormal_pair(

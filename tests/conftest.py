@@ -4,6 +4,7 @@ of the package's caches."""
 import importlib
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ from g2verify.exact_linalg import DenseMatrix
 from g2verify.g2_algebra import BASIS, DIM, G2Element, bracket, killing
 from g2verify.report_cli import run_suite
 from g2verify.sampling import cleared
+
+#: `verify --format json` with every option at its default.
+GOLDEN_DEFAULT_REPORT = Path(__file__).parent / "data" / "default_report.json"
 
 
 def _package_caches() -> dict:

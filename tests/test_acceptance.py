@@ -7,7 +7,6 @@ measured from a cold start of the relevant computation.
 
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from g2verify import g2_algebra as g2
 from g2verify import rep7_verifier as rep7
@@ -16,10 +15,7 @@ from g2verify import slice_verifier as sv
 from g2verify.report_cli import Config, emit, run_suite
 from g2verify.sampling import SmallRationalSampler
 
-from conftest import clear, clear_caches, is_zero
-
-#: `verify --format json` with every option at its default.
-GOLDEN_DEFAULT_REPORT = Path(__file__).parent / "data" / "default_report.json"
+from conftest import GOLDEN_DEFAULT_REPORT, clear, clear_caches, is_zero
 
 
 class Stopwatch:

@@ -308,8 +308,8 @@ def _bareiss_kernel_basis(m: DenseMatrix) -> tuple:
 
 #: The benchmark's workloads, with the calls of one cold run of each.
 RUNS = {
-    "default": (Config(), {"rank": 48, "kernel_basis": 122}),
-    "oracle": (Config(suites=("linear",), samples=1), {"rank": 15, "kernel_basis": 11}),
+    "default": (Config(), {"rank": 149, "kernel_basis": 21}),
+    "oracle": (Config(suites=("linear",), samples=1), {"rank": 17, "kernel_basis": 9}),
     "exact": (Config(suites=("algebra", "slice"), samples=40), {"rank": 45, "kernel_basis": 12}),
 }
 

@@ -34,6 +34,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from g2verify import g2_algebra as g2
 from g2verify import rep7_verifier as rep7
+from g2verify import report_cli
+from g2verify import root_weyl as rw
 from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, kernel_basis, rank
 from g2verify.rep7_verifier import (
     BOREL_G2_NAMES,
@@ -62,9 +64,10 @@ from g2verify.rep7_verifier import (
     verify_weight_compatibility,
     zero_weight_space,
 )
-from g2verify.sampling import SmallRationalSampler
+from g2verify.report_cli import Config, emit, run_suite
+from g2verify.sampling import SmallRationalSampler, cleared
 
-from conftest import clear, clear_caches, is_zero, with_entry
+from conftest import GOLDEN_DEFAULT_REPORT, clear, clear_caches, is_zero, with_entry
 
 
 def unit(i: int) -> tuple:
@@ -595,6 +598,76 @@ def test_conormal_fiber_is_annihilated() -> None:
         assert _bilinear(form, z, zprime) == 0
 
 
+def _fiber_kernel(zprime) -> tuple:
+    """The fiber by elimination alone: the kernel_basis of the fiber rows."""
+    return kernel_basis(DenseMatrix.from_rows(rep7._fiber_rows(zprime)))
+
+
+@pytest.fixture
+def certified(monkeypatch) -> list:
+    """Whether each `_certified_line` call from now on returned a line."""
+    outcomes = []
+    true_line = rep7._certified_line
+
+    def recorded(rows, zprime):
+        line = true_line(rows, zprime)
+        outcomes.append(line is not None)
+        return line
+
+    monkeypatch.setattr(rep7, "_certified_line", recorded)
+    return outcomes
+
+
+def test_certified_fibers_are_the_kernel(certified) -> None:
+    # The six T-fixed lines, the origin, then every membership z' of 21
+    # seeds of the default config: the fiber is the kernel_basis of its
+    # rows whichever way it is found, and both ways are taken.
+    points = [unit(k) for k in tfixed_isotropic_lines()] + [ZERO]
+    for seed in (*range(20), 7007):
+        sampler = SmallRationalSampler(report_cli._check_seed(Config(seed=seed), 11))
+        points += [sample_conormal_pair(sampler, k)[0] for k in range(100)]
+    certified.clear()
+    for zprime in points:
+        assert conormal_fiber_basis(zprime) == _fiber_kernel(zprime)
+    assert certified[:7] == [REP_LABELS[k] == "v~" for k in range(REP_DIM)]
+    assert (len(certified[7:]), sum(certified[7:])) == (2100, 2036)
+
+
+def test_off_cone_fibers_are_never_certified(certified) -> None:
+    # Off the cone, row (ii) . z' = <z', z'> != 0: z' is not in its fiber.
+    sampler = SmallRationalSampler(41)
+    points = [cleared([sampler.ratio() for _ in range(REP_DIM)]) for _ in range(200)]
+    points = [x for x in points if quadric_value(x) and x[REP_LABELS.index("v~")]]
+    assert len(points) > 150
+    for zprime in points:
+        assert conormal_fiber_basis(zprime) == _fiber_kernel(zprime)
+    assert certified == [False] * len(points)
+
+
+def test_fiber_rows_of_another_shape_fall_back() -> None:
+    # Without condition (ii), or without E23 among the Borel's names, there
+    # are 8 rows: the minor is not read off them, and the kernel decides.
+    zprime = sample_conormal_pair(SmallRationalSampler(7), 0)[0]
+    rows = rep7._fiber_rows(zprime)
+    assert rep7._certified_line(rows, zprime) == _fiber_kernel(zprime)[0]
+    assert rep7._certified_line(rows[1:], zprime) is None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rep7, "BOREL_G2_NAMES", BOREL_G2_NAMES[:-1])
+        assert rep7._certified_line(rows[:-1], zprime) is None
+
+
+def test_a_singular_minor_certifies_nothing_and_keeps_the_report(
+    monkeypatch, certified
+) -> None:
+    # h_b named twice: the minor's rank is at most 5, so every fiber is
+    # eliminated, to the same bytes.
+    monkeypatch.setattr(rep7, "_FIBER_MINOR_ROWS", ("h_b", "h_b", "e2", "f3", "E13", "E23"))
+    config = Config(format="json")
+    report = emit(run_suite(config), config)
+    assert len(certified) == 107 and not any(certified)
+    assert report.encode("utf-8") == GOLDEN_DEFAULT_REPORT.read_bytes()
+
+
 def test_tfixed_isotropic_lines() -> None:
     lines = tfixed_isotropic_lines()
     assert lines == (0, 1, 2, 3, 4, 5)
@@ -672,6 +745,40 @@ def _reference_orbit_count(p: int) -> tuple[int, tuple[int, ...], int]:
             parent[find(i)] = find(index[key])
     sizes = Counter(find(i) for i in range(len(cone)))
     return len(cone), tuple(sorted(sizes.values())), sizes[find(index[0])]
+
+
+def _borel_names(pol: rw.Polarization) -> tuple[str, ...]:
+    """The Cartan pair and the root vector of each root of `pol`."""
+    roots = tuple(g2.BASIS_NAMES[g2.BASIS_WEIGHTS.index(r.coords)] for r in pol.sorted_roots)
+    return ("h_a", "h_b") + roots
+
+
+def _orbit_sizes_under(monkeypatch, names: tuple[str, ...], p: int) -> tuple[int, ...]:
+    monkeypatch.setattr(rep7, "BOREL_G2_NAMES", names)
+    clear_caches()
+    try:
+        return count_orbits_mod_p(p).orbit_sizes
+    finally:
+        monkeypatch.undo()
+        clear_caches()  # the counts of the patched Borel
+
+
+def test_orbit_count_is_the_same_under_all_twelve_borels(monkeypatch) -> None:
+    # A lift of w in W maps B-orbits on the cone onto (w B w^-1)-orbits, so
+    # each of the 12 Borels containing T sees 7 orbits of sizes 1 and
+    # (p - 1) p^(d - 1), d = 1..6.  Dropping a root vector that the others
+    # generate changes no count; this sees only the group generated.
+    borels = [_borel_names(pol) for pol in rw.all_polarizations()]
+    name_sets = set(map(frozenset, borels))
+    assert len(name_sets) == 12 and frozenset(BOREL_G2_NAMES) in name_sets
+    for p in (3, 5):
+        expected = (1, *((p - 1) * p ** (d - 1) for d in range(1, 7)))
+        for names in borels:
+            assert _orbit_sizes_under(monkeypatch, names, p) == expected, (names, p)
+    # The negative control: all twelve root groups with T join the cone's
+    # nonzero points into one orbit.
+    every_root = ("h_a", "h_b") + tuple(n for n in g2.BASIS_NAMES if not n.startswith("h"))
+    assert _orbit_sizes_under(monkeypatch, every_root, 3) == (1, 728)
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -35,7 +35,7 @@ from g2verify.report_cli import (
 )
 from g2verify.sampling import SmallRationalSampler
 
-from conftest import clear_caches, with_entry
+from conftest import GOLDEN_DEFAULT_REPORT, clear_caches, with_entry
 from test_fault_table import REPORT_CLI_FAULTS, collect
 
 FAST = Config(suites=("combinatorics",))
@@ -292,32 +292,50 @@ def test_conormal_equivalence_makes_no_mul_vec_call(monkeypatch) -> None:
     assert calls == []
 
 
-def test_conormal_equivalence_draws_no_fraction_and_one_kernel_per_fiber(
+def test_conormal_equivalence_draws_no_fraction_and_certifies_or_eliminates_each_fiber(
     monkeypatch,
 ) -> None:
     # Every point is drawn as (numerator, denominator) pairs and cleared to
-    # integers, and each sampled fiber is one integer kernel_basis of its
-    # 9 x 7 rows: no Fraction is drawn, and no other kernel is built.  The
-    # cached B, rho and term table are built first: solving B and f2 takes
-    # kernels.
+    # integers, and each sampled fiber is either certified as the line
+    # through z' by one 6 x 6 rank, or one integer kernel_basis of its 9 x 7
+    # rows: no Fraction is drawn, and no other kernel is built.  Seed 42
+    # certifies every fiber, seed 3 both ways.  The cached B, rho and term
+    # table are built first: solving B and f2 takes kernels.
     def refused(*args):
         raise AssertionError("fraction called")
 
-    shapes = []
-    true_kernel_basis = exact_linalg.kernel_basis
+    fibers, outside = [], []
+    sink = [outside]  # where the next rank or kernel_basis call is recorded
+    true_fiber_basis = rep7.conormal_fiber_basis
 
-    def recorded(m):
-        kernel = true_kernel_basis(m)
-        shapes.append((m.rows, m.cols, all(type(x) is int for v in kernel for x in v)))
-        return kernel
+    def fiber(zprime):
+        sink[0] = []
+        basis = true_fiber_basis(zprime)
+        fibers.append((*sink[0], all(type(x) is int for v in basis for x in v)))
+        sink[0] = outside
+        return basis
+
+    def recorded(name, true):
+        def call(m):
+            sink[0].append((name, m.rows, m.cols))
+            return true(m)
+        return call
 
     rep7._form_terms()
     monkeypatch.setattr(SmallRationalSampler, "fraction", refused)
-    monkeypatch.setattr(exact_linalg, "kernel_basis", recorded)
-    monkeypatch.setattr(rep7, "kernel_basis", recorded)
-    actual, _ = report_cli._run_conormal_equivalence(Config())
-    assert actual == "200/200 agree"
-    assert shapes == [(9, 7, True)] * Config().conormal_samples
+    monkeypatch.setattr(rep7, "conormal_fiber_basis", fiber)
+    for name in ("kernel_basis", "rank"):
+        true = getattr(exact_linalg, name)
+        monkeypatch.setattr(exact_linalg, name, recorded(name, true))
+        monkeypatch.setattr(rep7, name, recorded(name, true))
+    certified, eliminated = (("rank", 6, 6), True), (("kernel_basis", 9, 7), True)
+    for seed, expected in ((42, {certified: 100}), (3, {certified: 93, eliminated: 7})):
+        fibers.clear()
+        outside.clear()
+        actual, _ = report_cli._run_conormal_equivalence(Config(seed=seed))
+        assert actual == "200/200 agree"
+        assert Counter(fibers) == expected
+        assert all(name == "rank" for name, _, _ in outside)  # form_span_ranks
 
 
 def test_omega_prime_samples_run_eight_by_eight_eliminations(monkeypatch) -> None:
@@ -546,13 +564,27 @@ def test_cli_json_report_digests(args) -> None:
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == REPORT_DIGESTS[args]
 
 
-def _run_module(*args: str) -> subprocess.CompletedProcess:
+def _run_module(*args: str, flags: tuple = (), **variables: str) -> subprocess.CompletedProcess:
+    """`python [flags] -m g2verify [args]`, the environment plus `variables`."""
     package_root = str(Path(g2verify.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": package_root}
+    env = {**os.environ, "PYTHONPATH": package_root, **variables}
     return subprocess.run(
-        [sys.executable, "-m", "g2verify", *args],
+        [sys.executable, *flags, "-m", "g2verify", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize(
+    "flags, env",
+    [(("-O",), {}), ((), {"PYTHONHASHSEED": "0"}), ((), {"PYTHONHASHSEED": "12345"})],
+    ids=["O", "hashseed-0", "hashseed-12345"],
+)
+def test_default_report_keeps_its_bytes_under_o_and_hash_seeds(flags, env) -> None:
+    # -O strips every assert, so no invariant of the report may rest on
+    # one; the hash seed orders str sets and dicts, which no byte may follow.
+    result = _run_module("--format", "json", flags=flags, **env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.encode("utf-8") == GOLDEN_DEFAULT_REPORT.read_bytes()
 
 
 def test_module_entry_point_runs_the_cli() -> None:
