@@ -3,9 +3,12 @@
 A `DenseMatrix` stores its dense `entries`, Python ints only, and its
 `scale` by a Fraction is an exact quotient.  Two cached views list its
 nonzero entries: `nonzeros` by row and `nonzero_columns` by column (the
-rows of the transpose).  `add_product` adds sign a b into a grid off such
-rows; it is the package's one sparse product, which `@` and every sweep
-that sums products call.  The echelon reads the dense rows instead.
+rows of the transpose, `sparse_transpose`).  The module owns the sparse
+product and the invariance residual: `add_product` adds sign a b into a
+grid off such rows, for `@` and every sweep that sums products, and
+`invariance_residual` sums m^T b + b m with it, which the Killing, B, q and
+omega sweeps read and `invariant_form` solves B from.  The echelon reads
+the dense rows instead.
 
 One fraction-free echelon on integers serves `rank` (its pivot count) and
 `kernel_basis`: it pivots on a sparsest row, touches only the rows with a
@@ -114,11 +117,7 @@ class DenseMatrix:
     def nonzero_columns(self) -> tuple:
         """Per column, the (row, entry) pairs of its nonzero entries: the
         `nonzeros` of the transpose, read without building it."""
-        columns = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.nonzeros):
-            for j, x in row:
-                columns[j].append((i, x))
-        return tuple(map(tuple, columns))
+        return sparse_transpose(self.nonzeros, self.cols)
 
     def __matmul__(self, other: DenseMatrix) -> DenseMatrix:
         if self.cols != other.rows:
@@ -143,6 +142,27 @@ def add_product(grid: list, a: Sequence, b: Sequence, sign: int) -> None:
             x *= sign
             for j, y in b[k]:
                 acc[j] += x * y
+
+
+def sparse_transpose(rows: Sequence, ncols: int) -> tuple:
+    """The sparse rows of the transpose of the matrix with sparse `rows`
+    and `ncols` columns: per column, its (row, entry) pairs."""
+    columns = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            columns[j].append((i, x))
+    return tuple(map(tuple, columns))
+
+
+def invariance_residual(m_rows: Sequence, m_columns: Sequence, b_rows: Sequence) -> list:
+    """m^T b + b m in a fresh grid, for square m and b of one size given by
+    their sparse rows and m also by its columns, the rows of m^T.  Entry
+    (y, z) is b(m y, z) + b(y, m z), so the grid is zero exactly when m
+    leaves the bilinear form of b, symmetric or not, invariant."""
+    grid = [[0] * len(b_rows) for _ in b_rows]
+    add_product(grid, m_columns, b_rows, 1)
+    add_product(grid, b_rows, m_rows, 1)
+    return grid
 
 
 def _primitive_rows(rows: Iterable[Sequence[int]]) -> Iterator[Sequence[int]]:

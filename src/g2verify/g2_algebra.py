@@ -29,7 +29,9 @@ from functools import cache
 from itertools import chain, product
 from typing import Sequence
 
-from .exact_linalg import DenseMatrix, add_product, check_ints, kernel_basis
+from .exact_linalg import (
+    DenseMatrix, add_product, check_ints, invariance_residual, kernel_basis, sparse_transpose,
+)
 
 #: Names of the 14 basis elements, in the fixed order used everywhere.
 BASIS_NAMES: tuple[str, ...] = (
@@ -287,31 +289,18 @@ def verify_jacobi() -> int:
     return good
 
 
-def _combination(terms, vectors) -> list:
-    """sum s * vectors[m] over the sparse terms (m, s)."""
-    total = [0] * DIM
-    for m, s in terms:
-        for l, g in enumerate(vectors[m]):
-            total[l] += s * g
-    return total
-
-
 def verify_killing_invariance() -> int:
     """Number of ordered basis triples satisfying the invariance identity
-    kappa([x, y], z) + kappa(y, [x, z]) = 0 (2744 = all): the zero entries
-    of ad(x)^T G + G ad(x), whose rows, per x, are summed once from Gram
-    rows and whose columns from Gram columns, over the table's terms."""
-    c = bracket_table()
-    gram = killing_gram()
-    columns = tuple(zip(*gram))
-    good = 0
-    for row in c:
-        left = [_combination(terms, gram) for terms in row]
-        right = [_combination(terms, columns) for terms in row]
-        good += sum(
-            left[j][k] + right[k][j] == 0 for j in range(DIM) for k in range(DIM)
-        )
-    return good
+    kappa([x, y], z) + kappa(y, [x, z]) = 0 (2744 = all): per x, the zero
+    entries (y, z) of `invariance_residual` of ad(x) and the Gram matrix.
+    ad(x)'s columns are the table's row c[x] as it stands, its rows their
+    `sparse_transpose`, so no matrix is built."""
+    gram = [tuple((j, g) for j, g in enumerate(row) if g) for row in killing_gram()]
+    return sum(
+        row.count(0)
+        for columns in bracket_table()
+        for row in invariance_residual(sparse_transpose(columns, DIM), columns, gram)
+    )
 
 
 def killing_dual_norm(value_on_h_a: int, value_on_h_b: int) -> Fraction:

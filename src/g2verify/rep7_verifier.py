@@ -66,7 +66,8 @@ import numpy as np
 
 from . import g2_algebra as g2
 from .exact_linalg import (
-    DenseMatrix, DimensionMismatch, add_product, check_ints, kernel_basis, rank,
+    DenseMatrix, DimensionMismatch, add_product, check_ints, invariance_residual, kernel_basis,
+    rank,
 )
 from .g2_algebra import BASIS_NAMES, BASIS_WEIGHTS, DIM
 from .sampling import SmallRationalSampler, cleared
@@ -168,52 +169,43 @@ def quadric_element() -> DenseMatrix:
     )
 
 
-def _sym_index(i: int, j: int) -> int:
-    """Position of the (i <= j) entry in the packed symmetric unknown vector."""
-    if i > j:
-        i, j = j, i
-    return i * REP_DIM - i * (i - 1) // 2 + (j - i)
-
-
 @cache
 def invariant_form() -> DenseMatrix:
     """The matrix B of the invariant symmetric bilinear form <.,.>, solved
     exactly.
 
     The unknown symmetric matrix B must satisfy rho(x)^T B + B rho(x) = 0
-    for the generators x = f1, f2, f3 (66 nonzero rows): build_rep7 builds
-    the other eleven matrices as their brackets, and invariance under X
-    and Y implies it under [X, Y]; verify_invariant_form tests all 14.
+    for the generators x = f1, f2, f3: build_rep7 builds the other eleven
+    matrices as their brackets, and invariance under X and Y implies it
+    under [X, Y]; verify_invariant_form tests all 14.  That residual is
+    linear in B and symmetric, so each entry (r, c), r <= c, is a row: its
+    `invariance_residual` values at the 28 symmetric units, 66 rows nonzero.
     The solution space must be one line (NoSolutionError if it is zero,
-    AmbiguousSolutionError if larger), spanned by an integer null vector v
-    of any scale, and B = -2 v / v_pivot is normalized by <v, v~> = -2, an
-    exact integer quotient.  The result pairs
-    opposite weight lines (<v,v~> = <w,w~> = <t,t~> = -2, <u,u> = 4, all
-    other basis pairings zero) and is proportional to the inverse of the
-    q coefficient matrix.
+    AmbiguousSolutionError if larger), spanned by an integer null vector of
+    any scale, and B is normalized by <v, v~> = -2, an exact integer
+    quotient.  The result pairs opposite weight lines (<v,v~> = <w,w~> =
+    <t,t~> = -2, <u,u> = 4, all other basis pairings zero) and is
+    proportional to the inverse of the q coefficient matrix.
     """
     rep = build_rep7()
-    nunk = REP_DIM * (REP_DIM + 1) // 2
+    units = [(i, j) for i in range(REP_DIM) for j in range(i, REP_DIM)]
+    # The sparse rows of the unit U_ij: row i holds (j, 1) and row j holds (i, 1).
+    unit_rows = [[((j, 1),) if k == i else ((i, 1),) if k == j else () for k in range(REP_DIM)]
+                 for i, j in units]
     rows = []
     for m in map(rep.matrix, ("f1", "f2", "f3")):
-        # (m^T B + B m)[r][c] = sum_k m[k][r] B[k][c] + B[r][k] m[k][c].
-        for r in range(REP_DIM):
-            for c in range(r, REP_DIM):
-                coeffs = [0] * nunk
-                for k in range(REP_DIM):
-                    coeffs[_sym_index(k, c)] += m.entry(k, r)
-                    coeffs[_sym_index(r, k)] += m.entry(k, c)
-                if any(coeffs):
-                    rows.append(coeffs)
+        residuals = [invariance_residual(m.nonzeros, m.nonzero_columns, u) for u in unit_rows]
+        rows += filter(any, ([res[r][c] for res in residuals] for r, c in units))
     kern = kernel_basis(DenseMatrix.from_rows(rows))
     if len(kern) != 1:
         error = AmbiguousSolutionError if kern else NoSolutionError
         raise error(f"invariant-form solution space has dimension {len(kern)}")
-    packed = kern[0]
-    pivot = packed[_sym_index(_V, _VT)]
+    entries = [[0] * REP_DIM for _ in range(REP_DIM)]
+    for (i, j), x in zip(units, kern[0]):
+        entries[i][j] = entries[j][i] = x
+    pivot = entries[_V][_VT]
     if pivot == 0:
         raise NoSolutionError("invariant form does not pair v with v~")
-    entries = [[packed[_sym_index(i, j)] for j in range(REP_DIM)] for i in range(REP_DIM)]
     return DenseMatrix.from_rows(entries).scale(Fraction(-2, pivot))
 
 
@@ -364,31 +356,23 @@ def zero_weight_space() -> tuple:
     return kernel_basis(DenseMatrix.from_rows(stacked))
 
 
-def _is_invariant(m_rows: Sequence, m_columns: Sequence, b: DenseMatrix) -> bool:
-    """Whether m^T b + b m = 0, for square m and b of one size, m given by
-    its sparse rows and columns and b not necessarily symmetric: m^T b (the
-    rows of m^T are m's columns) and b m are summed into one grid, which is
-    tested for zero."""
-    grid = [[0] * b.cols for _ in range(b.rows)]
-    add_product(grid, m_columns, b.nonzeros, 1)
-    add_product(grid, b.nonzeros, m_rows, 1)
-    return not any(map(any, grid))
-
-
 def verify_invariant_form() -> int:
-    """Number of basis x whose action leaves the bilinear form invariant,
-    rho(x)^T B + B rho(x) = 0 (`_is_invariant`); 14 means all pass."""
-    b = invariant_form()
-    return sum(_is_invariant(m.nonzeros, m.nonzero_columns, b) for m in build_rep7().matrices)
+    """Number of basis x whose action leaves the bilinear form invariant:
+    the `invariance_residual` rho(x)^T B + B rho(x) is zero; 14 means all pass."""
+    b = invariant_form().nonzeros
+    grids = (invariance_residual(m.nonzeros, m.nonzero_columns, b) for m in build_rep7().matrices)
+    return sum(not any(map(any, grid)) for grid in grids)
 
 
 def verify_quadric_element() -> int:
     """Number of basis x whose action leaves the symmetric-square element q
     invariant, rho(x) C + C rho(x)^T = 0, where C is the typed coefficient
-    matrix of q = u^2 - 4vv~ - 4ww~ - 4tt~: `_is_invariant` of rho(x)^T,
-    whose rows are rho(x)'s columns, and C; 14 means all pass."""
-    c = quadric_element()
-    return sum(_is_invariant(m.nonzero_columns, m.nonzeros, c) for m in build_rep7().matrices)
+    matrix of q = u^2 - 4vv~ - 4ww~ - 4tt~: the `invariance_residual` of
+    rho(x)^T, whose rows are rho(x)'s columns, and C, which is built
+    afresh; 14 means all pass."""
+    c = quadric_element().nonzeros
+    grids = (invariance_residual(m.nonzero_columns, m.nonzeros, c) for m in build_rep7().matrices)
+    return sum(not any(map(any, grid)) for grid in grids)
 
 
 #: The linear-side Borel: Cartan pair plus the six positive-root vectors of
@@ -428,12 +412,14 @@ def build_symplectic14() -> Symplectic14:
 
 
 def verify_symplectic_invariance() -> bool:
-    """omega has rank 14 and A^T omega + omega A = 0 (`_is_invariant`) for
-    all ten generators."""
+    """omega has rank 14 and its `invariance_residual` A^T omega + omega A
+    is zero for all ten generators A."""
     symp = build_symplectic14()
     if rank(symp.omega) != 2 * REP_DIM:
         return False
-    return all(_is_invariant(a.nonzeros, a.nonzero_columns, symp.omega) for a in symp.actions14)
+    omega = symp.omega.nonzeros
+    grids = (invariance_residual(a.nonzeros, a.nonzero_columns, omega) for a in symp.actions14)
+    return not any(any(map(any, grid)) for grid in grids)
 
 
 def _block_rows(blocks: Sequence) -> tuple:
@@ -460,8 +446,9 @@ def phi_symplectomorphism_check() -> bool:
     if symp.omega.entries != _block_rows(((zero, b), (minus_bt, zero))):
         return False
     # This half repeats build_symplectic14's own _kron(eye2, m), so only a
-    # patched builder can fail it; it stays because deleting it would
-    # change the default report.
+    # patched builder can fail it; deleting it would keep the check true and
+    # the report's bytes.  It stays as a check to be rewritten so that it
+    # can fail (ROADMAP item 13; `WHY_IT_STAYS` in tests/test_fault_table.py).
     ms = [m.entries for m in map(build_rep7().matrix, BOREL_G2_NAMES)]
     return all(a.entries == _block_rows(((m, zero), (zero, m))) for a, m in zip(symp.actions14, ms))
 

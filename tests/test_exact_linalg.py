@@ -25,13 +25,15 @@ from itertools import chain
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from g2verify import exact_linalg, report_cli
 from g2verify import g2_algebra as g2
 from g2verify import rep7_verifier as rep7
 from g2verify import slice_verifier as sv
-from g2verify.exact_linalg import DenseMatrix, DimensionMismatch, add_product, kernel_basis, rank
+from g2verify.exact_linalg import (
+    DenseMatrix, DimensionMismatch, add_product, invariance_residual, kernel_basis, rank,
+)
 from g2verify.g2_algebra import BASIS, G2Element, ad_matrix, bracket, killing, killing_gram
 from g2verify.rep7_verifier import (
     BOREL_G2_NAMES,
@@ -453,6 +455,35 @@ def test_sparse_products_match_dense_reference(operands) -> None:
     expected = [[s - d for s, d in zip(*rows)] for rows in zip(start, dense)]
     assert [_typed(row) for row in grid] == [_typed(row) for row in expected]
     assert a.nonzero_columns == a.transpose().nonzeros
+
+
+_SMALL_ENTRY = st.sampled_from((0, 0, 0, 1, -1, 2))
+
+
+@st.composite
+def square_pairs(draw) -> tuple:
+    """Two n x n matrices of one drawn n <= 4, their entries mostly 0."""
+    n = draw(st.integers(1, 4))
+    grid = st.lists(st.lists(_SMALL_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+    return DenseMatrix.from_rows(draw(grid)), DenseMatrix.from_rows(draw(grid))
+
+
+# An antisymmetric b that the diagonal m leaves invariant, and a b that is
+# neither symmetric nor antisymmetric, which it does not.
+@example((DenseMatrix.from_rows([[1, 0], [0, -1]]), DenseMatrix.from_rows([[0, 1], [-1, 0]])))
+@example((DenseMatrix.from_rows([[1, 0], [0, -1]]), DenseMatrix.from_rows([[1, 2], [0, 1]])))
+@given(square_pairs())
+@settings(max_examples=200, deadline=None)
+def test_invariance_residual_matches_the_matrix_formulation(pair) -> None:
+    # Entry by entry, the grid is the dense m^T b + b m, in ints.
+    m, b = pair
+    dense = m.transpose() @ b + b @ m
+    residual = invariance_residual(m.nonzeros, m.nonzero_columns, b.nonzeros)
+    assert list(map(_typed, residual)) == list(map(_typed, dense.entries))
+    # With m's rows and columns swapped, it is the residual of m^T.
+    dense = m @ b + b @ m.transpose()
+    residual = invariance_residual(m.nonzero_columns, m.nonzeros, b.nonzeros)
+    assert list(map(_typed, residual)) == list(map(_typed, dense.entries))
 
 
 @st.composite

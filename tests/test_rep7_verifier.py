@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from g2verify import g2_algebra as g2
 from g2verify import rep7_verifier as rep7
@@ -205,39 +205,13 @@ def test_homomorphism_count_matches_the_reference(monkeypatch) -> None:
         monkeypatch.undo()
 
 
-_SMALL_ENTRY = st.sampled_from((0, 0, 0, 1, -1, 2))
-
-
-@st.composite
-def _square_pair(draw) -> tuple:
-    n = draw(st.integers(1, 4))
-    grid = st.lists(st.lists(_SMALL_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
-    return DenseMatrix.from_rows(draw(grid)), DenseMatrix.from_rows(draw(grid))
-
-
-# An antisymmetric b that the diagonal m leaves invariant, and a b that is
-# neither symmetric nor antisymmetric, which it does not.
-@example((DenseMatrix.from_rows([[1, 0], [0, -1]]), DenseMatrix.from_rows([[0, 1], [-1, 0]])))
-@example((DenseMatrix.from_rows([[1, 0], [0, -1]]), DenseMatrix.from_rows([[1, 2], [0, 1]])))
-@given(_square_pair())
-@settings(max_examples=200, deadline=None)
-def test_is_invariant_matches_the_matrix_formulation(pair) -> None:
-    m, b = pair
-    assert rep7._is_invariant(m.nonzeros, m.nonzero_columns, b) == is_zero(
-        m.transpose() @ b + b @ m
-    )
-    # With m's rows and columns swapped, the test is that of m^T.
-    assert rep7._is_invariant(m.nonzero_columns, m.nonzeros, b) == is_zero(
-        m @ b + b @ m.transpose()
-    )
-
-
 def test_identity_sweeps_build_no_matrix(monkeypatch) -> None:
     # With every cache warm, a sweep sums its products into plain grids:
     # only verify_quadric_element builds a matrix, C (quadric_element is
-    # not cached); it reads rho(x)^T off rho(x)'s columns.
+    # not cached); it reads rho(x)^T off rho(x)'s columns.  The Killing
+    # sweep reads ad(x) off the bracket table and builds none.
     sweeps = (verify_homomorphism, verify_invariant_form, verify_symplectic_invariance,
-              verify_quadric_element)
+              verify_quadric_element, g2.verify_killing_invariance)
     for sweep in sweeps:
         sweep()
     built = Counter()
@@ -250,7 +224,7 @@ def test_identity_sweeps_build_no_matrix(monkeypatch) -> None:
     monkeypatch.setattr(DenseMatrix, "__post_init__", counting_post_init)
     for sweep in sweeps:
         sweep()
-    assert built == Counter(verify_quadric_element=1)
+    assert built == Counter(verify_quadric_element=1, verify_killing_invariance=0)
 
 
 def test_weight_compatibility() -> None:
@@ -317,6 +291,85 @@ def test_invariant_form_system_keeps_one_primitive_row_per_line() -> None:
         tuple(kernel[idx[min(i, j), max(i, j)]] * scale for j in range(REP_DIM))
         for i in range(REP_DIM)
     )
+
+
+def _sym_index(i: int, j: int) -> int:
+    """Position of the (i <= j) entry in the packed symmetric unknown vector."""
+    if i > j:
+        i, j = j, i
+    return i * REP_DIM - i * (i - 1) // 2 + (j - i)
+
+
+def _reference_form_system() -> list:
+    """The earlier `invariant_form`'s system, expanded by hand: each nonzero
+    entry (m^T B + B m)[r][c], r <= c, of the generators m = rho(f1),
+    rho(f2), rho(f3) as a row over the packed unknowns B[i][j], i <= j."""
+    rep = rep7.build_rep7()
+    nunk = REP_DIM * (REP_DIM + 1) // 2
+    rows = []
+    for m in map(rep.matrix, ("f1", "f2", "f3")):
+        # (m^T B + B m)[r][c] = sum_k m[k][r] B[k][c] + B[r][k] m[k][c].
+        for r in range(REP_DIM):
+            for c in range(r, REP_DIM):
+                coeffs = [0] * nunk
+                for k in range(REP_DIM):
+                    coeffs[_sym_index(k, c)] += m.entry(k, r)
+                    coeffs[_sym_index(r, k)] += m.entry(k, c)
+                if any(coeffs):
+                    rows.append(coeffs)
+    return rows
+
+
+def _reference_invariant_form() -> DenseMatrix:
+    """The earlier `invariant_form`: B from the hand-expanded system."""
+    kern = kernel_basis(DenseMatrix.from_rows(_reference_form_system()))
+    if len(kern) != 1:
+        error = rep7.AmbiguousSolutionError if kern else rep7.NoSolutionError
+        raise error(f"invariant-form solution space has dimension {len(kern)}")
+    packed = kern[0]
+    pivot = packed[_sym_index(0, 3)]  # <v, v~>
+    if pivot == 0:
+        raise rep7.NoSolutionError("invariant form does not pair v with v~")
+    entries = [[packed[_sym_index(i, j)] for j in range(REP_DIM)] for i in range(REP_DIM)]
+    return DenseMatrix.from_rows(entries).scale(Fraction(-2, pivot))
+
+
+def _outcome(solve) -> object:
+    """What `solve()` returns, or the class and message of the ValueError it raises."""
+    try:
+        return solve()
+    except ValueError as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_invariant_form_matches_the_hand_expanded_system(monkeypatch, fault) -> None:
+    # The residual read at the symmetric units gives the hand-expanded rows
+    # in order, so the same B; with rho(f2) v = 7 t, a fault-table row, both
+    # find no nonzero solution and say so in the same words.
+    clear_caches()
+    rep = build_rep7()
+    if fault:
+        k = g2.BASIS_NAMES.index("f2")
+        bad = dataclasses.replace(rep, matrices=rep.matrices[:k] + (
+            with_entry(rep.matrices[k], 5, 0, 7),) + rep.matrices[k + 1:])
+        monkeypatch.setattr(rep7, "build_rep7", lambda: bad)
+    systems = []
+
+    def recording_kernel_basis(m: DenseMatrix) -> tuple:
+        systems.append(m.entries)
+        return kernel_basis(m)
+
+    monkeypatch.setattr(rep7, "kernel_basis", recording_kernel_basis)
+    try:
+        expected = _outcome(_reference_invariant_form)
+        assert _outcome(invariant_form) == expected
+        assert isinstance(expected, tuple) == fault
+        reference = tuple(map(tuple, _reference_form_system()))
+        assert systems == [reference] and len(reference) == 66
+    finally:
+        monkeypatch.undo()
+        clear_caches()
 
 
 def test_quadric_element_invariance() -> None:
