@@ -11,13 +11,14 @@ omega sweeps read and `invariant_form` solves B from.  The echelon reads
 the dense rows instead.
 
 One fraction-free echelon on integers serves `rank` (its pivot count) and
-`kernel_basis`: it pivots on a sparsest row, touches only the rows with a
-nonzero in the pivot column, and keeps every row primitive.  Any echelon
-with the same pivot columns back-substitutes to one kernel basis: the
-reduced row-echelon basis times the least positive factor that makes it
-integral, so ints only.  A linear solve is a null vector of the augmented
-matrix, read by its caller.  Floating point is never used anywhere in this
-package.
+`kernel_basis`: the first row with a nonzero in a column is its pivot,
+drawn rows are used as they are, only the rows with a nonzero in the pivot
+column are updated, and each computed row is made primitive.  The pivot
+columns depend only on the matrix, and any echelon with them
+back-substitutes to one kernel basis: the reduced row-echelon basis times
+the least positive factor that makes it integral, so ints only.  A linear
+solve is a null vector of the augmented matrix, read by its caller.
+Floating point is never used anywhere in this package.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -165,22 +166,14 @@ def invariance_residual(m_rows: Sequence, m_columns: Sequence, b_rows: Sequence)
     return grid
 
 
-def _primitive_rows(rows: Iterable[Sequence[int]]) -> Iterator[Sequence[int]]:
-    """The nonzero `rows`, each divided by its content (its entries' gcd) unless that is 1."""
-    for row in rows:
-        content = gcd(*row)
-        if content:
-            yield row if content == 1 else [x // content for x in row]
-
-
 def echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list, list[int]]:
     """Fraction-free row-echelon form of the integer `rows`, the entries of
-    a `DenseMatrix`: the echelon rows, nonzero and primitive, and their pivot
-    columns.  Each column's pivot is, of the rows left with a nonzero there,
-    one with the fewest nonzeros (Markowitz's rule); each other such row
-    becomes a row - b top, a/b the pivot over its entry in lowest terms, made
-    primitive.  A row that becomes 0 is dropped; the sweep ends once none is left."""
-    rows = list(_primitive_rows(rows))
+    a `DenseMatrix`: the nonzero echelon rows and their pivot columns.  Each
+    column's pivot row is the first row left with a nonzero there, used as
+    it is; each other such row becomes p row - f top, for p the pivot and f
+    the row's entry, divided by its content (its entries' gcd).  A row that
+    is or becomes 0 is dropped; the sweep ends once none is left."""
+    rows = [r for r in rows if any(r)]
     echelon, pivots = [], []
     for c in range(ncols):
         if not rows:
@@ -189,13 +182,11 @@ def echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list, list[int]]
         if not hits:
             continue
         rows = [r for r in rows if not r[c]]
-        top = max(hits, key=lambda r: r.count(0)) if len(hits) > 1 else hits[0]
-        hits.remove(top)
+        top = hits[0]
         piv = top[c]
-        for row in hits:
-            g = gcd(piv, row[c])
-            a, b = piv // g, row[c] // g
-            row = [a * x - b * y for x, y in zip(row, top)]
+        for row in hits[1:]:
+            f = row[c]
+            row = [piv * x - f * y for x, y in zip(row, top)]
             content = gcd(*row)
             if content:
                 rows.append(row if content == 1 else [x // content for x in row])

@@ -3,12 +3,13 @@
 Property-based checks pin down the algebraic laws (rank--nullity, kernel
 membership) that every later verification step leans on; small frozen
 cases guard the edge behavior and the error paths.  The fraction-free
-`rank` and `kernel_basis`, whose echelon updates only the rows with a
-nonzero in the pivot column and keeps them primitive, are checked
-against two earlier eliminations kept here as references.  The rational
-reduced row-echelon one takes dense and sparse drawn matrices: same
-rank, and the same basis vectors times one least positive factor that
-makes them all integral.  The dense integer Bareiss one, which the
+`rank` and `kernel_basis`, whose echelon pivots on the first row with a
+nonzero in the column, uses drawn rows as they are and makes every
+computed row primitive, are checked against two earlier eliminations
+kept here as references, and are unchanged when the rows are permuted,
+scaled or padded with zero rows.  The rational reduced row-echelon one
+takes dense and sparse drawn matrices: same rank, and the same basis
+vectors times one least positive factor that makes them all integral.  The dense integer Bareiss one, which the
 package ran before, takes every rank and kernel of three whole runs.
 
 A `DenseMatrix` holds ints only, so the strategies draw rational rows,
@@ -230,18 +231,41 @@ def test_echelon_kernel_matches_reference_rref(rows) -> None:
         assert gcd(factor, *chain.from_iterable(kern)) == 1
 
 
+@example([[-2]])  # the drawn pivot keeps its content 2
+@example([[2, 4], [1, 3]])  # (2, 4) is drawn; the update (0, 2) becomes (0, 1)
 @given(st.one_of(rank_test_matrices(), sparse_rank_matrices()))
 @settings(max_examples=200, deadline=None)
-def test_echelon_rows_are_primitive(rows) -> None:
-    # Every echelon row is nonzero and primitive, pivot rows drawn as they
-    # are and updated rows alike, and it is 0 left of its nonzero pivot entry.
+def test_echelon_rows_are_drawn_or_primitive(rows) -> None:
+    # Every echelon row is nonzero and 0 left of its nonzero pivot entry, and
+    # it is either an input row as drawn or a computed row, made primitive.
     m = _integer(rows)
     reduced, pivots = exact_linalg.echelon(m.entries, m.cols)
     assert len(reduced) == len(pivots) == _reference_rank(rows)
     assert pivots == sorted(set(pivots))
     for row, c in zip(reduced, pivots):
-        assert gcd(*row) == 1
         assert row[c] and not any(row[:c])
+        assert tuple(row) in m.entries or gcd(*row) == 1
+
+
+@given(st.one_of(rank_test_matrices(), sparse_rank_matrices()), st.data())
+@settings(max_examples=100, deadline=None)
+def test_answers_ignore_row_order_scale_and_zero_rows(rows, data) -> None:
+    # The rank, the pivot columns and the kernel depend on the row space
+    # alone, so neither the choice of pivot row nor a row's content may show
+    # in them: permuting the rows, scaling each by a nonzero integer and
+    # padding with zero rows changes none of them.
+    m = _integer(rows)
+    padded = list(m.entries) + [(0,) * m.cols] * data.draw(st.integers(0, 3))
+    scales = data.draw(
+        st.lists(st.integers(-12, 12).filter(bool), min_size=len(padded), max_size=len(padded))
+    )
+    order = data.draw(st.permutations(range(len(padded))))
+    moved = DenseMatrix.from_rows([[scales[i] * x for x in padded[i]] for i in order])
+    assert rank(moved) == rank(m)
+    assert exact_linalg.echelon(moved.entries, moved.cols)[1] == (
+        exact_linalg.echelon(m.entries, m.cols)[1]
+    )
+    assert kernel_basis(moved) == kernel_basis(m)
 
 
 # The elimination as the package wrote it before its echelon skipped the

@@ -22,7 +22,8 @@ the README's Python API example imports, plus a few more.  Every
 parameter is read in its function's body, and every default, of a
 parameter or of a dataclass field, is overridden by some caller.  No
 module reads another's private name: what one module uses of another is
-public.
+public; and every private top-level name is read in its own module, so
+that a helper no caller needs leaves with its last caller.
 
 The test settings turn every warning into an error but one, so that a
 failing Hypothesis test is reported as a failure and the session goes on.
@@ -223,6 +224,38 @@ def test_no_module_reads_another_modules_private_name() -> None:
         "def _f(): pass\nk._f\nk._v = 1\nk._v\nk.w[0]._u\n"
     )
     assert _foreign_private_reads(ast.parse(probe)) == ["n._x", "a._z", "k.w[0]._u"]
+
+
+def _unread_private_names(tree: ast.Module) -> list[str]:
+    """The private names `tree` defines at its top level, by a def, a class
+    or an assignment (tuple targets included), that no name in `tree` loads."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in defined if _private(name) and name not in read]
+
+
+def test_every_private_top_level_name_is_read_in_its_module() -> None:
+    # No other module may read a private name, so one its own module never
+    # reads is dead: a helper left behind by its last caller.
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (names := _unread_private_names(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
+    # The walk itself finds unread defs, classes and assignments, tuple
+    # targets included, and leaves public names, dunders and read names.
+    probe = (
+        "def _f(): pass\nclass _C: pass\n_a, (_b, c) = 1, (2, 3)\n_d: int = 4\n"
+        "__all__ = []\ndef _g(): return _b\n_h = _g\n"
+    )
+    assert _unread_private_names(ast.parse(probe)) == ["_f", "_C", "_a", "_d", "_h"]
 
 
 def test_every_public_definition_is_used_by_the_package() -> None:
